@@ -94,9 +94,9 @@ class Experiment
      * order the Results view iterates. The RowOrigin tells where each
      * row came from: the result cache, in-process simulation, or a
      * shard process merged by the parent. Invoked from sweep worker
-     * threads (serialized by the engine, never concurrently) and
-     * strictly after the capture phase, so the callback may allocate
-     * freely; it must not re-enter the session. Pass nullptr to clear.
+     * threads (serialized by the engine, never concurrently); the
+     * callback may allocate freely but must not re-enter the session.
+     * Pass nullptr to clear.
      * Powers `swan sweep --progress`.
      */
     Experiment &onRow(sweep::RowCallback callback);

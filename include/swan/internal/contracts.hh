@@ -1,35 +1,17 @@
 /**
  * @file
- * Determinism-contract annotations — the machine-checkable half of the
- * invariants the sweep engine's byte-identity guarantee rests on.
- *
- * Two contracts live here:
- *
- *  1. **No-alloc regions.** The fused replay loop (sim::replay /
- *     CoreModel::stepBlock) and the telemetry recording path
- *     (obs::Telemetry::record) are heap-free by design: captured
- *     traces carry real buffer addresses, the cache models are
- *     address-sensitive, and benches interleave capture with
- *     simulation on one thread — a stray allocation inside these
- *     regions shifts later capture addresses and with them the
- *     simulated cycle counts (see sweep/cache.hh). Bracket such a
- *     region with SWAN_NOALLOC_BEGIN("why") / SWAN_NOALLOC_END().
- *     tools/lint/swan_lint.py statically rejects allocation-capable
- *     constructs between the markers, and builds configured with
- *     -DSWAN_ALLOC_GUARD=ON additionally arm a runtime new/delete
- *     hook (swan::detail::AllocGuard) that aborts on the first heap
- *     operation inside the region — the "replay path is heap-free"
- *     claim as a regression test instead of tribal knowledge.
- *
- *  2. **Layout pins.** Types allocated while a sweep is still
- *     capturing (SweepPoint, CacheKey, CoreModel and its StepState)
- *     must never change size: growing one shifts the capture-time
- *     heap layout and drifts every address-sensitive result (PR 7
- *     root-caused exactly such a struct-padding regression by hand).
- *     Tag the type with SWAN_CAPTURE_TYPE at its definition and pin
- *     its size in include/swan/internal/layout.hh; swan-lint fails
- *     when a tagged type has no pin, a pin names an untagged type, or
- *     a known capture-phase type loses its tag.
+ * No-alloc regions — the machine-checkable half of the replay engine's
+ * "hot loops are heap-free" contract. The fused replay loop
+ * (sim::replay / CoreModel::stepBlock) and the telemetry recording
+ * path (obs::Telemetry::record) run per instruction or per span from
+ * every worker at once; an allocation there is a throughput and
+ * contention bug. Bracket such a region with SWAN_NOALLOC_BEGIN("why")
+ * / SWAN_NOALLOC_END(). tools/lint/swan_lint.py statically rejects
+ * allocation-capable constructs between the markers, and builds
+ * configured with -DSWAN_ALLOC_GUARD=ON additionally arm a runtime
+ * new/delete hook (swan::detail::AllocGuard) that aborts on the first
+ * heap operation inside the region — the claim as a regression test
+ * instead of tribal knowledge.
  *
  * See docs/lint.md for the full check catalog and the suppression
  * syntax (`// swan-lint: allow(<check>) <reason>`).
@@ -113,16 +95,6 @@ class AllocGuard
 };
 
 } // namespace swan::detail
-
-/**
- * Capture-phase type tag. Expands to nothing — it exists for
- * swan-lint, which cross-checks every tagged type against the size
- * pins in include/swan/internal/layout.hh. Place it between the
- * class-key and the type name:
- *
- *     struct SWAN_CAPTURE_TYPE SweepPoint { ... };
- */
-#define SWAN_CAPTURE_TYPE
 
 #if defined(SWAN_ALLOC_GUARD)
 /** Open a statically- and dynamically-checked no-alloc region. */

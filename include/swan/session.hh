@@ -51,8 +51,8 @@ struct SessionOptions
 
     /**
      * Sweep worker *processes*: shards > 1 runs every Experiment's
-     * simulation phase on the multi-process sharded backend — the
-     * shards fork after the capture phase, claim work units via atomic
+     * work units on the multi-process sharded backend — the shards
+     * capture, replay and publish the units they claim via atomic
      * lockfiles in the on-disk cache tier (cacheDir, or a private
      * per-run directory when no cache is configured) and publish
      * results as ordinary cache entries the parent merges back
@@ -77,10 +77,10 @@ struct SessionOptions
      *  replay (paper Section 4.3). */
     int warmupPasses = 1;
 
-    /** Byte budget for the in-memory packed-trace memo; over-budget
-     *  traces spill to disk during capture and are reloaded for
-     *  simulation, byte-identical results for any value. 0 = no
-     *  budget. [env: SWAN_TRACE_MEMO_BYTES] */
+    /** Byte budget for the cache's pinned-trace tier (T0: hot packed
+     *  traces held in RAM; see docs/cache.md). Results are
+     *  byte-identical for any value. 0 = no budget.
+     *  [env: SWAN_TRACE_MEMO_BYTES] */
     uint64_t traceMemoBytes = 0;
 
     /** Directory of the on-disk result + packed-trace cache tier,
@@ -286,9 +286,7 @@ class Session
      * Session-aware form of what drivers used to hand-wire with
      * core::Runner(Options::fromEnv()). Makes a fresh workload from
      * the spec; use the Workload overload to share one instance
-     * across calls (captured traces record real buffer addresses, so
-     * two runs of one instance replay the same addresses while two
-     * instances need not).
+     * across calls.
      */
     core::KernelRun run(const core::KernelSpec &spec, core::Impl impl,
                         const sim::CoreConfig &cfg,
@@ -314,11 +312,7 @@ class Session
 
   private:
     SessionOptions opts_;
-    // Inline, and mutable so a const Session can serve cache lookups:
-    // captured traces record real buffer addresses and the simulation
-    // is address-sensitive, so session setup deliberately makes no
-    // heap allocation beyond its option strings — a Session-driven run
-    // leaves the same capture-time heap layout as a hand-wired one.
+    // Inline, and mutable so a const Session can serve cache lookups.
     mutable sweep::ResultCache cache_;
 };
 

@@ -148,10 +148,8 @@ Experiment::run(std::string *err) const
     // results are byte-identical with metrics on or off; if another
     // collector already owns the registry this run simply goes
     // uncollected.
-    // Activation only — sink construction waits until after the sweep
-    // (they are read at finish()): even a pre-capture string allocation
-    // would shift the capture-time heap layout and so the recorded
-    // buffer addresses.
+    // Activation only — sinks are constructed at finish(), where they
+    // are read.
     const std::string &stem = session_->options().metricsOut;
     obs::Collector collector;
     if (!stem.empty())

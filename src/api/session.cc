@@ -35,18 +35,17 @@ Session::Session(SessionOptions opts)
       cache_(opts_.cacheDir, opts_.cacheMaxBytes, opts_.farCacheDir,
              opts_.cacheRamMaxBytes)
 {
-    // One byte knob for both in-RAM trace memos: the capture-phase
-    // spill budget and the cache's pinned-trace tier (T0) answer to
-    // SWAN_TRACE_MEMO_BYTES together.
+    // The cache's pinned-trace tier (T0) answers to
+    // SWAN_TRACE_MEMO_BYTES.
     cache_.setRamTraceBudget(opts_.traceMemoBytes);
 }
 
 SessionOptions
 Session::envDefaults()
 {
-    // One parser per variable: the cache and scheduler statics already
-    // own theirs, so a format change cannot drift between the façade
-    // and the engine.
+    // One parser per variable: the cache statics already own theirs,
+    // so a format change cannot drift between the façade and the
+    // engine.
     SessionOptions o;
     o.jobs = envInt("SWAN_JOBS", o.jobs);
     o.shards = envInt("SWAN_SHARDS", o.shards);
@@ -56,7 +55,7 @@ Session::envDefaults()
         sweep::parseByteCount(std::getenv("SWAN_SHARD_TIMEOUT_MS"), &ms))
         o.shardTimeoutMs = ms;
     o.shardBatch = envInt("SWAN_SHARD_BATCH", o.shardBatch);
-    o.traceMemoBytes = sweep::SchedulerConfig::envTraceMemoBytes();
+    o.traceMemoBytes = sweep::ResultCache::envTraceMemoBytes();
     o.cacheDir = sweep::ResultCache::envDiskDir();
     o.cacheMaxBytes = sweep::ResultCache::envMaxDiskBytes();
     o.farCacheDir = sweep::ResultCache::envFarDir();
@@ -109,7 +108,6 @@ Session::schedulerConfig() const
     sc.shards = opts_.shards;
     sc.cache = &cache_;
     sc.warmupPasses = opts_.warmupPasses;
-    sc.traceMemoBytes = opts_.traceMemoBytes;
     sc.shardTimeoutMs = opts_.shardTimeoutMs;
     sc.shardBatch = opts_.shardBatch;
     return sc;

@@ -16,13 +16,9 @@
  * Without the define the guard class still exists (tests construct it
  * unconditionally) but no hook is installed: enforced() is false and
  * counters stay zero.
- *
- * This TU also includes the centralized layout pins so every build of
- * the library evaluates them (see include/swan/internal/layout.hh).
  */
 
 #include "swan/internal/contracts.hh"
-#include "swan/internal/layout.hh"
 
 #include <atomic>
 #include <cstddef>

@@ -1,7 +1,26 @@
 #include "core/kernel.hh"
 
+#include <new>
+
+#include "trace/canon.hh"
+
 namespace swan::core
 {
+
+void *
+Workload::operator new(size_t bytes)
+{
+    void *p = ::operator new(bytes);
+    trace::registerRegion(p, bytes);
+    return p;
+}
+
+void
+Workload::operator delete(void *p, size_t bytes)
+{
+    trace::unregisterRegion(p);
+    ::operator delete(p, bytes);
+}
 
 std::string_view
 name(Domain d)

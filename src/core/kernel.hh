@@ -13,6 +13,7 @@
 #ifndef SWAN_CORE_KERNEL_HH
 #define SWAN_CORE_KERNEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -102,6 +103,15 @@ class Workload
 {
   public:
     virtual ~Workload() = default;
+
+    /**
+     * Heap-allocated workloads register their own storage as a region
+     * of the canonical trace address space (trace/canon.hh): member
+     * arrays (AES T-tables, CRC tables, ...) are addressed by the
+     * kernels, so they must translate like the workloads' heap buffers.
+     */
+    static void *operator new(size_t bytes);
+    static void operator delete(void *p, size_t bytes);
 
     /** Scalar reference implementation (instrumented via simd::Sc). */
     virtual void runScalar() = 0;

@@ -22,25 +22,57 @@ Runner::capture(Workload &w, Impl impl, int vec_bits)
     return out;
 }
 
+namespace
+{
+
+/**
+ * Run one implementation under @p rec. Every capture path goes through
+ * this one out-of-line frame: the ScopedRecorder below anchors the
+ * canonical stack mapping (trace/canon.hh), so the kernel's stack
+ * addresses are recorded at the same distance from the anchor whether
+ * the trace lands in an AoS buffer or is encoded on emit.
+ */
+[[gnu::noinline]] void
+runUnder(trace::Recorder &rec, Workload &w, Impl impl, int vec_bits)
+{
+    trace::ScopedRecorder scoped(&rec);
+    switch (impl) {
+      case Impl::Scalar:
+        w.runScalar();
+        break;
+      case Impl::Auto:
+        w.runAuto();
+        break;
+      case Impl::Neon:
+        w.runNeon(vec_bits);
+        break;
+    }
+}
+
+} // namespace
+
 void
 Runner::captureInto(Workload &w, Impl impl, int vec_bits,
                     std::vector<trace::Instr> *out)
 {
     trace::Recorder rec(out);
-    {
-        trace::ScopedRecorder scoped(&rec);
-        switch (impl) {
-          case Impl::Scalar:
-            w.runScalar();
-            break;
-          case Impl::Auto:
-            w.runAuto();
-            break;
-          case Impl::Neon:
-            w.runNeon(vec_bits);
-            break;
-        }
-    }
+    runUnder(rec, w, impl, vec_bits);
+}
+
+void
+Runner::captureInto(Workload &w, Impl impl, int vec_bits, trace::Sink *sink)
+{
+    trace::Recorder rec(sink);
+    runUnder(rec, w, impl, vec_bits);
+}
+
+trace::PackedTrace
+Runner::capturePacked(Workload &w, Impl impl, int vec_bits,
+                      trace::MixStats *mix)
+{
+    trace::PackedTrace::Builder builder(mix);
+    captureInto(w, impl, vec_bits, &builder);
+    return builder.finish();
 }
 
 KernelRun
@@ -56,14 +88,7 @@ Runner::runMany(Workload &w, Impl impl,
                 int warmup_passes) const
 {
     trace::MixStats mix;
-    trace::PackedTrace packed;
-    {
-        const auto instrs = capture(w, impl, vec_bits);
-        mix.addTrace(instrs);
-        packed = trace::PackedTrace::pack(instrs);
-        // The 64-byte-per-instr AoS buffer dies here; simulation runs
-        // off the packed encoding.
-    }
+    const trace::PackedTrace packed = capturePacked(w, impl, vec_bits, &mix);
     // Results come out of the replay engine power-complete (the power
     // model is fused into CoreModel::finish).
     auto sims = sim::simulateTraceMany(packed, cfgs, warmup_passes);

@@ -18,6 +18,7 @@
 #include "core/registry.hh"
 #include "sim/core_model.hh"
 #include "sim/power.hh"
+#include "trace/packed.hh"
 #include "trace/stats.hh"
 
 namespace swan::core
@@ -89,25 +90,44 @@ class Runner
                                              int vec_bits = 128);
 
     /**
-     * capture() into a caller-owned buffer (cleared first, capacity
-     * kept), for drivers that capture many traces back to back and
-     * must keep their heap evolution capture-count-independent (see
-     * trace::Recorder's external-buffer mode).
+     * capture() into a caller-owned AoS buffer (cleared first,
+     * capacity kept), for .swt dumps and drivers that reuse one buffer
+     * across captures.
      */
     static void captureInto(Workload &w, Impl impl, int vec_bits,
                             std::vector<trace::Instr> *out);
+
+    /**
+     * Capture streaming every instruction into @p sink as it is
+     * emitted — a PackedTrace::Builder (encode on emit) or a core
+     * model (simulate while capturing). Same canonical addresses as
+     * the buffered forms.
+     */
+    static void captureInto(Workload &w, Impl impl, int vec_bits,
+                            trace::Sink *sink);
+
+    /**
+     * Capture straight into the packed encoding (encode on emit):
+     * captureInto() a PackedTrace::Builder counting @p mix on the way,
+     * then finish() it — no AoS buffer ever exists. The
+     * result equals PackedTrace::pack(capture(...)) byte for byte, and
+     * @p mix equals MixStats::addTrace of that capture.
+     */
+    static trace::PackedTrace capturePacked(Workload &w, Impl impl,
+                                            int vec_bits,
+                                            trace::MixStats *mix);
 
     /** Capture + simulate + power for one implementation. */
     KernelRun run(Workload &w, Impl impl, const sim::CoreConfig &cfg,
                   int vec_bits = 128, int warmup_passes = 1) const;
 
     /**
-     * Capture once, replay against many core configurations in a
-     * single pass on the fused engine (sim::replay): the AoS capture
-     * buffer is packed and freed before simulation, and each packed
-     * instruction is decoded once — straight into registers — with
-     * every configuration's core model stepped from the same decoded
-     * fields. Result i is bit-identical to run() with cfgs[i].
+     * Capture once (encoded on emit), replay against many core
+     * configurations in a single pass on the fused engine
+     * (sim::replay): each packed instruction is decoded once —
+     * straight into registers — with every configuration's core model
+     * stepped from the same decoded fields. Result i is bit-identical
+     * to run() with cfgs[i].
      */
     std::vector<KernelRun> runMany(Workload &w, Impl impl,
                                    const std::vector<sim::CoreConfig> &cfgs,

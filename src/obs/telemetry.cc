@@ -54,8 +54,6 @@ name(Phase p)
         return "capture";
       case Phase::Pack:
         return "pack";
-      case Phase::Spill:
-        return "spill";
       case Phase::Replay:
         return "replay";
       case Phase::Publish:
@@ -168,10 +166,9 @@ Telemetry::shard()
 void
 Telemetry::record(const SpanRec &rec)
 {
-    // The recording path is a no-alloc region: spans bracket the
-    // capture phase itself, so any heap traffic here would perturb
-    // the capture-time layout metrics-on runs must share with
-    // metrics-off runs (file comment; docs/lint.md).
+    // The recording path is a no-alloc region: spans close on every
+    // worker at once, so it must stay an index bump and a store (file
+    // comment; docs/lint.md).
     SWAN_NOALLOC_BEGIN("obs::Telemetry::record");
     const size_t i = n_.fetch_add(1, std::memory_order_relaxed);
     if (i < cap_)

@@ -3,7 +3,7 @@
  * swan::obs — phase-structured telemetry for the sweep pipeline.
  *
  * A Telemetry instance is a lock-free span registry: every pipeline
- * phase (grid expand, cache lookup, capture, pack, spill, decode/
+ * phase (grid expand, cache lookup, capture, pack, decode/
  * replay, publish, shard merge, recovery) brackets itself with a Span
  * guard, and the guard appends one fixed-size SpanRec to a shared
  * buffer with a single atomic fetch_add. When no collector is active
@@ -12,19 +12,14 @@
  * indistinguishable from uninstrumented code (bench/obs_overhead.cc
  * gates this at <= 2% on the fused-replay hot path).
  *
- * Determinism contract (why this file is written the way it is): the
- * sweep engine guarantees byte-identical emitter output across
- * backends, job counts and shard counts, and that guarantee rests on
- * the capture thread's heap evolving identically whatever the
- * configuration — captured traces carry real buffer addresses and the
- * cache models are address-sensitive (sweep/cache.hh). Telemetry
- * therefore NEVER touches malloc on the recording path: the instance
- * and its record buffer live in one anonymous mmap region (like the
- * threaded backend's WorkerPool arena), record() is an index bump
- * plus a struct store into that region, and overflow drops records
- * (counted) instead of growing. Collection may allocate freely — it
- * happens before the first capture (start) and after the last result
- * lands (snapshot/flush).
+ * Results cannot depend on telemetry: traces record canonical
+ * addresses (trace/canon.hh), so turning collection on never changes
+ * a result byte whatever it allocates. The recording path is still
+ * malloc-free, for overhead: the instance and its record buffer live
+ * in one anonymous mmap region, record() is an index bump plus a
+ * struct store into that region, and overflow drops records (counted)
+ * instead of growing. Collection (start, snapshot/flush) may allocate
+ * freely.
  *
  * Shard transport: a forked shard child inherits the active instance
  * copy-on-write. The child tags itself with setShard(), records into
@@ -52,9 +47,8 @@ enum class Phase : uint8_t
     Sweep = 0,   //!< whole runSweep envelope (one per sweep)
     GridExpand,  //!< spec -> flattened point list
     CacheLookup, //!< result probe (phase 1a) / packed-trace disk read
-    Capture,     //!< instrumented kernel execution -> Instr stream
-    Pack,        //!< Instr stream -> varint PackedTrace
-    Spill,       //!< memo-budget eviction write / worker reload
+    Capture,     //!< instrumented kernel execution, encoded on emit
+    Pack,        //!< encoded stream -> assembled PackedTrace
     Replay,      //!< fused multi-config packed-trace traversal
     Publish,     //!< result stores into the cache tiers
     Shard,       //!< one shard child process, fork to _exit
@@ -77,7 +71,7 @@ struct SpanRec
     uint64_t t1Ns = 0;  //!< CLOCK_MONOTONIC at close
     uint64_t cpuNs = 0; //!< thread CPU time consumed inside the span
     /** Phase-specific payload: instructions decoded (Replay: decoded
-     *  instructions x configs x passes), bytes (Pack/Spill), points
+     *  instructions x configs x passes), bytes (Pack), points
      *  (CacheLookup/Publish), units (Merge/Recovery). */
     uint64_t arg = 0;
     uint32_t tid = 0; //!< stable-per-thread id (hashed, truncated)
@@ -226,8 +220,7 @@ class Telemetry
  * RAII span guard. Construct at phase entry, closes at scope exit (or
  * explicitly via close()). When no collector is active the whole
  * guard is one relaxed load; when one is, open/close each read two
- * clocks and close() appends one record — still malloc-free, so spans
- * may bracket the capture phase itself.
+ * clocks and close() appends one record — still malloc-free.
  */
 class Span
 {

@@ -167,11 +167,8 @@ void replayWith(const trace::PackedTrace &trace,
                 ReplayObserver *payload);
 } // namespace detail
 
-/** Incremental trace-driven core model. Capture-phase type: replay
- *  drivers allocate it while benches interleave capture and
- *  simulation — its malloc size class is pinned in
- *  include/swan/internal/layout.hh. */
-class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
+/** Incremental trace-driven core model. */
+class CoreModel : public trace::Sink
 {
   public:
     explicit CoreModel(const CoreConfig &cfg);
@@ -341,17 +338,8 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
      * branchCountdown counts branches down to the next modeled
      * mispredict (the 1/rate floating divide now runs once per
      * mispredict, not once per branch).
-     *
-     * Layout note: this struct replaces the old scattered scalars
-     * byte-for-byte, keeping sizeof(CoreModel) — and with it the
-     * replay drivers' transient heap-request sizes — in the same
-     * allocator size class. Benches that interleave capture and
-     * simulation on one thread depend on the simulator's heap traffic
-     * staying stable, because captured traces carry real buffer
-     * addresses and the cache models are address-sensitive (see
-     * sweep/scheduler.cc).
      */
-    struct SWAN_CAPTURE_TYPE StepState
+    struct StepState
     {
         uint64_t n = 0;           //!< instructions consumed (all passes)
         uint64_t idOffset = 0;    //!< re-bases per-pass instruction ids
@@ -366,6 +354,9 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
         int issueCount = 0;
         uint32_t robIdx = 0;      //!< n % robSize, maintained incrementally
     };
+    // The fused loop's SoA lane arrays copy this per configuration and
+    // its batch sizing is tuned to this footprint.
+    static_assert(sizeof(StepState) == 80, "StepState grew");
 
     /**
      * One vector of configuration lanes in the fused replay engine:
@@ -376,12 +367,8 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
      * 448 bytes of frontier hints) are one contiguous span instead of
      * N scattered 160-byte records — the lane loop walks adjacent
      * cache lines regardless of where the models themselves live.
-     * Capture-phase type: replays > kLanes configurations heap a
-     * dense block array while benches interleave capture and
-     * simulation, so its size is pinned
-     * (include/swan/internal/layout.hh).
      */
-    struct SWAN_CAPTURE_TYPE LaneBlock
+    struct LaneBlock
     {
         /** Lanes per block; replay() spans this wide on the stack. */
         static constexpr size_t kLanes = 8;
@@ -392,16 +379,6 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
         StepBlockFn fnChecked[kLanes]; //!< restart check per instr
         StepBlockFn fnMono[kLanes];    //!< batch proven monotone
     };
-
-  public:
-    /** sizeof(StepState), exported so the centralized layout pin
-     *  (include/swan/internal/layout.hh) can assert on a private
-     *  nested type. The SoA lane arrays the fused loop copies per
-     *  configuration are sized by this. */
-    static constexpr size_t kStepStateBytes = sizeof(StepState);
-
-    /** sizeof(LaneBlock), exported for the same layout pin. */
-    static constexpr size_t kLaneBlockBytes = sizeof(LaneBlock);
 
   private:
     CoreConfig cfg_;

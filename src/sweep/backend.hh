@@ -2,33 +2,28 @@
  * @file
  * The execution-backend seam of the sweep engine. The scheduler
  * (sweep/scheduler.cc) owns everything that must stay backend-agnostic
- * — result-cache lookups, capture-identity grouping, the serial
- * capture phase under the trace-memo byte budget — and hands the
- * finished work units (one unit per trace group: a packed trace plus
- * every core configuration that replays it) to an ExecutionBackend,
- * which only decides *where* the simulation phase runs:
+ * — result-cache lookups and capture-identity grouping — and hands the
+ * work units (one per capture identity: a kernel/impl/width/working
+ * set plus every core configuration that replays its trace) to an
+ * ExecutionBackend, which only decides *where* each unit runs:
  *
- *   runSweep: lookups -> grouping -> captures -> backend.run(job)
- *                                                |
+ *   runSweep: lookups -> grouping -> backend.run(job)
+ *                                     |
  *                  InlineBackend    calling thread, serial (tests/debug)
  *                  ThreadedBackend  work-stealing thread pool (default)
  *                  ShardedBackend   N forked worker processes claiming
  *                                   units in the on-disk cache tier
  *
- * Work units are pure functions of (packed trace, core configs): a
- * unit's results do not depend on which thread, process or machine
- * executes it, and the on-disk result format round-trips doubles as
- * hexfloat (bit-exact). That is what makes the seam sound: emitter
- * output is byte-identical across backends and across any
- * `shards x jobs` combination, by construction.
- *
- * The backends are instantiated by the scheduler strictly AFTER the
- * last capture (on the stack, per run). Nothing in this header may be
- * allocated or resolved before phase 1 ends: captured traces carry
- * real buffer addresses and the cache models are address-sensitive,
- * so pre-capture heap traffic that varies with the backend choice
- * would break byte-identity between backends (see the determinism
- * notes in sweep/scheduler.cc).
+ * A unit runs its whole pipeline on whichever worker or shard child
+ * executes it: trace-tier hit or a fresh capture (encoded on emit),
+ * trace store, fused replay, publish. Units are pure functions of
+ * their points: traces record canonical addresses (trace/canon.hh),
+ * so a unit's trace and results do not depend on which thread,
+ * process or machine executes it, or on what ran before; the on-disk
+ * result format round-trips doubles as hexfloat (bit-exact). That is
+ * what makes the seam sound: emitter output is byte-identical across
+ * backends and across any `shards x jobs` combination, by
+ * construction.
  *
  * Claim protocol (ShardedBackend). Every unit has a content-stable
  * 64-bit token (hashed from its points' cache keys). A shard claims a
@@ -41,13 +36,13 @@
  * lockfile (and one filesystem round-trip) covers the whole batch,
  * and the winning shard executes every member unit; batch == 1 keeps
  * the raw unit token, so default claim filenames are unchanged.
- * Finished units
+ Finished units
  * land in the shared directory as ordinary checksummed `.swr` cache
  * entries, which the parent merges back deterministically after every
  * child has exited. Units that were claimed but never stored (a
- * crashed or killed shard) are re-executed by the parent, which still
- * holds every captured trace — recovery output is bit-identical to
- * what the dead shard would have produced. Claim files whose pid no
+ * crashed or killed shard) are re-executed by the parent — a fresh
+ * capture of a canonical trace, so recovery output is bit-identical
+ * to what the dead shard would have produced. Claim files whose pid no
  * longer exists are removed at the start of the next sharded run
  * (stale-claim cleanup), so a crash cannot poison the directory.
  */
@@ -71,11 +66,7 @@ enum class Backend
     /** Work-stealing thread pool in this process (the default). */
     Threaded,
     /** Serial on the calling thread: no pool, no threads — the
-     *  debuggable backend. Note that simulation then allocates on the
-     *  capture thread, so *subsequent* fresh captures in the same
-     *  process may shift by the documented ~0.1% cache-layout
-     *  tolerance (sweep/cache.hh); within one sweep, results are
-     *  byte-identical to every other backend. */
+     *  debuggable backend. Byte-identical to every other backend. */
     Inline,
     /** N forked worker processes claiming units from the on-disk
      *  cache tier; requires POSIX, degrades to Threaded elsewhere. */
@@ -105,8 +96,9 @@ struct BackendJob
     void *arg = nullptr;
 
     /**
-     * Simulate unit @p u, record its results and store them through
-     * the scheduler's caches. Thread-safe and noexcept (failures are
+     * Run unit @p u end to end — trace (tier hit or capture), replay,
+     * publish — recording its results and storing them through the
+     * scheduler's caches. Thread-safe and noexcept (failures are
      * recorded scheduler-side); in a sharded run it executes inside
      * the claiming child process, or inside the parent on recovery.
      */
@@ -163,15 +155,11 @@ class InlineBackend final : public ExecutionBackend
 };
 
 /**
- * The work-stealing thread pool, extracted unchanged from the
- * pre-seam scheduler: per-worker mutex-guarded rings dealt round-robin
- * (adjacent groups of one kernel tend to cost the same), workers pop
- * their own front and steal from the back of the fullest victim. The
- * pool's jobs-sized state lives in one anonymous mmap region and its
- * threads are raw pthreads spawned only inside run() — i.e. strictly
- * after the last capture — with serialized exits, keeping the pool
- * invisible to malloc; see the WorkerPool notes in backend_threaded.cc
- * for why that is load-bearing for capture determinism.
+ * The work-stealing thread pool: per-worker mutex-guarded rings dealt
+ * round-robin (adjacent units of one kernel tend to cost the same),
+ * workers pop their own front and steal from the back of the fullest
+ * victim. Threads are spawned inside run() and joined before it
+ * returns.
  */
 class ThreadedBackend final : public ExecutionBackend
 {
@@ -183,9 +171,10 @@ class ThreadedBackend final : public ExecutionBackend
  * Multi-process sharded execution: fork `shards` worker processes,
  * each running a ThreadedBackend over the units it wins via atomic
  * lockfile claims in the shared cache directory (see the claim
- * protocol above), then deterministically merge the children's `.swr`
- * entries back into the parent's result vector in unit order,
- * re-executing any unit a dead shard left behind. Children exit via
+ * protocol above) — capturing, replaying and publishing them — then
+ * deterministically merge the children's `.swr` entries back into the
+ * parent's result vector in unit order, re-executing any unit a dead
+ * shard left behind. Children exit via
  * _exit(): they share the parent's stdio buffers and must never flush
  * them. Cache statistics of the children are aggregated back into the
  * shared cache so `Results::cacheStats()` reflects the whole fleet.

@@ -1,17 +1,16 @@
 /**
  * @file
  * ShardedBackend: multi-process sweep execution on top of the on-disk
- * cache tier. The parent has already captured every packed trace
- * (phase 1 is backend-agnostic), so the children fork *after* the last
- * capture and inherit the traces copy-on-write; each child runs the
- * ordinary threaded pool, gated per unit by an atomic lockfile claim
- * in the shared cache directory, and publishes results as the cache
- * tier's ordinary checksummed `.swr` entries. The parent then merges
- * the entries back in unit order and re-executes whatever a dead shard
- * claimed but never stored. Because a work unit is a pure function of
- * (trace, configs) and the `.swr` format round-trips doubles bit-exactly
- * (hexfloat), the merged output is byte-identical to a threaded run —
- * including after crash recovery.
+ * cache tier. Each child runs the ordinary threaded pool, gated per
+ * unit by an atomic lockfile claim in the shared cache directory; a
+ * claimed unit is captured (or served by the trace tier), replayed and
+ * published inside the child as the cache tier's ordinary checksummed
+ * `.swr` entries. The parent then merges the entries back in unit
+ * order and re-executes whatever a dead shard claimed but never
+ * stored. Because a work unit is a pure function of its points
+ * (canonical trace addresses, trace/canon.hh) and the `.swr` format
+ * round-trips doubles bit-exactly (hexfloat), the merged output is
+ * byte-identical to a threaded run — including after crash recovery.
  *
  * File naming in the shared directory (`<h>` = 16 hex digits):
  *
@@ -460,9 +459,7 @@ childMain(const BackendJob &job, uint64_t run, const char *dir,
 
     {
         // One envelope span per shard child, so even a shard that
-        // loses every claim race is visible in the trace. The claim
-        // verdict cache allocates in the child, post-fork — the
-        // parent's capture-phase heap is already sealed.
+        // loses every claim race is visible in the trace.
         obs::Span life(obs::Phase::Shard, uint64_t(job.units));
         std::unique_ptr<std::atomic<uint8_t>[]> verdicts(
             new std::atomic<uint8_t>[nBatches]());
@@ -616,9 +613,9 @@ ShardedBackend::run(const BackendJob &job)
 
     // Deterministic merge in unit order; whatever a dead shard (or a
     // concurrent run's still-working shard) left unpublished is
-    // re-executed right here — the parent still holds every captured
-    // trace, so recovery output is bit-identical to what the missing
-    // shard would have produced.
+    // re-executed right here — captures are canonical, so recovery
+    // output is bit-identical to what the missing shard would have
+    // produced.
     std::vector<size_t> missing;
     {
         obs::Span merge(obs::Phase::Merge, uint64_t(job.units));

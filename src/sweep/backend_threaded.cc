@@ -1,8 +1,7 @@
 /**
  * @file
- * ThreadedBackend: the sweep engine's default in-process executor —
- * the two-phase scheduler's original work-stealing pool, re-homed
- * behind the ExecutionBackend seam with zero behavior change.
+ * ThreadedBackend: the sweep engine's default in-process executor, a
+ * work-stealing pool behind the ExecutionBackend seam.
  */
 
 #include "sweep/backend.hh"
@@ -79,30 +78,14 @@ struct WorkQueue
 };
 
 /**
- * Work-stealing pool for the simulation phase.
+ * Work-stealing pool for the sweep's work units.
  *
- * The threads are created once per sweep, strictly AFTER the last
- * capture (the scheduler constructs the backend, and the backend this
- * pool, only then), and exit when the sweep ends. That placement is
- * load-bearing for determinism: thread stacks (and the worker arenas
- * glibc creates at each worker's first malloc) are jobs-count-many
- * mappings, and captured workload buffers above malloc's mmap
- * threshold are placed in whatever address-space layout exists at
- * capture time — spawning before captures would make those addresses,
- * and therefore the address-sensitive simulated cycle counts, a
- * function of `--jobs`. Workers never run on the calling thread:
- * simulation must allocate from worker arenas only, keeping the
- * capture thread's heap evolution a pure function of the capture
- * sequence across sweeps.
- *
- * For the same contract, the pool's own jobs-sized state (queues,
- * rings, worker slots, thread handles) lives in one anonymous mmap
- * region rather than on the heap, and on POSIX the threads are raw
- * pthreads fed from those slots: mmap keeps the pool's footprint
- * invisible to malloc, and std::thread is avoided because its invoke
- * state is parent-allocated but child-freed — a cross-thread free
- * whose chunks return to the parent's arena in thread-exit order,
- * i.e. nondeterministically.
+ * The threads are created once per run() and exit when it ends. The
+ * pool's jobs-sized state (queues, rings, worker slots, thread
+ * handles) lives in one anonymous mmap region and the threads are raw
+ * pthreads with serialized exits — a layout that predates canonical
+ * trace addresses (trace/canon.hh), when pool allocations could shift
+ * captured buffer addresses. Results no longer depend on any of it.
  */
 class WorkerPool
 {
@@ -191,10 +174,7 @@ class WorkerPool
     {
         // Workers exit strictly in worker-index order (each waits for
         // its turn, and the next turn is granted only after the
-        // previous thread fully terminated): thread teardown releases
-        // allocator state back to shared lists, and an exit race would
-        // leave those lists — and therefore the next sweep's capture
-        // addresses — ordered by scheduling luck.
+        // previous thread fully terminated).
         {
             std::lock_guard<std::mutex> lock(mu_);
             stop_ = true;

@@ -62,8 +62,11 @@ hashCache(Fnv &f, const sim::CacheConfig &c)
     f.b(c.nextLinePrefetch);
 }
 
-/** v1 on-disk entry format version. */
-constexpr const char *kMagic = "swan-sweep-result v1";
+/** On-disk result entry header: kMagicStem + format version. v2 holds
+ *  results simulated from canonical-address traces (trace/canon.hh);
+ *  entries of any other version are plain misses. */
+constexpr std::string_view kMagicStem = "swan-sweep-result v";
+constexpr const char *kMagic = "swan-sweep-result v2";
 
 std::string
 hex64(uint64_t v)
@@ -341,6 +344,14 @@ ResultCache::envRamMaxBytes()
     return n;
 }
 
+uint64_t
+ResultCache::envTraceMemoBytes()
+{
+    uint64_t n = 0;
+    parseByteCount(std::getenv("SWAN_TRACE_MEMO_BYTES"), &n);
+    return n;
+}
+
 void
 ResultCache::setFarPublishEnabled(bool on)
 {
@@ -391,10 +402,8 @@ ResultCache::entryExists(const std::string &dir, uint64_t stem_hash,
                          const char *ext)
 {
 #ifdef SWAN_CACHE_HAVE_POSIX
-    // Stack-built path + ::stat, because this is the far tier's
-    // *absence* probe and it runs on the capture thread: a miss must
-    // leave the heap exactly as a far-disabled run would (only a hit
-    // — which ends the capture story for its group — may allocate).
+    // Stack-built path + ::stat: the far tier's absence probe runs on
+    // every trace lookup, so a miss stays a single syscall.
     char path[3072];
     const int n =
         std::snprintf(path, sizeof path, "%s/%016llx%s", dir.c_str(),
@@ -404,8 +413,7 @@ ResultCache::entryExists(const std::string &dir, uint64_t stem_hash,
         return ::stat(path, &st) == 0;
     }
 #endif
-    // Non-POSIX (or an absurdly long directory): correctness keeps
-    // working, the heap-silence guarantee is POSIX-only.
+    // Non-POSIX (or an absurdly long directory).
     std::error_code ec;
     return std::filesystem::exists(
         std::filesystem::path(dir) / (hex64(stem_hash) + ext), ec);
@@ -435,10 +443,8 @@ ResultCache::lookup(const CacheKey &key, core::KernelRun *out)
             if (map_.emplace(key, *out).second)
                 ramBytesEst_ += entryRamCost(key, *out);
             ++stats_.diskHits;
-            // No RAM pruning here: lookups run on the capture thread,
-            // and an eviction's free() would make the RAM cap a
-            // capture-heap knob. The memo may transiently overshoot
-            // until the next store() (strictly post-capture) prunes.
+            // No RAM pruning here: the memo may transiently overshoot
+            // until the next store() prunes.
             return true;
         }
         case DiskLoad::Corrupt: {
@@ -506,9 +512,7 @@ ResultCache::store(const CacheKey &key, const core::KernelRun &run)
         if (map_.insert_or_assign(key, run).second)
             ramBytesEst_ += entryRamCost(key, run);
         ++stats_.stores;
-        // The only place the RAM cap evicts: store() runs strictly
-        // post-capture (phase 2 / the publish path), so the frees
-        // cannot shift the capture heap.
+        // The only place the RAM cap evicts.
         pruneRamLocked();
     }
     uint64_t wrote = 0;
@@ -675,24 +679,19 @@ ResultCache::setRamTraceBudget(uint64_t bytes)
     ramTraceBudget_ = bytes;
 }
 
-void
-ResultCache::setRamTraceServe(bool on)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ramServe_ = on;
-}
-
 namespace
 {
 
-/** v2 on-disk packed-trace entry: magic, version, whole-blob FNV-1a
+/** On-disk packed-trace entry: magic, version, whole-blob FNV-1a
  *  checksum, key echo, mix counters, payload. The blob checksum covers
  *  everything after itself — the payload carries its own internal
  *  checksum, but the key echo and mix counters would otherwise be
  *  trusted unverified, and a flipped counter byte must quarantine the
- *  entry, not silently skew a warm run's instruction mix. */
+ *  entry, not silently skew a warm run's instruction mix. v3 traces
+ *  record canonical addresses (trace/canon.hh); entries of any other
+ *  version are plain misses. */
 constexpr char kTraceMagic[4] = {'S', 'W', 'T', 'P'};
-constexpr uint32_t kTraceTierVersion = 2;
+constexpr uint32_t kTraceTierVersion = 3;
 
 template <typename T>
 void
@@ -713,8 +712,8 @@ readRaw(const std::string &buf, size_t *at, T *v)
 }
 
 /** Serialize one packed-trace entry into `<dir>/<stem>.swtp`
- *  (write-then-rename). Shared by the T1 store and the post-capture
- *  far publish. @return bytes written, 0 on failure. */
+ *  (write-then-rename). Shared by the T1 store and the far
+ *  publish. @return bytes written, 0 on failure. */
 uint64_t
 writeTraceBlob(const std::string &dir_s, const TraceKey &key,
                const trace::PackedTrace &t, const trace::MixStats &mix)
@@ -775,33 +774,23 @@ ResultCache::lookupTrace(const TraceKey &key, trace::PackedTrace *out,
     {
         std::lock_guard<std::mutex> lock(mu_);
         hot = noteLookupLocked(h);
-        if (ramServe_) {
-            // T0: serve the pinned copy. Runs on the capture thread,
-            // hence the no-alloc bracket: clone() is mmap + memcpy and
-            // MixStats is POD, so a RAM hit is heap-silent.
-            for (RamTrace &slot : ramTraces_) {
-                if (!slot.used || slot.keyHash != h)
-                    continue;
-                SWAN_NOALLOC_BEGIN("cache T0 pinned-trace serve");
-                const bool match =
-                    std::strncmp(slot.kernel, key.kernel.c_str(),
-                                 sizeof slot.kernel) == 0 &&
-                    slot.impl == int32_t(key.impl) &&
-                    slot.vecBits == key.vecBits &&
-                    slot.optionsFp == key.optionsFp;
-                if (match) {
-                    *out = slot.trace.clone();
-                    *mix = slot.mix;
-                }
-                SWAN_NOALLOC_END();
-                if (match) {
-                    ++stats_.traceRamHits;
-                    return true;
-                }
-                // Key-echo mismatch under a hash collision: fall
-                // through to the durable tiers, like on-disk foreign
-                // entries.
+        // T0: serve the pinned copy (mmap + memcpy, no payload
+        // re-validation).
+        for (RamTrace &slot : ramTraces_) {
+            if (!slot.used || slot.keyHash != h)
+                continue;
+            if (std::strncmp(slot.kernel, key.kernel.c_str(),
+                             sizeof slot.kernel) == 0 &&
+                slot.impl == int32_t(key.impl) &&
+                slot.vecBits == key.vecBits &&
+                slot.optionsFp == key.optionsFp) {
+                *out = slot.trace.clone();
+                *mix = slot.mix;
+                ++stats_.traceRamHits;
+                return true;
             }
+            // Key-echo mismatch under a hash collision: fall through
+            // to the durable tiers, like on-disk foreign entries.
         }
     }
     const std::string name = key.hex() + ".swtp";
@@ -892,8 +881,12 @@ ResultCache::loadTraceFrom(const std::string &dir, const TraceKey &key,
     uint32_t version = 0;
     if (!readRaw(buf, &at, &magic) ||
         std::memcmp(magic, kTraceMagic, 4) != 0 ||
-        !readRaw(buf, &at, &version) || version != kTraceTierVersion)
+        !readRaw(buf, &at, &version))
         return DiskLoad::Corrupt;
+    // Another format version (older or newer build) is a foreign entry,
+    // not damage: miss, and let the next store overwrite it.
+    if (version != kTraceTierVersion)
+        return DiskLoad::Miss;
     // Whole-blob checksum: any damaged byte after this field — key
     // echo, counters or payload — reads as corruption, never as data.
     uint64_t want = 0;
@@ -943,10 +936,9 @@ ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
 {
     if (diskDir_.empty())
         return;
-    // T1 only — never the far tier: storeTrace runs inside the capture
-    // window (phase 1c), where a slow far write would also have to
-    // allocate. The scheduler publishes captured traces to T2 strictly
-    // post-capture via publishTraceFar().
+    // T1 only — the far tier is synced by publishTraceFar(), which the
+    // scheduler calls from the process that may write it (never a shard
+    // child).
     const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
     if (!wrote)
         return;
@@ -982,7 +974,7 @@ ResultCache::publishTraceFar(const TraceKey &key,
         return;
     }
     if (!t || t->byteSize() == 0)
-        return; // spilled with no durable copy: nothing to publish
+        return; // no T1 copy and no trace in hand: nothing to publish
     obs::Span pub(obs::Phase::Publish);
     const uint64_t wrote = writeTraceBlob(farDir_, key, *t, mix);
     pub.addArg(wrote);
@@ -992,30 +984,11 @@ ResultCache::publishTraceFar(const TraceKey &key,
     }
 }
 
-bool
-ResultCache::traceAvailable(const TraceKey &key) const
-{
-    // Durable tiers only, deliberately: whether a trace is *pinned* in
-    // T0 depends on the byte budget, and this probe gates behavior
-    // (the scheduler's T0-serve decision) that must be identical
-    // across budget values.
-    const uint64_t h = key.hash();
-    if (!diskDir_.empty() && entryExists(diskDir_, h, ".swtp"))
-        return true;
-    if (!farDir_.empty() && entryExists(farDir_, h, ".swtp"))
-        return true;
-    return false;
-}
-
 void
 ResultCache::maybePinTraceLocked(const TraceKey &key, uint32_t hot_count,
                                  const trace::PackedTrace &t,
                                  const trace::MixStats &mix)
 {
-    // Runs on the capture thread: everything below is mmap + POD (no
-    // malloc), because whether a pin happens depends on the byte
-    // budget, and a budget-dependent allocation would break the
-    // cross-budget byte-identity contract.
     if (hot_count < kPinHits)
         return;
     const uint64_t bytes = t.byteSize();
@@ -1400,9 +1373,20 @@ ResultCache::loadDisk(const std::string &dir, const CacheKey &key,
     }
 
     size_t bodyStart = buf.find('\n');
-    if (bodyStart == std::string::npos ||
-        buf.compare(0, bodyStart, kMagic) != 0)
+    if (bodyStart == std::string::npos)
         return DiskLoad::Corrupt;
+    if (buf.compare(0, bodyStart, kMagic) != 0) {
+        // A well-formed header of another format version (older or
+        // newer build) is a foreign entry, not damage: miss, and let
+        // the next store overwrite it.
+        const std::string_view head(buf.data(), bodyStart);
+        const bool otherVersion =
+            head.size() > kMagicStem.size() &&
+            head.substr(0, kMagicStem.size()) == kMagicStem &&
+            head.find_first_not_of("0123456789", kMagicStem.size()) ==
+                std::string_view::npos;
+        return otherVersion ? DiskLoad::Miss : DiskLoad::Corrupt;
+    }
     ++bodyStart;
     // Self-checksum line (entries written since the quarantine tier;
     // older entries simply lack it and skip verification): FNV-1a over

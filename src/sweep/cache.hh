@@ -27,21 +27,13 @@
  * on every platform. See docs/cache.md for the tier diagram and the
  * full promotion/demotion policy.
  *
- * Precision of the contract: capture and simulation are deterministic
- * given the key *and* the process's heap layout at capture time —
- * traces carry real buffer addresses and the cache models are
- * address-sensitive. The scheduler serializes captures so the layout
- * is a pure function of which captures run and in what order; a
- * partially warm cache therefore changes the layout seen by the
- * remaining points, which can shift their absolute cycle counts by
- * ~0.1% relative to a fully cold run. Every stored result is a valid
- * simulation of its point; byte-identity is guaranteed across --jobs
- * values, backends, shard counts, memo budgets and far-dir on/off,
- * across reruns of the same command against the same cache state, and
- * between a cold run and a fully warm replay of it. The promotion
- * machinery honors the same rule: pinned traces live in anonymous
- * mmap (invisible to malloc) and the RAM-memo bookkeeping is
- * fixed-slot, so tier transitions never perturb the capture heap.
+ * The contract: a stored result is a pure function of its key.
+ * Traces record canonical addresses (trace/canon.hh), so capture and
+ * simulation do not depend on the run, ASLR placement, argv length,
+ * which grid or process computed the point, backend, job or shard
+ * count, memo budget or cache state. Entries written by a build with
+ * another on-disk format version are plain misses, overwritten by the
+ * next store.
  */
 
 #ifndef SWAN_SWEEP_CACHE_HH
@@ -53,7 +45,6 @@
 #include <unordered_map>
 
 #include "core/runner.hh"
-#include "swan/internal/contracts.hh"
 #include "sweep/grid.hh"
 #include "trace/packed.hh"
 #include "trace/stats.hh"
@@ -83,9 +74,8 @@ uint64_t fnvMix64(uint64_t h, uint64_t v);
  */
 bool parseByteCount(const char *s, uint64_t *out);
 
-/** Identity of one experiment point's result. Capture-phase type —
- *  size pinned in swan/internal/layout.hh. */
-struct SWAN_CAPTURE_TYPE CacheKey
+/** Identity of one experiment point's result. */
+struct CacheKey
 {
     std::string kernel;     //!< qualified name, e.g. "ZL/adler32"
     core::Impl impl = core::Impl::Neon;
@@ -98,12 +88,7 @@ struct SWAN_CAPTURE_TYPE CacheKey
      * nonzero for any enabled scenario); 0 = clean. Nonzero values
      * join the hash, so faulted and clean points can never collide in
      * either tier, while clean keys (and their on-disk file stems and
-     * bodies) are unchanged from pre-fault builds. uint32_t in what
-     * was padding after warmupPasses: memory-tier nodes are allocated
-     * while a sweep is still capturing, so sizeof(CacheKey) must not
-     * grow (the same capture-time heap-layout contract as
-     * SweepPoint::faultId). Tier/hotness state lives in side tables
-     * keyed by hash() for the same reason.
+     * bodies) are unchanged from pre-fault builds.
      */
     uint32_t faultFp = 0;
 
@@ -220,8 +205,7 @@ class ResultCache
      *  so stale popularity ages out as a function of traffic, not
      *  time. */
     static constexpr uint64_t kDecayPeriod = 1024;
-    /** Fixed slot count of the T0 pinned-trace memo. Fixed so pin and
-     *  unpin never touch malloc (the capture-heap contract). */
+    /** Fixed slot count of the T0 pinned-trace memo. */
     static constexpr size_t kRamTraceSlots = 32;
 
     /**
@@ -256,6 +240,10 @@ class ResultCache
 
     /** SWAN_CACHE_RAM_BYTES, or 0 (unbounded) when unset/unparsable. */
     static uint64_t envRamMaxBytes();
+
+    /** SWAN_TRACE_MEMO_BYTES (the T0 pinned-trace budget), or 0
+     *  (unbounded) when unset/unparsable. */
+    static uint64_t envTraceMemoBytes();
 
     /** Memory-only unless SWAN_SWEEP_CACHE_DIR names a directory;
      *  capped when SWAN_SWEEP_CACHE_MAX_BYTES is set; far tier when
@@ -309,7 +297,7 @@ class ResultCache
     /**
      * Packed-trace tier: serve a previously captured trace so warm
      * reruns skip capture too. Probes the T0 pinned-trace memo first
-     * (malloc-free: the pinned copy is cloned mmap-to-mmap), then the
+     * (the pinned copy is cloned mmap-to-mmap), then the
      * local `.swtp` tier, then the far tier (checksummed and
      * key-verified everywhere; any mismatch degrades to a miss). On
      * the Nth hit the trace is pinned into T0 up to the byte budget
@@ -322,43 +310,15 @@ class ResultCache
     void storeTrace(const TraceKey &key, const trace::PackedTrace &t,
                     const trace::MixStats &mix);
 
-    /** Byte budget for the T0 pinned-trace memo (0 = unbounded). The
-     *  scheduler passes its SWAN_TRACE_MEMO_BYTES budget so RAM
-     *  pinning and the capture memo answer to one knob. */
+    /** Byte budget for the T0 pinned-trace memo (0 = unbounded);
+     *  SWAN_TRACE_MEMO_BYTES via swan::Session. */
     void setRamTraceBudget(uint64_t bytes);
-
-    /**
-     * Gate for *serving* from the T0 pinned-trace memo (pinning stays
-     * on either way). The scheduler disables it for the capture phase
-     * of a sweep that will run at least one capture: a T0 hit skips
-     * the disk read's allocations, so whether a trace is pinned —
-     * which depends on the byte budget — would otherwise shift the
-     * heap layout later captures see, breaking byte-identity across
-     * budget values. When every pending group's trace is already
-     * durable (traceAvailable), no capture can follow and T0 serving
-     * is safe. Defaults to enabled.
-     */
-    void setRamTraceServe(bool on);
-
-    /**
-     * True when @p key's packed trace exists in a *durable* tier
-     * (T1/T2 file present) — without reading, validating or counting
-     * anything. The scheduler's pre-capture scan: if every pending
-     * trace is available, the sweep runs zero captures and T0 serving
-     * can stay on. T0 pin state is deliberately ignored: pinning
-     * depends on the byte budget, and this answer gates behavior that
-     * must be identical across budget values.
-     */
-    bool traceAvailable(const TraceKey &key) const;
 
     /**
      * Publish @p key's packed trace to the far tier: copy the T1
      * `.swtp` if present, else serialize @p t (may be null: then a
-     * spilled-and-evicted trace is simply not published). Called by
-     * the scheduler strictly after the capture phase — far stores
-     * allocate freely, so they must never run inside storeTrace()
-     * during phase 1c. No-op without a far tier or when far publishing
-     * is disabled.
+     * trace with no T1 copy is simply not published). No-op without a
+     * far tier or when far publishing is disabled (shard children).
      */
     void publishTraceFar(const TraceKey &key,
                          const trace::PackedTrace *t,
@@ -403,8 +363,8 @@ class ResultCache
         uint64_t seq = 0;
     };
 
-    /** One T0 pinned-trace slot. Fixed-size POD + mmap-backed trace:
-     *  pin/unpin never touches malloc. Beyond the key hash the slot
+    /** One T0 pinned-trace slot. Fixed-size POD + mmap-backed trace.
+     *  Beyond the key hash the slot
      *  echoes the TraceKey's fields (kernel name in a fixed buffer —
      *  longer names simply never pin) so a hash collision degrades to
      *  a miss, mirroring the on-disk key-echo validation. */
@@ -459,11 +419,8 @@ class ResultCache
     void publishFarFile(const std::string &name);
 
     /**
-     * Existence probe for `<dir>/<stem><ext>` that never touches the
-     * heap on POSIX (stack-built path + ::stat): the far tier is
-     * probed on the capture thread, and a *miss* there must leave the
-     * heap exactly as a far-disabled build would — only a hit (which
-     * ends the capture sequence for that group) may allocate.
+     * Existence probe for `<dir>/<stem><ext>`: one ::stat of a
+     * stack-built path on POSIX.
      */
     static bool entryExists(const std::string &dir, uint64_t stem_hash,
                             const char *ext);
@@ -489,7 +446,7 @@ class ResultCache
 
     /** Pin @p t into a T0 slot if it earned it (post-bump hotness >=
      *  kPinHits), evicting strictly-colder pins to fit the byte
-     *  budget. Called with mu_ held; mmap-only (no malloc). */
+     *  budget. Called with mu_ held. */
     void maybePinTraceLocked(const TraceKey &key, uint32_t hot_count,
                              const trace::PackedTrace &t,
                              const trace::MixStats &mix);
@@ -508,7 +465,6 @@ class ResultCache
     uint64_t lookupSeq_ = 0;      //!< counted lookups so far
     RamTrace ramTraces_[kRamTraceSlots];
     uint64_t ramTraceBytes_ = 0;  //!< pinned bytes across the slots
-    bool ramServe_ = true;        //!< T0 trace serving gate
     CacheStats stats_;
 };
 

@@ -18,8 +18,7 @@ namespace
  * Process-wide fault-scenario table behind SweepPoint::faultId.
  * Everything is lazily constructed and id 0 (clean) is served from
  * statics that never touch it, so a clean expansion performs zero
- * heap allocation here — the same capture-time heap-layout contract
- * that keeps sizeof(SweepPoint) fixed (see grid.hh). A deque gives
+ * heap allocation here. A deque gives
  * stable references, so accessors can return a reference that
  * outlives the lock while a concurrent expand() interns new entries.
  */

@@ -63,25 +63,17 @@ struct SweepSpec
     int warmupPasses = 1;
 };
 
-/** One fully-resolved experiment point of the flattened grid.
- *  Capture-phase type — size pinned in swan/internal/layout.hh. */
-struct SWAN_CAPTURE_TYPE SweepPoint
+/** One fully-resolved experiment point of the flattened grid. */
+struct SweepPoint
 {
     size_t index = 0;           //!< position in the expanded grid
     const core::KernelSpec *spec = nullptr;
     core::Impl impl = core::Impl::Neon;
-    uint16_t vecBits = 128;     //!< 128..1024 (uint16_t: see faultId)
+    uint16_t vecBits = 128;     //!< 128..1024
     /**
      * Interned fault-scenario id (internFault); 0 = clean. An id into
      * a process-wide table rather than an embedded sim::FaultSpec +
-     * label, packed into what was padding next to vecBits, so
-     * sizeof(SweepPoint) is unchanged from the pre-fault grid. That
-     * is a determinism requirement, not thrift: the expanded points
-     * vector (and every SweepResult) is allocated while a sweep is
-     * still capturing, and captured traces record real buffer
-     * addresses — growing the struct shifts the capture-time heap
-     * layout and with it the address-sensitive cycle counts of clean
-     * sweeps that must stay byte-identical to pre-fault builds.
+     * label, so points stay cheap to copy.
      */
     uint16_t faultId = 0;
     std::string configName;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -14,13 +11,8 @@
 #include <tuple>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <cerrno>
-#include <fcntl.h>
-#include <pthread.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
-#define SWAN_POOL_HAVE_PTHREAD 1
+#define SWAN_HAVE_GETPID 1
 #endif
 
 #include "core/registry.hh"
@@ -35,44 +27,17 @@ namespace
 {
 
 /**
- * One trace group: every pending point that shares a capture identity
- * (kernel, impl, width, working set). The group's packed trace streams
- * through all of its core configurations in a single fused traversal
- * (sim::simulateTraceMany -> sim::replay: one varint decode per
- * instruction, every config's model stepped from the same decoded
- * registers), so a Figure-5(b)-style six-config sweep point costs one
- * decode pass, not six — and zero Instr staging round-trips.
- *
- * Determinism notes (this is the TraceMemo of old, restructured):
- *
- *  - Captures stay serial on the calling thread in point-index order,
- *    and finish before any worker thread exists. Captured traces
- *    carry real buffer addresses and the cache models are
- *    address-sensitive, so the heap AND address-space evolution up to
- *    the last capture must be identical whatever `--jobs` or the memo
- *    budget is.
- *  - Packed-trace storage is mmap-backed (trace::PackedTrace), so
- *    evicting a trace mid-phase-1 under SWAN_TRACE_MEMO_BYTES is
- *    invisible to malloc — the buffer addresses captured by later
- *    points (and later sweeps in the same process) cannot shift.
- *  - Eviction spills the packed bytes to disk (oldest first — for
- *    single-use traces that is LRU order) and the executing worker
- *    reloads them; a reloaded trace is bit-identical to the evicted
- *    one (checksummed), so the budget cannot change any result by
- *    construction.
- *  - Workers never run on the calling thread: simulation allocates
- *    from worker-thread arenas, keeping the capture thread's malloc
- *    state a pure function of the capture sequence across the
- *    process's sweeps.
+ * One work unit: every pending point that shares a capture identity
+ * (kernel, impl, width, working set). The unit captures (or fetches)
+ * one packed trace and streams it through all of its core
+ * configurations in a single fused traversal (sim::simulateTraceMany
+ * -> sim::replay: one varint decode per instruction, every config's
+ * model stepped from the same decoded registers).
  */
-struct TraceGroup
+struct Unit
 {
-    std::shared_ptr<trace::PackedTrace> trace;
-    trace::MixStats mix;                //!< shared by the group's points
-    std::vector<size_t> points;         //!< point indices, ascending
+    std::vector<size_t> points;           //!< point indices, ascending
     std::vector<sim::CoreConfig> configs; //!< parallel to points
-    bool spilled = false; //!< storage evicted; reload from spill file
-    bool captured = false; //!< freshly captured (not served warm)
 };
 
 /** Capture identity: which points may share one trace. */
@@ -85,11 +50,11 @@ groupKeyFor(const SweepPoint &p)
             fingerprint(p.options)};
 }
 
-/** Process-unique token for the spill directory name. */
+/** Process-unique token for the private shard-transport directory. */
 uint64_t
 processToken()
 {
-#ifdef SWAN_POOL_HAVE_PTHREAD
+#ifdef SWAN_HAVE_GETPID
     return uint64_t(::getpid());
 #else
     static const int anchor = 0;
@@ -98,14 +63,6 @@ processToken()
 }
 
 } // namespace
-
-uint64_t
-SchedulerConfig::envTraceMemoBytes()
-{
-    uint64_t n = 0;
-    parseByteCount(std::getenv("SWAN_TRACE_MEMO_BYTES"), &n);
-    return n;
-}
 
 std::string
 describe(const RowOrigin &origin)
@@ -143,7 +100,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     if (jobs < 1)
         jobs = 1;
 
-    // Phase 1a (serial, point-index order): result-cache lookups.
+    // Lookups (serial, point-index order): the result cache.
     std::vector<size_t> pending;
     {
         obs::Span lookupSpan(obs::Phase::CacheLookup, points.size());
@@ -159,54 +116,11 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             pending.push_back(i);
         }
     }
-    if (pending.empty()) {
-        // Fully warm sweep: every row is a cache hit, streamed in
-        // point order right here (no captures happen, so the callback
-        // may allocate freely).
-        if (cfg.onRow) {
-            RowOrigin o;
-            o.kind = RowOrigin::Kind::Cache;
-            o.total = results.size();
-            for (size_t i = 0; i < results.size(); ++i) {
-                o.done = i + 1;
-                cfg.onRow(results[i], o);
-            }
-        }
-        return results;
-    }
-
-    // Phase 1b: group the pending points by capture identity, in
-    // first-occurrence order (which is point-index order).
-    std::vector<TraceGroup> groups;
-    {
-        std::map<GroupKey, size_t> groupOf;
-        for (size_t idx : pending) {
-            const SweepPoint &p = points[idx];
-            auto [it, inserted] =
-                groupOf.emplace(groupKeyFor(p), groups.size());
-            if (inserted)
-                groups.emplace_back();
-            TraceGroup &g = groups[it->second];
-            g.points.push_back(idx);
-            g.configs.push_back(p.config);
-        }
-    }
-    jobs = int(std::min<size_t>(size_t(jobs), groups.size()));
-
-    std::mutex errMu;
-    std::string firstError;
-    const auto recordError = [&](const char *what) {
-        std::lock_guard<std::mutex> lock(errMu);
-        if (firstError.empty())
-            firstError = what;
-    };
 
     // Row streaming (cfg.onRow): completion states per point, emitted
-    // strictly in point-index order behind an advancing frontier. The
-    // state vector stays EMPTY (disengaged, no allocation) until after
-    // the last capture — workers and the parent merge then mark points
-    // done as units land. Encoding: 0 pending, 1 cache hit, 2 computed
-    // in-process, 3+k merged from shard k-1 (3 = unknown shard).
+    // strictly in point-index order behind an advancing frontier.
+    // Encoding: 0 pending, 1 cache hit, 2 computed in-process, 3+k
+    // merged from shard k-1 (3 = unknown shard).
     std::mutex rowMu;
     std::vector<uint16_t> rowState;
     size_t rowNext = 0;
@@ -237,137 +151,137 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         rowState[idx] = st;
         rowFlush();
     };
+    if (cfg.onRow) {
+        // Drain the leading cache hits (all of them on a warm sweep).
+        rowState.assign(points.size(), 0);
+        for (size_t i = 0; i < points.size(); ++i)
+            if (results[i].cacheHit)
+                rowState[i] = 1;
+        std::lock_guard<std::mutex> lock(rowMu);
+        rowFlush();
+    }
+    if (pending.empty())
+        return results;
 
-    // Private spill directory for memo-budget evictions, independent
-    // of the result cache so eviction works with or without a cache
-    // dir. The name is resolved HERE, before any capture, into a
-    // fixed stack buffer, and the spill I/O itself uses raw
-    // syscalls + stack-built paths: eviction happens between
-    // captures, where even a balanced malloc/free pair can split or
-    // coalesce allocator bins and shift the addresses later captures
-    // record — the budget must leave the capture thread's allocator
-    // bit-untouched so results cannot depend on it.
-    char spillDir[3072];
-    spillDir[0] = '\0';
-    bool spillDirMade = false;
+    // Grouping: one work unit per capture identity, in first-occurrence
+    // (point-index) order.
+    std::vector<Unit> units;
     {
-        std::error_code ec;
-        const auto tmp = std::filesystem::temp_directory_path(ec);
-        if (!ec) {
-            const int w = std::snprintf(
-                spillDir, sizeof spillDir, "%s/swan-memo-%llu",
-                tmp.string().c_str(),
-                static_cast<unsigned long long>(processToken()));
-            if (w <= 0 || size_t(w) >= sizeof spillDir)
-                spillDir[0] = '\0';
+        std::map<GroupKey, size_t> unitOf;
+        for (size_t idx : pending) {
+            const SweepPoint &p = points[idx];
+            auto [it, inserted] =
+                unitOf.emplace(groupKeyFor(p), units.size());
+            if (inserted)
+                units.emplace_back();
+            Unit &u = units[it->second];
+            u.points.push_back(idx);
+            u.configs.push_back(p.config);
         }
     }
-    const auto spillPathFor = [&](size_t gi, char *buf, size_t buf_len) {
-        const int w = std::snprintf(buf, buf_len, "%s/g%zu.swtp",
-                                    spillDir, gi);
-        return w > 0 && size_t(w) < buf_len;
+    jobs = int(std::min<size_t>(size_t(jobs), units.size()));
+
+    std::mutex errMu;
+    std::string firstError;
+    const auto recordError = [&](const char *what) {
+        std::lock_guard<std::mutex> lock(errMu);
+        if (firstError.empty())
+            firstError = what;
     };
 
     // Where executed results are stored. Normally the configured
     // cache; a sharded run re-points this at a cache that owns a disk
     // tier (the session's, or a private per-run directory) so shard
-    // children can publish results the parent merges — resolved after
-    // phase 1, see the backend block below.
+    // children can publish results the parent merges — resolved with
+    // the backend below.
     ResultCache *storeCache = cfg.cache;
 
-    // Phase 2 worker: replay one group's trace through all of its
-    // configurations in a single pass; results land by point index
-    // power-complete (the power model is fused into the replay's
-    // finish path — see sim::CoreModel::finish). Evicted traces are
-    // reloaded from their spill file (bit-identical by checksum, so
-    // eviction cannot change any result).
-    const auto executeGroup = [&](size_t gi) {
-        try {
-            TraceGroup &g = groups[gi];
-            trace::PackedTrace reloaded;
-            const trace::PackedTrace *t = g.trace.get();
-            if (g.spilled) {
-                // Worker-side reload; worker-arena allocations are
-                // free to happen here (captures are long done).
-                obs::Span reload(obs::Phase::Spill);
-                char path[3328];
-                std::string blob;
-                std::error_code ec;
-                if (spillPathFor(gi, path, sizeof path)) {
-                    const auto size = std::filesystem::file_size(path, ec);
-                    if (!ec) {
-                        blob.resize(size);
-                        std::ifstream in(path, std::ios::binary);
-                        if (!in.read(blob.data(), std::streamsize(size)))
-                            blob.clear();
-                    }
-                }
-                reload.addArg(blob.size());
-                if (blob.empty() ||
-                    !trace::PackedTrace::parsePayload(
-                        reinterpret_cast<const uint8_t *>(blob.data()),
-                        blob.size(), &reloaded)) {
-                    recordError("evicted trace spill lost or corrupt");
-                    return;
-                }
-                t = &reloaded;
+    // A unit's packed trace: the trace tier when warm, else a fresh
+    // workload instance captured on this thread, encoded on emit and
+    // stored for the next run. Addresses are canonical (trace/canon.hh),
+    // so the trace is the same whichever worker, shard or process
+    // captures it, and whatever ran before.
+    const auto acquireTrace = [&](const SweepPoint &p,
+                                  trace::MixStats *mix) {
+        const TraceKey key = traceKeyFor(p);
+        trace::PackedTrace t;
+        {
+            // Packed-trace tier probe (and, on a hit, the disk read);
+            // arg = bytes served.
+            obs::Span probe(obs::Phase::CacheLookup);
+            if (cfg.cache && cfg.cache->lookupTrace(key, &t, mix)) {
+                probe.addArg(t.byteSize());
+                return t;
             }
-            // Partition the group's points by fault scenario: a fused
+        }
+        trace::PackedTrace::Builder builder(mix);
+        {
+            auto w = p.spec->make(p.options);
+            obs::Span capture(obs::Phase::Capture);
+            core::Runner::captureInto(*w, p.impl, p.vecBits, &builder);
+            capture.addArg(builder.size());
+        }
+        {
+            obs::Span pack(obs::Phase::Pack);
+            t = builder.finish();
+            pack.addArg(t.byteSize());
+        }
+        if (cfg.cache) {
+            cfg.cache->storeTrace(key, t, *mix);
+            cfg.cache->publishTraceFar(key, &t, *mix);
+        }
+        return t;
+    };
+
+    // One work unit, start to finish, on whichever worker (or shard
+    // child) runs it: trace, fused replay through every configuration,
+    // publish, rows. The trace dies with the unit. Results land by
+    // point index power-complete (the power model is fused into the
+    // replay's finish path — see sim::CoreModel::finish).
+    const auto executeUnit = [&](size_t ui) {
+        try {
+            const Unit &u = units[ui];
+            trace::MixStats mix;
+            const trace::PackedTrace t =
+                acquireTrace(points[u.points.front()], &mix);
+            // Partition the unit's points by fault scenario: a fused
             // traversal perturbs every model it steps, so points with
             // different faults (or none) replay in separate traversals
-            // over the SAME shared trace — capture identity is
-            // fault-blind (faults perturb replay, never capture). A
-            // clean group takes the historic single call with the
-            // historic allocation sequence — the partition scratch
-            // below must not exist on that path, because group replay
-            // interleaves with later captures on the inline backend
-            // and extra allocations would shift the buffer addresses
-            // those captures record. Partition order is
+            // over the SAME trace — capture identity is fault-blind
+            // (faults perturb replay, never capture). Partition order is
             // first-occurrence point order, so results stay a pure
             // function of the grid.
-            std::vector<sim::SimResult> sims;
-            bool anyFault = false;
-            for (size_t j : g.points)
-                anyFault = anyFault || points[j].faultId != 0;
-            if (!anyFault) {
-                sims = sim::simulateTraceMany(*t, g.configs,
-                                              cfg.warmupPasses);
-            } else {
-                sims.resize(g.points.size());
-                std::vector<char> simDone(g.points.size(), 0);
-                for (size_t j = 0; j < g.points.size(); ++j) {
-                    if (simDone[j])
+            std::vector<sim::SimResult> sims(u.points.size());
+            std::vector<char> simDone(u.points.size(), 0);
+            for (size_t j = 0; j < u.points.size(); ++j) {
+                if (simDone[j])
+                    continue;
+                const sim::FaultSpec &fault = points[u.points[j]].fault();
+                const uint64_t fp = fault.fingerprint();
+                std::vector<size_t> part;
+                std::vector<sim::CoreConfig> partCfgs;
+                for (size_t k = j; k < u.points.size(); ++k) {
+                    if (simDone[k] ||
+                        points[u.points[k]].fault().fingerprint() != fp)
                         continue;
-                    const sim::FaultSpec &fault =
-                        points[g.points[j]].fault();
-                    const uint64_t fp = fault.fingerprint();
-                    std::vector<size_t> part;
-                    std::vector<sim::CoreConfig> partCfgs;
-                    for (size_t k = j; k < g.points.size(); ++k) {
-                        if (simDone[k] ||
-                            points[g.points[k]].fault().fingerprint() !=
-                                fp)
-                            continue;
-                        simDone[k] = 1;
-                        part.push_back(k);
-                        partCfgs.push_back(g.configs[k]);
-                    }
-                    auto partSims = sim::simulateTraceMany(
-                        *t, partCfgs, fault, cfg.warmupPasses);
-                    for (size_t k = 0; k < part.size(); ++k)
-                        sims[part[k]] = std::move(partSims[k]);
+                    simDone[k] = 1;
+                    part.push_back(k);
+                    partCfgs.push_back(u.configs[k]);
                 }
+                auto partSims = sim::simulateTraceMany(t, partCfgs, fault,
+                                                       cfg.warmupPasses);
+                for (size_t k = 0; k < part.size(); ++k)
+                    sims[part[k]] = std::move(partSims[k]);
             }
             {
-                obs::Span publish(obs::Phase::Publish, g.points.size());
-                for (size_t j = 0; j < g.points.size(); ++j) {
-                    const size_t idx = g.points[j];
-                    const SweepPoint &p = points[idx];
+                obs::Span publish(obs::Phase::Publish, u.points.size());
+                for (size_t j = 0; j < u.points.size(); ++j) {
+                    const size_t idx = u.points[j];
                     SweepResult &r = results[idx];
                     r.run = core::KernelRun{};
-                    r.run.mix = g.mix;
+                    r.run.mix = mix;
                     r.run.sim = std::move(sims[j]);
-                    const CacheKey key = keyFor(p, cfg.warmupPasses);
+                    const CacheKey key = keyFor(points[idx], cfg.warmupPasses);
                     if (storeCache)
                         storeCache->store(key, r.run);
                     // A private shard-transport cache substitutes for
@@ -381,180 +295,12 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
                         cfg.cache->store(key, r.run);
                 }
             }
-            for (size_t idx : g.points)
+            for (size_t idx : u.points)
                 rowComplete(idx, 2);
         } catch (const std::exception &e) {
             recordError(e.what());
         }
     };
-
-    // Acquire one group's packed trace: the on-disk trace tier when
-    // warm, a fresh capture otherwise. Serial, capture-thread only.
-    // The capture and pack scratch buffers persist across all groups
-    // (freed once, here, when the sweep ends): steady-state captures
-    // then leave the capture thread's malloc state untouched, so the
-    // workload buffer addresses later captures record — which the
-    // address-sensitive cache models feel — cannot depend on how many
-    // traces came before or on the memo budget.
-    std::vector<trace::Instr> captureBuf;
-    trace::PackedTrace::Scratch packScratch;
-    const auto acquireTrace = [&](TraceGroup &g) {
-        const SweepPoint &p = points[g.points.front()];
-        {
-            // Packed-trace tier probe (and, on a hit, the disk read);
-            // arg = bytes served. Span guards are malloc-free, so
-            // bracketing the capture window is safe by construction.
-            obs::Span probe(obs::Phase::CacheLookup);
-            trace::PackedTrace t;
-            if (cfg.cache &&
-                cfg.cache->lookupTrace(traceKeyFor(p), &t, &g.mix)) {
-                probe.addArg(t.byteSize());
-                g.trace =
-                    std::make_shared<trace::PackedTrace>(std::move(t));
-                return;
-            }
-        }
-        auto w = p.spec->make(p.options);
-        {
-            obs::Span capture(obs::Phase::Capture);
-            core::Runner::captureInto(*w, p.impl, p.vecBits,
-                                      &captureBuf);
-            capture.addArg(captureBuf.size());
-        }
-        g.mix.addTrace(captureBuf);
-        {
-            obs::Span pack(obs::Phase::Pack);
-            g.trace = std::make_shared<trace::PackedTrace>(
-                trace::PackedTrace::pack(captureBuf, &packScratch));
-            pack.addArg(g.trace->byteSize());
-        }
-        if (cfg.cache)
-            cfg.cache->storeTrace(traceKeyFor(p), *g.trace, g.mix);
-        g.captured = true;
-    };
-
-    // Spill one group's packed bytes and release the mmap storage.
-    // Runs between captures: syscalls only, zero heap traffic.
-    const auto spillGroup = [&](size_t gi) -> bool {
-        TraceGroup &g = groups[gi];
-        if (!spillDir[0])
-            return false;
-        obs::Span spill(obs::Phase::Spill, g.trace->byteSize());
-#ifdef SWAN_POOL_HAVE_PTHREAD
-        if (!spillDirMade) {
-            if (::mkdir(spillDir, 0700) != 0 && errno != EEXIST)
-                return false;
-            spillDirMade = true;
-        }
-        char path[3328];
-        if (!spillPathFor(gi, path, sizeof path))
-            return false;
-        const int fd =
-            ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0600);
-        if (fd < 0)
-            return false;
-        bool ok = g.trace->writePayload(fd);
-        ok = (::close(fd) == 0) && ok;
-#else
-        if (!spillDirMade) {
-            std::error_code ec;
-            std::filesystem::create_directories(spillDir, ec);
-            if (ec)
-                return false;
-            spillDirMade = true;
-        }
-        char path[3328];
-        if (!spillPathFor(gi, path, sizeof path))
-            return false;
-        std::FILE *f = std::fopen(path, "wb");
-        if (!f)
-            return false;
-        bool ok = g.trace->writePayload(f);
-        ok = (std::fclose(f) == 0) && ok;
-#endif
-        if (!ok)
-            return false;
-        g.trace->releaseStorage();
-        g.spilled = true;
-        return true;
-    };
-
-    // Phase 1c: capture every group under the memo byte budget —
-    // when live packed bytes exceed it, the oldest live traces spill
-    // to disk (LRU for these single-use traces) until the budget
-    // holds again. Peak trace memory is ~budget + one trace. A spill
-    // failure (disk full) keeps the trace in memory: results stay
-    // correct, only the cap degrades.
-    // T0 pinned-trace serving is enabled only when this sweep will run
-    // zero captures: a RAM hit skips the disk read's allocations, and
-    // whether a trace is pinned depends on the byte budget — if any
-    // capture followed a RAM hit, the budget would leak into the
-    // capture-time heap layout. Probe the durable tiers for every
-    // pending group first (heap-silent stat calls, cache.hh) and serve
-    // from RAM only in the all-warm case, where no capture can follow.
-    if (cfg.cache) {
-        bool allWarm = true;
-        for (const TraceGroup &g : groups)
-            if (!cfg.cache->traceAvailable(
-                    traceKeyFor(points[g.points.front()]))) {
-                allWarm = false;
-                break;
-            }
-        cfg.cache->setRamTraceServe(allWarm);
-    }
-
-    const uint64_t budget = cfg.traceMemoBytes;
-    uint64_t liveBytes = 0;
-    size_t spillCursor = 0;
-    for (size_t g = 0; g < groups.size(); ++g) {
-        acquireTrace(groups[g]);
-        liveBytes += groups[g].trace->byteSize();
-        while (budget && liveBytes > budget && spillCursor <= g) {
-            const size_t victim = spillCursor++;
-            const uint64_t bytes = groups[victim].trace->byteSize();
-            if (spillGroup(victim))
-                liveBytes -= bytes;
-        }
-    }
-
-    // ---- Execution backend (phase 2) --------------------------------
-    // Everything from here on happens strictly AFTER the last capture:
-    // backend choice, shard bookkeeping and the merge may allocate
-    // freely without touching the capture-time heap layout, which is
-    // why no backend state exists any earlier (see sweep/backend.hh).
-
-    if (cfg.cache) {
-        // Captures are done; T0 serving is unconditionally safe again
-        // for whoever probes the cache next.
-        cfg.cache->setRamTraceServe(true);
-        // Publish freshly captured traces to the far tier. Deferred to
-        // here because a far write allocates (and is slow), so it must
-        // never run inside storeTrace() during phase 1c. Warm groups
-        // were never captured: their far copies already exist or are
-        // promoted on demand. A spilled group publishes via its T1
-        // file (publishTraceFar falls back to the in-memory payload
-        // only when one exists).
-        if (!cfg.cache->farDir().empty())
-            for (TraceGroup &g : groups) {
-                if (!g.captured)
-                    continue;
-                const SweepPoint &p = points[g.points.front()];
-                cfg.cache->publishTraceFar(
-                    traceKeyFor(p), g.trace ? g.trace.get() : nullptr,
-                    g.mix);
-            }
-    }
-
-    // Engage row streaming (allocates — post-capture on purpose) and
-    // drain the leading cache hits.
-    if (cfg.onRow) {
-        rowState.assign(points.size(), 0);
-        for (size_t i = 0; i < points.size(); ++i)
-            if (results[i].cacheHit)
-                rowState[i] = 1;
-        std::lock_guard<std::mutex> lock(rowMu);
-        rowFlush();
-    }
 
     // Resolve the backend: shards > 1 upgrades the default threaded
     // backend to the sharded one; explicit Inline/Sharded always win.
@@ -600,7 +346,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     if (obs::Telemetry *t = obs::Telemetry::active()) {
         obs::RunMeta m;
         m.points = points.size();
-        m.units = groups.size();
+        m.units = units.size();
         m.jobs = jobs;
         m.shards = kind == Backend::Sharded
                        ? std::clamp(cfg.shards, 1,
@@ -620,37 +366,39 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     // per unit per process, and the keys hash strings.
     std::vector<uint64_t> unitTokens;
     if (kind == Backend::Sharded) {
-        unitTokens.resize(groups.size());
-        for (size_t gi = 0; gi < groups.size(); ++gi) {
+        unitTokens.resize(units.size());
+        for (size_t ui = 0; ui < units.size(); ++ui) {
             uint64_t h = kFnv64Seed;
-            for (size_t idx : groups[gi].points)
+            for (size_t idx : units[ui].points)
                 h = fnvMix64(h,
                              keyFor(points[idx], cfg.warmupPasses).hash());
-            unitTokens[gi] = h;
+            unitTokens[ui] = h;
         }
     }
-    const auto unitToken = [&](size_t gi) { return unitTokens[gi]; };
+    const auto unitToken = [&](size_t ui) { return unitTokens[ui]; };
 
     // Parent-side merge of one unit from the shared disk tier —
     // quietly: these are results this very run computed in a shard
     // child, not cache traffic (the children's own counters are
     // absorbed separately). False when any point is missing; the
-    // backend then re-executes the whole unit via executeGroup, which
-    // overwrites every point and stores what the dead shard could not.
-    const auto serveGroup = [&](size_t gi, int shard) -> bool {
-        const TraceGroup &g = groups[gi];
+    // backend then re-executes the whole unit via executeUnit — a
+    // fresh capture whose canonical trace is bit-identical to the dead
+    // shard's — which overwrites every point and stores what the dead
+    // shard could not.
+    const auto serveUnit = [&](size_t ui, int shard) -> bool {
+        const Unit &u = units[ui];
         std::vector<CacheKey> keys;
-        keys.reserve(g.points.size());
+        keys.reserve(u.points.size());
         // Probe every point before the commit loop below, so a
         // partially published unit never half-stores into the session
         // tier before recovery re-executes (and re-stores) all of it.
-        for (size_t idx : g.points) {
+        for (size_t idx : u.points) {
             keys.push_back(keyFor(points[idx], cfg.warmupPasses));
             if (!storeCache->lookupQuiet(keys.back(), &results[idx].run))
                 return false;
         }
-        for (size_t j = 0; j < g.points.size(); ++j) {
-            SweepResult &r = results[g.points[j]];
+        for (size_t j = 0; j < u.points.size(); ++j) {
+            SweepResult &r = results[u.points[j]];
             r.cacheHit = false; // simulated by this run, in a child
             if (cfg.cache && cfg.cache != storeCache)
                 cfg.cache->store(keys[j], r.run);
@@ -658,24 +406,27 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             // T1 only, the parent syncs T2 here, once per merged unit.
             storeCache->publishFar(keys[j]);
         }
-        for (size_t idx : g.points)
+        if (cfg.cache)
+            cfg.cache->publishTraceFar(traceKeyFor(points[u.points.front()]),
+                                       nullptr, trace::MixStats{});
+        for (size_t idx : u.points)
             rowComplete(idx, uint16_t(4 + std::max(shard, -1)));
         return true;
     };
 
     {
-        using Exec = decltype(executeGroup);
+        using Exec = decltype(executeUnit);
         using Token = decltype(unitToken);
-        using Serve = decltype(serveGroup);
+        using Serve = decltype(serveUnit);
         struct Hooks
         {
             const Exec *exec;
             const Token *token;
             const Serve *serve;
-        } hooks{&executeGroup, &unitToken, &serveGroup};
+        } hooks{&executeUnit, &unitToken, &serveUnit};
 
         BackendJob job;
-        job.units = groups.size();
+        job.units = units.size();
         job.jobs = jobs;
         job.arg = &hooks;
         job.execute = [](void *a, size_t u) {
@@ -709,9 +460,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
           }
         }
     }
-    // Traces and group bookkeeping are freed when `groups` goes out of
-    // scope — on this thread, in insertion order.
-
     if (privateShare) {
         // The sharded-run bookkeeping counters (stale-claim sweeps,
         // crash-recovered units) landed in the private transport
@@ -734,10 +482,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         privateShare.reset();
         std::error_code ec;
         std::filesystem::remove_all(privateShareDir, ec);
-    }
-    if (spillDirMade) {
-        std::error_code ec;
-        std::filesystem::remove_all(spillDir, ec);
     }
     if (!firstError.empty())
         throw std::runtime_error("sweep worker failed: " + firstError);

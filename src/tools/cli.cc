@@ -114,11 +114,10 @@ environment (defaults only; explicit flags win — docs/api.md):
                                coldest results drop first, results
                                byte-identical for any value
   SWAN_METRICS                 default --metrics-out stem
-  SWAN_TRACE_MEMO_BYTES        cap the sweep's in-memory packed-trace
-                               memo; over-budget traces spill to disk
-                               during capture and reload for
-                               simulation, byte-identical results for
-                               any value (docs/trace.md)
+  SWAN_TRACE_MEMO_BYTES        byte budget for the cache's pinned
+                               packed-trace tier (hot traces held in
+                               RAM); results byte-identical for any
+                               value (docs/cache.md)
 )";
 
 /** Split a comma-separated flag value; empty segments dropped. */
@@ -550,8 +549,7 @@ cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
         return 2;
     }
     // One workload instance shared with the optional trace dump below:
-    // a dumped trace must replay to the cycle count reported here, and
-    // captured traces record real buffer addresses.
+    // a dumped trace must replay to the cycle count reported here.
     Session session = sessionFor(p);
     auto w = spec->make(session.options().workload);
     auto r = session.run(*w, p.impl, coreFor(p.coreName), p.bits);

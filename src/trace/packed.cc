@@ -4,7 +4,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
-#include <unistd.h>
 #define SWAN_PACKED_HAVE_MMAP 1
 #endif
 
@@ -131,6 +130,68 @@ PackedTrace::assemble(const Desc *descs, uint32_t desc_count,
     descCount_ = desc_count;
 }
 
+// Inlined into pack()'s loop, so its delta bases live in registers.
+[[gnu::always_inline]] inline void
+PackedTrace::encode(Scratch &s, uint64_t &prevId, uint64_t &prevAddr,
+                    const Instr &i)
+{
+    Desc d;
+    d.size = i.size;
+    d.elemStride = i.elemStride;
+    d.cls = uint8_t(i.cls);
+    d.fu = uint8_t(i.fu);
+    d.latency = i.latency;
+    d.vecBytes = i.vecBytes;
+    d.lanes = i.lanes;
+    d.activeLanes = i.activeLanes;
+    d.stride = uint8_t(i.stride);
+
+    // Find-or-insert via hash with an exact-match chain, so a hash
+    // collision can never alias two different descriptors.
+    const uint64_t h = fnv1a(kFnvOffset, &d, sizeof d);
+    auto it = s.index.find(h);
+    int32_t idx = it == s.index.end() ? -1 : int32_t(it->second);
+    while (idx >= 0 &&
+           std::memcmp(&s.descs[size_t(idx)], &d, sizeof d) != 0)
+        idx = s.chain[size_t(idx)];
+    if (idx < 0) {
+        idx = int32_t(s.descs.size());
+        s.descs.push_back(d);
+        s.chain.push_back(it == s.index.end() ? -1 : int32_t(it->second));
+        s.index[h] = uint32_t(idx);
+    }
+
+    uint64_t flags = 0;
+    if (i.addr != 0)
+        flags |= kHasAddr;
+    if (i.addr2 != 0)
+        flags |= kHasMulti;
+    if (i.id != prevId + 1)
+        flags |= kHasIdJump;
+    if (i.dep0 != 0)
+        flags |= kHasDep0;
+    if (i.dep1 != 0)
+        flags |= kHasDep1;
+    if (i.dep2 != 0)
+        flags |= kHasDep2;
+    putVarint(s.main, (uint64_t(uint32_t(idx)) << kTagFlagBits) | flags);
+    if (flags & kHasIdJump)
+        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(prevId + 1)));
+    prevId = i.id;
+    if (flags & kHasDep0)
+        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep0)));
+    if (flags & kHasDep1)
+        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep1)));
+    if (flags & kHasDep2)
+        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep2)));
+    if (flags & kHasAddr) {
+        putVarint(s.main, zigzag(int64_t(i.addr - prevAddr)));
+        prevAddr = i.addr;
+    }
+    if (flags & kHasMulti)
+        putVarint(s.multi, zigzag(int64_t(i.addr2 - i.addr)));
+}
+
 PackedTrace
 PackedTrace::pack(const std::vector<Instr> &instrs)
 {
@@ -144,73 +205,35 @@ PackedTrace::pack(const std::vector<Instr> &instrs, Scratch *scratch)
     Scratch &s = *scratch;
     s.clear();
     s.main.reserve(instrs.size() * 8);
-
     uint64_t prevId = 0;
     uint64_t prevAddr = 0;
-    for (const Instr &i : instrs) {
-        Desc d;
-        d.size = i.size;
-        d.elemStride = i.elemStride;
-        d.cls = uint8_t(i.cls);
-        d.fu = uint8_t(i.fu);
-        d.latency = i.latency;
-        d.vecBytes = i.vecBytes;
-        d.lanes = i.lanes;
-        d.activeLanes = i.activeLanes;
-        d.stride = uint8_t(i.stride);
-
-        // Find-or-insert via hash with an exact-match chain, so a hash
-        // collision can never alias two different descriptors.
-        const uint64_t h = fnv1a(kFnvOffset, &d, sizeof d);
-        auto it = s.index.find(h);
-        int32_t idx = it == s.index.end() ? -1 : int32_t(it->second);
-        while (idx >= 0 &&
-               std::memcmp(&s.descs[size_t(idx)], &d, sizeof d) != 0)
-            idx = s.chain[size_t(idx)];
-        if (idx < 0) {
-            idx = int32_t(s.descs.size());
-            s.descs.push_back(d);
-            s.chain.push_back(it == s.index.end() ? -1
-                                                  : int32_t(it->second));
-            s.index[h] = uint32_t(idx);
-        }
-
-        uint64_t flags = 0;
-        if (i.addr != 0)
-            flags |= kHasAddr;
-        if (i.addr2 != 0)
-            flags |= kHasMulti;
-        if (i.id != prevId + 1)
-            flags |= kHasIdJump;
-        if (i.dep0 != 0)
-            flags |= kHasDep0;
-        if (i.dep1 != 0)
-            flags |= kHasDep1;
-        if (i.dep2 != 0)
-            flags |= kHasDep2;
-        putVarint(s.main,
-                  (uint64_t(uint32_t(idx)) << kTagFlagBits) | flags);
-        if (flags & kHasIdJump)
-            putVarint(s.main,
-                      zigzag(int64_t(i.id) - int64_t(prevId + 1)));
-        prevId = i.id;
-        if (flags & kHasDep0)
-            putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep0)));
-        if (flags & kHasDep1)
-            putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep1)));
-        if (flags & kHasDep2)
-            putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep2)));
-        if (flags & kHasAddr) {
-            putVarint(s.main, zigzag(int64_t(i.addr - prevAddr)));
-            prevAddr = i.addr;
-        }
-        if (flags & kHasMulti)
-            putVarint(s.multi, zigzag(int64_t(i.addr2 - i.addr)));
-    }
-
+    for (const Instr &i : instrs)
+        encode(s, prevId, prevAddr, i);
     PackedTrace t;
     t.assemble(s.descs.data(), uint32_t(s.descs.size()), s.main, s.multi,
                instrs.size());
+    return t;
+}
+
+void
+PackedTrace::Builder::add(const Instr &i)
+{
+    if (mix_)
+        mix_->onInstr(i);
+    encode(s_, prevId_, prevAddr_, i);
+    ++count_;
+}
+
+PackedTrace
+PackedTrace::Builder::finish()
+{
+    PackedTrace t;
+    t.assemble(s_.descs.data(), uint32_t(s_.descs.size()), s_.main, s_.multi,
+               count_);
+    s_.clear();
+    prevId_ = 0;
+    prevAddr_ = 0;
+    count_ = 0;
     return t;
 }
 
@@ -300,16 +323,6 @@ PackedTrace::deliver(Sink &sink) const
         sink.onBlock(block, n);
 }
 
-void
-PackedTrace::releaseStorage()
-{
-    buf_.release();
-    count_ = 0;
-    mainLen_ = 0;
-    multiLen_ = 0;
-    descCount_ = 0;
-}
-
 // --- payload (the on-disk sweep trace tier) ----------------------------
 
 namespace
@@ -362,44 +375,6 @@ headerFor(uint64_t count, uint64_t main_len, uint64_t multi_len,
 }
 
 } // namespace
-
-bool
-PackedTrace::writePayload(std::FILE *f) const
-{
-    const PayloadHeader h =
-        headerFor(count_, mainLen_, multiLen_, descCount_, buf_.data(),
-                  buf_.size(), sizeof(Desc));
-    if (std::fwrite(&h, 1, sizeof h, f) != sizeof h)
-        return false;
-    if (buf_.size() &&
-        std::fwrite(buf_.data(), 1, buf_.size(), f) != buf_.size())
-        return false;
-    return true;
-}
-
-#if defined(__unix__) || defined(__APPLE__)
-bool
-PackedTrace::writePayload(int fd) const
-{
-    const PayloadHeader h =
-        headerFor(count_, mainLen_, multiLen_, descCount_, buf_.data(),
-                  buf_.size(), sizeof(Desc));
-    const auto writeAll = [fd](const void *data, size_t n) {
-        const auto *p = static_cast<const uint8_t *>(data);
-        while (n) {
-            const ssize_t w = ::write(fd, p, n);
-            if (w <= 0)
-                return false;
-            p += size_t(w);
-            n -= size_t(w);
-        }
-        return true;
-    };
-    if (!writeAll(&h, sizeof h))
-        return false;
-    return buf_.size() == 0 || writeAll(buf_.data(), buf_.size());
-}
-#endif
 
 void
 PackedTrace::appendPayload(std::string *out) const

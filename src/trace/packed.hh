@@ -26,12 +26,13 @@
  * Instr sequence, so replaying a packed trace is byte-identical to
  * replaying the AoS buffer it came from.
  *
- * Storage lives in anonymous mmap regions, not the C++ heap. The sweep
- * scheduler frees traces mid-sweep under the SWAN_TRACE_MEMO_BYTES
- * budget; captured traces record real workload buffer addresses and
- * the cache models are address-sensitive, so trace eviction must not
- * perturb the malloc state later captures see (see
- * sweep/scheduler.cc). munmap keeps those frees invisible.
+ * Capture encodes on emit: a Recorder streams straight into a Builder
+ * (counting the trace's MixStats on the way), so no capture holds the
+ * 64-byte-per-instruction AoS buffer; pack() of an AoS buffer runs the
+ * same record encoder and produces the same bytes.
+ *
+ * Storage lives in anonymous mmap regions, not the C++ heap, so a
+ * finished trace's pages go back to the OS the moment it is dropped.
  */
 
 #ifndef SWAN_TRACE_PACKED_HH
@@ -39,16 +40,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "swan/internal/contracts.hh"
 #include "trace/instr.hh"
 #include "trace/recorder.hh"
+#include "trace/stats.hh"
 
 namespace swan::trace
 {
@@ -196,12 +196,9 @@ class PackedTrace
     PackedTrace() = default;
 
     /**
-     * Reusable pack() working memory. Drivers that pack many traces
-     * back to back (the sweep scheduler) pass the same Scratch every
-     * time: clear() keeps capacity, so steady-state packing makes no
-     * heap allocations at all — which keeps the capture thread's
-     * malloc state a pure function of the capture sequence (the
-     * address-determinism contract in sweep/scheduler.cc).
+     * Reusable encoder working memory. Drivers that pack many traces
+     * back to back pass the same Scratch every time: clear() keeps
+     * capacity, so steady-state packing makes no heap allocations.
      */
     struct Scratch
     {
@@ -224,7 +221,41 @@ class PackedTrace
         }
     };
 
-    /** Encode a buffered (Recorder) trace. */
+    /**
+     * Incremental encoder: the trace grows one instruction at a time,
+     * and finish() assembles it. A Recorder streaming into a Builder
+     * encodes on emit; it shares pack()'s record encoder, so the bytes
+     * are the same either way.
+     */
+    class Builder final : public Sink
+    {
+      public:
+        /** @param mix when non-null, counts every added instruction
+         *             (MixStats::addTrace of the same stream) */
+        explicit Builder(MixStats *mix = nullptr) : mix_(mix) {}
+
+        Builder(const Builder &) = delete;
+        Builder &operator=(const Builder &) = delete;
+
+        /** Append one instruction in program order. */
+        void add(const Instr &i);
+        void onInstr(const Instr &i) override { add(i); }
+
+        /** Instructions added since construction (or finish()). */
+        size_t size() const { return size_t(count_); }
+
+        /** The encoded trace; the builder starts over empty. */
+        PackedTrace finish();
+
+      private:
+        Scratch s_;
+        MixStats *mix_;
+        uint64_t prevId_ = 0;
+        uint64_t prevAddr_ = 0;
+        uint64_t count_ = 0;
+    };
+
+    /** Encode a buffered (AoS) trace. */
     static PackedTrace pack(const std::vector<Instr> &instrs);
 
     /** pack() borrowing @p scratch instead of allocating its own. */
@@ -235,7 +266,7 @@ class PackedTrace
     size_t size() const { return size_t(count_); }
     bool empty() const { return count_ == 0; }
 
-    /** Bytes held by the encoding (the memo-budget unit). */
+    /** Bytes held by the encoding. */
     size_t byteSize() const { return buf_.size(); }
 
     /** What the same trace costs as an AoS Instr buffer. */
@@ -248,16 +279,7 @@ class PackedTrace
     void deliver(Sink &sink) const;
 
     /**
-     * Release the encoded storage early (munmap; invisible to malloc).
-     * The trace becomes empty. Used by the sweep trace memo to enforce
-     * its byte budget without perturbing heap determinism.
-     */
-    void releaseStorage();
-
-    /**
-     * Deep copy. A fresh anonymous-mmap buffer plus a memcpy — no
-     * malloc on POSIX, so the sweep cache's T0 pinned-trace memo can
-     * pin and serve traces without perturbing the capture heap (the
+     * Deep copy: a fresh anonymous-mmap buffer plus a memcpy (the
      * class is otherwise move-only precisely to keep copies explicit).
      */
     PackedTrace clone() const;
@@ -266,11 +288,9 @@ class PackedTrace
      * One decoded record's identity fields. The shape fields live in
      * the descriptor side table (see descCount()/expandDesc()); the
      * fused replay engine keeps a per-descriptor prototype instead of
-     * re-expanding them per instruction. Capture-phase layout pin: the
-     * fused driver's decode-batch buffers are sized by this struct
-     * (include/swan/internal/layout.hh).
+     * re-expanding them per instruction.
      */
-    struct SWAN_CAPTURE_TYPE Decoded
+    struct Decoded
     {
         uint64_t id;
         uint64_t dep0, dep1, dep2;
@@ -278,6 +298,9 @@ class PackedTrace
         uint64_t addr2;
         uint32_t desc;      //!< descriptor index, < descCount()
     };
+    // The fused driver's decode-batch buffers are sized by this struct:
+    // growing it grows every replay's staging footprint.
+    static_assert(sizeof(Decoded) == 56, "Decoded grew");
 
     /**
      * Which batch-decode kernel family Cursor::nextBatch runs. Every
@@ -421,25 +444,6 @@ class PackedTrace
     void appendPayload(std::string *out) const;
 
     /**
-     * Write the same payload straight to @p f without building a heap
-     * blob — the sweep scheduler spills evicted traces between
-     * captures, where a multi-megabyte transient malloc would perturb
-     * the capture thread's allocator state (and with it the
-     * address-sensitive simulation results).
-     * @return false on a short write.
-     */
-    bool writePayload(std::FILE *f) const;
-
-#if defined(__unix__) || defined(__APPLE__)
-    /**
-     * Raw-fd variant of writePayload: write(2) only, no stdio and no
-     * malloc at all — the spill path between captures must leave the
-     * allocator bit-untouched (see sweep/scheduler.cc).
-     */
-    bool writePayload(int fd) const;
-#endif
-
-    /**
      * Parse an appendPayload() blob. @return false (and leaves @p out
      * untouched) on any truncation, bound or checksum violation.
      */
@@ -495,6 +499,11 @@ class PackedTrace
         size_t n_ = 0;
         bool mapped_ = false;
     };
+
+    /** Append @p i's record to @p s, advancing the id and address
+     *  delta bases — the one record encoder pack() and Builder share. */
+    static void encode(Scratch &s, uint64_t &prevId, uint64_t &prevAddr,
+                       const Instr &i);
 
     /** Assemble buf_ = [descs | main stream | multi stream]. */
     void assemble(const Desc *descs, uint32_t desc_count,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/canon.hh"
 #include "trace/instr.hh"
 
 namespace swan::trace
@@ -47,10 +48,16 @@ class Sink
 /**
  * Records the dynamic instruction stream of a kernel invocation.
  *
- * A Recorder either keeps the full trace in memory (the common case: the
- * runner replays one trace against several core configurations) or forwards
- * each record to a Sink without buffering (used for very long runs such as
- * the Figure-6 GEMM sweep).
+ * A Recorder either keeps the full trace in memory as an AoS buffer
+ * (.swt dumps, tests) or forwards each record to a Sink without
+ * buffering: a PackedTrace::Builder encodes on emit (the sweep and
+ * Runner capture path), a core model simulates while capturing (the
+ * Figure-6 GEMM sweep).
+ *
+ * Every recorded address is translated into the canonical trace
+ * address space (trace/canon.hh) on emit, so a trace is a pure
+ * function of the kernel, its inputs and the capture sequence — never
+ * of where the host placed its buffers.
  */
 class Recorder
 {
@@ -60,12 +67,8 @@ class Recorder
 
     /**
      * Buffered recorder writing into the caller's vector (cleared
-     * first, capacity kept). Lets a long-running driver — the sweep
-     * scheduler captures hundreds of traces back to back — reuse one
-     * scratch buffer instead of re-growing and freeing a fresh one per
-     * capture, which keeps the capture thread's heap traffic (and
-     * therefore the address-sensitive simulation results) independent
-     * of how many captures came before.
+     * first, capacity kept), so a driver capturing many traces back to
+     * back can reuse one buffer.
      */
     explicit Recorder(std::vector<Instr> *buf) : keep_(true), ext_(buf)
     {
@@ -83,6 +86,14 @@ class Recorder
     emit(Instr instr)
     {
         instr.id = ++lastId_;
+        if (instr.addr) {
+            // addr2 keeps its distance to addr: the region bounds of a
+            // gather/scatter and the LdS/StS element stride stay exact.
+            const uint64_t a = canon_.translate(instr.addr);
+            if (instr.addr2)
+                instr.addr2 = a + (instr.addr2 - instr.addr);
+            instr.addr = a;
+        }
         if (keep_)
             (ext_ ? *ext_ : buf_).push_back(instr);
         else if (sink_)
@@ -112,12 +123,16 @@ class Recorder
         lastId_ = 0;
     }
 
+    /** This capture's address translation state. */
+    CanonMap &canon() { return canon_; }
+
   private:
     bool keep_;
     Sink *sink_ = nullptr;
     std::vector<Instr> *ext_ = nullptr;
     uint64_t lastId_ = 0;
     std::vector<Instr> buf_;
+    CanonMap canon_;
 };
 
 /**
@@ -127,13 +142,19 @@ class Recorder
  */
 Recorder *&currentRecorder();
 
-/** RAII installation of a recorder for the current thread. */
+/**
+ * RAII installation of a recorder for the current thread. The guard
+ * object itself anchors the recorder's canonical stack mapping: stack
+ * addresses are recorded relative to the frame that installs it.
+ */
 class ScopedRecorder
 {
   public:
     explicit ScopedRecorder(Recorder *rec)
         : saved_(currentRecorder())
     {
+        if (rec)
+            rec->canon().setStackAnchor(reinterpret_cast<uintptr_t>(this));
         currentRecorder() = rec;
     }
     ~ScopedRecorder() { currentRecorder() = saved_; }

@@ -19,7 +19,7 @@ namespace swan::trace
 {
 
 /** Accumulated instruction-mix and pattern statistics of one trace. */
-class MixStats : public Sink
+class MixStats final : public Sink
 {
   public:
     void onInstr(const Instr &instr) override;

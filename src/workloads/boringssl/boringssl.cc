@@ -165,7 +165,7 @@ class AesEncrypt : public Workload
         std::memcpy(p, &v.v, 4);
     }
 
-    std::vector<uint8_t> data_, outScalar_, outNeon_;
+    Buf<uint8_t> data_, outScalar_, outNeon_;
     std::array<std::array<uint8_t, 16>, 11> roundKeys_{};
     std::array<std::array<uint32_t, 256>, 4> ttab_{};
 };
@@ -312,7 +312,7 @@ class ChaCha20 : public Workload
         b = rotl(veor(b, c), 7);
     }
 
-    std::vector<uint8_t> data_, outScalar_, outNeon_;
+    Buf<uint8_t> data_, outScalar_, outNeon_;
     std::array<uint32_t, 16> state0_{};
 };
 
@@ -456,7 +456,7 @@ class Sha256 : public Workload
         return (x >> n) | (x << (32 - n));
     }
 
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint32_t outScalar_[8] = {};
     uint32_t outNeon_[8] = {1};
 };
@@ -564,7 +564,7 @@ class GhashPmull : public Workload
         return lo ^ f ^ f2;
     }
 
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint64_t h_ = 0;
     uint64_t tabLo_[16] = {}, tabHi_[16] = {};
     uint64_t outScalar_ = 0, outNeon_ = 1;
@@ -743,10 +743,10 @@ class DesLut : public Workload
     }
 
     bool useLut_;
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     std::array<std::array<uint8_t, 64>, 8> sbox_{};
     std::array<uint32_t, 16> keys_{};
-    std::vector<uint64_t> outScalar_, outNeon_;
+    Buf<uint64_t> outScalar_, outNeon_;
 };
 
 /** Factory used by the Section 6.2 bench. */

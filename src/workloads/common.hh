@@ -1,8 +1,10 @@
 /**
  * @file
- * Shared helpers for the workload libraries: deterministic input
- * generation (the paper generates random inputs sized per Section 4.1) and
- * output comparison utilities used by Workload::verify().
+ * Shared helpers for the workload libraries: the registering buffer type
+ * every workload allocates its inputs, outputs and scratch from,
+ * deterministic input generation (the paper generates random inputs sized
+ * per Section 4.1) and output comparison utilities used by
+ * Workload::verify().
  */
 
 #ifndef SWAN_WORKLOADS_COMMON_HH
@@ -10,15 +12,61 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/kernel.hh"
 #include "core/options.hh"
 #include "core/registry.hh"
 #include "simd/simd.hh"
+#include "trace/canon.hh"
 
 namespace swan::workloads
 {
+
+/**
+ * The one allocation helper of the workload heap: every allocation is
+ * registered as a region of the canonical trace address space
+ * (trace/canon.hh), so a capture records the same addresses wherever
+ * the host heap put the buffer.
+ */
+template <typename T>
+struct RegionAllocator
+{
+    using value_type = T;
+
+    RegionAllocator() = default;
+    template <typename U>
+    RegionAllocator(const RegionAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        T *p = std::allocator<T>().allocate(n);
+        trace::registerRegion(p, n * sizeof(T));
+        return p;
+    }
+
+    void
+    deallocate(T *p, size_t n) noexcept
+    {
+        trace::unregisterRegion(p);
+        std::allocator<T>().deallocate(p, n);
+    }
+
+    template <typename U>
+    bool
+    operator==(const RegionAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+};
+
+/** A workload buffer: std::vector on the registering allocator. */
+template <typename T>
+using Buf = std::vector<T, RegionAllocator<T>>;
 
 /** SplitMix64-based deterministic RNG for input generation. */
 class Rng
@@ -61,20 +109,20 @@ class Rng
 
 /** Fill a byte/int vector with random data. */
 template <typename T>
-std::vector<T>
+Buf<T>
 randomInts(Rng &rng, size_t n)
 {
-    std::vector<T> v(n);
+    Buf<T> v(n);
     for (auto &x : v)
         x = T(rng.next());
     return v;
 }
 
 /** Fill a float vector with uniform values. */
-inline std::vector<float>
+inline Buf<float>
 randomFloats(Rng &rng, size_t n, float lo = -1.0f, float hi = 1.0f)
 {
-    std::vector<float> v(n);
+    Buf<float> v(n);
     for (auto &x : v)
         x = rng.f32(lo, hi);
     return v;
@@ -83,14 +131,14 @@ randomFloats(Rng &rng, size_t n, float lo = -1.0f, float hi = 1.0f)
 /** Exact comparison of integer outputs. */
 template <typename T>
 bool
-equalOutputs(const std::vector<T> &a, const std::vector<T> &b)
+equalOutputs(const Buf<T> &a, const Buf<T> &b)
 {
     return a == b;
 }
 
 /** Relative/absolute tolerance comparison for float outputs. */
 inline bool
-approxOutputs(const std::vector<float> &a, const std::vector<float> &b,
+approxOutputs(const Buf<float> &a, const Buf<float> &b,
               float tol = 1e-4f)
 {
     if (a.size() != b.size())

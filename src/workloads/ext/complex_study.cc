@@ -145,9 +145,9 @@ class ZConvolve : public Workload
 
     ComplexImpl impl_;
     size_t n_ = 0;
-    std::vector<float> a_, b_, acc0_;
+    Buf<float> a_, b_, acc0_;
     std::array<uint32_t, kL> signMask_{};
-    std::vector<float> outScalar_, outNeon_;
+    Buf<float> outScalar_, outNeon_;
 };
 
 } // namespace

@@ -153,7 +153,7 @@ class StrlenScan : public Workload
 
     ScanImpl impl_;
     size_t dataEnd_ = 0;
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint64_t outScalar_ = 0, outNeon_ = 0;
 };
 

@@ -86,9 +86,9 @@ class LutTransform : public Workload
 
   private:
     LutImpl impl_;
-    std::vector<uint32_t> table_;
-    std::vector<uint32_t> keys_;
-    std::vector<uint32_t> outScalar_, outNeon_;
+    Buf<uint32_t> table_;
+    Buf<uint32_t> keys_;
+    Buf<uint32_t> outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -218,10 +218,10 @@ class DesGather : public Workload
     }
 
     LutImpl impl_;
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     std::array<std::array<uint32_t, 16>, 8> sbox_{};
     std::array<uint32_t, 16> keys_{};
-    std::vector<uint64_t> outScalar_, outNeon_;
+    Buf<uint64_t> outScalar_, outNeon_;
 };
 
 } // namespace

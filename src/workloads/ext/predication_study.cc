@@ -168,8 +168,8 @@ class AxpyTail : public Workload
     TailImpl impl_;
     size_t rows_ = 0;
     float a_ = 1.0f;
-    std::vector<float> x_, y0_;
-    std::vector<float> outScalar_, outNeon_;
+    Buf<float> x_, y0_;
+    Buf<float> outScalar_, outNeon_;
 };
 
 } // namespace

@@ -32,7 +32,7 @@ namespace
 constexpr int kChannels = 8;
 
 /** Interleaved 8-channel stream sized from the audio options. */
-std::vector<int16_t>
+Buf<int16_t>
 makeStream(const Options &opts, uint64_t salt, size_t &samples_out)
 {
     Rng rng(opts.seed ^ salt);
@@ -106,8 +106,8 @@ class Deinterleave8 : public Workload
   private:
     StrideImpl impl_;
     size_t samples_ = 0;
-    std::vector<int16_t> stream_;
-    std::vector<int16_t> outScalar_, outNeon_;
+    Buf<int16_t> stream_;
+    Buf<int16_t> outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -166,8 +166,8 @@ class ChannelExtract : public Workload
   private:
     StrideImpl impl_;
     size_t samples_ = 0;
-    std::vector<int16_t> stream_;
-    std::vector<int16_t> outScalar_, outNeon_;
+    Buf<int16_t> stream_;
+    Buf<int16_t> outScalar_, outNeon_;
 };
 
 } // namespace

@@ -159,7 +159,7 @@ class WasmRgbToY : public Workload
 
   private:
     void
-    scalarPixel(int p, std::vector<uint8_t> &out)
+    scalarPixel(int p, Buf<uint8_t> &out)
     {
         const size_t base = size_t(p) * 3;
         Sc<uint32_t> r = sload(&rgb_[base]).to<uint32_t>();
@@ -272,7 +272,7 @@ class WasmRgbToY : public Workload
 
     WasmIsa isa_;
     int pixels_;
-    std::vector<uint8_t> rgb_, outScalar_, outNeon_;
+    Buf<uint8_t> rgb_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -411,7 +411,7 @@ class WasmAdler32 : public Workload
     }
 
     WasmIsa isa_;
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint32_t outScalar_ = 0;
     uint32_t outNeon_ = 1;
 };
@@ -531,7 +531,7 @@ class WasmFirFilter : public Workload
 
     WasmIsa isa_;
     size_t n_ = 0;
-    std::vector<float> in_, outScalar_, outNeon_;
+    Buf<float> in_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -683,7 +683,7 @@ class WasmSha256 : public Workload
     }
 
     WasmIsa isa_;
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint32_t outScalar_[8] = {};
     uint32_t outNeon_[8] = {1};
 };

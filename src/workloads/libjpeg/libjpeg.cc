@@ -151,7 +151,7 @@ class RgbToYcbcr : public Workload
     }
 
     void
-    scalarPixel(int p, std::vector<uint8_t> &out)
+    scalarPixel(int p, Buf<uint8_t> &out)
     {
         const size_t base = size_t(p) * 3;
         Sc<uint32_t> r = sload(&rgb_[base]).to<uint32_t>();
@@ -166,7 +166,7 @@ class RgbToYcbcr : public Workload
     }
 
     int pixels_;
-    std::vector<uint8_t> rgb_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> rgb_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -267,14 +267,14 @@ class YcbcrToRgb : public Workload
 
   private:
     void
-    scalarBody(std::vector<uint8_t> &out)
+    scalarBody(Buf<uint8_t> &out)
     {
         for (int p = 0; p < pixels_; ++p)
             scalarPixel(p, out);
     }
 
     void
-    scalarPixel(int p, std::vector<uint8_t> &out)
+    scalarPixel(int p, Buf<uint8_t> &out)
     {
         Sc<int32_t> y = sload(&y_[size_t(p)]).to<int32_t>();
         Sc<int32_t> cr = sload(&cr_[size_t(p)]).to<int32_t>();
@@ -292,7 +292,7 @@ class YcbcrToRgb : public Workload
     }
 
     int pixels_;
-    std::vector<uint8_t> y_, cr_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> y_, cr_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -367,7 +367,7 @@ class DownsampleH2V2 : public Workload
 
   private:
     int width_, rows_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_;
+    Buf<uint8_t> src_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -425,7 +425,7 @@ class UpsampleH2V1 : public Workload
 
   private:
     void
-    vecBody(std::vector<uint8_t> &out_buf, bool conservative)
+    vecBody(Buf<uint8_t> &out_buf, bool conservative)
     {
         const auto three = vdup<uint16_t, 128>(uint16_t(3));
         const auto c1 = vdup<uint16_t, 128>(uint16_t(1));
@@ -470,7 +470,7 @@ class UpsampleH2V1 : public Workload
     }
 
     int n_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -518,7 +518,7 @@ class SmoothRow : public Workload
 
   private:
     void
-    vecBody(std::vector<uint8_t> &out_buf, bool conservative)
+    vecBody(Buf<uint8_t> &out_buf, bool conservative)
     {
         const auto c2 = vdup<uint16_t, 128>(uint16_t(2));
         int x = 0;
@@ -549,7 +549,7 @@ class SmoothRow : public Workload
     }
 
     int n_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------

@@ -99,7 +99,7 @@ class LpcFilter : public Workload
 
   private:
     int n_;
-    std::vector<int16_t> x_, outScalar_, outNeon_;
+    Buf<int16_t> x_, outScalar_, outNeon_;
     std::array<int16_t, kOrder> coeff_{};
 };
 
@@ -203,7 +203,7 @@ class ArmaBiquad : public Workload
     static constexpr float kB0 = 0.2929f, kB1 = 0.5858f, kB2 = 0.2929f;
     static constexpr float kA1 = -0.0f, kA2 = 0.1716f;
     int frames_;
-    std::vector<float> x_, outScalar_, outNeon_, outAuto_;
+    Buf<float> x_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -302,7 +302,7 @@ class PitchAutocorr : public Workload
     }
 
     int n_;
-    std::vector<float> x_, outScalar_, outNeon_;
+    Buf<float> x_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -370,8 +370,8 @@ class CeltFreqAutocorr : public Workload
 
   private:
     int n_;
-    std::vector<int16_t> x_;
-    std::vector<int32_t> outScalar_, outNeon_;
+    Buf<int16_t> x_;
+    Buf<int32_t> outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -437,7 +437,7 @@ class InnerProduct : public Workload
 
   private:
     int n_;
-    std::vector<int16_t> a_, b_;
+    Buf<int16_t> a_, b_;
     int32_t outScalar_ = 0, outNeon_ = 1;
 };
 

@@ -49,7 +49,7 @@ class DefilterKernel : public Workload
 
   protected:
     int rowBytes_, rows_;
-    std::vector<uint8_t> filtered_, prev_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> filtered_, prev_, outScalar_, outNeon_, outAuto_;
 };
 
 } // namespace
@@ -154,14 +154,14 @@ class DefilterUp : public DefilterKernel
 
   private:
     const uint8_t *
-    upRow(int y, const std::vector<uint8_t> &out) const
+    upRow(int y, const Buf<uint8_t> &out) const
     {
         return y == 0 ? prev_.data()
                       : &out[size_t(y - 1) * size_t(rowBytes_)];
     }
 
     void
-    vecBody(std::vector<uint8_t> &out_buf)
+    vecBody(Buf<uint8_t> &out_buf)
     {
         for (int y = 0; y < rows_; ++y) {
             const uint8_t *in = &filtered_[size_t(y) * size_t(rowBytes_)];
@@ -343,7 +343,7 @@ class DefilterPaeth : public DefilterKernel
 
   private:
     void
-    scalarBody(std::vector<uint8_t> &out_mat, bool versioning_overhead)
+    scalarBody(Buf<uint8_t> &out_mat, bool versioning_overhead)
     {
         for (int y = 0; y < rows_; ++y) {
             const uint8_t *in = &filtered_[size_t(y) * size_t(rowBytes_)];
@@ -441,8 +441,8 @@ class ExpandPalette : public Workload
 
   private:
     int n_;
-    std::vector<uint8_t> idx_;
-    std::vector<uint32_t> palette_, outScalar_, outNeon_;
+    Buf<uint8_t> idx_;
+    Buf<uint32_t> palette_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------

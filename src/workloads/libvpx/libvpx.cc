@@ -287,7 +287,7 @@ class DctKernel : public Workload
     }
 
     int blocks_;
-    std::vector<int16_t> in_, outScalar_, outNeon_;
+    Buf<int16_t> in_, outScalar_, outNeon_;
 };
 
 } // namespace
@@ -412,8 +412,8 @@ class Sad16x16 : public Workload
     }
 
     int blocks_;
-    std::vector<uint8_t> src_, ref_;
-    std::vector<uint32_t> outScalar_, outNeon_;
+    Buf<uint8_t> src_, ref_;
+    Buf<uint32_t> outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -499,7 +499,7 @@ class QuantizeBlock : public Workload
   private:
     static constexpr int32_t kZbin = 24, kRound = 48, kQuant = 21845;
     int blocks_;
-    std::vector<int16_t> in_, outScalar_, outNeon_;
+    Buf<int16_t> in_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -550,7 +550,7 @@ class Variance16x16 : public Workload
 
   private:
     void
-    vecBody(std::vector<uint32_t> &out, int unroll)
+    vecBody(Buf<uint32_t> &out, int unroll)
     {
         for (int b = 0; b < blocks_; ++b) {
             const uint8_t *s = &src_[size_t(b) * 256];
@@ -582,8 +582,8 @@ class Variance16x16 : public Workload
     }
 
     int blocks_;
-    std::vector<uint8_t> src_;
-    std::vector<uint32_t> outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_;
+    Buf<uint32_t> outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -622,7 +622,7 @@ class SubtractBlock : public Workload
 
   private:
     void
-    vecBody(std::vector<int16_t> &out)
+    vecBody(Buf<int16_t> &out)
     {
         int i = 0;
         for (; i + 16 <= n_; i += 16) {
@@ -644,8 +644,8 @@ class SubtractBlock : public Workload
     }
 
     int n_;
-    std::vector<uint8_t> src_, pred_;
-    std::vector<int16_t> outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, pred_;
+    Buf<int16_t> outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------

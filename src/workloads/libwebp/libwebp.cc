@@ -57,13 +57,13 @@ class PredictorKernel : public Workload
     {
         return &left_[size_t(b) * (kBlock + 1) + 1];
     }
-    uint8_t *blockOut(std::vector<uint8_t> &buf, int b)
+    uint8_t *blockOut(Buf<uint8_t> &buf, int b)
     {
         return &buf[size_t(b) * kBlock * kBlock];
     }
 
     int blocks_;
-    std::vector<uint8_t> top_, left_, outScalar_, outNeon_;
+    Buf<uint8_t> top_, left_, outScalar_, outNeon_;
 };
 
 } // namespace
@@ -221,7 +221,7 @@ class PredictTm : public PredictorKernel
         }
     }
 
-    std::vector<uint8_t> dummy_;
+    Buf<uint8_t> dummy_;
 };
 
 // ---------------------------------------------------------------------
@@ -267,7 +267,7 @@ class PredictVertical : public PredictorKernel
 
   private:
     void
-    vecBody(std::vector<uint8_t> &buf)
+    vecBody(Buf<uint8_t> &buf)
     {
         const auto c2 = vdup<uint16_t, 128>(uint16_t(2));
         for (int b = 0; b < blocks_; ++b) {
@@ -285,7 +285,7 @@ class PredictVertical : public PredictorKernel
         }
     }
 
-    std::vector<uint8_t> outAuto_;
+    Buf<uint8_t> outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -416,7 +416,7 @@ class SharpYuvUpdate : public Workload
 
   private:
     int n_;
-    std::vector<uint16_t> ref_, src_, filt_, outScalar_, outNeon_;
+    Buf<uint16_t> ref_, src_, filt_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -490,7 +490,7 @@ class UpsampleYuv444 : public Workload
 
   private:
     void
-    vecBody(std::vector<uint8_t> &buf)
+    vecBody(Buf<uint8_t> &buf)
     {
         const auto three = vdup<uint16_t, 128>(uint16_t(3));
         const auto c1 = vdup<uint16_t, 128>(uint16_t(1));
@@ -517,7 +517,7 @@ class UpsampleYuv444 : public Workload
     }
 
     void
-    scalarTail(int x, std::vector<uint8_t> &buf)
+    scalarTail(int x, Buf<uint8_t> &buf)
     {
         Sc<uint32_t> s = sload(&src_[size_t(x)]).to<uint32_t>();
         Sc<uint32_t> sm = sload(&src_[size_t(x - 1)]).to<uint32_t>();
@@ -531,7 +531,7 @@ class UpsampleYuv444 : public Workload
     }
 
     int n_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------

@@ -125,7 +125,7 @@ class Memcpy : public Workload
     uint64_t flops() const override { return src_.size(); }
 
   private:
-    std::vector<uint8_t> src_, dstScalar_, dstNeon_, dstAuto_;
+    Buf<uint8_t> src_, dstScalar_, dstNeon_, dstAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -202,7 +202,7 @@ class Memcmp : public Workload
     bool verify() override { return outScalar_ == outNeon_; }
 
   private:
-    std::vector<uint8_t> a_, b_;
+    Buf<uint8_t> a_, b_;
     int outScalar_ = 9, outNeon_ = -9;
 };
 
@@ -275,7 +275,7 @@ class Memchr : public Workload
 
   private:
     static constexpr uint8_t kNeedle = 0x7f;
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     long outScalar_ = -2, outNeon_ = -3;
 };
 
@@ -344,7 +344,7 @@ class Strlen : public Workload
     bool verify() override { return outScalar_ == outNeon_; }
 
   private:
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     long outScalar_ = -2, outNeon_ = -3;
 };
 

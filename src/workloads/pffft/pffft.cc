@@ -34,14 +34,14 @@ namespace
 struct Twiddles
 {
     // For stage with half-length h: wr/wi arrays of length h.
-    std::vector<std::vector<float>> wr, wi;
+    Buf<Buf<float>> wr, wi;
 
     explicit Twiddles(bool inverse)
     {
         for (int len = 2; len <= kFftSize; len <<= 1) {
             const int half = len / 2;
-            std::vector<float> re(static_cast<size_t>(half), 0.0f);
-            std::vector<float> im(static_cast<size_t>(half), 0.0f);
+            Buf<float> re(static_cast<size_t>(half), 0.0f);
+            Buf<float> im(static_cast<size_t>(half), 0.0f);
             const double sign = inverse ? 1.0 : -1.0;
             for (int j = 0; j < half; ++j) {
                 const double ang = sign * 2.0 * M_PI * j / len;
@@ -55,10 +55,10 @@ struct Twiddles
 };
 
 /** Bit-reversal permutation table. */
-std::vector<int>
+Buf<int>
 bitrevTable(int n)
 {
-    std::vector<int> t(size_t(n), 0);
+    Buf<int> t(size_t(n), 0);
     int bits = 0;
     while ((1 << bits) < n)
         ++bits;
@@ -273,8 +273,8 @@ class FftKernel : public Workload
     bool inverse_;
     Twiddles tw_;
     int frames_;
-    std::vector<int> rev_;
-    std::vector<float> inRe_, inIm_, sRe_, sIm_, nRe_, nIm_;
+    Buf<int> rev_;
+    Buf<float> inRe_, inIm_, sRe_, sIm_, nRe_, nIm_;
 };
 
 } // namespace
@@ -386,8 +386,8 @@ class ZConvolve : public Workload
 
   private:
     int n_;
-    std::vector<float> aRe_, aIm_, bRe_, bIm_, accInit_;
-    std::vector<float> sRe_, sIm_, nRe_, nIm_, aAutoRe_, aAutoIm_;
+    Buf<float> aRe_, aIm_, bRe_, bIm_, accInit_;
+    Buf<float> sRe_, sIm_, nRe_, nIm_, aAutoRe_, aAutoIm_;
 };
 
 // ---------------------------------------------------------------------

@@ -95,7 +95,7 @@ class ConvolveVertically : public Workload
 
     template <int B>
     void
-    neonImpl(std::vector<uint8_t> &out_buf)
+    neonImpl(Buf<uint8_t> &out_buf)
     {
         using V8 = Vec<uint8_t, B>;
         constexpr int kLanes = V8::kLanes;
@@ -135,7 +135,7 @@ class ConvolveVertically : public Workload
     }
 
     void
-    autoImpl(std::vector<uint8_t> &out_buf)
+    autoImpl(Buf<uint8_t> &out_buf)
     {
         const auto bias = vdup<uint32_t, 128>(128u);
         for (int y = 0; y + 3 < rows_; ++y) {
@@ -177,7 +177,7 @@ class ConvolveVertically : public Workload
     }
 
     int width_, rows_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -249,7 +249,7 @@ class ConvolveHorizontally : public Workload
 
   private:
     int n_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_;
+    Buf<uint8_t> src_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -291,7 +291,7 @@ class BlitRowSrcOver : public Workload
     }
 
     void
-    scalarBody(std::vector<uint8_t> &out)
+    scalarBody(Buf<uint8_t> &out)
     {
         for (int p = 0; p < pixels_; ++p) {
             const size_t base = size_t(p) * 4;
@@ -388,7 +388,7 @@ class BlitRowSrcOver : public Workload
 
   private:
     void
-    scalarPixel(int p, std::vector<uint8_t> &out)
+    scalarPixel(int p, Buf<uint8_t> &out)
     {
         const size_t base = size_t(p) * 4;
         Sc<uint8_t> sa = sload(&src_[base + 3]);
@@ -405,7 +405,7 @@ class BlitRowSrcOver : public Workload
     }
 
     int pixels_;
-    std::vector<uint8_t> src_, dst_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, dst_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -471,7 +471,7 @@ class Memset32Rect : public Workload
   private:
     static constexpr uint32_t kColor = 0xff33cc66u;
     int n_;
-    std::vector<uint32_t> outScalar_, outNeon_, outAuto_;
+    Buf<uint32_t> outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -520,7 +520,7 @@ class RgbaPremultiply : public Workload
 
   private:
     void
-    vecBody(std::vector<uint8_t> &out_buf)
+    vecBody(Buf<uint8_t> &out_buf)
     {
         int p = 0;
         for (; p + 16 <= pixels_; p += 16) {
@@ -553,7 +553,7 @@ class RgbaPremultiply : public Workload
     }
 
     int pixels_;
-    std::vector<uint8_t> src_, outScalar_, outNeon_, outAuto_;
+    Buf<uint8_t> src_, outScalar_, outNeon_, outAuto_;
 };
 
 // ---------------------------------------------------------------------

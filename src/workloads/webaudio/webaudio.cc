@@ -47,7 +47,7 @@ class UnaryFloatKernel : public Workload
     uint64_t flops() const override { return in_.size(); }
 
   protected:
-    std::vector<float> in_, outScalar_, outNeon_, outAuto_;
+    Buf<float> in_, outScalar_, outNeon_, outAuto_;
 };
 
 } // namespace
@@ -190,7 +190,7 @@ class BinaryFloatKernel : public Workload
     uint64_t flops() const override { return a_.size(); }
 
   private:
-    std::vector<float> a_, b_, outScalar_, outNeon_, outAuto_;
+    Buf<float> a_, b_, outScalar_, outNeon_, outAuto_;
 };
 
 } // namespace
@@ -374,7 +374,7 @@ class Audible : public Workload
     }
 
     int frame_;
-    std::vector<float> in_, outScalar_, outNeon_;
+    Buf<float> in_, outScalar_, outNeon_;
 };
 
 // ---------------------------------------------------------------------
@@ -455,7 +455,7 @@ class Deinterleave : public Workload
     }
 
   private:
-    std::vector<float> in_, lScalar_, rScalar_, lNeon_, rNeon_, lAuto_,
+    Buf<float> in_, lScalar_, rScalar_, lNeon_, rNeon_, lAuto_,
         rAuto_;
 };
 

@@ -45,7 +45,7 @@ randomValue(Rng &rng)
 
 template <typename T>
 bool
-outputsMatch(const std::vector<T> &a, const std::vector<T> &b)
+outputsMatch(const Buf<T> &a, const Buf<T> &b)
 {
     if constexpr (std::is_same_v<T, float>) {
         return approxOutputs(a, b, 1e-3f);
@@ -161,7 +161,7 @@ class Gemm : public Workload
      * scalar code is unrolled too (Section 5.4).
      */
     void
-    runScalarInto(std::vector<T> &c)
+    runScalarInto(Buf<T> &c)
     {
         for (int m = 0; m < m_; ++m) {
             for (int n0 = 0; n0 < n_; n0 += 4) {
@@ -191,7 +191,7 @@ class Gemm : public Workload
     /** MR=4 x NR=2-vector register-blocked micro-kernel. */
     template <int B>
     void
-    microKernel(std::vector<T> &c)
+    microKernel(Buf<T> &c)
     {
         constexpr int kLanes = Vec<T, B>::kLanes;
         const int nr = 2 * kLanes;
@@ -241,7 +241,7 @@ class Gemm : public Workload
 
     int m_, n_, k_;
     bool wider_;
-    std::vector<T> a_, b_, cScalar_, cNeon_, cAuto_;
+    Buf<T> a_, b_, cScalar_, cNeon_, cAuto_;
 };
 
 // ---------------------------------------------------------------------
@@ -342,9 +342,9 @@ class Spmm : public Workload
 
   private:
     int m_, n_, k_;
-    std::vector<T> b_, values_, cScalar_, cNeon_;
-    std::vector<uint32_t> colIdx_;
-    std::vector<uint32_t> rowPtr_;
+    Buf<T> b_, values_, cScalar_, cNeon_;
+    Buf<uint32_t> colIdx_;
+    Buf<uint32_t> rowPtr_;
 };
 
 // ---------------------------------------------------------------------

@@ -137,7 +137,7 @@ class Adler32 : public Workload
         return (t2.v << 16) | t1.v;
     }
 
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint32_t outScalar_ = 0;
     uint32_t outNeon_ = 1;
 };
@@ -209,7 +209,7 @@ class Crc32 : public Workload
     uint64_t flops() const override { return data_.size(); }
 
   private:
-    std::vector<uint8_t> data_;
+    Buf<uint8_t> data_;
     uint32_t table_[256] = {};
     uint32_t outScalar_ = 0;
     uint32_t outNeon_ = 1;

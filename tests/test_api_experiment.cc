@@ -155,8 +155,7 @@ TEST(ApiExperiment, ByteIdenticalToDirectSchedulerPath)
     // The façade must add nothing to the measurement: the same grid
     // run through Experiment::run() and through sweep::runSweep with
     // the session's own SchedulerConfig must agree bit-for-bit through
-    // the emitters (same process, so both runs see equivalent heap
-    // construction; the session cache is shared, so the second pass is
+    // the emitters (the session cache is shared, so the second pass is
     // served from it — which *is* the equivalence guarantee the cache
     // documents for warm replays).
     Session session;

@@ -165,14 +165,12 @@ TEST(ApiSession, SchedulerConfigReflectsOptions)
                   .withJobs(5)
                   .withShards(4)
                   .withBackend(sweep::Backend::Inline)
-                  .withWarmupPasses(2)
-                  .withTraceMemoBytes(1 << 20));
+                  .withWarmupPasses(2));
     const sweep::SchedulerConfig sc = s.schedulerConfig();
     EXPECT_EQ(sc.jobs, 5);
     EXPECT_EQ(sc.shards, 4);
     EXPECT_EQ(sc.backend, sweep::Backend::Inline);
     EXPECT_EQ(sc.warmupPasses, 2);
-    EXPECT_EQ(sc.traceMemoBytes, uint64_t(1) << 20);
     EXPECT_EQ(sc.cache, &s.cache());
 }
 

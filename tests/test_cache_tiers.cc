@@ -257,14 +257,6 @@ TEST(CacheTiers, HotTraceIsPinnedIntoRamAndServedFromIt)
     EXPECT_EQ(got.byteSize(), packed.byteSize());
     EXPECT_EQ(gotMix.total(), mix.total());
 
-    // With T0 serving gated off (capture-phase rule), the same lookup
-    // falls back to the disk tier.
-    cache.setRamTraceServe(false);
-    ASSERT_TRUE(cache.lookupTrace(key, &got, &gotMix));
-    EXPECT_EQ(cache.stats().traceRamHits, 1u);
-    EXPECT_EQ(cache.stats().traceHits, 3u);
-    cache.setRamTraceServe(true);
-
     std::filesystem::remove_all(dir);
 }
 
@@ -335,20 +327,17 @@ TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
         bool far;
     };
     const Leg legs[] = {
-        {0, 1, 1, true},       // uncapped memo, serial
-        {0, 8, 1, true},       // uncapped memo, threaded
-        {0, 2, 3, true},       // uncapped memo, sharded fleet
-        {1, 1, 1, true},       // tiny memo: every trace spills
-        {1, 2, 3, true},       // tiny memo under sharding
-        {1u << 16, 8, 1, true},// mid memo, threaded
+        {0, 1, 1, true},       // uncapped T0 budget, serial
+        {0, 8, 1, true},       // uncapped T0 budget, threaded
+        {0, 2, 3, true},       // uncapped T0 budget, sharded fleet
+        {1, 1, 1, true},       // tiny T0 budget: nothing pins
+        {1, 2, 3, true},       // tiny T0 budget under sharding
+        {1u << 16, 8, 1, true},// mid T0 budget, threaded
         {0, 1, 1, false},      // no far tier at all
     };
 
-    // Every leg runs in a forked child, so each starts from the same
-    // heap image (capture records real buffer addresses; a prior leg's
-    // allocator history is warm-heap noise the contract scopes out —
-    // fresh processes of the same command are byte-identical, and fork
-    // gives every leg exactly that).
+    // Every leg runs in a forked child: a fresh process per leg, like
+    // separate CLI invocations.
     const char *kSep = "\n--SWAN-LEG-SEP--\n";
     const auto runLeg = [&](const Leg &leg, const std::string &local,
                             const std::string &far,
@@ -367,7 +356,7 @@ TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
                 sc.cache = &cache;
                 sc.jobs = leg.jobs;
                 sc.shards = leg.shards;
-                sc.traceMemoBytes = leg.budget;
+                cache.setRamTraceBudget(leg.budget);
                 sweep::emitResults(cold, sweep::runSweep(points, sc),
                                    sweep::Format::JsonLines);
             }
@@ -380,7 +369,7 @@ TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
                 sc.cache = &cache;
                 sc.jobs = leg.jobs;
                 sc.shards = leg.shards;
-                sc.traceMemoBytes = leg.budget;
+                cache.setRamTraceBudget(leg.budget);
                 sweep::emitResults(warm, sweep::runSweep(points, sc),
                                    sweep::Format::JsonLines);
                 warmMisses = cache.stats().misses;
@@ -405,8 +394,7 @@ TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
         fars.push_back(tempDir(("mx_f" + std::to_string(i)).c_str()));
         outs.push_back(tempDir(("mx_o" + std::to_string(i)).c_str()));
     }
-    // Fork every leg before reading any result: the parent allocates
-    // nothing between forks, so all legs inherit one heap image.
+    // Fork every leg before reading any result.
     std::vector<bool> ok(nLegs, false);
     for (size_t i = 0; i < nLegs; ++i)
         ok[i] = runLeg(legs[i], locals[i], fars[i], outs[i]);

@@ -162,23 +162,6 @@ TEST(SwanLint, PtrOrderFixtureFires)
         << r.out;
 }
 
-TEST(SwanLint, LayoutPinFixtureFires)
-{
-    const auto r = runLint("--checks layout-pin --layout-header " +
-                           fixture("empty_layout.hh") + " --files " +
-                           fixture("missing_pin.cc"));
-    EXPECT_EQ(r.exitCode, 1) << r.out;
-    // Tagged-without-pin (Unpinned) and pin-without-tag (Ghost); the
-    // untagged struct stays silent.
-    EXPECT_EQ(countOccurrences(r.out, "[layout-pin]"), 2u) << r.out;
-    EXPECT_NE(r.out.find("'Unpinned' has no size pin"),
-              std::string::npos)
-        << r.out;
-    EXPECT_NE(r.out.find("pin for 'Ghost' names no SWAN_CAPTURE_TYPE"),
-              std::string::npos)
-        << r.out;
-}
-
 TEST(SwanLint, DocumentedSuppressionSuppresses)
 {
     const auto r = runLint("--files " + fixture("clean.cc"));

@@ -246,7 +246,7 @@ TEST(FusedReplay, MatchesOnARealKernelTrace)
 TEST(FusedReplay, ConfigGroupsCrossTheLaneBlockBoundary)
 {
     // The lane-block engine packs up to 8 configurations per SoA block
-    // (CoreModel::kLaneBlockBytes) and heap-allocates a block array
+    // (CoreModel::LaneBlock) and heap-allocates a block array
     // beyond that: N = 1..8 exercises every partial-block width, 9 and
     // 12 the multi-block path. Every width must reproduce the
     // single-config result bit for bit.

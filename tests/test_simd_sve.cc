@@ -239,8 +239,12 @@ TEST(SveGather, TraceRecordBoundsTouchedRegion)
     const auto &g = instrs.front();
     EXPECT_EQ(g.stride, trace::StrideKind::Gather);
     EXPECT_EQ(g.cls, trace::InstrClass::VLoad);
-    EXPECT_EQ(g.addr, reinterpret_cast<uint64_t>(&table[2]));
-    EXPECT_EQ(g.addr2, reinterpret_cast<uint64_t>(&table[40]));
+    // Canonical addresses (trace/canon.hh): the unregistered table's
+    // first touched page maps to the page-map base, in-page offset
+    // kept, and addr2 keeps its exact distance to addr.
+    EXPECT_EQ(g.addr, trace::CanonMap::kPageBase +
+                          (reinterpret_cast<uint64_t>(&table[2]) & 4095));
+    EXPECT_EQ(g.addr2 - g.addr, 38 * sizeof(uint32_t));
     EXPECT_EQ(g.size, 16u);
     EXPECT_TRUE(g.isMultiAddress());
 }
@@ -308,8 +312,10 @@ TEST(SveScatter, TraceRecordTagsScatter)
     ASSERT_EQ(instrs.size(), 1u);
     EXPECT_EQ(instrs[0].stride, trace::StrideKind::Scatter);
     EXPECT_EQ(instrs[0].cls, trace::InstrClass::VStore);
-    EXPECT_EQ(instrs[0].addr, reinterpret_cast<uint64_t>(&table[0]));
-    EXPECT_EQ(instrs[0].addr2, reinterpret_cast<uint64_t>(&table[7]));
+    EXPECT_EQ(instrs[0].addr,
+              trace::CanonMap::kPageBase +
+                  (reinterpret_cast<uint64_t>(&table[0]) & 4095));
+    EXPECT_EQ(instrs[0].addr2 - instrs[0].addr, 7 * sizeof(uint32_t));
 }
 
 TEST(SveGather, GatherScatterRoundTripProperty)
@@ -382,8 +388,7 @@ TEST(SveStrided, TraceRecordCarriesExactStride)
     ASSERT_EQ(instrs.size(), 3u); // dup + lds + sts
     EXPECT_EQ(instrs[0].stride, trace::StrideKind::LdS);
     EXPECT_EQ(instrs[0].elemStride, 32);
-    EXPECT_EQ(instrs[0].addr2,
-              reinterpret_cast<uint64_t>(&buf[3 * 8]));
+    EXPECT_EQ(instrs[0].addr2 - instrs[0].addr, 3 * 8 * sizeof(float));
     EXPECT_EQ(instrs[2].stride, trace::StrideKind::StS);
     EXPECT_EQ(instrs[2].elemStride, 20);
 }

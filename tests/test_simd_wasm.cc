@@ -429,9 +429,13 @@ TEST(WasmTrace, LoadsAndStoresCarryAddresses)
     });
     ASSERT_EQ(t.size(), 2u);
     EXPECT_EQ(t[0].cls, trace::InstrClass::VLoad);
-    EXPECT_EQ(t[0].addr, reinterpret_cast<uint64_t>(buf));
+    // A stack buffer lands in the canonical stack region, a few frames
+    // from the recorder's anchor (trace/canon.hh).
+    EXPECT_LT(t[0].addr, trace::CanonMap::kStackTop + 4096);
+    EXPECT_GT(t[0].addr, trace::CanonMap::kStackTop - 4096);
     EXPECT_EQ(t[0].size, 16u);
     EXPECT_EQ(t[1].cls, trace::InstrClass::VStore);
+    EXPECT_EQ(t[1].addr, t[0].addr);
 }
 
 TEST(WasmTrace, HsumCostsFiveInstructions)

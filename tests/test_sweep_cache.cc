@@ -160,12 +160,19 @@ TEST(SweepCache, CorruptDiskEntryDegradesToMiss)
         sc.cache = &cache;
         sweep::runSweep(points, sc);
     }
-    // Truncate the entry: the mix line disappears.
+    // Truncate the entry under the current header: the mix line
+    // disappears.
     const auto path = std::filesystem::path(dir) / (key.hex() + ".swr");
     ASSERT_TRUE(std::filesystem::exists(path));
+    std::string magic;
+    {
+        std::ifstream is(path);
+        std::getline(is, magic);
+    }
+    ASSERT_EQ(magic.rfind("swan-sweep-result v", 0), 0u) << magic;
     {
         std::ofstream os(path, std::ios::trunc);
-        os << "swan-sweep-result v1\nkernel ZL/adler32\n";
+        os << magic << "\nkernel ZL/adler32\n";
     }
     sweep::ResultCache cache(dir);
     core::KernelRun run;
@@ -176,6 +183,74 @@ TEST(SweepCache, CorruptDiskEntryDegradesToMiss)
     EXPECT_EQ(cache.stats().corruptEntriesQuarantined, 1u);
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepCache, OtherFormatVersionIsAPlainMiss)
+{
+    const auto dir = tempDir("version");
+    std::filesystem::create_directories(dir);
+    std::string err;
+    auto points = sweep::expand(adlerSpec(), &err);
+    ASSERT_EQ(points.size(), 1u) << err;
+    const auto key = sweep::keyFor(points[0], 1);
+    const auto tkey = sweep::traceKeyFor(points[0]);
+    const auto swr = std::filesystem::path(dir) / (key.hex() + ".swr");
+    const auto swtp = std::filesystem::path(dir) / (tkey.hex() + ".swtp");
+
+    // Entries as a previous build wrote them: the v1 result header and
+    // a version-2 packed-trace header, each with a plausible body.
+    {
+        std::ofstream os(swr, std::ios::binary);
+        os << "swan-sweep-result v1\nkernel ZL/adler32\nimpl 2\n"
+              "sim.cycles 1234\nmix 1 2 3\n";
+    }
+    {
+        std::ofstream os(swtp, std::ios::binary);
+        const uint32_t version = 2;
+        os.write("SWTP", 4);
+        os.write(reinterpret_cast<const char *>(&version), sizeof version);
+        os << std::string(64, '\x5a');
+    }
+    {
+        sweep::ResultCache cache(dir);
+        core::KernelRun run;
+        EXPECT_FALSE(cache.lookup(key, &run));
+        trace::PackedTrace t;
+        trace::MixStats mix;
+        EXPECT_FALSE(cache.lookupTrace(tkey, &t, &mix));
+        // A newer build's entry is foreign too, not damage.
+        {
+            std::ofstream os(swr, std::ios::binary | std::ios::trunc);
+            os << "swan-sweep-result v99\nkernel ZL/adler32\n";
+        }
+        EXPECT_FALSE(cache.lookup(key, &run));
+        const auto st = cache.stats();
+        EXPECT_EQ(st.misses, 2u);
+        EXPECT_EQ(st.traceMisses, 1u);
+        EXPECT_EQ(st.corruptEntriesQuarantined, 0u);
+        EXPECT_TRUE(std::filesystem::exists(swr));
+        EXPECT_TRUE(std::filesystem::exists(swtp));
+        for (const auto &e : std::filesystem::directory_iterator(dir))
+            EXPECT_NE(e.path().extension(), ".quarantined") << e.path();
+
+        // The recomputed entries replace the foreign ones in place.
+        sweep::SchedulerConfig sc;
+        sc.cache = &cache;
+        const auto results = sweep::runSweep(points, sc);
+        ASSERT_EQ(results.size(), 1u);
+        EXPECT_FALSE(results[0].cacheHit);
+        EXPECT_EQ(cache.stats().traceStores, 1u);
+    }
+    sweep::ResultCache warm(dir);
+    core::KernelRun run;
+    EXPECT_TRUE(warm.lookup(key, &run));
+    EXPECT_GT(run.sim.cycles, 0u);
+    trace::PackedTrace t;
+    trace::MixStats mix;
+    EXPECT_TRUE(warm.lookupTrace(tkey, &t, &mix));
+    EXPECT_EQ(mix.total(), run.mix.total());
+    EXPECT_EQ(warm.stats().corruptEntriesQuarantined, 0u);
     std::filesystem::remove_all(dir);
 }
 

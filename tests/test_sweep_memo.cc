@@ -1,23 +1,18 @@
 /**
  * @file
- * Tests of the scheduler's packed-trace memo (sweep/scheduler.hh):
- * SWAN_TRACE_MEMO_BYTES parsing, byte-identical sweep results whatever
- * the memo byte budget (tiny = every trace spills to disk and is
- * reloaded for simulation, huge / unset = nothing spills) at several
- * job counts, and the on-disk packed-trace cache tier serving
- * captures to later sweeps.
+ * Tests of the sweep's packed-trace tier (sweep/cache.hh): the
+ * SWAN_TRACE_MEMO_BYTES parser (the T0 pinned-trace budget) and the
+ * on-disk trace tier serving captures to later sweeps.
  */
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "core/registry.hh"
 #include "sweep/cache.hh"
-#include "sweep/emit.hh"
 #include "sweep/scheduler.hh"
 
 using namespace swan;
@@ -37,27 +32,6 @@ memoGrid()
 }
 
 std::string
-render(const std::vector<sweep::SweepResult> &results)
-{
-    std::ostringstream os;
-    sweep::emitResults(os, results, sweep::Format::JsonLines);
-    return os.str();
-}
-
-std::string
-runWith(const std::vector<sweep::SweepPoint> &points, int jobs,
-        uint64_t memo_bytes, sweep::ResultCache *cache = nullptr,
-        int warmup_passes = 1)
-{
-    sweep::SchedulerConfig sc;
-    sc.jobs = jobs;
-    sc.traceMemoBytes = memo_bytes;
-    sc.cache = cache;
-    sc.warmupPasses = warmup_passes;
-    return render(sweep::runSweep(points, sc));
-}
-
-std::string
 tempDir(const char *tag)
 {
     const auto d = std::filesystem::temp_directory_path() /
@@ -72,82 +46,12 @@ tempDir(const char *tag)
 TEST(TraceMemo, EnvBudgetParsing)
 {
     ::unsetenv("SWAN_TRACE_MEMO_BYTES");
-    EXPECT_EQ(sweep::SchedulerConfig::envTraceMemoBytes(), 0u);
+    EXPECT_EQ(sweep::ResultCache::envTraceMemoBytes(), 0u);
     ::setenv("SWAN_TRACE_MEMO_BYTES", "1048576", 1);
-    EXPECT_EQ(sweep::SchedulerConfig::envTraceMemoBytes(), 1048576u);
-    EXPECT_EQ(sweep::SchedulerConfig().traceMemoBytes, 1048576u);
+    EXPECT_EQ(sweep::ResultCache::envTraceMemoBytes(), 1048576u);
     ::setenv("SWAN_TRACE_MEMO_BYTES", "not-a-number", 1);
-    EXPECT_EQ(sweep::SchedulerConfig::envTraceMemoBytes(), 0u);
+    EXPECT_EQ(sweep::ResultCache::envTraceMemoBytes(), 0u);
     ::unsetenv("SWAN_TRACE_MEMO_BYTES");
-}
-
-TEST(TraceMemo, EvictionIsDeterministicAcrossBudgets)
-{
-    std::string err;
-    auto points = sweep::expand(memoGrid(), &err);
-    ASSERT_FALSE(points.empty()) << err;
-
-    // A 1-byte budget spills every captured trace to disk (the
-    // simulation phase reloads them); a huge budget and an unset
-    // (unlimited) budget never evict. All must produce byte-identical
-    // reports at every job count.
-    //
-    // The budget runs replay traces served from the on-disk trace tier
-    // (primed once below, with a different warm-up-pass count so the
-    // RESULT cache never hits and every run actually simulates): with
-    // the instruction streams pinned on disk, any output difference
-    // can only come from the spill/eviction machinery itself, which is
-    // exactly the property under test. Fresh captures are covered by
-    // the scheduler determinism tests; their absolute cycle counts are
-    // additionally sensitive to the process's allocator history (see
-    // docs/sweep.md), which a budget comparison must not conflate.
-    const auto dir = tempDir("budgets");
-    {
-        sweep::ResultCache prime(dir);
-        runWith(points, 2, 0, &prime, /*warmup_passes=*/2);
-        ASSERT_EQ(prime.stats().traceStores, 6u);
-    }
-
-    std::string base;
-    for (int jobs : {1, 2, 4}) {
-        for (uint64_t budget :
-             {uint64_t(0), uint64_t(1), uint64_t(1) << 40}) {
-            // Drop stored results (keep the traces) so every run
-            // simulates instead of replaying the result cache.
-            for (const auto &e :
-                 std::filesystem::directory_iterator(dir))
-                if (e.path().extension() == ".swr")
-                    std::filesystem::remove(e.path());
-            sweep::ResultCache cache(dir); // fresh: no in-memory hits
-            const auto out =
-                runWith(points, jobs, budget, &cache);
-            EXPECT_EQ(cache.stats().traceHits, 6u)
-                << "jobs=" << jobs << " budget=" << budget;
-            if (base.empty())
-                base = out;
-            else
-                EXPECT_EQ(base, out)
-                    << "jobs=" << jobs << " budget=" << budget;
-        }
-    }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceMemo, TinyBudgetStillServesEveryPoint)
-{
-    std::string err;
-    auto points = sweep::expand(memoGrid(), &err);
-    ASSERT_FALSE(points.empty()) << err;
-
-    sweep::SchedulerConfig sc;
-    sc.jobs = 4;
-    sc.traceMemoBytes = 1;
-    auto results = sweep::runSweep(points, sc);
-    ASSERT_EQ(results.size(), points.size());
-    for (const auto &r : results) {
-        EXPECT_GT(r.run.sim.cycles, 0u);
-        EXPECT_GT(r.run.mix.total(), 0u);
-    }
 }
 
 TEST(TraceTier, ServesCapturesAcrossSweeps)

@@ -72,12 +72,7 @@ TEST(SweepScheduler, OneThreadAndManyThreadsAgreeByteForByte)
     // instruction streams fixed, any cross-jobs difference can only
     // come from the scheduler itself — grouping, work stealing,
     // result placement, the power pass. Fresh-capture identity across
-    // --jobs is additionally enforced end-to-end by the CI smoke
-    // (separate `swan sweep --jobs 1` / `--jobs 8` processes):
-    // in-process byte-compares of fresh captures are hostage to the
-    // test harness's own allocations, because captured traces carry
-    // real buffer addresses and the cache model is address-sensitive
-    // (see the determinism notes in sweep/scheduler.cc).
+    // --jobs and processes is tests/test_determinism.cc's job.
     const auto dir = std::filesystem::temp_directory_path() /
                      ("swan_sched_jobs_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);

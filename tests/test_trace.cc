@@ -125,7 +125,11 @@ TEST(Trace, ScalarMemoryCarriesAddressAndDeps)
     EXPECT_GT(v.src, 0u);
     const auto &load = rec.instrs().back();
     EXPECT_EQ(load.cls, InstrClass::SLoad);
-    EXPECT_EQ(load.addr, reinterpret_cast<uint64_t>(&x));
+    // Canonical stack mapping: the distance to the anchor (the frame
+    // that installed the recorder) is kept.
+    EXPECT_EQ(load.addr, trace::CanonMap::kStackTop +
+                             (reinterpret_cast<uint64_t>(&x) -
+                              reinterpret_cast<uint64_t>(&scoped)));
     EXPECT_EQ(load.size, 4u);
 
     sstore(&x, v + Sc<int32_t>(1));

@@ -4,7 +4,8 @@
  * pack/unpack round-trips on randomized traces (including the
  * multi-address Gather/Scatter/LdS records), iterator and block-cursor
  * equivalence, payload (disk-tier) round-trips and corruption
- * handling, compression on a real captured trace, and the
+ * handling, compression and encode-on-emit losslessness on real
+ * captured traces, and the
  * simulateTraceMany single-pass multi-config replay producing results
  * bit-identical to N separate simulateTrace passes.
  */
@@ -19,6 +20,7 @@
 #include "core/runner.hh"
 #include "sim/core_model.hh"
 #include "trace/packed.hh"
+#include "workloads/ext/ext.hh"
 
 using namespace swan;
 using trace::Instr;
@@ -205,18 +207,63 @@ TEST(PackedTrace, ScratchReuseProducesIdenticalEncodings)
 
 TEST(PackedTrace, CompressesARealKernelTrace)
 {
-    const auto *spec = core::Registry::instance().find("ZL/adler32");
-    ASSERT_NE(spec, nullptr);
-    auto w = spec->make(core::Options());
-    const auto instrs = core::Runner::capture(*w, core::Impl::Neon, 128);
-    ASSERT_FALSE(instrs.empty());
+    // Real captures across impls, widths and address kinds (heap
+    // buffers, static tables, stack, multi-address gathers), each
+    // captured twice from fresh workloads: once into the AoS buffer,
+    // once encoded on emit (Runner::capturePacked).
+    struct Case
+    {
+        const char *kernel; //!< registry name; null = the LUT gather
+        core::Impl impl;
+        int bits;
+    };
+    const Case cases[] = {
+        {"ZL/adler32", core::Impl::Neon, 128},
+        {"WA/vclip", core::Impl::Scalar, 128},
+        {"LP/defilter_up", core::Impl::Auto, 128},
+        {"BS/aes_encrypt", core::Impl::Neon, 128},
+        {"PF/fft_forward", core::Impl::Scalar, 128},
+        {"WA/audible", core::Impl::Neon, 512},
+        {nullptr, core::Impl::Neon, 128},
+    };
+    const auto make = [](const Case &c) {
+        if (!c.kernel)
+            return workloads::ext::makeLutTransform(
+                core::Options(), workloads::ext::LutImpl::Gather);
+        const auto *spec = core::Registry::instance().find(c.kernel);
+        return spec ? spec->make(core::Options())
+                    : std::unique_ptr<core::Workload>();
+    };
+    for (const Case &c : cases) {
+        const std::string what = c.kernel ? c.kernel : "LUT gather";
+        auto w = make(c);
+        ASSERT_NE(w, nullptr) << what;
+        const auto instrs = core::Runner::capture(*w, c.impl, c.bits);
+        ASSERT_FALSE(instrs.empty()) << what;
 
-    const auto packed = PackedTrace::pack(instrs);
-    const size_t aos = PackedTrace::aosBytes(instrs.size());
-    // The acceptance bar is 2x; a real trace packs far tighter.
-    EXPECT_LT(packed.byteSize() * 2, aos)
-        << packed.byteSize() << " packed vs " << aos << " AoS bytes";
-    expectSameTrace(instrs, packed.unpack());
+        const auto packed = PackedTrace::pack(instrs);
+        const size_t aos = PackedTrace::aosBytes(instrs.size());
+        // The acceptance bar is 2x; a real trace packs far tighter.
+        EXPECT_LT(packed.byteSize() * 2, aos)
+            << what << ": " << packed.byteSize() << " packed vs " << aos
+            << " AoS bytes";
+        expectSameTrace(instrs, packed.unpack());
+
+        // Encode on emit is lossless: the same payload bytes as pack()
+        // of the AoS capture, and the same mix as addTrace() of it.
+        trace::MixStats aosMix;
+        aosMix.addTrace(instrs);
+        auto w2 = make(c);
+        trace::MixStats mix;
+        const auto emitted =
+            core::Runner::capturePacked(*w2, c.impl, c.bits, &mix);
+        std::string want, got;
+        packed.appendPayload(&want);
+        emitted.appendPayload(&got);
+        EXPECT_EQ(emitted.size(), instrs.size()) << what;
+        EXPECT_TRUE(want == got) << what << ": payloads differ";
+        EXPECT_EQ(mix.counters(), aosMix.counters()) << what;
+    }
 }
 
 TEST(PackedTrace, PayloadRoundTripsAndRejectsCorruption)
@@ -666,17 +713,6 @@ TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdictFromEveryImpl)
                 expectSameDecoded(ref, got, impl, bs);
             }
     }
-}
-
-TEST(PackedTrace, ReleaseStorageEmptiesTheTrace)
-{
-    const auto instrs = randomTrace(500, 5);
-    auto packed = PackedTrace::pack(instrs);
-    EXPECT_GT(packed.byteSize(), 0u);
-    packed.releaseStorage();
-    EXPECT_EQ(packed.byteSize(), 0u);
-    EXPECT_TRUE(packed.empty());
-    EXPECT_TRUE(packed.unpack().empty());
 }
 
 TEST(PackedReplay, PackedSimulationMatchesAoS)

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """swan-lint: determinism-contract static analysis for the swan tree.
 
-The sweep engine's standing guarantee — byte-identical emitter output
-across any backend x jobs x shards x memo-budget combination — rests
-on a handful of invariants that used to live only in comments and
-after-the-fact byte-diffing. This pass encodes them as checks over the
-library sources (src/ and include/), enumerated via the build's
-compile_commands.json:
+The sweep engine's standing guarantee — a result is a pure function of
+its cache key, byte-identical across any backend x jobs x shards
+combination — rests on a handful of invariants that used to live only
+in comments and after-the-fact byte-diffing. This pass encodes them as
+checks over the library sources (src/ and include/), enumerated via
+the build's compile_commands.json:
 
   noalloc         allocation-capable constructs inside a
                   SWAN_NOALLOC_BEGIN/END region (the fused replay loop,
-                  the step core, the telemetry recording path). Heap
-                  traffic there shifts capture-time addresses, which the
-                  address-sensitive cache models observe.
+                  the step core, the telemetry recording path), which
+                  run per instruction on every worker.
   unordered-iter  iteration over std::unordered_{map,set}: hash-table
                   order is libstdc++-internal and must never feed an
                   emitter, a cache file order, or a stats merge.
@@ -23,11 +22,6 @@ compile_commands.json:
                   and its lookup history.
   ptr-order       ordered containers keyed on pointers: ASLR makes the
                   iteration order a fresh coin flip per run.
-  layout-pin      every SWAN_CAPTURE_TYPE-tagged type has a size pin in
-                  include/swan/internal/layout.hh, every pin names a
-                  tagged type, and the known capture-phase types stay
-                  tagged (they are allocated while a sweep is still
-                  capturing; growing one drifts capture heap layout).
 
 Suppress a finding by annotating the offending line (or the line
 before) with a reason:
@@ -47,9 +41,6 @@ import os
 import re
 import sys
 
-REQUIRED_PINNED = ("SweepPoint", "CacheKey", "StepState", "CoreModel",
-                   "Decoded", "LaneBlock")
-
 LINT_DIRS = ("src", "include")  # library scope, relative to the root
 
 CHECKS = {
@@ -57,7 +48,6 @@ CHECKS = {
     "unordered-iter": "iteration over an unordered container",
     "nondet": "nondeterminism source outside src/obs/",
     "ptr-order": "ordered container keyed on a pointer",
-    "layout-pin": "SWAN_CAPTURE_TYPE tag/pin bookkeeping",
 }
 
 
@@ -177,9 +167,6 @@ UNORDERED_DECL_RE = re.compile(
     r"[;={(]")
 PTR_KEY_RE = re.compile(
     r"\bstd::(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?[\w:<>]+\s*\*")
-CAPTURE_TAG_RE = re.compile(
-    r"\b(?:struct|class)\s+SWAN_CAPTURE_TYPE\s+(\w+)")
-PIN_RE = re.compile(r"\bSWAN_PIN(?:_VALUE|_CLASS)?\s*\(\s*([\w:]+)")
 
 
 class File:
@@ -277,47 +264,6 @@ def check_ptr_order(f, report):
                    "stable identity instead")
 
 
-def check_layout_pins(files, layout_file, require_known, report):
-    tags = {}  # type name -> (File, line)
-    for f in files:
-        for ln, line in enumerate(f.code_lines, 1):
-            for m in CAPTURE_TAG_RE.finditer(line):
-                tags[m.group(1)] = (f, ln)
-
-    pins = {}  # type name -> line in the layout header
-    if layout_file is not None:
-        for ln, line in enumerate(layout_file.code_lines, 1):
-            if line.lstrip().startswith("#"):
-                continue  # the SWAN_PIN macro definitions themselves
-            for m in PIN_RE.finditer(line):
-                pins[m.group(1).split("::")[-1]] = ln
-
-    for name, (f, ln) in sorted(tags.items()):
-        if name not in pins:
-            report(f, ln, "layout-pin",
-                   "capture-phase type '%s' has no size pin in the "
-                   "layout header — add SWAN_PIN(%s, <bytes>) to "
-                   "include/swan/internal/layout.hh (its allocation "
-                   "happens while a sweep is capturing; an unpinned "
-                   "size change silently drifts results)"
-                   % (name, name))
-    for name, ln in sorted(pins.items()):
-        if name not in tags and layout_file is not None:
-            report(layout_file, ln, "layout-pin",
-                   "pin for '%s' names no SWAN_CAPTURE_TYPE-tagged "
-                   "type — tag the type at its definition or remove "
-                   "the stale pin" % name)
-    if require_known:
-        anchor = layout_file if layout_file is not None else (
-            files[0] if files else None)
-        for name in REQUIRED_PINNED:
-            if name not in tags and anchor is not None:
-                report(anchor, 1, "layout-pin",
-                       "known capture-phase type '%s' is no longer "
-                       "tagged SWAN_CAPTURE_TYPE anywhere — the tag "
-                       "(and its pin) must not be dropped" % name)
-
-
 def collect_tree_files(root):
     paths = []
     for d in LINT_DIRS:
@@ -356,11 +302,7 @@ def main(argv):
                     help="source root (default: derived from "
                          "compile_commands.json, else the CWD)")
     ap.add_argument("--files", nargs="+", metavar="F",
-                    help="lint exactly these files (fixture mode: "
-                         "skips the known-type layout requirement)")
-    ap.add_argument("--layout-header", metavar="H",
-                    help="layout-pin header (default: "
-                         "<root>/include/swan/internal/layout.hh)")
+                    help="lint exactly these files (fixture mode)")
     ap.add_argument("--checks", metavar="IDS",
                     help="comma-separated subset of checks to run")
     ap.add_argument("--list-checks", action="store_true")
@@ -410,13 +352,6 @@ def main(argv):
                   file=sys.stderr)
             return 2
 
-    # Fixture mode only consults a layout header handed to it
-    # explicitly; tree mode defaults to the real one.
-    layout_path = args.layout_header
-    if layout_path is None and not fixture_mode:
-        layout_path = os.path.join(root, "include", "swan", "internal",
-                                   "layout.hh")
-
     findings = []
     suppressed = [0]
     bad_suppression_lines = set()
@@ -450,19 +385,11 @@ def main(argv):
                   file=sys.stderr)
             return 2
 
-    layout_file = None
-    if layout_path is not None and os.path.exists(layout_path):
-        disp = (os.path.relpath(layout_path, root)
-                if not fixture_mode else layout_path)
-        layout_file = File(layout_path, disp)
-
     for f in files:
         check_noalloc(f, report)
         check_unordered_iter(f, report)
         check_nondet(f, report)
         check_ptr_order(f, report)
-    check_layout_pins(files, layout_file,
-                      require_known=not fixture_mode, report=report)
 
     for fin in findings:
         print(fin)

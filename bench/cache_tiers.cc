@@ -131,12 +131,8 @@ runPass(sweep::ResultCache &cache, const std::vector<size_t> &seq,
     trace::MixStats m;
     for (size_t i = 0; i < kTraceLookups; ++i) {
         const auto key = traceKeyAt(i % kTraceKeys);
-        if (!cache.lookupTrace(key, &t, &m) && store_misses) {
+        if (!cache.lookupTrace(key, &t, &m) && store_misses)
             cache.storeTrace(key, trace, mix);
-            // Traces are not written through on store (shards publish
-            // to T1 only); the parent's post-capture publish step.
-            cache.publishTraceFar(key, &trace, mix);
-        }
     }
     const auto t1 = std::chrono::steady_clock::now();
     PassResult r;

@@ -7,8 +7,8 @@
  * one seed, and reports the cycle/energy inflation each perturbation
  * costs on the prime core. Scenarios ride the ordinary sweep grid as a
  * fault axis, so every number here is deterministic: the same seed
- * gives byte-identical results on any backend, job count or shard
- * count, and faulted points never share cache entries with clean ones.
+ * gives byte-identical results for any job count, and faulted points
+ * never share cache entries with clean ones.
  */
 
 #include "bench_common.hh"

@@ -51,32 +51,6 @@ echo "== fig05b_more_units =="
 echo "== tab06_strided =="
 "$BUILD_DIR/tab06_strided"
 
-# Sharded-backend determinism smoke over the fig05a/fig05b grids: a
-# --shards 2 fleet must emit byte-identical CSV to a --shards 1 run.
-# Fresh cache directories on both sides so the shards actually
-# simulate (a warm result cache would short-circuit the claim/merge
-# path this smoke exists to exercise).
-echo "== sharded smoke: fig05a/fig05b grids, --shards 2 vs 1 =="
-SHARD_T="$BUILD_DIR/.sweep-cache-shard-t"
-SHARD_S="$BUILD_DIR/.sweep-cache-shard-s"
-rm -rf "$SHARD_T" "$SHARD_S"
-"$BUILD_DIR/swan" sweep --wider --bits 128,256,512,1024 --cores wider \
-    --ws scalability --jobs "$JOBS" --shards 1 --cache-dir "$SHARD_T" \
-    --format csv > "$BUILD_DIR/fig05a_shard1.csv"
-"$BUILD_DIR/swan" sweep --wider --bits 128,256,512,1024 --cores wider \
-    --ws scalability --jobs "$JOBS" --shards 2 --cache-dir "$SHARD_S" \
-    --format csv > "$BUILD_DIR/fig05a_shard2.csv"
-cmp "$BUILD_DIR/fig05a_shard1.csv" "$BUILD_DIR/fig05a_shard2.csv"
-"$BUILD_DIR/swan" sweep --wider --cores 4W-2V,4W-4V,4W-6V,6W-6V,4W-8V,8W-8V \
-    --ws scalability --jobs "$JOBS" --shards 1 --cache-dir "$SHARD_T" \
-    --format csv > "$BUILD_DIR/fig05b_shard1.csv"
-"$BUILD_DIR/swan" sweep --wider --cores 4W-2V,4W-4V,4W-6V,6W-6V,4W-8V,8W-8V \
-    --ws scalability --jobs "$JOBS" --shards 2 --cache-dir "$SHARD_S" \
-    --format csv > "$BUILD_DIR/fig05b_shard2.csv"
-cmp "$BUILD_DIR/fig05b_shard1.csv" "$BUILD_DIR/fig05b_shard2.csv"
-rm -rf "$SHARD_T" "$SHARD_S"
-echo "sharded output byte-identical"
-
 # Replay-engine perf gate: the fused decode->step engine must hold
 # >= 1.3x over block-delivery replay at N=3 configs and >= 1.5x at
 # N=4 (half a lane block), with no regression at N=1 (>= 1.0x) and

@@ -77,7 +77,7 @@ class Experiment
      * swan/faults.hh or `swan sweep --faults=help`). Faults perturb
      * replay only, never capture, so faulted points share the clean
      * points' captured traces but never their cached results; identical
-     * seeds give byte-identical results on every backend. Empty (the
+     * seeds give byte-identical results for any job count. Empty (the
      * default) inherits SessionOptions::faults; the session default
      * empty too = clean simulation only.
      */
@@ -92,10 +92,10 @@ class Experiment
      * Stream every finished row as results land, strictly in the
      * deterministic point-index (flattened-grid) order — the same
      * order the Results view iterates. The RowOrigin tells where each
-     * row came from: the result cache, in-process simulation, or a
-     * shard process merged by the parent. Invoked from sweep worker
-     * threads (serialized by the engine, never concurrently); the
-     * callback may allocate freely but must not re-enter the session.
+     * row came from: the result cache or this run's simulation.
+     * Invoked from sweep threads (serialized by the engine, never
+     * concurrently); the callback may allocate freely but must not
+     * re-enter the session.
      * Pass nullptr to clear.
      * Powers `swan sweep --progress`.
      */

@@ -21,7 +21,7 @@
  * fallback — the selection is pure throughput, which is why an env
  * override and a forced-scalar build leg are safe (and CI runs one):
  * the determinism contract (byte-identical emitter output across
- * backend x jobs x shards x memo-budget) never depends on the level.
+ * jobs x memo-budget) never depends on the level.
  *
  * The struct below is also the introspection surface: `swan version`
  * and the run-report JSON (obs/report.cc) print it so every bench

@@ -44,34 +44,10 @@ namespace swan
  */
 struct SessionOptions
 {
-    /** Sweep worker threads; <= 0 means all hardware threads.
-     *  Results are byte-identical for any value. In a sharded sweep
-     *  this is the pool width of every shard process. [env: SWAN_JOBS] */
+    /** Sweep threads, the calling thread included; 1 runs every work
+     *  unit on the calling thread, <= 0 means all hardware threads.
+     *  Results are byte-identical for any value. [env: SWAN_JOBS] */
     int jobs = 1;
-
-    /**
-     * Sweep worker *processes*: shards > 1 runs every Experiment's
-     * work units on the multi-process sharded backend — the shards
-     * capture, replay and publish the units they claim via atomic
-     * lockfiles in the on-disk cache tier (cacheDir, or a private
-     * per-run directory when no cache is configured) and publish
-     * results as ordinary cache entries the parent merges back
-     * deterministically. Emitter output is byte-identical for any
-     * shards x jobs combination, crashed shards included (the parent
-     * re-executes whatever a dead shard left behind). 1 = in-process.
-     * [env: SWAN_SHARDS]
-     */
-    int shards = 1;
-
-    /**
-     * Execution backend for the simulation phase (sweep/backend.hh):
-     * Threaded (default; upgraded to Sharded when shards > 1), Inline
-     * (serial, for tests/debug) or Sharded explicitly. Byte-identical
-     * results whatever the choice — this is purely a placement policy.
-     * Explicit API option only, deliberately not an environment
-     * variable: `shards` is the deployment knob.
-     */
-    sweep::Backend backend = sweep::Backend::Threaded;
 
     /** Cache warm-up passes fed to the core model before the measured
      *  replay (paper Section 4.3). */
@@ -97,8 +73,8 @@ struct SessionOptions
     /** Far/shared cache tier (T2) directory — the slow, durable tier a
      *  sweep service shares across hosts. Probed after the local disk
      *  tier; hits are write-through-promoted into cacheDir, stores
-     *  write through (parent process only in sharded runs). Empty = no
-     *  far tier. See docs/cache.md. [env: SWAN_CACHE_FAR_DIR] */
+     *  write through. Empty = no far tier. See docs/cache.md.
+     *  [env: SWAN_CACHE_FAR_DIR] */
     std::string farCacheDir;
 
     /** Byte cap for the in-RAM result memo (T0): over the cap, the
@@ -106,26 +82,6 @@ struct SessionOptions
      *  unbounded, the pre-tiering behavior. Byte-identical results for
      *  any value. [env: SWAN_CACHE_RAM_BYTES] */
     uint64_t cacheRamMaxBytes = 0;
-
-    /**
-     * Sharded-run deadline watchdog: kill shard processes that make no
-     * observable progress (no share-directory change) for this many
-     * milliseconds; their claimed units are recovered by the parent
-     * through the ordinary bit-identical crash path. 0 = wait forever.
-     * [env: SWAN_SHARD_TIMEOUT_MS]
-     */
-    uint64_t shardTimeoutMs = 0;
-
-    /**
-     * Units per sharded claim: consecutive work units of a sharded run
-     * share one atomic claim lockfile, whose token folds the member
-     * unit tokens — fewer filesystem round-trips when the grid has
-     * many small units (e.g. a slow networked cache directory).
-     * 1 (default) claims per unit under the unit's own token, keeping
-     * claim filenames identical to previous releases. Results are
-     * byte-identical for any value. [env: SWAN_SHARD_BATCH]
-     */
-    int shardBatch = 1;
 
     /**
      * Default fault-scenario axis for Experiments run through this
@@ -146,7 +102,7 @@ struct SessionOptions
      * Telemetry output stem: when non-empty, every Experiment::run()
      * through the session collects swan::obs spans and writes
      * `<stem>.report.json` (per-phase wall/CPU aggregate, replay
-     * throughput, fleet cache traffic, per-shard breakdown) and
+     * throughput, cache traffic) and
      * `<stem>.trace.jsonl` (Chrome trace events — load in Perfetto or
      * chrome://tracing; see docs/observability.md). Collection is
      * malloc-free on the recording path, so emitter output stays
@@ -159,18 +115,6 @@ struct SessionOptions
     withJobs(int n)
     {
         jobs = n;
-        return *this;
-    }
-    SessionOptions &
-    withShards(int n)
-    {
-        shards = n;
-        return *this;
-    }
-    SessionOptions &
-    withBackend(sweep::Backend b)
-    {
-        backend = b;
         return *this;
     }
     SessionOptions &
@@ -207,18 +151,6 @@ struct SessionOptions
     withCacheRamMaxBytes(uint64_t n)
     {
         cacheRamMaxBytes = n;
-        return *this;
-    }
-    SessionOptions &
-    withShardTimeoutMs(uint64_t ms)
-    {
-        shardTimeoutMs = ms;
-        return *this;
-    }
-    SessionOptions &
-    withShardBatch(int n)
-    {
-        shardBatch = n;
         return *this;
     }
     SessionOptions &
@@ -262,12 +194,12 @@ class Session
 
     /**
      * The SWAN_* environment overlaid on the library defaults:
-     * SWAN_JOBS, SWAN_SHARDS, SWAN_SHARD_TIMEOUT_MS, SWAN_SHARD_BATCH,
-     * SWAN_TRACE_MEMO_BYTES, SWAN_SWEEP_CACHE_DIR,
-     * SWAN_SWEEP_CACHE_MAX_BYTES, SWAN_METRICS. Unset,
-     * unparsable or (for SWAN_JOBS / SWAN_SHARDS) non-positive values
-     * leave the built-in default untouched: all-cores fan-out is an
-     * explicit option (jobs <= 0), never an ambient environment one.
+     * SWAN_JOBS, SWAN_TRACE_MEMO_BYTES, SWAN_SWEEP_CACHE_DIR,
+     * SWAN_SWEEP_CACHE_MAX_BYTES, SWAN_CACHE_FAR_DIR,
+     * SWAN_CACHE_RAM_BYTES, SWAN_METRICS. Unset, unparsable or (for
+     * SWAN_JOBS) non-positive values leave the built-in default
+     * untouched: all-cores fan-out is an explicit option (jobs <= 0),
+     * never an ambient environment one.
      */
     static SessionOptions envDefaults();
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Public re-export: the sweep engine underneath swan::Experiment.
- * Declarative SweepSpec grids, the work-stealing scheduler, the
+ * Declarative SweepSpec grids, the multi-threaded scheduler, the
  * two-tier ResultCache and the table/csv/jsonl emitters. Most
  * consumers want the swan::Experiment façade (swan/experiment.hh)
  * instead; these types are public for code that post-processes

@@ -13,9 +13,7 @@ namespace
  * or non-positive. SWAN_JOBS deliberately cannot express "all cores":
  * an environment default silently fanning a sweep out to every
  * hardware thread is a footgun, so all-cores stays an explicit choice
- * (SessionOptions::jobs <= 0, or `--jobs 0` on the CLI). SWAN_SHARDS
- * shares the rule: forking a process fleet is opt-in per value, never
- * an ambient "as many as possible".
+ * (SessionOptions::jobs <= 0, or `--jobs 0` on the CLI).
  */
 int
 envInt(const char *name, int fallback)
@@ -48,13 +46,6 @@ Session::envDefaults()
     // engine.
     SessionOptions o;
     o.jobs = envInt("SWAN_JOBS", o.jobs);
-    o.shards = envInt("SWAN_SHARDS", o.shards);
-    if (o.shards > sweep::ShardedBackend::kMaxShards)
-        o.shards = sweep::ShardedBackend::kMaxShards;
-    if (uint64_t ms = 0;
-        sweep::parseByteCount(std::getenv("SWAN_SHARD_TIMEOUT_MS"), &ms))
-        o.shardTimeoutMs = ms;
-    o.shardBatch = envInt("SWAN_SHARD_BATCH", o.shardBatch);
     o.traceMemoBytes = sweep::ResultCache::envTraceMemoBytes();
     o.cacheDir = sweep::ResultCache::envDiskDir();
     o.cacheMaxBytes = sweep::ResultCache::envMaxDiskBytes();
@@ -104,12 +95,8 @@ Session::schedulerConfig() const
 {
     sweep::SchedulerConfig sc;
     sc.jobs = opts_.jobs;
-    sc.backend = opts_.backend;
-    sc.shards = opts_.shards;
     sc.cache = &cache_;
     sc.warmupPasses = opts_.warmupPasses;
-    sc.shardTimeoutMs = opts_.shardTimeoutMs;
-    sc.shardBatch = opts_.shardBatch;
     return sc;
 }
 

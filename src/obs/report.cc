@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 
 #include "swan/internal/simd_dispatch.hh"
 
@@ -13,17 +12,8 @@ namespace swan::obs
 namespace
 {
 
-bool
-anyCount(const std::array<PhaseStats, kPhaseCount> &phases)
-{
-    for (const auto &p : phases)
-        if (p.count)
-            return true;
-    return false;
-}
-
 void
-writePhaseArray(std::ostream &os, const char *indent,
+writePhaseArray(std::ostream &os,
                 const std::array<PhaseStats, kPhaseCount> &phases)
 {
     os << "[";
@@ -32,21 +22,14 @@ writePhaseArray(std::ostream &os, const char *indent,
         const PhaseStats &p = phases[i];
         if (!p.count)
             continue;
-        os << (first ? "\n" : ",\n") << indent << "  {\"phase\": \""
+        os << (first ? "\n" : ",\n") << "    {\"phase\": \""
            << name(Phase(i)) << "\", \"count\": " << p.count
            << ", \"wall_ns\": " << p.wallNs << ", \"cpu_ns\": " << p.cpuNs
            << ", \"min_ns\": " << p.minNs << ", \"max_ns\": " << p.maxNs
            << ", \"arg_total\": " << p.argTotal << "}";
         first = false;
     }
-    os << (first ? "]" : std::string("\n") + indent + "]");
-}
-
-/** Shard -> Chrome pid: parent (-1) is pid 1, shard N is pid N + 2. */
-int
-chromePid(int shard)
-{
-    return shard + 2;
+    os << (first ? "]" : "\n  ]");
 }
 
 } // namespace
@@ -76,32 +59,18 @@ RunReport::replayMinstrPerS() const
 
 RunReport
 buildReport(const std::vector<SpanRec> &records, const RunMeta &meta,
-            uint64_t dropped_spans, const sweep::CacheStats &cache,
-            uint64_t corrupt_snapshots)
+            uint64_t dropped_spans, const sweep::CacheStats &cache)
 {
     RunReport rep;
     rep.meta = meta;
     rep.cache = cache;
     rep.droppedSpans = dropped_spans;
-    rep.corruptSnapshots = corrupt_snapshots;
-
-    std::map<int, std::array<PhaseStats, kPhaseCount>> byShard;
     for (const SpanRec &r : records) {
         const size_t pi = size_t(r.phase);
-        if (pi >= kPhaseCount)
-            continue;
-        rep.phases[pi].add(r);
-        byShard[int(r.shard)][pi].add(r);
+        if (pi < kPhaseCount)
+            rep.phases[pi].add(r);
     }
     rep.wallNs = rep.phases[size_t(Phase::Sweep)].wallNs;
-    for (auto &[shard, phases] : byShard) {
-        if (!anyCount(phases))
-            continue;
-        RunReport::ShardBreakdown b;
-        b.shard = shard;
-        b.phases = phases;
-        rep.shards.push_back(std::move(b));
-    }
     return rep;
 }
 
@@ -112,9 +81,7 @@ writeReportJson(std::ostream &os, const RunReport &rep)
     os << "  \"swan_obs_version\": 1,\n";
     os << "  \"meta\": {\"points\": " << rep.meta.points
        << ", \"units\": " << rep.meta.units
-       << ", \"jobs\": " << rep.meta.jobs
-       << ", \"shards\": " << rep.meta.shards << ", \"backend\": \""
-       << rep.meta.backend << "\"},\n";
+       << ", \"jobs\": " << rep.meta.jobs << "},\n";
     // The replay engine's runtime ISA dispatch: which decode/step
     // kernels this run actually executed (matches `swan version`).
     const detail::SimdDispatch &simd = detail::simdDispatch();
@@ -124,20 +91,12 @@ writeReportJson(std::ostream &os, const RunReport &rep)
        << "},\n";
     os << "  \"wall_ns\": " << rep.wallNs << ",\n";
     os << "  \"dropped_spans\": " << rep.droppedSpans << ",\n";
-    os << "  \"corrupt_obsnaps\": " << rep.corruptSnapshots << ",\n";
     char rate[64];
     std::snprintf(rate, sizeof rate, "%.3f", rep.replayMinstrPerS());
     os << "  \"replay_minstr_per_s\": " << rate << ",\n";
     os << "  \"phases\": ";
-    writePhaseArray(os, "  ", rep.phases);
-    os << ",\n  \"shards\": [";
-    for (size_t i = 0; i < rep.shards.size(); ++i) {
-        os << (i ? ",\n" : "\n") << "    {\"shard\": "
-           << rep.shards[i].shard << ", \"phases\": ";
-        writePhaseArray(os, "    ", rep.shards[i].phases);
-        os << "}";
-    }
-    os << (rep.shards.empty() ? "]" : "\n  ]") << ",\n";
+    writePhaseArray(os, rep.phases);
+    os << ",\n";
     const sweep::CacheStats &c = rep.cache;
     os << "  \"cache\": {\"memory_hits\": " << c.hits
        << ", \"disk_hits\": " << c.diskHits << ", \"misses\": " << c.misses
@@ -153,8 +112,7 @@ writeReportJson(std::ostream &os, const RunReport &rep)
        << ", \"ram_promotions\": " << c.ramPromotions
        << ", \"ram_demotions\": " << c.ramDemotions
        << ", \"corrupt_quarantined\": " << c.corruptEntriesQuarantined
-       << ", \"stale_claims_swept\": " << c.staleClaimsSwept
-       << ", \"recovered_units\": " << c.recoveredUnits << "}\n";
+       << "}\n";
     os << "}\n";
 }
 
@@ -171,22 +129,7 @@ writeChromeTrace(std::ostream &os, const std::vector<SpanRec> &records)
         base = 0;
 
     os << "[\n";
-    // Metadata: name one Chrome "process" per recording process so
-    // shard tracks separate visually.
-    std::map<int, bool> shardsSeen;
-    for (const SpanRec &r : records)
-        shardsSeen.emplace(int(r.shard), true);
     bool first = true;
-    for (const auto &[shard, unused] : shardsSeen) {
-        (void)unused;
-        os << (first ? "" : ",\n") << "{\"name\": \"process_name\", "
-           << "\"ph\": \"M\", \"pid\": " << chromePid(shard)
-           << ", \"args\": {\"name\": \""
-           << (shard < 0 ? std::string("swan parent")
-                         : "swan shard " + std::to_string(shard))
-           << "\"}}";
-        first = false;
-    }
     for (const SpanRec &r : records) {
         char ts[64], dur[64];
         const uint64_t wall = r.t1Ns >= r.t0Ns ? r.t1Ns - r.t0Ns : 0;
@@ -195,9 +138,8 @@ writeChromeTrace(std::ostream &os, const std::vector<SpanRec> &records)
         std::snprintf(dur, sizeof dur, "%.3f", double(wall) / 1e3);
         os << (first ? "" : ",\n") << "{\"name\": \"" << name(r.phase)
            << "\", \"cat\": \"swan\", \"ph\": \"X\", \"ts\": " << ts
-           << ", \"dur\": " << dur << ", \"pid\": " << chromePid(r.shard)
-           << ", \"tid\": " << r.tid << ", \"args\": {\"arg\": " << r.arg
-           << ", \"shard\": " << int(r.shard) << "}}";
+           << ", \"dur\": " << dur << ", \"pid\": 1, \"tid\": " << r.tid
+           << ", \"args\": {\"arg\": " << r.arg << "}}";
         first = false;
     }
     os << "\n]\n";
@@ -279,8 +221,7 @@ Collector::finish(const sweep::CacheStats &cache, std::string *err)
     if (t) {
         const std::vector<SpanRec> records = t->snapshot();
         const RunReport rep =
-            buildReport(records, t->meta(), t->dropped(), cache,
-                        t->corruptSnapshots());
+            buildReport(records, t->meta(), t->dropped(), cache);
         for (auto &sink : sinks_) {
             std::string serr;
             if (!sink->consume(rep, records, &serr)) {

@@ -4,13 +4,12 @@
  *
  * The registry (obs/telemetry.hh) only accumulates fixed-size records;
  * everything with a memory or format opinion lives here, on the cold
- * side of the run: buildReport() folds the records into per-phase and
- * per-shard aggregates, and Sink implementations serialize them —
- * ReportSink as a run-report JSON (per-phase wall/CPU time, replay
- * throughput, fleet-wide cache traffic, per-shard breakdown) and
- * ChromeTraceSink as Chrome trace-event JSON, one event per line,
- * loadable directly in Perfetto (ui.perfetto.dev) or
- * chrome://tracing with shard processes separated per track.
+ * side of the run: buildReport() folds the records into per-phase
+ * aggregates, and Sink implementations serialize them — ReportSink as
+ * a run-report JSON (per-phase wall/CPU time, replay throughput, cache
+ * traffic) and ChromeTraceSink as Chrome trace-event JSON, one event
+ * per line, loadable directly in Perfetto (ui.perfetto.dev) or
+ * chrome://tracing with one track per recording thread.
  *
  * The Collector ties it together for the common case: start() before
  * the work, addSink() any number of sinks, finish() after — stop,
@@ -34,7 +33,7 @@
 namespace swan::obs
 {
 
-/** Aggregate of every span of one phase (within one scope). */
+/** Aggregate of every span of one phase. */
 struct PhaseStats
 {
     uint64_t count = 0;
@@ -52,25 +51,11 @@ struct RunReport
 {
     RunMeta meta;
     std::array<PhaseStats, kPhaseCount> phases{};
-
-    struct ShardBreakdown
-    {
-        int shard = -1; //!< -1 = parent process
-        std::array<PhaseStats, kPhaseCount> phases{};
-    };
-    /** Per-process breakdown, parent (-1) first then shards ascending;
-     *  only processes that recorded at least one span appear. */
-    std::vector<ShardBreakdown> shards;
-
-    sweep::CacheStats cache; //!< fleet-wide (absorbed) cache counters
+    sweep::CacheStats cache; //!< the session cache's counters
     uint64_t droppedSpans = 0;
-    /** Shard snapshot files rejected as corrupt at merge time (see
-     *  Telemetry::corruptSnapshots); their shards appear in the
-     *  report with no telemetry, like crashed shards. */
-    uint64_t corruptSnapshots = 0;
     uint64_t wallNs = 0; //!< the Sweep envelope's wall time
 
-    /** Fused-replay throughput over the whole fleet, in millions of
+    /** Fused-replay throughput over the whole run, in millions of
      *  instruction-steps (decoded instruction x config x pass) per
      *  second of replay wall time; 0 when nothing replayed. */
     double replayMinstrPerS() const;
@@ -78,15 +63,14 @@ struct RunReport
 
 RunReport buildReport(const std::vector<SpanRec> &records,
                       const RunMeta &meta, uint64_t dropped_spans,
-                      const sweep::CacheStats &cache,
-                      uint64_t corrupt_snapshots = 0);
+                      const sweep::CacheStats &cache);
 
 /** Serialize @p report as the stable run-report JSON object. */
 void writeReportJson(std::ostream &os, const RunReport &report);
 
 /** Serialize raw records as Chrome trace-event JSON (one event per
- *  line; complete "X" events in microseconds, pid = shard process,
- *  tid = recording thread, metadata names each process). */
+ *  line; complete "X" events in microseconds, tid = recording
+ *  thread). */
 void writeChromeTrace(std::ostream &os,
                       const std::vector<SpanRec> &records);
 

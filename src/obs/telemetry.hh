@@ -3,30 +3,23 @@
  * swan::obs — phase-structured telemetry for the sweep pipeline.
  *
  * A Telemetry instance is a lock-free span registry: every pipeline
- * phase (grid expand, cache lookup, capture, pack, decode/
- * replay, publish, shard merge, recovery) brackets itself with a Span
- * guard, and the guard appends one fixed-size SpanRec to a shared
- * buffer with a single atomic fetch_add. When no collector is active
- * the guard is a relaxed pointer load and a branch — no clock reads,
- * no stores, no allocation — so instrumented code is measurably
- * indistinguishable from uninstrumented code (bench/obs_overhead.cc
- * gates this at <= 2% on the fused-replay hot path).
+ * phase (grid expand, cache lookup, capture, pack, decode/replay,
+ * publish, tier promotion/demotion) brackets itself with a Span guard,
+ * and the guard appends one fixed-size SpanRec to a shared buffer with
+ * a single atomic fetch_add. When no collector is active the guard is
+ * a relaxed pointer load and a branch — no clock reads, no stores, no
+ * allocation — so instrumented code is measurably indistinguishable
+ * from uninstrumented code (bench/obs_overhead.cc gates this at <= 2%
+ * on the fused-replay hot path).
  *
  * Results cannot depend on telemetry: traces record canonical
  * addresses (trace/canon.hh), so turning collection on never changes
  * a result byte whatever it allocates. The recording path is still
- * malloc-free, for overhead: the instance and its record buffer live
- * in one anonymous mmap region, record() is an index bump plus a
- * struct store into that region, and overflow drops records (counted)
+ * malloc-free, for overhead: start() allocates the instance and its
+ * fixed-capacity record buffer once, record() is an index bump plus a
+ * struct store into that buffer, and overflow drops records (counted)
  * instead of growing. Collection (start, snapshot/flush) may allocate
  * freely.
- *
- * Shard transport: a forked shard child inherits the active instance
- * copy-on-write. The child tags itself with setShard(), records into
- * its private copy, and writes the records made since the fork fence
- * to a small text snapshot file next to the cache tier's `.stats`
- * delta files; the parent absorbs every shard's snapshot after
- * waitpid, so one flush sees the whole fleet.
  */
 
 #ifndef SWAN_OBS_TELEMETRY_HH
@@ -35,6 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -51,9 +45,6 @@ enum class Phase : uint8_t
     Pack,        //!< encoded stream -> assembled PackedTrace
     Replay,      //!< fused multi-config packed-trace traversal
     Publish,     //!< result stores into the cache tiers
-    Shard,       //!< one shard child process, fork to _exit
-    Merge,       //!< parent-side merge of shard-published units
-    Recovery,    //!< parent re-execution of units a dead shard left
     Promote,     //!< cache tier promotion (far->disk copy, RAM pin)
     Demote,      //!< cache tier demotion (cold-first eviction)
 };
@@ -63,8 +54,8 @@ constexpr size_t kPhaseCount = size_t(Phase::Demote) + 1;
 /** Lower-case stable phase name ("grid_expand", "replay", ...). */
 std::string_view name(Phase p);
 
-/** One closed span. Fixed-size and trivially copyable: records cross
- *  process boundaries via text snapshots and live in a shared mmap. */
+/** One closed span. Fixed-size and trivially copyable, so recording
+ *  one is a plain store into the preallocated buffer. */
 struct SpanRec
 {
     uint64_t t0Ns = 0;  //!< CLOCK_MONOTONIC at open
@@ -72,11 +63,10 @@ struct SpanRec
     uint64_t cpuNs = 0; //!< thread CPU time consumed inside the span
     /** Phase-specific payload: instructions decoded (Replay: decoded
      *  instructions x configs x passes), bytes (Pack), points
-     *  (CacheLookup/Publish), units (Merge/Recovery). */
+     *  (CacheLookup/Publish). */
     uint64_t arg = 0;
     uint32_t tid = 0; //!< stable-per-thread id (hashed, truncated)
     Phase phase = Phase::Sweep;
-    int8_t shard = -1; //!< owning shard, -1 = parent process
 };
 
 /** Sweep-level metadata stamped by the scheduler for the run report. */
@@ -84,17 +74,14 @@ struct RunMeta
 {
     uint64_t points = 0; //!< grid points in the sweep
     uint64_t units = 0;  //!< trace groups scheduled (pending only)
-    int jobs = 1;
-    int shards = 1;
-    char backend[16] = {0}; //!< resolved backend name
+    int jobs = 1;        //!< threads that ran units
 };
 
 /**
  * The span registry. At most one instance is active per process;
  * create it with start() before the work to observe, read it with
  * snapshot()/meta()/dropped() after, and destroy it with release().
- * record() is safe from any thread and from forked children (each
- * child records into its copy-on-write clone of the buffer).
+ * record() is safe from any thread.
  */
 class Telemetry
 {
@@ -112,25 +99,16 @@ class Telemetry
     /** The instance created by start(), active or stopped. */
     static Telemetry *instance();
 
-    /** Create and activate the process-wide instance (one anonymous
-     *  mmap region, no malloc). False if one already exists. */
+    /** Create and activate the process-wide instance with room for
+     *  @p capacity records. False if one already exists. */
     static bool start(size_t capacity = kDefaultCapacity);
 
     /** Stop recording; the instance stays readable until release(). */
     static void stop();
 
-    /** Unmap the instance. No-op when none exists. All Span guards
+    /** Free the instance. No-op when none exists. All Span guards
      *  must be closed first. */
     static void release();
-
-    /** Tag this process as shard @p s (children call it right after
-     *  fork; -1 = parent). Also marks the snapshot fence: a later
-     *  writeSnapshot() exports only records made after this call.
-     *  Always callable, collector active or not. */
-    static void setShard(int s);
-
-    /** The current process's shard tag (-1 in the parent). */
-    static int shard();
 
     void record(const SpanRec &rec);
 
@@ -150,36 +128,6 @@ class Telemetry
     void setMeta(const RunMeta &meta);
     RunMeta meta() const;
 
-    /**
-     * Export the records made since the setShard() fence as a text
-     * snapshot at @p path ("pid <pid>" header first, like the sharded
-     * backend's `.stats` files, so stale-file cleanup can probe the
-     * owner's liveness). Child-side; uses stdio on a caller-built
-     * path only — a shard child must not unwind or flush foreign
-     * buffers.
-     */
-    bool writeSnapshot(const char *path) const;
-
-    /**
-     * Parent-side: read a child snapshot and append its records to
-     * this instance (shard tag taken from the file header). The whole
-     * payload is parsed and validated first — a snapshot that exists
-     * but is garbage or truncated (a killed shard mid-write, a bad
-     * sector) absorbs NOTHING and bumps corruptSnapshots(), exactly
-     * like a crashed shard's missing file; a half-absorbed snapshot
-     * would silently skew every phase total. Returns records absorbed,
-     * 0 on a missing or corrupt file — never an error.
-     */
-    size_t absorbSnapshot(const char *path);
-
-    /** Snapshot files absorbSnapshot() rejected as corrupt (existing
-     *  but unparseable end-to-end); surfaced in the run report. */
-    uint64_t
-    corruptSnapshots() const
-    {
-        return corruptSnapshots_.load(std::memory_order_relaxed);
-    }
-
     /** CLOCK_MONOTONIC, nanoseconds. */
     static uint64_t nowNs();
 
@@ -190,8 +138,8 @@ class Telemetry
     static uint32_t threadId();
 
   private:
-    Telemetry(SpanRec *buf, size_t cap, size_t map_bytes)
-        : cap_(cap), mapBytes_(map_bytes), buf_(buf)
+    explicit Telemetry(size_t cap)
+        : cap_(cap), buf_(std::make_unique<SpanRec[]>(cap))
     {
     }
 
@@ -199,12 +147,8 @@ class Telemetry
 
     std::atomic<size_t> n_{0};
     std::atomic<uint64_t> dropped_{0};
-    std::atomic<uint64_t> corruptSnapshots_{0};
     size_t cap_;
-    size_t mapBytes_;
-    SpanRec *buf_;
-    size_t fence_ = 0; //!< first record owned by this (child) process
-    bool mapped_ = false;
+    std::unique_ptr<SpanRec[]> buf_;
 
     // Meta fields are plain atomics so the scheduler can stamp them
     // mid-run without a lock (and without tearing a torn read at
@@ -212,8 +156,6 @@ class Telemetry
     std::atomic<uint64_t> metaPoints_{0};
     std::atomic<uint64_t> metaUnits_{0};
     std::atomic<int> metaJobs_{1};
-    std::atomic<int> metaShards_{1};
-    char backend_[16] = {0};
 };
 
 /**
@@ -259,7 +201,6 @@ class Span
         r.arg = arg_;
         r.tid = Telemetry::threadId();
         r.phase = phase_;
-        r.shard = int8_t(Telemetry::shard());
         t_->record(r);
         t_ = nullptr;
     }

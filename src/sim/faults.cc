@@ -206,8 +206,7 @@ FaultSpec::catalog()
            "duration + 1)\n"
            "instructions (counted across all replay passes) and closes "
            "duration later.\n"
-           "Same spec => byte-identical results on every backend/jobs/"
-           "shards combination.\n"
+           "Same spec => byte-identical results for any --jobs value.\n"
            "\n"
            "example: swan sweep --kernels saxpy --faults "
            "none,dram-spike:seed=7:intensity=16\n";

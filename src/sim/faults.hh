@@ -44,7 +44,7 @@ enum class FaultScenario : uint8_t
  * `seed ^ k`, bounded so the window fits its slot — and stays open for
  * @ref duration instructions. Everything is a pure function of
  * (spec, instruction index), so identical seeds give byte-identical
- * results on any backend, job count, or shard count.
+ * results for any job count.
  */
 struct FaultSpec
 {

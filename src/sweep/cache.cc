@@ -1,7 +1,6 @@
 #include "sweep/cache.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -145,21 +144,7 @@ keyLess(const CacheKey &a, const CacheKey &b)
     return a.faultFp < b.faultFp;
 }
 
-/** Process-wide far-publish gate (see the header): shard children
- *  flip it off right after fork, before any cache traffic. */
-std::atomic<bool> g_farPublish{true};
-
 } // namespace
-
-uint64_t
-fnvMix64(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 uint64_t
 fingerprint(const sim::CoreConfig &cfg)
@@ -318,13 +303,18 @@ ResultCache::envFarDir()
 bool
 parseByteCount(const char *s, uint64_t *out)
 {
-    if (!s || !*s || *s == '-')
+    if (!s || !*s)
         return false;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0')
-        return false;
-    *out = uint64_t(n);
+    uint64_t n = 0;
+    for (; *s; ++s) {
+        if (*s < '0' || *s > '9')
+            return false;
+        const uint64_t digit = uint64_t(*s - '0');
+        if (n > (UINT64_MAX - digit) / 10)
+            return false;
+        n = n * 10 + digit;
+    }
+    *out = n;
     return true;
 }
 
@@ -350,18 +340,6 @@ ResultCache::envTraceMemoBytes()
     uint64_t n = 0;
     parseByteCount(std::getenv("SWAN_TRACE_MEMO_BYTES"), &n);
     return n;
-}
-
-void
-ResultCache::setFarPublishEnabled(bool on)
-{
-    g_farPublish.store(on, std::memory_order_relaxed);
-}
-
-bool
-ResultCache::farPublishEnabled()
-{
-    return g_farPublish.load(std::memory_order_relaxed);
 }
 
 uint32_t
@@ -518,7 +496,7 @@ ResultCache::store(const CacheKey &key, const core::KernelRun &run)
     uint64_t wrote = 0;
     if (!diskDir_.empty())
         wrote = storeDisk(diskDir_, key, run);
-    if (!farDir_.empty() && farPublishEnabled()) {
+    if (!farDir_.empty()) {
         obs::Span pub(obs::Phase::Publish);
         const uint64_t farWrote = storeDisk(farDir_, key, run);
         pub.addArg(farWrote);
@@ -531,119 +509,12 @@ ResultCache::store(const CacheKey &key, const core::KernelRun &run)
         pruneDisk(wrote);
 }
 
-bool
-ResultCache::lookupQuiet(const CacheKey &key, core::KernelRun *out)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            *out = it->second;
-            return true;
-        }
-    }
-    const std::string name = key.hex() + ".swr";
-    if (!diskDir_.empty()) {
-        switch (loadDisk(diskDir_, key, out)) {
-        case DiskLoad::Hit: {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (map_.emplace(key, *out).second)
-                ramBytesEst_ += entryRamCost(key, *out);
-            return true;
-        }
-        case DiskLoad::Corrupt: {
-            // Quiet about hit/miss traffic, not about damage: a
-            // corrupt entry is quarantined (and counted) on whichever
-            // path finds it first.
-            std::lock_guard<std::mutex> lock(mu_);
-            quarantineEntry(
-                (std::filesystem::path(diskDir_) / name).string());
-            break;
-        }
-        case DiskLoad::Miss:
-            break;
-        }
-    }
-    // Far probe without counters, hotness or promotion: merge traffic
-    // must neither masquerade as cache demand nor move entries around.
-    if (!farDir_.empty() && entryExists(farDir_, key.hash(), ".swr")) {
-        switch (loadDisk(farDir_, key, out)) {
-        case DiskLoad::Hit: {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (map_.emplace(key, *out).second)
-                ramBytesEst_ += entryRamCost(key, *out);
-            return true;
-        }
-        case DiskLoad::Corrupt: {
-            std::lock_guard<std::mutex> lock(mu_);
-            quarantineEntry(
-                (std::filesystem::path(farDir_) / name).string());
-            break;
-        }
-        case DiskLoad::Miss:
-            break;
-        }
-    }
-    return false;
-}
-
-void
-ResultCache::publishFar(const CacheKey &key)
-{
-    publishFarFile(key.hex() + ".swr");
-}
-
-void
-ResultCache::publishFarFile(const std::string &name)
-{
-    if (farDir_.empty() || diskDir_.empty() || !farPublishEnabled())
-        return;
-    std::error_code ec;
-    if (std::filesystem::exists(std::filesystem::path(farDir_) / name,
-                                ec))
-        return; // T2 already converged for this entry
-    if (!std::filesystem::exists(std::filesystem::path(diskDir_) / name,
-                                 ec))
-        return; // nothing local to publish (evicted or never stored)
-    obs::Span pub(obs::Phase::Publish);
-    const uint64_t copied = copyEntry(diskDir_, farDir_, name);
-    pub.addArg(copied);
-    if (copied) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.farStores;
-    }
-}
-
-void
-ResultCache::absorbStats(const CacheStats &delta)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.hits += delta.hits;
-    stats_.diskHits += delta.diskHits;
-    stats_.misses += delta.misses;
-    stats_.stores += delta.stores;
-    stats_.traceHits += delta.traceHits;
-    stats_.traceMisses += delta.traceMisses;
-    stats_.traceStores += delta.traceStores;
-    stats_.traceRamHits += delta.traceRamHits;
-    stats_.evictions += delta.evictions;
-    stats_.farHits += delta.farHits;
-    stats_.farMisses += delta.farMisses;
-    stats_.farStores += delta.farStores;
-    stats_.farPromotions += delta.farPromotions;
-    stats_.ramPromotions += delta.ramPromotions;
-    stats_.ramDemotions += delta.ramDemotions;
-    stats_.corruptEntriesQuarantined += delta.corruptEntriesQuarantined;
-    stats_.staleClaimsSwept += delta.staleClaimsSwept;
-    stats_.recoveredUnits += delta.recoveredUnits;
-}
-
 void
 ResultCache::quarantineEntry(const std::string &path)
 {
     // Rename, never delete: the damaged bytes stay on disk for
     // post-mortem, out of the lookup namespace. The rename is the
-    // cross-process race arbiter — every shard that trips over the
+    // cross-process race arbiter — every process that trips over the
     // same bad entry tries it, exactly one succeeds and counts it.
     std::error_code ec;
     std::filesystem::rename(path, path + ".quarantined", ec);
@@ -718,29 +589,25 @@ uint64_t
 writeTraceBlob(const std::string &dir_s, const TraceKey &key,
                const trace::PackedTrace &t, const trace::MixStats &mix)
 {
+    // Everything after the checksum field except the payload body,
+    // which is hashed and written in place rather than copied.
     const auto counters = mix.counters();
-    std::string blob;
-    blob.reserve(t.byteSize() + key.kernel.size() +
-                 counters.size() * sizeof(uint64_t) + 64);
-    blob.append(kTraceMagic, 4);
-    appendRaw(&blob, kTraceTierVersion);
-    const size_t sumAt = blob.size();
-    appendRaw(&blob, uint64_t(0)); // blob checksum, patched below
-    appendRaw(&blob, uint32_t(key.kernel.size()));
-    blob.append(key.kernel);
-    appendRaw(&blob, int32_t(key.impl));
-    appendRaw(&blob, int32_t(key.vecBits));
-    appendRaw(&blob, key.optionsFp);
-    appendRaw(&blob, uint32_t(counters.size()));
+    std::string head;
+    appendRaw(&head, uint32_t(key.kernel.size()));
+    head.append(key.kernel);
+    appendRaw(&head, int32_t(key.impl));
+    appendRaw(&head, int32_t(key.vecBits));
+    appendRaw(&head, key.optionsFp);
+    appendRaw(&head, uint32_t(counters.size()));
     for (uint64_t v : counters)
-        appendRaw(&blob, v);
-    t.appendPayload(&blob);
-    {
-        Fnv blobSum;
-        blobSum.bytes(blob.data() + sumAt + sizeof(uint64_t),
-                      blob.size() - sumAt - sizeof(uint64_t));
-        std::memcpy(blob.data() + sumAt, &blobSum.h, sizeof blobSum.h);
-    }
+        appendRaw(&head, v);
+    t.appendPayloadHeader(&head);
+    Fnv blobSum;
+    blobSum.bytes(head.data(), head.size());
+    blobSum.bytes(t.payloadBody(), t.byteSize());
+    std::string prefix(kTraceMagic, 4);
+    appendRaw(&prefix, kTraceTierVersion);
+    appendRaw(&prefix, blobSum.h);
 
     const auto dir = std::filesystem::path(dir_s);
     const auto path = dir / (key.hex() + ".swtp");
@@ -750,7 +617,10 @@ writeTraceBlob(const std::string &dir_s, const TraceKey &key,
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
             return 0;
-        os.write(blob.data(), std::streamsize(blob.size()));
+        os.write(prefix.data(), std::streamsize(prefix.size()));
+        os.write(head.data(), std::streamsize(head.size()));
+        os.write(reinterpret_cast<const char *>(t.payloadBody()),
+                 std::streamsize(t.byteSize()));
         if (!os)
             return 0;
     }
@@ -760,7 +630,7 @@ writeTraceBlob(const std::string &dir_s, const TraceKey &key,
         std::filesystem::remove(tmp, ec);
         return 0;
     }
-    return blob.size();
+    return prefix.size() + head.size() + t.byteSize();
 }
 
 } // namespace
@@ -934,53 +804,24 @@ void
 ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
                         const trace::MixStats &mix)
 {
-    if (diskDir_.empty())
-        return;
-    // T1 only — the far tier is synced by publishTraceFar(), which the
-    // scheduler calls from the process that may write it (never a shard
-    // child).
-    const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
-    if (!wrote)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.traceStores;
+    if (!diskDir_.empty()) {
+        const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
+        if (wrote) {
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++stats_.traceStores;
+            }
+            pruneDisk(wrote);
+        }
     }
-    pruneDisk(wrote);
-}
-
-void
-ResultCache::publishTraceFar(const TraceKey &key,
-                             const trace::PackedTrace *t,
-                             const trace::MixStats &mix)
-{
-    if (farDir_.empty() || !farPublishEnabled())
-        return;
-    const std::string name = key.hex() + ".swtp";
-    std::error_code ec;
-    if (std::filesystem::exists(std::filesystem::path(farDir_) / name,
-                                ec))
-        return;
-    if (!diskDir_.empty() &&
-        std::filesystem::exists(std::filesystem::path(diskDir_) / name,
-                                ec)) {
+    if (!farDir_.empty()) {
         obs::Span pub(obs::Phase::Publish);
-        const uint64_t copied = copyEntry(diskDir_, farDir_, name);
-        pub.addArg(copied);
-        if (copied) {
+        const uint64_t farWrote = writeTraceBlob(farDir_, key, t, mix);
+        pub.addArg(farWrote);
+        if (farWrote) {
             std::lock_guard<std::mutex> lock(mu_);
             ++stats_.farStores;
         }
-        return;
-    }
-    if (!t || t->byteSize() == 0)
-        return; // no T1 copy and no trace in hand: nothing to publish
-    obs::Span pub(obs::Phase::Publish);
-    const uint64_t wrote = writeTraceBlob(farDir_, key, *t, mix);
-    pub.addArg(wrote);
-    if (wrote) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.farStores;
     }
 }
 

@@ -14,7 +14,7 @@
  *   T2  far      an optional shared/far directory (SWAN_CACHE_FAR_DIR)
  *                — the slow, durable tier a sweep service would share
  *                across hosts. Far hits are write-through-promoted to
- *                T1; stores write through to T2 (parent process only).
+ *                T1; result and trace stores write through to T2.
  *
  * Placement is driven by per-entry *hotness*: a decayed access count
  * bumped only by lookup traffic (never by wall-clock or file mtimes),
@@ -30,8 +30,8 @@
  * The contract: a stored result is a pure function of its key.
  * Traces record canonical addresses (trace/canon.hh), so capture and
  * simulation do not depend on the run, ASLR placement, argv length,
- * which grid or process computed the point, backend, job or shard
- * count, memo budget or cache state. Entries written by a build with
+ * which grid or process computed the point, job count, memo budget or
+ * cache state. Entries written by a build with
  * another on-disk format version are plain misses, overwritten by the
  * next store.
  */
@@ -56,21 +56,12 @@ namespace swan::sweep
 uint64_t fingerprint(const sim::CoreConfig &cfg);
 uint64_t fingerprint(const core::Options &opts);
 
-/** FNV-1a seed shared by every 64-bit hash in the sweep engine. */
-constexpr uint64_t kFnv64Seed = 1469598103934665603ull;
-
-/** Continue an FNV-1a hash over the 8 bytes of @p v (little-endian
- *  byte order, same constants as the cache-key hashes). Seed with
- *  kFnv64Seed. Used to derive the sharded backend's content-stable
- *  unit/run tokens from cache-key hashes. */
-uint64_t fnvMix64(uint64_t h, uint64_t v);
-
 /**
- * Parse a non-negative decimal byte count (the SWAN_* budget/cap
- * variables and their CLI flags share this one parser so format rules
- * cannot drift). Rejects negatives — strtoull alone would wrap "-1"
- * to 2^64-1. @return false on null/empty/unparsable input, leaving
- * @p out untouched.
+ * Parse a decimal byte count (the SWAN_* budget/cap variables and
+ * their CLI flags share this one parser so format rules cannot drift):
+ * a non-empty run of ASCII digits whose value fits in 64 bits, nothing
+ * else — no whitespace, sign or suffix. @return false otherwise,
+ * leaving @p out untouched.
  */
 bool parseByteCount(const char *s, uint64_t *out);
 
@@ -172,17 +163,6 @@ struct CacheStats
      *  miss — quarantine is for damaged bytes, not foreign entries. */
     uint64_t corruptEntriesQuarantined = 0;
 
-    // Sharded-backend bookkeeping (parent-side; zero for in-process
-    // runs). Surfaced here because the shared cache directory is where
-    // the claim protocol lives and absorbStats() is how fleet counters
-    // already travel.
-    /** Stale `.claim`/`.stats`/`.obsnap` files (dead-pid owners) swept
-     *  at the start of a sharded run. */
-    uint64_t staleClaimsSwept = 0;
-    /** Work units re-executed by the parent because the claiming
-     *  shard died before publishing (crash recovery). */
-    uint64_t recoveredUnits = 0;
-
     uint64_t total() const { return hits + diskHits + farHits + misses; }
 };
 
@@ -218,8 +198,7 @@ class ResultCache
      *        fits. 0 = unbounded.
      * @param far_dir        Far/shared tier (T2) directory; empty =
      *        no far tier. Lookups probe it after T1 and promote hits
-     *        into T1; stores write through to it (unless far
-     *        publishing is disabled, e.g. in shard children).
+     *        into T1; result and trace stores write through to it.
      * @param ram_max_bytes  Byte cap for the T0 in-RAM result memo
      *        (estimate-based; cold-first eviction). 0 = unbounded,
      *        the pre-tiering behavior.
@@ -254,45 +233,8 @@ class ResultCache
                            envRamMaxBytes());
     }
 
-    /**
-     * Process-wide far-publish gate. Shard children flip it off after
-     * fork: shards publish to the shared local tier (T1) only, and the
-     * parent syncs the far tier once per merged unit via publishFar()
-     * — one writer per entry instead of a fleet racing over a slow
-     * shared directory. Defaults to enabled.
-     */
-    static void setFarPublishEnabled(bool on);
-    static bool farPublishEnabled();
-
     bool lookup(const CacheKey &key, core::KernelRun *out);
     void store(const CacheKey &key, const core::KernelRun &run);
-
-    /**
-     * lookup() without touching the hit/miss counters or the hotness
-     * table: the sharded backend's parent-side merge reads results the
-     * very same run just computed in a shard child, which must not
-     * masquerade as cache traffic in the run's reported stats (or
-     * heat entries the user never re-requested). Fills the in-memory
-     * tier on a disk read like lookup().
-     */
-    bool lookupQuiet(const CacheKey &key, core::KernelRun *out);
-
-    /**
-     * Copy @p key's T1 entry (result and/or packed trace) into the far
-     * tier if the far tier lacks it. The sharded parent calls this per
-     * merged unit so T2 converges even though shard children never
-     * write it. No-op without a far tier, when far publishing is
-     * disabled, or when T2 already has the entry.
-     */
-    void publishFar(const CacheKey &key);
-
-    /**
-     * Add @p delta to this cache's counters. The sharded backend
-     * collects each shard child's counter delta (the child's cache is
-     * a fork-time copy, so its counters die with it) and feeds them
-     * back through here, making stats() reflect the whole fleet.
-     */
-    void absorbStats(const CacheStats &delta);
 
     /**
      * Packed-trace tier: serve a previously captured trace so warm
@@ -303,7 +245,8 @@ class ResultCache
      * the Nth hit the trace is pinned into T0 up to the byte budget
      * (setRamTraceBudget). The entry carries the trace's MixStats
      * counter snapshot so a warm hit does not have to decode the whole
-     * trace just to recount it.
+     * trace just to recount it. storeTrace() writes the local tier and
+     * writes through to the far tier, like store().
      */
     bool lookupTrace(const TraceKey &key, trace::PackedTrace *out,
                      trace::MixStats *mix);
@@ -313,16 +256,6 @@ class ResultCache
     /** Byte budget for the T0 pinned-trace memo (0 = unbounded);
      *  SWAN_TRACE_MEMO_BYTES via swan::Session. */
     void setRamTraceBudget(uint64_t bytes);
-
-    /**
-     * Publish @p key's packed trace to the far tier: copy the T1
-     * `.swtp` if present, else serialize @p t (may be null: then a
-     * trace with no T1 copy is simply not published). No-op without a
-     * far tier or when far publishing is disabled (shard children).
-     */
-    void publishTraceFar(const TraceKey &key,
-                         const trace::PackedTrace *t,
-                         const trace::MixStats &mix);
 
     const std::string &diskDir() const { return diskDir_; }
     const std::string &farDir() const { return farDir_; }
@@ -341,8 +274,8 @@ class ResultCache
      * *pinned-trace* state is deliberately excluded because pinning
      * depends on the byte budget, and the placement of entries must be
      * identical across budget values (the determinism matrix in
-     * tests/test_cache_tiers.cc diffs this string across backend ×
-     * jobs × shards × budget).
+     * tests/test_cache_tiers.cc diffs this string across budget ×
+     * jobs × far tier).
      */
     std::string placementMap() const;
 
@@ -413,10 +346,6 @@ class ResultCache
     uint64_t copyEntry(const std::string &src_dir,
                        const std::string &dst_dir,
                        const std::string &name);
-
-    /** Copy `name` from T1 to T2 if T2 lacks it; bumps farStores.
-     *  Shared tail of publishFar()/publishTraceFar(). */
-    void publishFarFile(const std::string &name);
 
     /**
      * Existence probe for `<dir>/<stem><ext>`: one ::stat of a

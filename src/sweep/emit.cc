@@ -208,10 +208,6 @@ cacheSummary(const CacheStats &stats)
              " promoted to disk, " + std::to_string(stats.ramPromotions) +
              " pinned in RAM, " + std::to_string(stats.ramDemotions) +
              " RAM demotions";
-    if (stats.staleClaimsSwept || stats.recoveredUnits)
-        s += "; sharded: " + std::to_string(stats.staleClaimsSwept) +
-             " stale claims swept, " +
-             std::to_string(stats.recoveredUnits) + " units recovered";
     if (stats.corruptEntriesQuarantined)
         s += "; " + std::to_string(stats.corruptEntriesQuarantined) +
              " corrupt entries quarantined";

@@ -92,8 +92,7 @@ struct SweepPoint
  * return its SweepPoint::faultId. A disabled spec labelled "none" (or
  * unlabelled) interns as 0 — the clean id — without touching the
  * table, so clean expansions allocate nothing. Thread-safe; ids are
- * stable for the life of the process (shard children inherit the
- * table through fork).
+ * stable for the life of the process.
  */
 uint16_t internFault(const std::string &name, const sim::FaultSpec &spec);
 

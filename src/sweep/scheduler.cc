@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define SWAN_HAVE_GETPID 1
-#endif
 
 #include "core/registry.hh"
 #include "obs/telemetry.hh"
@@ -50,33 +43,12 @@ groupKeyFor(const SweepPoint &p)
             fingerprint(p.options)};
 }
 
-/** Process-unique token for the private shard-transport directory. */
-uint64_t
-processToken()
-{
-#ifdef SWAN_HAVE_GETPID
-    return uint64_t(::getpid());
-#else
-    static const int anchor = 0;
-    return uint64_t(reinterpret_cast<uintptr_t>(&anchor));
-#endif
-}
-
 } // namespace
 
 std::string
 describe(const RowOrigin &origin)
 {
-    switch (origin.kind) {
-      case RowOrigin::Kind::Cache:
-        return "cache";
-      case RowOrigin::Kind::Computed:
-        return "computed";
-      case RowOrigin::Kind::Shard:
-        return origin.shard < 0 ? "shard ?"
-                                : "shard " + std::to_string(origin.shard);
-    }
-    return "unknown";
+    return origin.kind == RowOrigin::Kind::Cache ? "cache" : "computed";
 }
 
 std::vector<SweepResult>
@@ -119,36 +91,27 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
 
     // Row streaming (cfg.onRow): completion states per point, emitted
     // strictly in point-index order behind an advancing frontier.
-    // Encoding: 0 pending, 1 cache hit, 2 computed in-process, 3+k
-    // merged from shard k-1 (3 = unknown shard).
+    // Encoding: 0 pending, 1 cache hit, 2 computed.
     std::mutex rowMu;
-    std::vector<uint16_t> rowState;
+    std::vector<uint8_t> rowState;
     size_t rowNext = 0;
     // Emit every ready row at the frontier; call with rowMu held.
     const auto rowFlush = [&]() {
         while (rowNext < rowState.size() && rowState[rowNext]) {
-            const uint16_t s = rowState[rowNext];
             RowOrigin o;
+            o.kind = rowState[rowNext] == 1 ? RowOrigin::Kind::Cache
+                                            : RowOrigin::Kind::Computed;
             o.total = rowState.size();
             o.done = rowNext + 1;
-            if (s == 1) {
-                o.kind = RowOrigin::Kind::Cache;
-            } else if (s == 2) {
-                o.kind = RowOrigin::Kind::Computed;
-            } else {
-                o.kind = RowOrigin::Kind::Shard;
-                o.shard = int(s) - 4;
-            }
             cfg.onRow(results[rowNext], o);
             ++rowNext;
         }
     };
-    const auto rowComplete = [&](size_t idx, uint16_t st) {
-        // Shard children skip: their rows surface in the parent merge.
-        if (rowState.empty() || obs::Telemetry::shard() >= 0)
+    const auto rowComplete = [&](size_t idx) {
+        if (rowState.empty())
             return;
         std::lock_guard<std::mutex> lock(rowMu);
-        rowState[idx] = st;
+        rowState[idx] = 2;
         rowFlush();
     };
     if (cfg.onRow) {
@@ -189,18 +152,11 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             firstError = what;
     };
 
-    // Where executed results are stored. Normally the configured
-    // cache; a sharded run re-points this at a cache that owns a disk
-    // tier (the session's, or a private per-run directory) so shard
-    // children can publish results the parent merges — resolved with
-    // the backend below.
-    ResultCache *storeCache = cfg.cache;
-
     // A unit's packed trace: the trace tier when warm, else a fresh
     // workload instance captured on this thread, encoded on emit and
     // stored for the next run. Addresses are canonical (trace/canon.hh),
-    // so the trace is the same whichever worker, shard or process
-    // captures it, and whatever ran before.
+    // so the trace is the same whichever thread or process captures
+    // it, and whatever ran before.
     const auto acquireTrace = [&](const SweepPoint &p,
                                   trace::MixStats *mix) {
         const TraceKey key = traceKeyFor(p);
@@ -226,16 +182,14 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             t = builder.finish();
             pack.addArg(t.byteSize());
         }
-        if (cfg.cache) {
+        if (cfg.cache)
             cfg.cache->storeTrace(key, t, *mix);
-            cfg.cache->publishTraceFar(key, &t, *mix);
-        }
         return t;
     };
 
-    // One work unit, start to finish, on whichever worker (or shard
-    // child) runs it: trace, fused replay through every configuration,
-    // publish, rows. The trace dies with the unit. Results land by
+    // One work unit, start to finish, on whichever thread takes it:
+    // trace, fused replay through every configuration, publish, rows.
+    // The trace dies with the unit. Results land by
     // point index power-complete (the power model is fused into the
     // replay's finish path — see sim::CoreModel::finish).
     const auto executeUnit = [&](size_t ui) {
@@ -281,207 +235,42 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
                     r.run = core::KernelRun{};
                     r.run.mix = mix;
                     r.run.sim = std::move(sims[j]);
-                    const CacheKey key = keyFor(points[idx], cfg.warmupPasses);
-                    if (storeCache)
-                        storeCache->store(key, r.run);
-                    // A private shard-transport cache substitutes for
-                    // a memory-only session cache; keep the session
-                    // tier warm too (dead weight in a shard child,
-                    // which takes its copy of the session map to
-                    // _exit, but exactly what a threaded run would
-                    // have stored in the parent and in parent-side
-                    // recovery).
-                    if (cfg.cache && cfg.cache != storeCache)
-                        cfg.cache->store(key, r.run);
+                    if (cfg.cache)
+                        cfg.cache->store(
+                            keyFor(points[idx], cfg.warmupPasses), r.run);
                 }
             }
             for (size_t idx : u.points)
-                rowComplete(idx, 2);
+                rowComplete(idx);
         } catch (const std::exception &e) {
             recordError(e.what());
         }
     };
 
-    // Resolve the backend: shards > 1 upgrades the default threaded
-    // backend to the sharded one; explicit Inline/Sharded always win.
-    Backend kind = cfg.backend;
-    if (kind == Backend::Threaded && cfg.shards > 1)
-        kind = Backend::Sharded;
-
-    // A sharded run needs a disk tier the shard children and the
-    // parent share. When the session cache is memory-only (or absent),
-    // a private per-run directory substitutes — it exists purely as
-    // the shard transport and is deleted after the merge.
-    std::optional<ResultCache> privateShare;
-    std::string privateShareDir;
-    if (kind == Backend::Sharded &&
-        (!storeCache || storeCache->diskDir().empty())) {
-        static std::atomic<uint64_t> shardRunSeq{0};
-        std::error_code ec;
-        const auto tmp = std::filesystem::temp_directory_path(ec);
-        if (!ec) {
-            privateShareDir =
-                (tmp / ("swan-shards-" + std::to_string(processToken()) +
-                        "-" + std::to_string(shardRunSeq++)))
-                    .string();
-            // The transport cache inherits the session's far tier so
-            // the parent-side merge can still sync T2 (shard children
-            // never publish far; see ResultCache::setFarPublishEnabled).
-            privateShare.emplace(privateShareDir, uint64_t(0),
-                                 cfg.cache ? cfg.cache->farDir()
-                                           : std::string());
-        }
-        if (privateShare && !privateShare->diskDir().empty()) {
-            storeCache = &*privateShare;
-        } else {
-            // Unusable temp directory: stay in-process (results are
-            // byte-identical either way; only the fan-out is lost).
-            kind = Backend::Threaded;
-            privateShare.reset();
-        }
-    }
-
-    // Stamp the run's shape on the active telemetry instance, now
-    // that the backend choice is final.
+    // Stamp the run's shape on the active telemetry instance.
     if (obs::Telemetry *t = obs::Telemetry::active()) {
         obs::RunMeta m;
         m.points = points.size();
         m.units = units.size();
         m.jobs = jobs;
-        m.shards = kind == Backend::Sharded
-                       ? std::clamp(cfg.shards, 1,
-                                    ShardedBackend::kMaxShards)
-                       : 1;
-        const std::string_view nm = name(kind);
-        std::snprintf(m.backend, sizeof m.backend, "%.*s",
-                      int(nm.size()), nm.data());
         t->setMeta(m);
     }
 
-    // Content-stable unit identities for cross-process claims: a hash
-    // of every point key the unit produces (kernel, impl, width,
-    // config and options fingerprints, warm-up) — equal between any
-    // two processes executing the same grid, distinct between grids.
-    // Precomputed once (sharded runs only): the backend reads tokens
-    // per unit per process, and the keys hash strings.
-    std::vector<uint64_t> unitTokens;
-    if (kind == Backend::Sharded) {
-        unitTokens.resize(units.size());
-        for (size_t ui = 0; ui < units.size(); ++ui) {
-            uint64_t h = kFnv64Seed;
-            for (size_t idx : units[ui].points)
-                h = fnvMix64(h,
-                             keyFor(points[idx], cfg.warmupPasses).hash());
-            unitTokens[ui] = h;
-        }
-    }
-    const auto unitToken = [&](size_t ui) { return unitTokens[ui]; };
-
-    // Parent-side merge of one unit from the shared disk tier —
-    // quietly: these are results this very run computed in a shard
-    // child, not cache traffic (the children's own counters are
-    // absorbed separately). False when any point is missing; the
-    // backend then re-executes the whole unit via executeUnit — a
-    // fresh capture whose canonical trace is bit-identical to the dead
-    // shard's — which overwrites every point and stores what the dead
-    // shard could not.
-    const auto serveUnit = [&](size_t ui, int shard) -> bool {
-        const Unit &u = units[ui];
-        std::vector<CacheKey> keys;
-        keys.reserve(u.points.size());
-        // Probe every point before the commit loop below, so a
-        // partially published unit never half-stores into the session
-        // tier before recovery re-executes (and re-stores) all of it.
-        for (size_t idx : u.points) {
-            keys.push_back(keyFor(points[idx], cfg.warmupPasses));
-            if (!storeCache->lookupQuiet(keys.back(), &results[idx].run))
-                return false;
-        }
-        for (size_t j = 0; j < u.points.size(); ++j) {
-            SweepResult &r = results[u.points[j]];
-            r.cacheHit = false; // simulated by this run, in a child
-            if (cfg.cache && cfg.cache != storeCache)
-                cfg.cache->store(keys[j], r.run);
-            // One far writer per entry: children publish to the shared
-            // T1 only, the parent syncs T2 here, once per merged unit.
-            storeCache->publishFar(keys[j]);
-        }
-        if (cfg.cache)
-            cfg.cache->publishTraceFar(traceKeyFor(points[u.points.front()]),
-                                       nullptr, trace::MixStats{});
-        for (size_t idx : u.points)
-            rowComplete(idx, uint16_t(4 + std::max(shard, -1)));
-        return true;
+    // The calling thread and jobs - 1 workers take unit indices in
+    // order from one counter until it passes the last unit. Results
+    // land by point index, so which thread runs a unit never shows.
+    std::atomic<size_t> nextUnit{0};
+    const auto work = [&] {
+        for (size_t ui = nextUnit++; ui < units.size(); ui = nextUnit++)
+            executeUnit(ui);
     };
-
     {
-        using Exec = decltype(executeUnit);
-        using Token = decltype(unitToken);
-        using Serve = decltype(serveUnit);
-        struct Hooks
-        {
-            const Exec *exec;
-            const Token *token;
-            const Serve *serve;
-        } hooks{&executeUnit, &unitToken, &serveUnit};
-
-        BackendJob job;
-        job.units = units.size();
-        job.jobs = jobs;
-        job.arg = &hooks;
-        job.execute = [](void *a, size_t u) {
-            (*static_cast<const Hooks *>(a)->exec)(u);
-        };
-        job.token = [](void *a, size_t u) {
-            return (*static_cast<const Hooks *>(a)->token)(u);
-        };
-        job.serve = [](void *a, size_t u, int shard) {
-            return (*static_cast<const Hooks *>(a)->serve)(u, shard);
-        };
-        job.shareCache = kind == Backend::Sharded ? storeCache : nullptr;
-
-        switch (kind) {
-          case Backend::Inline: {
-            InlineBackend backend;
-            backend.run(job);
-            break;
-          }
-          case Backend::Sharded: {
-            ShardedBackend backend(cfg.shards, cfg.shardTimeoutMs,
-                                   cfg.shardBatch);
-            backend.run(job);
-            break;
-          }
-          case Backend::Threaded:
-          default: {
-            ThreadedBackend backend;
-            backend.run(job);
-            break;
-          }
-        }
-    }
-    if (privateShare) {
-        // The sharded-run bookkeeping counters (stale-claim sweeps,
-        // crash-recovered units) landed in the private transport
-        // cache; carry them over so the session's stats see them
-        // before the transport directory disappears.
-        if (cfg.cache) {
-            const CacheStats ps = privateShare->stats();
-            if (ps.staleClaimsSwept || ps.recoveredUnits ||
-                ps.corruptEntriesQuarantined || ps.farStores) {
-                CacheStats d;
-                d.staleClaimsSwept = ps.staleClaimsSwept;
-                d.recoveredUnits = ps.recoveredUnits;
-                d.corruptEntriesQuarantined = ps.corruptEntriesQuarantined;
-                // Far publishes the parent merge made through the
-                // transport cache belong to the session's story too.
-                d.farStores = ps.farStores;
-                cfg.cache->absorbStats(d);
-            }
-        }
-        privateShare.reset();
-        std::error_code ec;
-        std::filesystem::remove_all(privateShareDir, ec);
+        // jthread joins on destruction, also when a later spawn throws.
+        std::vector<std::jthread> workers;
+        workers.reserve(size_t(jobs - 1));
+        for (int w = 1; w < jobs; ++w)
+            workers.emplace_back(work);
+        work();
     }
     if (!firstError.empty())
         throw std::runtime_error("sweep worker failed: " + firstError);

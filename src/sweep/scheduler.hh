@@ -1,26 +1,25 @@
 /**
  * @file
- * Parallel sweep executor: lookups -> grouping -> backend. The result
- * cache is probed serially in point-index order; the pending points are
- * grouped by capture identity (kernel, impl, width, working set) into
- * work units, and the units are handed to a pluggable ExecutionBackend
- * (sweep/backend.hh) — serial inline, the default work-stealing thread
- * pool, or a fleet of forked shard processes claiming units in the
- * on-disk cache tier. Each unit runs its whole pipeline wherever it
- * lands: trace-tier hit or a fresh workload captured and encoded on
- * emit, trace store, one fused replay through every core configuration
- * of the unit (sim::simulateTraceMany), result publish and row
- * streaming; then the trace is dropped. Capture, pack and replay of
- * different units therefore overlap on all workers, and the first row
- * lands after one unit.
+ * Parallel sweep executor: lookups -> grouping -> units on `jobs`
+ * threads. The result cache is probed serially in point-index order;
+ * the pending points are grouped by capture identity (kernel, impl,
+ * width, working set) into work units, and the calling thread plus
+ * `jobs - 1` worker threads take unit indices in order from one shared
+ * counter. Each unit runs its whole pipeline on the thread that took
+ * it: trace-tier hit or a fresh workload captured and encoded on emit,
+ * trace store, one fused replay through every core configuration of
+ * the unit (sim::simulateTraceMany), result publish and row streaming;
+ * then the trace is dropped. Capture, pack and replay of different
+ * units therefore overlap on all threads, and the first row lands
+ * after one unit.
  *
  * Traces record canonical addresses (trace/canon.hh), so a unit's
  * trace — and every result simulated from it — is a pure function of
  * the unit, not of which thread, process or run captured it or what
  * ran before. Results land in a pre-sized vector at their point index,
- * so every backend, every `--jobs` value and every shard count produces
- * byte-equal reports; the same determinism (seeded inputs, canonical
- * trace-driven model) is what makes the result cache sound.
+ * so every `--jobs` value produces byte-equal reports; the same
+ * determinism (seeded inputs, canonical trace-driven model) is what
+ * makes the result cache sound.
  */
 
 #ifndef SWAN_SWEEP_SCHEDULER_HH
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "core/runner.hh"
-#include "sweep/backend.hh"
 #include "sweep/cache.hh"
 #include "sweep/grid.hh"
 
@@ -54,18 +52,15 @@ struct RowOrigin
     enum class Kind
     {
         Cache,    //!< served by the result cache, not simulated
-        Computed, //!< simulated in this process (any in-process
-                  //!< backend, or sharded crash recovery)
-        Shard,    //!< simulated by shard `shard`, merged by the parent
+        Computed, //!< simulated by this sweep
     };
 
     Kind kind = Kind::Computed;
-    int shard = -1;  //!< valid for Kind::Shard; -1 = unknown shard
     size_t done = 0; //!< rows emitted so far, this one included
     size_t total = 0;
 };
 
-/** "cache", "computed" or "shard N", for tickers and logs. */
+/** "cache" or "computed", for tickers and logs. */
 std::string describe(const RowOrigin &origin);
 
 /**
@@ -78,62 +73,22 @@ using RowCallback =
 /** Scheduler knobs. */
 struct SchedulerConfig
 {
-    /** Worker threads; <= 0 means std::thread::hardware_concurrency.
-     *  In a sharded run this is the pool width of every shard child
-     *  (and of the parent's recovery pool). */
+    /** Threads that run work units, the calling thread included; <= 0
+     *  means std::thread::hardware_concurrency. 1 runs every unit on
+     *  the calling thread. */
     int jobs = 1;
-    /**
-     * Execution backend for the simulation phase (sweep/backend.hh).
-     * Threaded is upgraded to Sharded when shards > 1; an explicit
-     * Inline or Sharded choice always wins. Results are byte-identical
-     * whatever the choice.
-     */
-    Backend backend = Backend::Threaded;
-    /**
-     * Worker processes for the sharded backend; 1 = in-process. A
-     * sharded run claims work units in the on-disk cache tier (the
-     * configured cache directory, or a private per-run directory when
-     * the cache is memory-only). Session policy, not an engine env
-     * var: SWAN_SHARDS is read by swan::Session::envDefaults, never
-     * here.
-     */
-    int shards = 1;
     /** Optional result cache shared across sweeps / benches. */
     ResultCache *cache = nullptr;
     /** Cache warm-up passes fed to the core model (paper Section 4.3). */
     int warmupPasses = 1;
 
     /**
-     * Sharded-backend deadline watchdog: if no shard makes publish/
-     * claim progress (observed as changes in the share directory) for
-     * this many milliseconds, the remaining shard children are killed
-     * and their claimed units recovered through the ordinary
-     * bit-identical crash-recovery path. 0 = disabled (wait forever).
-     * Session policy: SWAN_SHARD_TIMEOUT_MS is read by
-     * swan::Session::envDefaults, never here.
-     */
-    uint64_t shardTimeoutMs = 0;
-
-    /**
-     * Units per sharded claim: consecutive work units share one claim
-     * lockfile (token = FNV fold of the member unit tokens),
-     * amortizing the filesystem round-trip when units are small.
-     * 1 = one claim per unit (default; preserves claim filenames).
-     * Results are byte-identical for any value. Session policy:
-     * SWAN_SHARD_BATCH is read by swan::Session::envDefaults, never
-     * here.
-     */
-    int shardBatch = 1;
-
-    /**
      * Stream every finished row, strictly in point-index order, as
-     * results land (cache hits first, then each computed/merged point
-     * as soon as every lower-indexed point is done). Invoked from
-     * worker threads (or the parent merge thread in a sharded run,
-     * which is also where shard-computed rows surface — never from a
-     * shard child), serialized by the scheduler: implementations need
-     * no locking of their own but must not block for long.
-     * Null = no streaming (zero overhead).
+     * results land (cache hits first, then each computed point as soon
+     * as every lower-indexed point is done). Invoked from whichever
+     * thread finished the row, serialized by the scheduler:
+     * implementations need no locking of their own but must not block
+     * for long. Null = no streaming (zero overhead).
      */
     RowCallback onRow;
 };

@@ -54,37 +54,22 @@ sweep grid flags (cartesian product of the axes):
                                scenario[:key=value]... specs, e.g.
                                "none,dram-spike:seed=7:intensity=16";
                                identical seeds give byte-identical
-                               results on every backend, and faulted
+                               results for any --jobs, and faulted
                                points never share cache entries with
                                clean ones. --faults=help prints the
                                scenario catalog (docs/faults.md)
-  --jobs N                     worker threads (default 1; same output
-                               for any N)
-  --shards N                   worker processes (default 1): fork N
-                               shards that claim work units in the
-                               on-disk cache tier and merge results
-                               deterministically — byte-identical
-                               output for any shards x jobs combo
-                               (accepted by sweep and compare)
-  --shard-timeout-ms N         sharded-run watchdog: kill shards that
-                               make no observable progress for N ms
-                               and recover their units bit-identically
-                               (0 = wait forever, the default)
-  --shard-batch N              units per sharded claim (default 1):
-                               N consecutive work units share one
-                               atomic claim lockfile, amortizing the
-                               filesystem round-trip on grids with
-                               many small units; byte-identical
-                               output for any value
+  --jobs N                     threads that run work units (default
+                               1, 0 = all cores; same output for
+                               any N)
   --format table|csv|jsonl     report format (default table)
   --progress                   stream one line per finished row to
                                stderr, in deterministic point order,
-                               tagged with its origin (cache, computed,
-                               or shard N)
+                               tagged with its origin (cache or
+                               computed)
   --metrics-out STEM           collect swan::obs telemetry over the
                                sweep and write STEM.report.json
-                               (per-phase times, throughput, cache and
-                               shard traffic) plus STEM.trace.jsonl
+                               (per-phase times, throughput, cache
+                               traffic) plus STEM.trace.jsonl
                                (Chrome trace events — open in Perfetto
                                or chrome://tracing); results stay
                                byte-identical (docs/observability.md)
@@ -103,10 +88,7 @@ sweep grid flags (cartesian product of the axes):
                                docs/cache.md)
 
 environment (defaults only; explicit flags win — docs/api.md):
-  SWAN_JOBS                    default worker threads for sweeps
-  SWAN_SHARDS                  default worker processes for sweeps
-  SWAN_SHARD_TIMEOUT_MS        default --shard-timeout-ms
-  SWAN_SHARD_BATCH             default --shard-batch
+  SWAN_JOBS                    default --jobs (positive values only)
   SWAN_SWEEP_CACHE_DIR         default --cache-dir
   SWAN_SWEEP_CACHE_MAX_BYTES   default --cache-max-bytes
   SWAN_CACHE_FAR_DIR           default --cache-far-dir
@@ -158,14 +140,8 @@ struct Parsed
     std::vector<std::string> faultList;
     bool faultsHelp = false;
     bool wider = false;
-    uint64_t shardTimeoutMs = 0;
-    bool shardTimeoutSet = false;
     int jobs = 1;
     bool jobsSet = false;
-    int shards = 1;
-    bool shardsSet = false;
-    int shardBatch = 1;
-    bool shardBatchSet = false;
     std::string format = "table";
     std::string cacheDir;
     std::string cacheFarDir;
@@ -316,15 +292,6 @@ parse(const std::vector<std::string> &args, std::ostream &err)
                     return std::nullopt;
                 }
             }
-        } else if (a == "--shard-timeout-ms") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            if (!sweep::parseByteCount(v->c_str(), &p.shardTimeoutMs)) {
-                err << "swan: --shard-timeout-ms must be a number >= 0\n";
-                return std::nullopt;
-            }
-            p.shardTimeoutSet = true;
         } else if (a == "--wider") {
             p.wider = true;
         } else if (a == "--jobs") {
@@ -339,30 +306,6 @@ parse(const std::vector<std::string> &args, std::ostream &err)
                 return std::nullopt;
             }
             p.jobsSet = true;
-        } else if (a == "--shards") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            p.shards = int(std::strtol(v->c_str(), &end, 10));
-            if (end == v->c_str() || *end != '\0' || p.shards < 1 ||
-                p.shards > sweep::ShardedBackend::kMaxShards) {
-                err << "swan: --shards must be a number in [1, "
-                    << sweep::ShardedBackend::kMaxShards << "]\n";
-                return std::nullopt;
-            }
-            p.shardsSet = true;
-        } else if (a == "--shard-batch") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            p.shardBatch = int(std::strtol(v->c_str(), &end, 10));
-            if (end == v->c_str() || *end != '\0' || p.shardBatch < 1) {
-                err << "swan: --shard-batch must be a number >= 1\n";
-                return std::nullopt;
-            }
-            p.shardBatchSet = true;
         } else if (a == "--cache-max-bytes") {
             const auto *v = value();
             if (!v)
@@ -430,12 +373,6 @@ sessionFor(const Parsed &p)
     SessionOptions opts = Session::envDefaults();
     if (p.jobsSet)
         opts.jobs = p.jobs == 0 ? -1 : p.jobs; // 0 = all cores
-    if (p.shardsSet)
-        opts.shards = p.shards;
-    if (p.shardTimeoutSet)
-        opts.shardTimeoutMs = p.shardTimeoutMs;
-    if (p.shardBatchSet)
-        opts.shardBatch = p.shardBatch;
     if (!p.faultList.empty())
         opts.faults = p.faultList;
     if (!p.cacheDir.empty())

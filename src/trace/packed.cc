@@ -377,12 +377,18 @@ headerFor(uint64_t count, uint64_t main_len, uint64_t multi_len,
 } // namespace
 
 void
-PackedTrace::appendPayload(std::string *out) const
+PackedTrace::appendPayloadHeader(std::string *out) const
 {
     const PayloadHeader h =
         headerFor(count_, mainLen_, multiLen_, descCount_, buf_.data(),
                   buf_.size(), sizeof(Desc));
     out->append(reinterpret_cast<const char *>(&h), sizeof h);
+}
+
+void
+PackedTrace::appendPayload(std::string *out) const
+{
+    appendPayloadHeader(out);
     if (buf_.size())
         out->append(reinterpret_cast<const char *>(buf_.data()),
                     buf_.size());

@@ -443,6 +443,12 @@ class PackedTrace
      */
     void appendPayload(std::string *out) const;
 
+    /** appendPayload() in two pieces, so a writer can stream the body
+     *  without copying it: the fixed-size header, appended to @p out,
+     *  and the body, which is the byteSize() bytes at payloadBody(). */
+    void appendPayloadHeader(std::string *out) const;
+    const uint8_t *payloadBody() const { return buf_.data(); }
+
     /**
      * Parse an appendPayload() blob. @return false (and leaves @p out
      * untouched) on any truncation, bound or checksum violation.

@@ -86,15 +86,12 @@ keyNamed(const std::string &kernel)
 TEST(ApiSession, BuiltinDefaultsIgnoreEnvironment)
 {
     EnvGuard jobs("SWAN_JOBS", "7");
-    EnvGuard shards("SWAN_SHARDS", "3");
     EnvGuard memo("SWAN_TRACE_MEMO_BYTES", "4096");
     EnvGuard dir("SWAN_SWEEP_CACHE_DIR", "/tmp/swan-should-not-be-used");
     EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "123456");
 
     Session s; // default ctor: library defaults, no environment
     EXPECT_EQ(s.options().jobs, 1);
-    EXPECT_EQ(s.options().shards, 1);
-    EXPECT_EQ(s.options().backend, sweep::Backend::Threaded);
     EXPECT_EQ(s.options().warmupPasses, 1);
     EXPECT_EQ(s.options().traceMemoBytes, 0u);
     EXPECT_TRUE(s.options().cacheDir.empty());
@@ -105,14 +102,12 @@ TEST(ApiSession, EnvDefaultsReadTheEnvironment)
 {
     const auto dir = tempDir("env");
     EnvGuard jobs("SWAN_JOBS", "7");
-    EnvGuard shards("SWAN_SHARDS", "3");
     EnvGuard memo("SWAN_TRACE_MEMO_BYTES", "4096");
     EnvGuard dirg("SWAN_SWEEP_CACHE_DIR", dir.c_str());
     EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "123456");
 
     const SessionOptions o = Session::envDefaults();
     EXPECT_EQ(o.jobs, 7);
-    EXPECT_EQ(o.shards, 3);
     EXPECT_EQ(o.traceMemoBytes, 4096u);
     EXPECT_EQ(o.cacheDir, dir);
     EXPECT_EQ(o.cacheMaxBytes, 123456u);
@@ -123,16 +118,12 @@ TEST(ApiSession, EnvDefaultsReadTheEnvironment)
 TEST(ApiSession, ExplicitOverridesBeatEnvironment)
 {
     EnvGuard jobs("SWAN_JOBS", "7");
-    EnvGuard shards("SWAN_SHARDS", "6");
     EnvGuard memo("SWAN_TRACE_MEMO_BYTES", "4096");
 
     // The fromEnv() pattern: environment as defaults, explicit wins.
-    const SessionOptions o = Session::envDefaults()
-                                 .withJobs(3)
-                                 .withShards(2)
-                                 .withTraceMemoBytes(64);
+    const SessionOptions o =
+        Session::envDefaults().withJobs(3).withTraceMemoBytes(64);
     EXPECT_EQ(o.jobs, 3);
-    EXPECT_EQ(o.shards, 2);
     EXPECT_EQ(o.traceMemoBytes, 64u);
 
     Session s(o);
@@ -143,33 +134,28 @@ TEST(ApiSession, ExplicitOverridesBeatEnvironment)
 TEST(ApiSession, UnparsableEnvironmentFallsBackToDefaults)
 {
     EnvGuard jobs("SWAN_JOBS", "abc");
-    EnvGuard shards("SWAN_SHARDS", "many");
     EnvGuard memo("SWAN_TRACE_MEMO_BYTES", "12kb");
     EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "-5x");
+    // strtoull would skip the blank and wrap "-1" to 2^64 - 1.
+    EnvGuard ram("SWAN_CACHE_RAM_BYTES", " -1");
 
     const SessionOptions o = Session::envDefaults();
     EXPECT_EQ(o.jobs, 1);
-    EXPECT_EQ(o.shards, 1);
     EXPECT_EQ(o.traceMemoBytes, 0u);
     EXPECT_EQ(o.cacheMaxBytes, 0u);
+    EXPECT_EQ(o.cacheRamMaxBytes, 0u);
 
     EnvGuard negative("SWAN_JOBS", "-4");
     EXPECT_EQ(Session::envDefaults().jobs, 1);
-    EnvGuard negShards("SWAN_SHARDS", "-2");
-    EXPECT_EQ(Session::envDefaults().shards, 1);
+    EnvGuard negCap("SWAN_SWEEP_CACHE_MAX_BYTES", " -1");
+    EXPECT_EQ(Session::envDefaults().cacheMaxBytes, 0u);
 }
 
 TEST(ApiSession, SchedulerConfigReflectsOptions)
 {
-    Session s(SessionOptions{}
-                  .withJobs(5)
-                  .withShards(4)
-                  .withBackend(sweep::Backend::Inline)
-                  .withWarmupPasses(2));
+    Session s(SessionOptions{}.withJobs(5).withWarmupPasses(2));
     const sweep::SchedulerConfig sc = s.schedulerConfig();
     EXPECT_EQ(sc.jobs, 5);
-    EXPECT_EQ(sc.shards, 4);
-    EXPECT_EQ(sc.backend, sweep::Backend::Inline);
     EXPECT_EQ(sc.warmupPasses, 2);
     EXPECT_EQ(sc.cache, &s.cache());
 }

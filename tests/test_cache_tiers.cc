@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests of the three-tier cache hierarchy (sweep/cache.hh): far-tier
- * write-through and promotion, the shard-side far-publish gate,
- * deterministic cold-first pruning (stable even for entries written in
- * the same second — mtimes never enter the decision), RAM pinning of
- * hot packed traces, fleet stats absorption, and the determinism
- * matrix: one grid replayed across backend x jobs x shards x
+ * write-through of results and traces, promotion, deterministic
+ * cold-first pruning (stable even for entries written in the same
+ * second — mtimes never enter the decision), RAM pinning of hot packed
+ * traces, and the determinism matrix: one grid replayed across jobs x
  * memo-budget x far on/off must emit byte-identical results and leave
  * identical durable placement.
  */
@@ -15,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -71,12 +69,6 @@ keyNamed(const std::string &kernel)
     return k;
 }
 
-/** Restore the process-wide far-publish gate whatever the test does. */
-struct FarPublishGuard
-{
-    ~FarPublishGuard() { sweep::ResultCache::setFarPublishEnabled(true); }
-};
-
 } // namespace
 
 TEST(CacheTiers, StoreWritesThroughToFarTier)
@@ -97,8 +89,33 @@ TEST(CacheTiers, StoreWritesThroughToFarTier)
     // The miss probed T2 before giving up.
     EXPECT_EQ(cache.stats().farMisses, 1u);
 
+    // A trace store writes through the same way, so another host's
+    // cold local tier is served from T2.
+    const auto *spec = core::Registry::instance().find("ZL/adler32");
+    ASSERT_NE(spec, nullptr);
+    auto w = spec->make(core::Options());
+    const auto instrs = core::Runner::capture(*w, core::Impl::Neon, 128);
+    trace::MixStats mix;
+    mix.addTrace(instrs);
+    sweep::TraceKey tkey;
+    tkey.kernel = "K/wt";
+    cache.storeTrace(tkey, trace::PackedTrace::pack(instrs), mix);
+    EXPECT_TRUE(fs::exists(fs::path(local) / (tkey.hex() + ".swtp")));
+    EXPECT_TRUE(fs::exists(fs::path(far) / (tkey.hex() + ".swtp")));
+    EXPECT_EQ(cache.stats().traceStores, 1u);
+    EXPECT_EQ(cache.stats().farStores, 2u);
+
+    const auto other = tempDir("wt_other");
+    sweep::ResultCache remote(other, 0, far);
+    trace::PackedTrace gotTrace;
+    trace::MixStats gotMix;
+    ASSERT_TRUE(remote.lookupTrace(tkey, &gotTrace, &gotMix));
+    EXPECT_EQ(remote.stats().farHits, 1u);
+    EXPECT_EQ(gotMix.total(), mix.total());
+
     fs::remove_all(local);
     fs::remove_all(far);
+    fs::remove_all(other);
 }
 
 TEST(CacheTiers, FarHitIsPromotedIntoLocalDisk)
@@ -131,36 +148,6 @@ TEST(CacheTiers, FarHitIsPromotedIntoLocalDisk)
     ASSERT_TRUE(next.lookup(key, &got));
     EXPECT_EQ(next.stats().diskHits, 1u);
     EXPECT_EQ(next.stats().farHits, 0u);
-
-    fs::remove_all(local);
-    fs::remove_all(far);
-}
-
-TEST(CacheTiers, FarPublishGateBlocksStoresUntilPublishFar)
-{
-    namespace fs = std::filesystem;
-    const auto local = tempDir("gate_local");
-    const auto far = tempDir("gate_far");
-    const auto key = keyNamed("K/gate");
-    FarPublishGuard guard;
-
-    // A shard child's view: far publishing off, stores reach T1 only.
-    sweep::ResultCache::setFarPublishEnabled(false);
-    sweep::ResultCache cache(local, 0, far);
-    cache.store(key, runWithCycles(5));
-    EXPECT_TRUE(fs::exists(fs::path(local) / (key.hex() + ".swr")));
-    EXPECT_FALSE(fs::exists(fs::path(far) / (key.hex() + ".swr")));
-    EXPECT_EQ(cache.stats().farStores, 0u);
-
-    // The parent's view: one publishFar per merged entry syncs T2.
-    sweep::ResultCache::setFarPublishEnabled(true);
-    cache.publishFar(key);
-    EXPECT_TRUE(fs::exists(fs::path(far) / (key.hex() + ".swr")));
-    EXPECT_EQ(cache.stats().farStores, 1u);
-
-    // Already published: no second write.
-    cache.publishFar(key);
-    EXPECT_EQ(cache.stats().farStores, 1u);
 
     fs::remove_all(local);
     fs::remove_all(far);
@@ -287,28 +274,6 @@ TEST(CacheTiers, UndersizedTraceBudgetNeverPins)
     std::filesystem::remove_all(dir);
 }
 
-TEST(CacheTiers, AbsorbStatsCarriesTierCounters)
-{
-    sweep::ResultCache cache;
-    sweep::CacheStats d;
-    d.traceRamHits = 1;
-    d.farHits = 2;
-    d.farMisses = 3;
-    d.farStores = 4;
-    d.farPromotions = 5;
-    d.ramPromotions = 6;
-    d.ramDemotions = 7;
-    cache.absorbStats(d);
-    const auto s = cache.stats();
-    EXPECT_EQ(s.traceRamHits, 1u);
-    EXPECT_EQ(s.farHits, 2u);
-    EXPECT_EQ(s.farMisses, 3u);
-    EXPECT_EQ(s.farStores, 4u);
-    EXPECT_EQ(s.farPromotions, 5u);
-    EXPECT_EQ(s.ramPromotions, 6u);
-    EXPECT_EQ(s.ramDemotions, 7u);
-}
-
 TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
 {
     namespace fs = std::filesystem;
@@ -323,113 +288,49 @@ TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
     {
         uint64_t budget;
         int jobs;
-        int shards;
         bool far;
     };
     const Leg legs[] = {
-        {0, 1, 1, true},       // uncapped T0 budget, serial
-        {0, 8, 1, true},       // uncapped T0 budget, threaded
-        {0, 2, 3, true},       // uncapped T0 budget, sharded fleet
-        {1, 1, 1, true},       // tiny T0 budget: nothing pins
-        {1, 2, 3, true},       // tiny T0 budget under sharding
-        {1u << 16, 8, 1, true},// mid T0 budget, threaded
-        {0, 1, 1, false},      // no far tier at all
+        {0, 1, true},        // uncapped T0 budget, serial
+        {0, 8, true},        // uncapped T0 budget, eight threads
+        {1, 1, true},        // tiny T0 budget: nothing pins
+        {1u << 16, 8, true}, // mid T0 budget, eight threads
+        {0, 1, false},       // no far tier at all
     };
 
-    // Every leg runs in a forked child: a fresh process per leg, like
-    // separate CLI invocations.
-    const char *kSep = "\n--SWAN-LEG-SEP--\n";
-    const auto runLeg = [&](const Leg &leg, const std::string &local,
-                            const std::string &far,
-                            const std::string &outPath) {
-        const pid_t pid = ::fork();
-        if (pid < 0)
-            return false;
-        if (pid == 0) {
-            std::ostringstream cold, warm;
-            uint64_t warmMisses = ~0ull;
-            std::string placement;
-            {
-                sweep::ResultCache cache(local, 0,
-                                         leg.far ? far : std::string());
-                sweep::SchedulerConfig sc;
-                sc.cache = &cache;
-                sc.jobs = leg.jobs;
-                sc.shards = leg.shards;
-                cache.setRamTraceBudget(leg.budget);
-                sweep::emitResults(cold, sweep::runSweep(points, sc),
-                                   sweep::Format::JsonLines);
-            }
-            {
-                // Fresh cache on the same directories: the warm run
-                // must be served entirely from the durable tiers.
-                sweep::ResultCache cache(local, 0,
-                                         leg.far ? far : std::string());
-                sweep::SchedulerConfig sc;
-                sc.cache = &cache;
-                sc.jobs = leg.jobs;
-                sc.shards = leg.shards;
-                cache.setRamTraceBudget(leg.budget);
-                sweep::emitResults(warm, sweep::runSweep(points, sc),
-                                   sweep::Format::JsonLines);
-                warmMisses = cache.stats().misses;
-                placement = cache.placementMap();
-            }
-            {
-                std::ofstream os(outPath, std::ios::binary);
-                os << cold.str() << kSep << warm.str() << kSep
-                   << placement << kSep << warmMisses << "\n";
-            }
-            std::_Exit(0);
-        }
-        int st = 0;
-        return ::waitpid(pid, &st, 0) == pid && WIFEXITED(st) &&
-               WEXITSTATUS(st) == 0;
+    // One sweep of the grid through a fresh cache on the leg's
+    // directories; @p placement / @p misses report that cache.
+    const auto sweepOnce = [&](const Leg &leg, const std::string &local,
+                               const std::string &far,
+                               std::string *placement, uint64_t *misses) {
+        sweep::ResultCache cache(local, 0, leg.far ? far : std::string());
+        cache.setRamTraceBudget(leg.budget);
+        sweep::SchedulerConfig sc;
+        sc.cache = &cache;
+        sc.jobs = leg.jobs;
+        std::ostringstream os;
+        sweep::emitResults(os, sweep::runSweep(points, sc),
+                           sweep::Format::JsonLines);
+        *placement = cache.placementMap();
+        *misses = cache.stats().misses;
+        return os.str();
     };
-
-    const size_t nLegs = sizeof legs / sizeof legs[0];
-    std::vector<std::string> locals, fars, outs;
-    for (size_t i = 0; i < nLegs; ++i) {
-        locals.push_back(tempDir(("mx_l" + std::to_string(i)).c_str()));
-        fars.push_back(tempDir(("mx_f" + std::to_string(i)).c_str()));
-        outs.push_back(tempDir(("mx_o" + std::to_string(i)).c_str()));
-    }
-    // Fork every leg before reading any result.
-    std::vector<bool> ok(nLegs, false);
-    for (size_t i = 0; i < nLegs; ++i)
-        ok[i] = runLeg(legs[i], locals[i], fars[i], outs[i]);
 
     std::string coldRef, warmRef, placementRef;
     int tag = 0;
     for (const Leg &leg : legs) {
-        const size_t i = size_t(tag);
-        const auto &local = locals[i];
-        const auto &far = fars[i];
-        const auto &outPath = outs[i];
         ++tag;
-
-        ASSERT_TRUE(ok[i]) << "leg " << tag;
-        std::string blob;
-        {
-            std::ifstream is(outPath, std::ios::binary);
-            std::ostringstream ss;
-            ss << is.rdbuf();
-            blob = ss.str();
-        }
-        const auto cut1 = blob.find(kSep);
-        ASSERT_NE(cut1, std::string::npos) << "leg " << tag;
-        const auto cut2 = blob.find(kSep, cut1 + 1);
-        ASSERT_NE(cut2, std::string::npos) << "leg " << tag;
-        const auto cut3 = blob.find(kSep, cut2 + 1);
-        ASSERT_NE(cut3, std::string::npos) << "leg " << tag;
-        const size_t sep = std::string(kSep).size();
-        const std::string cold = blob.substr(0, cut1);
+        const auto local = tempDir(("mx_l" + std::to_string(tag)).c_str());
+        const auto far = tempDir(("mx_f" + std::to_string(tag)).c_str());
+        std::string placement;
+        uint64_t misses = 0;
+        const std::string cold =
+            sweepOnce(leg, local, far, &placement, &misses);
+        // A fresh cache on the same directories: the warm run must be
+        // served entirely from the durable tiers.
         const std::string warm =
-            blob.substr(cut1 + sep, cut2 - cut1 - sep);
-        const std::string placement =
-            blob.substr(cut2 + sep, cut3 - cut2 - sep);
-        EXPECT_EQ(blob.substr(cut3 + sep), "0\n")
-            << "leg " << tag << " recomputed a warm point";
+            sweepOnce(leg, local, far, &placement, &misses);
+        EXPECT_EQ(misses, 0u) << "leg " << tag << " recomputed a warm point";
 
         EXPECT_EQ(cold, warm) << "leg " << tag;
         if (coldRef.empty()) {
@@ -448,7 +349,6 @@ TEST(CacheTiers, DeterminismMatrixEmitsIdenticalBytesAndPlacement)
 
         fs::remove_all(local);
         fs::remove_all(far);
-        fs::remove_all(outPath);
     }
     ASSERT_FALSE(coldRef.empty());
     EXPECT_EQ(coldRef, warmRef);

@@ -124,12 +124,15 @@ TEST(CliUsage, BadImplCoreBitsRejected)
     EXPECT_EQ(cli({"run", "ZL/adler32", "--bits", "96"}).code, 2);
 }
 
-TEST(CliUsage, BadShardsRejected)
+TEST(CliUsage, BadCacheMaxBytesRejected)
 {
-    for (const char *v : {"0", "-2", "abc", "100000"}) {
-        auto r = cli({"sweep", "--kernels", "ZL/adler32", "--shards", v});
+    // Only a run of decimal digits that fits in 64 bits is a byte
+    // count: no blank, no sign, no overflow, no suffix.
+    for (const char *v : {" -1", "+5", "99999999999999999999999", "12kb"}) {
+        auto r = cli(
+            {"sweep", "--kernels", "ZL/adler32", "--cache-max-bytes", v});
         EXPECT_EQ(r.code, 2) << v;
-        EXPECT_NE(r.err.find("--shards"), std::string::npos) << v;
+        EXPECT_NE(r.err.find("--cache-max-bytes"), std::string::npos) << v;
     }
 }
 

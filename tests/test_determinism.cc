@@ -2,12 +2,12 @@
  * @file
  * A result is a pure function of its key, across processes. Ten fresh
  * runs of the built `swan` CLI — ASLR on, argv of different byte
- * lengths (cache-dir names), --jobs 1 vs 4, --shards 2, memory-only and
- * disk caches, a warm rerun, and one solo run per kernel — must emit
+ * lengths (cache-dir names), --jobs 1 to 4, memory-only and disk
+ * caches, a warm rerun, and one solo run per kernel — must emit
  * byte-identical jsonl, the solo rows equal to the same rows of the
  * 4-kernel grid. One in-process leg runs the same grid through Session
- * with the inline backend after another sweep in the same process and
- * must match the CLI byte for byte.
+ * on the calling thread (jobs 1) after another sweep in the same
+ * process and must match the CLI byte for byte.
  *
  * SWAN_CLI_PATH is injected by CMakeLists.txt.
  */
@@ -161,14 +161,13 @@ TEST_F(Determinism, ResultIsAPureFunctionOfItsKeyAcrossProcesses)
     EXPECT_FALSE(rowsOf(ref, "XP/gemm_f32").empty());
 
     // Independent fresh processes, run side by side: four more cold
-    // grids (argv lengths, job counts, shards, memory-only and disk
-    // caches all differ), a warm rerun served from the reference's
-    // disk tier, and one solo-kernel grid per kernel.
+    // grids (argv lengths, job counts, memory-only and disk caches all
+    // differ), a warm rerun served from the reference's disk tier, and
+    // one solo-kernel grid per kernel.
     start(kKernels, {"--jobs", "4", "--cache-dir", cacheDir(97)});
-    start(kKernels,
-          {"--jobs", "4", "--shards", "2", "--cache-dir", cacheDir(23)});
+    start(kKernels, {"--jobs", "2", "--cache-dir", cacheDir(23)});
     start(kKernels, {"--jobs", "1"});
-    start(kKernels, {"--jobs", "4", "--shards", "2"});
+    start(kKernels, {"--jobs", "3"});
     start(kKernels, {"--jobs", "4", "--cache-dir", cacheDir(1)});
     for (size_t k = 0; k < kKernels.size(); ++k)
         start({kKernels[k]}, {"--jobs", k % 2 ? "4" : "1", "--cache-dir",
@@ -183,10 +182,10 @@ TEST_F(Determinism, ResultIsAPureFunctionOfItsKeyAcrossProcesses)
         EXPECT_EQ(rowsOf(ref, kKernels[k]), outs[5 + k]) << kKernels[k];
     }
 
-    // In-process: the inline backend, after an unrelated sweep has
-    // churned this process's heap.
+    // In-process: every unit on the calling thread, after an
+    // unrelated sweep has churned this process's heap.
     SessionOptions opts = Session::envDefaults();
-    opts.withBackend(sweep::Backend::Inline).withJobs(1);
+    opts.withJobs(1);
     Session session(opts);
     Experiment(session)
         .kernels({"ZL/adler32", "OR/memchr", "XP/spmm_f32"})

@@ -2,8 +2,8 @@
  * @file
  * Fault-injection tests (sim/faults.hh): FaultSpec parsing, the
  * catalog-embedding error path, fingerprint separation, determinism of
- * an injected scenario (same seed, same bytes — including across every
- * execution backend), the disabled-spec clean-path bit-identity, and
+ * an injected scenario (same seed, same bytes — including across job
+ * counts), the disabled-spec clean-path bit-identity, and
  * the cache-tier separation of faulted vs clean points.
  */
 
@@ -13,6 +13,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,11 +24,6 @@
 #include "sweep/emit.hh"
 #include "sweep/scheduler.hh"
 #include "trace/packed.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define SWAN_TEST_HAVE_FORK 1
-#endif
 
 using namespace swan;
 using trace::Instr;
@@ -357,10 +353,10 @@ TEST(FaultCache, FaultedAndCleanPointsNeverShareEntries)
 namespace
 {
 
-/** Scratch disk cache primed with traces so every backend run replays
- *  identical pinned instruction streams (the test_sweep_backend
- *  protocol), with a fault axis on the grid. */
-class FaultBackendFixture : public ::testing::Test
+/** Scratch disk cache primed with traces so every run replays
+ *  identical pinned instruction streams, with a fault axis on the
+ *  grid. */
+class FaultJobsFixture : public ::testing::Test
 {
   protected:
     void
@@ -376,7 +372,7 @@ class FaultBackendFixture : public ::testing::Test
         points_ = sweep::expand(spec, &err);
         ASSERT_EQ(points_.size(), 6u) << err;
         dir_ = std::filesystem::temp_directory_path() /
-               ("swan_fault_backend_" + std::to_string(::getpid()));
+               ("swan_fault_jobs_" + std::to_string(::getpid()));
         std::filesystem::remove_all(dir_);
         sweep::ResultCache prime(dir_.string());
         sweep::SchedulerConfig sc;
@@ -397,14 +393,12 @@ class FaultBackendFixture : public ::testing::Test
     }
 
     std::string
-    runWith(sweep::Backend backend, int jobs, int shards)
+    runWith(int jobs)
     {
         dropResults();
         sweep::ResultCache cache(dir_.string());
         sweep::SchedulerConfig sc;
-        sc.backend = backend;
         sc.jobs = jobs;
-        sc.shards = shards;
         sc.cache = &cache;
         auto results = sweep::runSweep(points_, sc);
         EXPECT_TRUE(sweep::anyFaulted(results));
@@ -419,9 +413,9 @@ class FaultBackendFixture : public ::testing::Test
 
 } // namespace
 
-TEST_F(FaultBackendFixture, SameSeedIsByteIdenticalAcrossBackends)
+TEST_F(FaultJobsFixture, SameSeedIsByteIdenticalAcrossJobs)
 {
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
+    const std::string reference = runWith(1);
     ASSERT_FALSE(reference.empty());
 
     // The fault column is present and carries the scenario label.
@@ -429,12 +423,6 @@ TEST_F(FaultBackendFixture, SameSeedIsByteIdenticalAcrossBackends)
     EXPECT_NE(reference.find("\"fault\":\"dram-spike"), std::string::npos);
     EXPECT_NE(reference.find("\"fault\":\"firstfault"), std::string::npos);
 
-    for (int jobs : {1, 4})
-        EXPECT_EQ(reference, runWith(sweep::Backend::Threaded, jobs, 1))
-            << "threaded jobs=" << jobs;
-#ifdef SWAN_TEST_HAVE_FORK
-    for (int shards : {2, 3})
-        EXPECT_EQ(reference, runWith(sweep::Backend::Sharded, 2, shards))
-            << "sharded shards=" << shards;
-#endif
+    for (int jobs : {2, 4})
+        EXPECT_EQ(reference, runWith(jobs)) << "jobs=" << jobs;
 }

@@ -6,39 +6,29 @@
  * depends on, checked end-to-end on pinned traces:
  *
  *  - emitter output is byte-identical with a collector attached or
- *    not, across {inline, threaded, sharded} x jobs x shards;
- *  - the fleet-wide Replay aggregate of a sharded run (parent merge +
- *    absorbed shard snapshots) equals the threaded run's — shard
- *    children observe the same work, not a resampling of it;
+ *    not, for any job count;
  *  - onRow streams every row exactly once, strictly in point-index
- *    order, with truthful origins, on every backend;
- *  - crash recovery and stale-claim sweeps surface in CacheStats.
+ *    order, with truthful origins.
  *
  * The registry is process-global, so every test that starts a
  * collector releases it before returning (ObsFixture enforces this).
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/report.hh"
 #include "obs/telemetry.hh"
-#include "sweep/backend.hh"
 #include "sweep/cache.hh"
 #include "sweep/emit.hh"
 #include "sweep/scheduler.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define SWAN_TEST_HAVE_FORK 1
-#endif
 
 using namespace swan;
 
@@ -54,8 +44,7 @@ class ObsFixture : public ::testing::Test
 };
 
 obs::SpanRec
-rec(obs::Phase phase, uint64_t t0, uint64_t t1, uint64_t arg = 0,
-    int shard = -1)
+rec(obs::Phase phase, uint64_t t0, uint64_t t1, uint64_t arg = 0)
 {
     obs::SpanRec r;
     r.phase = phase;
@@ -64,7 +53,6 @@ rec(obs::Phase phase, uint64_t t0, uint64_t t1, uint64_t arg = 0,
     r.cpuNs = (t1 - t0) / 2;
     r.arg = arg;
     r.tid = 7;
-    r.shard = int8_t(shard);
     return r;
 }
 
@@ -163,88 +151,13 @@ TEST_F(ObsFixture, OverflowDropsAndCounts)
     EXPECT_EQ(t->snapshot().size(), 4u);
 }
 
-TEST_F(ObsFixture, SnapshotFileRoundTripsWithShardTag)
-{
-    ASSERT_TRUE(obs::Telemetry::start(16));
-    auto *t = obs::Telemetry::instance();
-    t->record(rec(obs::Phase::Capture, 100, 200, 7));
-    // A "child" fences, records, snapshots: only the post-fence record
-    // must cross, and it must come back carrying the child's shard tag.
-    obs::Telemetry::setShard(3);
-    t->record(rec(obs::Phase::Replay, 300, 500, 11));
-    const auto path = std::filesystem::temp_directory_path() /
-                      ("swan_obs_snap_" + std::to_string(::getpid()));
-    ASSERT_TRUE(t->writeSnapshot(path.string().c_str()));
-    obs::Telemetry::setShard(-1);
-
-    const size_t before = t->count();
-    EXPECT_EQ(t->absorbSnapshot(path.string().c_str()), 1u);
-    std::filesystem::remove(path);
-    ASSERT_EQ(t->count(), before + 1);
-    const auto snap = t->snapshot();
-    const auto &back = snap.back();
-    EXPECT_EQ(back.phase, obs::Phase::Replay);
-    EXPECT_EQ(back.t0Ns, 300u);
-    EXPECT_EQ(back.t1Ns, 500u);
-    EXPECT_EQ(back.arg, 11u);
-    EXPECT_EQ(int(back.shard), 3);
-}
-
-TEST_F(ObsFixture, CorruptSnapshotAbsorbsNothingAndIsCounted)
-{
-    ASSERT_TRUE(obs::Telemetry::start(16));
-    auto *t = obs::Telemetry::instance();
-    const auto path = std::filesystem::temp_directory_path() /
-                      ("swan_obs_corrupt_" + std::to_string(::getpid()));
-
-    // A missing snapshot is the ordinary crashed-shard outcome —
-    // silent zero, not corruption.
-    std::filesystem::remove(path);
-    EXPECT_EQ(t->absorbSnapshot(path.string().c_str()), 0u);
-    EXPECT_EQ(t->corruptSnapshots(), 0u);
-
-    // Garbage header.
-    { std::ofstream(path) << "garbage\n"; }
-    EXPECT_EQ(t->absorbSnapshot(path.string().c_str()), 0u);
-    EXPECT_EQ(t->corruptSnapshots(), 1u);
-
-    // Truncated payload: two records declared, one present. The half
-    // payload must be absorbed in whole or not at all — here: not at
-    // all, so a dying shard cannot skew the fleet's phase totals.
-    {
-        std::ofstream(path)
-            << "pid 1\nshard 2\ncount 2\n1 100 200 50 0 7\n";
-    }
-    const size_t before = t->count();
-    EXPECT_EQ(t->absorbSnapshot(path.string().c_str()), 0u);
-    EXPECT_EQ(t->corruptSnapshots(), 2u);
-    EXPECT_EQ(t->count(), before);
-
-    // Nonsense shard tag.
-    { std::ofstream(path) << "pid 1\nshard 999\ncount 0\n"; }
-    EXPECT_EQ(t->absorbSnapshot(path.string().c_str()), 0u);
-    EXPECT_EQ(t->corruptSnapshots(), 3u);
-
-    // An unknown phase from a newer writer is skipped, not corrupt:
-    // the known record still lands.
-    {
-        std::ofstream(path) << "pid 1\nshard 0\ncount 2\n"
-                            << "99 1 2 0 0 7\n1 100 200 50 11 7\n";
-    }
-    EXPECT_EQ(t->absorbSnapshot(path.string().c_str()), 1u);
-    EXPECT_EQ(t->corruptSnapshots(), 3u);
-    EXPECT_EQ(t->count(), before + 1);
-
-    std::filesystem::remove(path);
-}
-
-TEST(ObsReport, AggregatesPerPhaseAndPerShard)
+TEST(ObsReport, AggregatesPerPhase)
 {
     std::vector<obs::SpanRec> records = {
         rec(obs::Phase::Sweep, 0, 1000),
         rec(obs::Phase::Replay, 100, 400, 10),
-        rec(obs::Phase::Replay, 200, 300, 30, 0),
-        rec(obs::Phase::Replay, 150, 650, 60, 1),
+        rec(obs::Phase::Replay, 200, 300, 30),
+        rec(obs::Phase::Replay, 150, 650, 60),
     };
     obs::RunMeta meta;
     meta.points = 4;
@@ -265,25 +178,14 @@ TEST(ObsReport, AggregatesPerPhaseAndPerShard)
     EXPECT_EQ(report.cache.misses, 4u);
     // replay throughput = argTotal / wall seconds, in M/s.
     EXPECT_NEAR(report.replayMinstrPerS(), 100.0 * 1e3 / 900.0, 1e-9);
-
-    // Parent first, then shards ascending; only processes that
-    // recorded appear.
-    ASSERT_EQ(report.shards.size(), 3u);
-    EXPECT_EQ(report.shards[0].shard, -1);
-    EXPECT_EQ(report.shards[1].shard, 0);
-    EXPECT_EQ(report.shards[2].shard, 1);
-    EXPECT_EQ(report.shards[0].phases[size_t(obs::Phase::Replay)].count,
-              1u);
-    EXPECT_EQ(
-        report.shards[2].phases[size_t(obs::Phase::Replay)].argTotal, 60u);
 }
 
-TEST(ObsReport, JsonAndChromeTraceSerializeEveryShard)
+TEST(ObsReport, JsonAndChromeTraceSerialize)
 {
     std::vector<obs::SpanRec> records = {
         rec(obs::Phase::Sweep, 1000, 3000),
-        rec(obs::Phase::Replay, 1100, 1400, 10, 0),
-        rec(obs::Phase::Replay, 1200, 1300, 30, 1),
+        rec(obs::Phase::Replay, 1100, 1400, 10),
+        rec(obs::Phase::Replay, 1200, 1300, 30),
     };
     obs::RunMeta meta;
     const auto report =
@@ -302,15 +204,17 @@ TEST(ObsReport, JsonAndChromeTraceSerializeEveryShard)
     std::ostringstream ct;
     obs::writeChromeTrace(ct, records);
     const std::string c = ct.str();
-    // Parent is pid 1, shard N is pid N + 2; each named once.
-    EXPECT_NE(c.find("\"name\": \"swan parent\""), std::string::npos);
-    EXPECT_NE(c.find("\"name\": \"swan shard 0\""), std::string::npos);
-    EXPECT_NE(c.find("\"name\": \"swan shard 1\""), std::string::npos);
-    EXPECT_NE(c.find("\"pid\": 1"), std::string::npos);
-    EXPECT_NE(c.find("\"pid\": 2"), std::string::npos);
-    EXPECT_NE(c.find("\"pid\": 3"), std::string::npos);
+    // One complete event per record, on the recording thread's track.
+    size_t events = 0;
+    for (size_t at = c.find("\"ph\": \"X\""); at != std::string::npos;
+         at = c.find("\"ph\": \"X\"", at + 1))
+        ++events;
+    EXPECT_EQ(events, records.size());
+    EXPECT_NE(c.find("\"name\": \"replay\""), std::string::npos);
+    EXPECT_NE(c.find("\"tid\": 7"), std::string::npos);
     // Timestamps are normalized to the earliest t0 (microseconds).
     EXPECT_NE(c.find("\"ts\": 0.000"), std::string::npos);
+    EXPECT_NE(c.find("\"dur\": 0.300"), std::string::npos);
 }
 
 TEST(ObsReport, CacheObjectCarriesTierCounters)
@@ -389,9 +293,9 @@ TEST_F(ObsFixture, CollectorReportsSinkFailure)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end properties on pinned traces (the test_sweep_backend.cc
-// fixture recipe: prime the trace tier with a different warm-up count
-// so every compared run actually schedules and simulates).
+// End-to-end properties on pinned traces: prime the trace tier with a
+// different warm-up count so every compared run actually schedules and
+// simulates.
 // ---------------------------------------------------------------------
 
 namespace
@@ -416,7 +320,7 @@ render(const std::vector<sweep::SweepResult> &results)
     return os.str();
 }
 
-class ObsBackendFixture : public ObsFixture
+class ObsSweepFixture : public ObsFixture
 {
   protected:
     void
@@ -427,7 +331,7 @@ class ObsBackendFixture : public ObsFixture
         points_ = sweep::expand(smallGrid(), &err);
         ASSERT_FALSE(points_.empty()) << err;
         dir_ = std::filesystem::temp_directory_path() /
-               ("swan_obs_backend_" + std::to_string(::getpid()));
+               ("swan_obs_sweep_" + std::to_string(::getpid()));
         std::filesystem::remove_all(dir_);
         sweep::ResultCache prime(dir_.string());
         sweep::SchedulerConfig sc;
@@ -461,8 +365,7 @@ class ObsBackendFixture : public ObsFixture
     };
 
     RunOutcome
-    runWith(sweep::Backend backend, int jobs, int shards, bool collect,
-            sweep::RowCallback on_row = nullptr)
+    runWith(int jobs, bool collect, sweep::RowCallback on_row = nullptr)
     {
         dropResults();
         RunOutcome out;
@@ -472,9 +375,7 @@ class ObsBackendFixture : public ObsFixture
         {
             sweep::ResultCache cache(dir_.string());
             sweep::SchedulerConfig sc;
-            sc.backend = backend;
             sc.jobs = jobs;
-            sc.shards = shards;
             sc.cache = &cache;
             sc.onRow = std::move(on_row);
             out.emitted = render(sweep::runSweep(points_, sc));
@@ -506,30 +407,19 @@ class ObsBackendFixture : public ObsFixture
 
 } // namespace
 
-TEST_F(ObsBackendFixture, CollectionNeverChangesEmitterOutput)
+TEST_F(ObsSweepFixture, CollectionNeverChangesEmitterOutput)
 {
-    const std::string reference =
-        runWith(sweep::Backend::Inline, 1, 1, false).emitted;
+    const std::string reference = runWith(1, false).emitted;
     ASSERT_FALSE(reference.empty());
 
-    EXPECT_EQ(reference,
-              runWith(sweep::Backend::Inline, 1, 1, true).emitted);
-    for (int jobs : {1, 4}) {
-        EXPECT_EQ(reference,
-                  runWith(sweep::Backend::Threaded, jobs, 1, true).emitted)
-            << "threaded jobs=" << jobs;
-    }
-#ifdef SWAN_TEST_HAVE_FORK
-    for (int shards : {2, 3})
-        EXPECT_EQ(reference,
-                  runWith(sweep::Backend::Sharded, 2, shards, true).emitted)
-            << "sharded shards=" << shards;
-#endif
+    for (int jobs : {1, 2, 4})
+        EXPECT_EQ(reference, runWith(jobs, true).emitted)
+            << "jobs=" << jobs;
 }
 
-TEST_F(ObsBackendFixture, ThreadedRunRecordsTheWholePipeline)
+TEST_F(ObsSweepFixture, ThreadedRunRecordsTheWholePipeline)
 {
-    const auto run = runWith(sweep::Backend::Threaded, 2, 1, true);
+    const auto run = runWith(2, true);
     ASSERT_FALSE(run.spans.empty());
     EXPECT_EQ(phaseTotal(run.spans, obs::Phase::Sweep).count, 1u);
     // 6 pinned trace groups: 6 disk probes (hits), 6 fused replays, 6
@@ -539,14 +429,12 @@ TEST_F(ObsBackendFixture, ThreadedRunRecordsTheWholePipeline)
     EXPECT_GT(phaseTotal(run.spans, obs::Phase::Replay).argTotal, 0u);
     EXPECT_EQ(phaseTotal(run.spans, obs::Phase::Capture).count, 0u);
     EXPECT_EQ(phaseTotal(run.spans, obs::Phase::Pack).count, 0u);
-    EXPECT_EQ(std::string(run.meta.backend), "threaded");
     EXPECT_EQ(run.meta.points, points_.size());
     EXPECT_EQ(run.meta.units, 6u);
     EXPECT_EQ(run.meta.jobs, 2);
-    EXPECT_EQ(run.meta.shards, 1);
 }
 
-TEST_F(ObsBackendFixture, ColdRunRecordsCaptureAndPack)
+TEST_F(ObsSweepFixture, ColdRunRecordsCaptureAndPack)
 {
     // A second cache dir with no pinned traces: the capture window
     // itself must be spanned (malloc-free guards make that legal).
@@ -572,81 +460,17 @@ TEST_F(ObsBackendFixture, ColdRunRecordsCaptureAndPack)
         << "arg = instructions captured";
 }
 
-#ifdef SWAN_TEST_HAVE_FORK
-
-TEST_F(ObsBackendFixture, ShardedFleetAggregateEqualsThreadedTotals)
-{
-    const auto threaded = runWith(sweep::Backend::Threaded, 2, 1, true);
-    const auto sharded = runWith(sweep::Backend::Sharded, 2, 2, true);
-    ASSERT_EQ(threaded.emitted, sharded.emitted);
-
-    // Same fleet-wide work: every unit replayed and published exactly
-    // once somewhere, and the instruction-step payload is identical.
-    const auto tr = phaseTotal(threaded.spans, obs::Phase::Replay);
-    const auto sr = phaseTotal(sharded.spans, obs::Phase::Replay);
-    EXPECT_EQ(sr.count, tr.count);
-    EXPECT_EQ(sr.argTotal, tr.argTotal);
-    EXPECT_EQ(phaseTotal(sharded.spans, obs::Phase::Publish).count,
-              phaseTotal(threaded.spans, obs::Phase::Publish).count);
-
-    // Every shard contributed at least its lifetime envelope, so a
-    // Perfetto load of this run shows every process.
-    EXPECT_EQ(phaseTotal(sharded.spans, obs::Phase::Shard).count, 2u);
-    bool saw0 = false, saw1 = false;
-    for (const auto &r : sharded.spans) {
-        saw0 = saw0 || r.shard == 0;
-        saw1 = saw1 || r.shard == 1;
-        if (r.shard >= 0) {
-            EXPECT_NE(r.phase, obs::Phase::Merge)
-                << "merging is parent work";
-        }
-    }
-    EXPECT_TRUE(saw0);
-    EXPECT_TRUE(saw1);
-    EXPECT_EQ(phaseTotal(sharded.spans, obs::Phase::Merge).count, 1u);
-    EXPECT_EQ(std::string(sharded.meta.backend), "sharded");
-    EXPECT_EQ(sharded.meta.shards, 2);
-}
-
-TEST_F(ObsBackendFixture, CrashRecoveryIsCountedAndSpanned)
-{
-    const std::string reference =
-        runWith(sweep::Backend::Inline, 1, 1, false).emitted;
-    ASSERT_EQ(::setenv("SWAN_SHARD_TEST_CRASH", "0", 1), 0);
-    const auto run = runWith(sweep::Backend::Sharded, 2, 2, true);
-    ASSERT_EQ(::unsetenv("SWAN_SHARD_TEST_CRASH"), 0);
-
-    EXPECT_EQ(reference, run.emitted);
-    EXPECT_GT(run.stats.recoveredUnits, 0u);
-    EXPECT_EQ(phaseTotal(run.spans, obs::Phase::Recovery).count, 1u);
-    EXPECT_EQ(phaseTotal(run.spans, obs::Phase::Recovery).argTotal,
-              run.stats.recoveredUnits);
-}
-
-TEST_F(ObsBackendFixture, StaleClaimSweepsAreCounted)
-{
-    const auto stale = dir_ / "c0123456789abcdef-00000000deadbeef.claim";
-    std::ofstream(stale) << "pid 999999999\nshard 0\n";
-    const auto run = runWith(sweep::Backend::Sharded, 1, 2, false);
-    ASSERT_FALSE(run.emitted.empty());
-    EXPECT_FALSE(std::filesystem::exists(stale));
-    EXPECT_EQ(run.stats.staleClaimsSwept, 1u);
-}
-
-#endif // SWAN_TEST_HAVE_FORK
-
-TEST_F(ObsBackendFixture, OnRowStreamsEveryRowInPointOrder)
+TEST_F(ObsSweepFixture, OnRowStreamsEveryRowInPointOrder)
 {
     struct Seen
     {
         size_t index;
         sweep::RowOrigin::Kind kind;
-        int shard;
     };
     const auto collect = [&](std::vector<Seen> *seen) {
         return [seen](const sweep::SweepResult &r,
                       const sweep::RowOrigin &o) {
-            seen->push_back({r.point.index, o.kind, o.shard});
+            seen->push_back({r.point.index, o.kind});
             EXPECT_EQ(o.done, seen->size());
             EXPECT_EQ(o.total, 0u + 12u);
         };
@@ -654,7 +478,7 @@ TEST_F(ObsBackendFixture, OnRowStreamsEveryRowInPointOrder)
 
     // Cold-cache path: every row computed in-process.
     std::vector<Seen> computed;
-    runWith(sweep::Backend::Threaded, 4, 1, false, collect(&computed));
+    runWith(4, false, collect(&computed));
     ASSERT_EQ(computed.size(), points_.size());
     for (size_t i = 0; i < computed.size(); ++i) {
         EXPECT_EQ(computed[i].index, i);
@@ -679,28 +503,8 @@ TEST_F(ObsBackendFixture, OnRowStreamsEveryRowInPointOrder)
         }
     }
 
-#ifdef SWAN_TEST_HAVE_FORK
-    // Sharded: rows surface from the parent merge, tagged with the
-    // publishing shard; order stays point order.
-    std::vector<Seen> merged;
-    runWith(sweep::Backend::Sharded, 2, 2, false, collect(&merged));
-    ASSERT_EQ(merged.size(), points_.size());
-    bool anyShard = false;
-    for (size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].index, i);
-        if (merged[i].kind == sweep::RowOrigin::Kind::Shard) {
-            anyShard = true;
-            EXPECT_GE(merged[i].shard, 0);
-            EXPECT_LT(merged[i].shard, 2);
-        }
-    }
-    EXPECT_TRUE(anyShard);
-#endif
-
     const sweep::RowOrigin cacheOrigin{sweep::RowOrigin::Kind::Cache};
     EXPECT_EQ(sweep::describe(cacheOrigin), "cache");
-    sweep::RowOrigin shardOrigin;
-    shardOrigin.kind = sweep::RowOrigin::Kind::Shard;
-    shardOrigin.shard = 2;
-    EXPECT_EQ(sweep::describe(shardOrigin), "shard 2");
+    const sweep::RowOrigin computedOrigin{sweep::RowOrigin::Kind::Computed};
+    EXPECT_EQ(sweep::describe(computedOrigin), "computed");
 }

@@ -70,7 +70,7 @@ TEST(SweepScheduler, OneThreadAndManyThreadsAgreeByteForByte)
     // with a different warm-up-pass count so the RESULT cache never
     // hits and every run actually schedules and simulates): with the
     // instruction streams fixed, any cross-jobs difference can only
-    // come from the scheduler itself — grouping, work stealing,
+    // come from the scheduler itself — grouping, unit hand-out,
     // result placement, the power pass. Fresh-capture identity across
     // --jobs and processes is tests/test_determinism.cc's job.
     const auto dir = std::filesystem::temp_directory_path() /

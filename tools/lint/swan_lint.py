@@ -2,11 +2,11 @@
 """swan-lint: determinism-contract static analysis for the swan tree.
 
 The sweep engine's standing guarantee — a result is a pure function of
-its cache key, byte-identical across any backend x jobs x shards
-combination — rests on a handful of invariants that used to live only
-in comments and after-the-fact byte-diffing. This pass encodes them as
-checks over the library sources (src/ and include/), enumerated via
-the build's compile_commands.json:
+its cache key, byte-identical for any job count — rests on a handful
+of invariants that used to live only in comments and after-the-fact
+byte-diffing. This pass encodes them as checks over the library
+sources (src/ and include/), enumerated via the build's
+compile_commands.json:
 
   noalloc         allocation-capable constructs inside a
                   SWAN_NOALLOC_BEGIN/END region (the fused replay loop,
@@ -26,7 +26,7 @@ the build's compile_commands.json:
 Suppress a finding by annotating the offending line (or the line
 before) with a reason:
 
-    // swan-lint: allow(nondet) watchdog deadline, never feeds results
+    // swan-lint: allow(nondet) progress timer, never feeds results
 
 A suppression without a reason is itself a finding: intentional
 exceptions are part of the contract and must say why they are safe.

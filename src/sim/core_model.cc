@@ -5,6 +5,7 @@
 #include "swan/internal/simd_dispatch.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -119,22 +120,48 @@ scanSlots4(const unsigned char *ring, uint64_t c, uint64_t slot_mask,
 
 CoreModel::CoreModel(const CoreConfig &cfg)
     : cfg_(cfg), mem_(cfg),
-      readyRing_(kWindow, 0),
+      readyRing_(std::bit_ceil(size_t(std::max(cfg.robSize, 1))), 0),
       robRing_(size_t(std::max(cfg.robSize, 1)), 0)
 {
     for (size_t f = 0; f < fuFree_.size(); ++f) {
         int count = std::max(cfg_.fuCount[f], 1);
         fuFree_[f].assign(size_t(count), 0);
-        fuSlots_[f].assign(kSlots, IssueSlot{});
+    }
+    if (cfg_.outOfOrder) {
+        issueSlots_.assign(fuFree_.size() * kIssueWindow0, IssueSlot{});
+        issueMask_ = kIssueWindow0 - 1;
     }
     st_.branchCountdown = mispredictInterval(cfg_);
 }
 
-uint64_t
-CoreModel::findIssueSlot(uint8_t fu, uint64_t ready, int occupancy,
-                         uint64_t *fu_frontier)
+void
+CoreModel::growIssueWindow(uint64_t dispatch, uint64_t end)
 {
-    IssueSlot *ring = fuSlots_[fu].data();
+    const uint64_t oldSlots = issueMask_ + 1;
+    uint64_t slots = oldSlots;
+    while (end - dispatch > slots)
+        slots *= 2;
+    std::vector<IssueSlot> grown(fuFree_.size() * slots);
+    for (size_t f = 0; f < fuFree_.size(); ++f) {
+        const IssueSlot *from = issueSlots_.data() + f * oldSlots;
+        IssueSlot *to = grown.data() + f * slots;
+        for (uint64_t i = 0; i < oldSlots; ++i) {
+            // Live slots lie in [dispatch, dispatch + oldSlots); dead
+            // ones (below dispatch) and never-used ones are dropped.
+            if (from[i].cycle - dispatch <= issueMask_)
+                to[from[i].cycle & (slots - 1)] = from[i];
+        }
+    }
+    issueSlots_.swap(grown);
+    issueMask_ = slots - 1;
+}
+
+uint64_t
+CoreModel::findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
+                         int occupancy, uint64_t *fu_frontier)
+{
+    const uint64_t mask = issueMask_;
+    IssueSlot *ring = issueSlots_.data() + fu * (mask + 1);
     const uint8_t limit = uint8_t(fuFree_[fu].size());
     const uint64_t frontier = fu_frontier[fu];
     // Cycles below the frontier are known full: skipping them cannot
@@ -146,7 +173,7 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t ready, int occupancy,
         // Scalar probe of the start cycle first: an unsaturated pool
         // answers here, and the vectorized scan below only earns its
         // setup once at least one full cycle must be skipped.
-        const auto &first = ring[c & (kSlots - 1)];
+        const auto &first = ring[c & mask];
         if ((first.cycle == c ? first.used : 0) >= limit) {
 #if defined(__x86_64__) && !defined(SWAN_SIMD_OFF)
             static_assert(sizeof(IssueSlot) == 16,
@@ -154,13 +181,13 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t ready, int occupancy,
             if (slotScanAvx2()) {
                 c = scanSlots4(
                     reinterpret_cast<const unsigned char *>(ring), c + 1,
-                    kSlots - 1, limit);
+                    mask, limit);
             } else
 #endif
             {
                 ++c;
                 while (true) {
-                    const auto &slot = ring[c & (kSlots - 1)];
+                    const auto &slot = ring[c & mask];
                     const uint8_t used = slot.cycle == c ? slot.used : 0;
                     if (used < limit)
                         break;
@@ -176,7 +203,7 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t ready, int occupancy,
         while (true) {
             bool fits = true;
             for (int k = 0; k < occupancy && fits; ++k) {
-                const auto &slot = ring[(c + uint64_t(k)) & (kSlots - 1)];
+                const auto &slot = ring[(c + uint64_t(k)) & mask];
                 const uint8_t used =
                     slot.cycle == c + uint64_t(k) ? slot.used : 0;
                 fits = used < limit;
@@ -186,9 +213,19 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t ready, int occupancy,
             ++c;
         }
     }
+    // The reservation must fit the window anchored at dispatch (see
+    // the header). Growing it is rare and allocates, so it runs with
+    // the caller's no-alloc region paused.
+    if (c + uint64_t(occupancy) - dispatch > mask + 1) {
+        {
+            SWAN_NOALLOC_PAUSE();
+            growIssueWindow(dispatch, c + uint64_t(occupancy));
+        }
+        ring = issueSlots_.data() + fu * (issueMask_ + 1);
+    }
     // One unit is busy for `occupancy` consecutive cycles.
     for (int k = 0; k < occupancy; ++k) {
-        auto &slot = ring[(c + uint64_t(k)) & (kSlots - 1)];
+        auto &slot = ring[(c + uint64_t(k)) & issueMask_];
         if (slot.cycle != c + uint64_t(k)) {
             slot.cycle = c + uint64_t(k);
             slot.used = 0;
@@ -263,10 +300,15 @@ CoreModel::readyOf(const StepState &st, uint64_t dep) const
 {
     if (dep == 0)
         return 0;
+    // Only the last readyRing_.size() - 1 producers can still delay
+    // this instruction (see the ring's note): older ones completed
+    // before it dispatched. A forward or self dependence (never
+    // recorded) has no completion yet and reads as ready too.
+    const uint64_t mask = readyRing_.size() - 1;
     const uint64_t eff = dep + st.idOffset;
-    if (eff + kWindow <= st.n)
-        return 0; // long since completed
-    return readyRing_[eff & (kWindow - 1)];
+    if (st.n - eff - 1 >= mask)
+        return 0;
+    return readyRing_[eff & mask];
 }
 
 uint64_t
@@ -349,10 +391,9 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
     // memory hierarchy going through memory. The copy cannot escape,
     // so the compiler needs no aliasing proofs against the ring
     // stores.
-    // The step core is a no-alloc region: it runs between captures on
-    // the bench thread (onBlock path) and inside the fused replay
-    // loop, where any heap traffic would shift later capture
-    // addresses (swan/internal/contracts.hh; docs/lint.md).
+    // The step core is a no-alloc region: it is the per-instruction
+    // hot path of every replay (swan/internal/contracts.hh;
+    // docs/lint.md). Issue-window growth is its one cold exception.
     SWAN_NOALLOC_BEGIN("CoreModel::stepBlock");
     StepState st = io;
     const uint32_t robSize = uint32_t(m.robRing_.size());
@@ -361,6 +402,7 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
     const int commitWidth = m.cfg_.commitWidth;
     uint64_t *const robRing = m.robRing_.data();
     uint64_t *const readyRing = m.readyRing_.data();
+    const uint64_t readyMask = m.readyRing_.size() - 1;
     (void)issueWidth; // only the in-order instantiation issues in order
     for (size_t k = 0; k < n; ++k) {
         const StepIn &in = ins[k];
@@ -413,7 +455,7 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
         if constexpr (OutOfOrder) {
             // Out-of-order issue: younger ready instructions may take
             // earlier cycles than stalled older ones.
-            start = m.findIssueSlot(in.fu, ready, occ, fu_frontier);
+            start = m.findIssueSlot(in.fu, d, ready, occ, fu_frontier);
         } else {
             start = m.reserveFu(in.fu, ready, occ);
             // Program-order issue, at most issueWidth per cycle.
@@ -464,7 +506,7 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
             st.commitCount = 1;
         }
         robRing[st.robIdx] = st.commitCycle;
-        readyRing[st.n & (kWindow - 1)] = complete;
+        readyRing[st.n & readyMask] = complete;
 
         ++m.byClass_[in.cls];
         m.vecBytes_ += in.vecBytes;

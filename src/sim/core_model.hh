@@ -284,6 +284,17 @@ class CoreModel : public trace::Sink
      * free slot in the pool's per-cycle issue table (younger
      * instructions may claim earlier cycles than stalled older ones).
      *
+     * The table is a window of cycles anchored at @p dispatch, the
+     * issuing instruction's dispatch cycle: every probe and every
+     * reservation lands at or after it (ready >= dispatch), and
+     * dispatch never decreases, so a slot stamped below it is dead.
+     * Every reservation lands inside [dispatch, dispatch + window);
+     * when one would not, the window first doubles (re-homing the live
+     * slots) until it does. Two live cycles therefore never share a
+     * slot, and a probe past the window reads as empty, which is
+     * right: nothing can have been reserved there. The window is thus
+     * exactly an unbounded per-cycle table.
+     *
      * @p fu_frontier[fu] is a caller-owned monotone hint: every cycle
      * below it is known to be fully issued, so the search may start
      * there instead of at @p ready. A cycle's issue count never
@@ -293,8 +304,12 @@ class CoreModel : public trace::Sink
      * a ROB's worth of re-scanning per instruction). Single-cycle
      * scans advance the frontier; a zeroed array is always valid.
      */
-    uint64_t findIssueSlot(uint8_t fu, uint64_t ready, int occupancy,
-                           uint64_t *fu_frontier);
+    uint64_t findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
+                           int occupancy, uint64_t *fu_frontier);
+
+    /** Double the issue window until cycle @p end - 1 fits in it, and
+     *  re-home the live slots (stamps >= @p dispatch). Cold path. */
+    void growIssueWindow(uint64_t dispatch, uint64_t end);
 
     /** Execute the memory side; returns the completion cycle. */
     uint64_t memComplete(const StepIn &in, uint64_t start);
@@ -307,18 +322,16 @@ class CoreModel : public trace::Sink
      */
     uint64_t memCompleteMulti(const StepIn &in, uint64_t start);
 
-    static constexpr int kWindowBits = 17;
-    static constexpr uint64_t kWindow = uint64_t(1) << kWindowBits;
-
-    static constexpr int kSlotBits = 14;
-    static constexpr uint64_t kSlots = uint64_t(1) << kSlotBits;
+    /** Issue-window slots per pool before any growth. */
+    static constexpr uint64_t kIssueWindow0 = 1024;
 
     /**
-     * Per-pool, per-cycle issued-op counts (OoO issue model). Slots are
-     * stamped with the cycle they describe, so a stale entry from a
-     * previous trip around the ring reads as zero without any clearing
-     * sweep — host cost stays O(1) per instruction even when stall-heavy
-     * variants advance the cycle frontier by thousands per instruction.
+     * One cycle of one pool's issue table (OoO issue model). Slots are
+     * stamped with the full cycle number they describe, so a slot left
+     * over from an earlier cycle reads as zero without any clearing
+     * sweep — host cost stays O(1) per instruction even when
+     * stall-heavy variants advance the cycle frontier by thousands per
+     * instruction.
      */
     struct IssueSlot
     {
@@ -385,13 +398,19 @@ class CoreModel : public trace::Sink
     MemHierarchy mem_;
     StepState st_;
 
-    // Ring/pool storage. The per-pool vector layout (and construction
-    // order) is part of the same capture-determinism contract as the
-    // StepState layout note above.
+    /**
+     * Completion cycle of the last readyRing_.size() instructions. An
+     * instruction cannot dispatch before the one robSize back commits,
+     * and commit follows completion, so a producer robSize or more back
+     * can never delay a consumer: bit_ceil(robSize) entries suffice.
+     */
     std::vector<uint64_t> readyRing_;
     std::vector<uint64_t> robRing_;
     std::array<std::vector<uint64_t>, size_t(trace::Fu::NumFus)> fuFree_;
-    std::array<std::vector<IssueSlot>, size_t(trace::Fu::NumFus)> fuSlots_;
+    /** Issue window, pool-major: issueMask_ + 1 slots per pool (see
+     *  findIssueSlot). Empty for in-order models. */
+    std::vector<IssueSlot> issueSlots_;
+    uint64_t issueMask_ = 0;
 
     // Measurement snapshot.
     uint64_t instr0_ = 0;

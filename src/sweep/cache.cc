@@ -61,11 +61,14 @@ hashCache(Fnv &f, const sim::CacheConfig &c)
     f.b(c.nextLinePrefetch);
 }
 
-/** On-disk result entry header: kMagicStem + format version. v2 holds
- *  results simulated from canonical-address traces (trace/canon.hh);
- *  entries of any other version are plain misses. */
+/** On-disk result entry header: kMagicStem + format version. v3 holds
+ *  results simulated from canonical-address traces (trace/canon.hh) on
+ *  the exact, dispatch-anchored issue window (sim/core_model.hh); a
+ *  point whose reservations wrapped the earlier fixed issue ring
+ *  simulates differently. Entries of any other version are plain
+ *  misses. */
 constexpr std::string_view kMagicStem = "swan-sweep-result v";
-constexpr const char *kMagic = "swan-sweep-result v2";
+constexpr const char *kMagic = "swan-sweep-result v3";
 
 std::string
 hex64(uint64_t v)

@@ -442,3 +442,107 @@ TEST(FusedReplay, EmptySpanAndEmptyTraceAreNoOps)
     const auto r = model.finish();
     EXPECT_EQ(r.instrs, 0u);
 }
+
+TEST(FusedReplay, PinsAbsoluteModelOutput)
+{
+    // Every other case compares entry points that share one step core;
+    // these integers pin the step core itself (recorded before the
+    // ready ring and the issue window were resized to what the model
+    // can read back, which must change nothing). No doubles: those
+    // derive from the integers.
+    struct Pin
+    {
+        uint32_t seed;
+        const char *config;
+        uint64_t cycles, instrs, l1, l2, llc, dramReads, dramWrites;
+    };
+    static const Pin kPins[] = {
+        {211, "prime", 215414, 40000, 32950, 37835, 37835, 7157, 2121},
+        {211, "silver", 410175, 40000, 32950, 37835, 37797, 8356, 3310},
+        {211, "8W-8V", 215303, 40000, 32950, 37835, 37835, 7157, 2121},
+        {223, "prime", 215400, 40000, 32777, 37668, 37668, 7313, 2292},
+        {223, "silver", 407678, 40000, 32777, 37668, 37623, 8458, 3421},
+        {223, "8W-8V", 215159, 40000, 32777, 37668, 37668, 7313, 2292},
+        {227, "prime", 220841, 40000, 33372, 38579, 38579, 8226, 2612},
+        {227, "silver", 430702, 40000, 33372, 38579, 38515, 9468, 3836},
+        {227, "8W-8V", 220608, 40000, 33372, 38579, 38579, 8226, 2612},
+    };
+    using ByClass = decltype(sim::SimResult::byClass);
+    const std::pair<uint32_t, ByClass> kByClass[] = {
+        {211, {3685, 3616, 3671, 3644, 3605, 3692, 3671, 3559, 3558, 3600,
+               3699}},
+        {223, {3666, 3602, 3624, 3587, 3630, 3627, 3646, 3615, 3668, 3688,
+               3647}},
+        {227, {3655, 3497, 3581, 3648, 3664, 3650, 3713, 3650, 3649, 3637,
+               3656}},
+    };
+    size_t next = 0;
+    for (const auto &[seed, byClass] : kByClass) {
+        const auto packed = PackedTrace::pack(randomTrace(40000, seed));
+        const auto got = runFused(packed,
+                                  {sim::primeConfig(), sim::silverConfig(),
+                                   sim::scalabilityConfig(8, 8)},
+                                  1);
+        for (const auto &r : got) {
+            const Pin &p = kPins[next++];
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " on "
+                                            << p.config);
+            EXPECT_EQ(r.config, p.config);
+            EXPECT_EQ(r.cycles, p.cycles);
+            EXPECT_EQ(r.instrs, p.instrs);
+            EXPECT_EQ(r.l1Accesses, p.l1);
+            EXPECT_EQ(r.l2Accesses, p.l2);
+            EXPECT_EQ(r.llcAccesses, p.llc);
+            EXPECT_EQ(r.dramReads, p.dramReads);
+            EXPECT_EQ(r.dramWrites, p.dramWrites);
+            EXPECT_EQ(r.byClass, byClass);
+        }
+    }
+    EXPECT_EQ(next, std::size(kPins));
+}
+
+TEST(FusedReplay, IssueWindowNeverDoubleBooksAUnit)
+{
+    // One unit per pool: a single-unit pool issues one op per cycle, so
+    // 60,002 SInt ops need 60,002 distinct cycles. The two consumers of
+    // a 40,000-cycle DRAM miss reserve their slot far past dispatch,
+    // while the independent ops fill the pool from the bottom; a fixed
+    // issue ring shorter than that spread would let an independent op
+    // overwrite a consumer's reservation a lap later and double-book
+    // the unit.
+    sim::CoreConfig cfg = sim::primeConfig();
+    cfg.name = "one-unit";
+    cfg.fuCount.fill(1);
+    cfg.robSize = 1 << 17;
+    cfg.freqGHz = 2.0;
+    cfg.dramLatencyNs = 20000.0;
+    constexpr uint64_t kIndependent = 60000;
+    std::vector<Instr> instrs;
+    Instr load;
+    load.id = 1;
+    load.cls = trace::InstrClass::SLoad;
+    load.fu = trace::Fu::Load;
+    load.latency = 4;
+    load.addr = 0x4000'0000;
+    load.size = 8;
+    instrs.push_back(load);
+    const auto sint = [&](uint64_t dep) {
+        Instr i;
+        i.id = instrs.size() + 1;
+        i.cls = trace::InstrClass::SInt;
+        i.fu = trace::Fu::SAlu;
+        i.latency = 1;
+        i.dep0 = dep;
+        instrs.push_back(i);
+    };
+    sint(1);
+    for (uint64_t k = 0; k < kIndependent; ++k)
+        sint(0);
+    sint(1);
+
+    const auto packed = PackedTrace::pack(instrs);
+    const auto fused = runFused(packed, {cfg}, 0);
+    EXPECT_GE(fused[0].cycles, kIndependent + 2);
+    expectSameResult(fused[0], runOnBlock(packed, cfg, 0));
+    expectSameResult(fused[0], runOnInstr(instrs, cfg, 0));
+}

@@ -26,6 +26,11 @@
  * capacity behind DRAM-missing loads while ready bursts oversubscribe
  * the vector FU pool (full per-cycle issue tables — the regime where
  * the fused engine's persistent per-FU issue frontiers matter most).
+ * A third, report-only row replays a full-working-set capture (WA/vmul
+ * Neon at the paper's input size) across the nine Figure 4 / 5(b)
+ * core configurations, the regime of a fanout_full sweep unit: nine
+ * models' host state competes for the host caches, so the model's own
+ * memory footprint shows, which the two cache-resident corpora hide.
  * The fused engine must beat block-delivery replay by >= 1.3x at N=3
  * on the capture mix and >= 1.2x on the saturation corpus. The gates
  * are report-only by default (CI machines are noisy); an optimized
@@ -328,6 +333,37 @@ main(int argc, char **argv)
         [&] { sim::simulateTraceMany(satPacked, cfgs, 1); }, reps);
     const double satPassInstrs = 2.0 * double(satN);
 
+    // Host-memory corpus: one full-working-set capture over the nine
+    // Figure 4 / 5(b) configurations, as a fanout_full unit replays it.
+    const auto *vmul = core::Registry::instance().find("WA/vmul");
+    if (!vmul) {
+        std::cerr << "perf_smoke: unknown kernel WA/vmul\n";
+        return 1;
+    }
+    auto vmulWork = vmul->make(core::Options::full());
+    const auto fullPacked = trace::PackedTrace::pack(
+        core::Runner::capture(*vmulWork, core::Impl::Neon, 128));
+    const size_t fullN = fullPacked.size();
+    const std::vector<sim::CoreConfig> cfgs9 = {
+        sim::primeConfig(),           sim::goldConfig(),
+        sim::silverConfig(),          sim::scalabilityConfig(4, 2),
+        sim::scalabilityConfig(4, 4), sim::scalabilityConfig(4, 6),
+        sim::scalabilityConfig(6, 6), sim::scalabilityConfig(4, 8),
+        sim::scalabilityConfig(8, 8)};
+    const auto fullRefMany = sim::simulateTraceMany(fullPacked, cfgs9, 1);
+    for (size_t i = 0; i < cfgs9.size(); ++i) {
+        if (!sameSim(sim::simulateTrace(fullPacked, cfgs9[i], 1),
+                     fullRefMany[i])) {
+            std::cerr << "perf_smoke: full-working-set replays "
+                         "diverged\n";
+            return 1;
+        }
+    }
+    const double tFullFused9 = secondsOf(
+        [&] { sim::simulateTraceMany(fullPacked, cfgs9, 1); }, reps);
+    const double ipsFullFused9 =
+        2.0 * double(fullN) * double(cfgs9.size()) / tFullFused9;
+
     const double ipsSink = passInstrs / tSink;
     const double ipsBlock = passInstrs / tBlock;
     const double ipsPacked1 = passInstrs / tPacked1;
@@ -387,6 +423,12 @@ main(int argc, char **argv)
               << core::fmt(ipsSatFusedN / 1e6, 1) << " Minstr/s ("
               << core::fmtX(satFusedVsBlockN, 2) << ") at N="
               << cfgs.size() << "\n";
+    std::cout << "full working set (WA/vmul Neon, " << fullN
+              << " instrs) over the " << cfgs9.size()
+              << " Figure 4/5(b) cores: fused "
+              << core::fmt(ipsFullFused9 / 1e6, 1) << " Minstr/s ("
+              << core::fmt(1e9 / ipsFullFused9, 1)
+              << " ns per configuration step)\n";
     std::cout << "headline: fused replay advances all " << cfgs.size()
               << " configs inside a single decode pass — "
               << core::fmtX(fusedVsBlockN, 2)
@@ -491,6 +533,10 @@ main(int argc, char **argv)
            << fmtJson(ipsSatFusedN) << ",\n"
            << "  \"speedup_fused_vs_block_sat_n3\": "
            << fmtJson(satFusedVsBlockN) << ",\n"
+           << "  \"fullws_n_instrs\": " << fullN << ",\n"
+           << "  \"fullws_n_configs\": " << cfgs9.size() << ",\n"
+           << "  \"fullws_fused_9_instrs_per_sec\": "
+           << fmtJson(ipsFullFused9) << ",\n"
            << "  \"gate_fused_vs_block_n1_min\": " << fmtJson(kFusedGate1)
            << ",\n"
            << "  \"gate_fused_vs_block_n3_min\": " << fmtJson(kFusedGate)

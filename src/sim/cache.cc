@@ -5,9 +5,33 @@
 namespace swan::sim
 {
 
+namespace
+{
+
+/** Set count of @p cfg; rejects geometry the division cannot take. */
+int
+setCount(const CacheConfig &cfg)
+{
+    if (cfg.ways <= 0 || cfg.lineBytes <= 0)
+        throw std::invalid_argument(
+            "swan: cache ways and line size must be positive");
+    return int(int64_t(cfg.sizeBytes) /
+               (int64_t(cfg.lineBytes) * int64_t(cfg.ways)));
+}
+
+/** MSHR count of @p cfg: a miss cannot issue without one. */
+size_t
+mshrCount(const CoreConfig &cfg)
+{
+    if (cfg.mshrs < 1)
+        throw std::invalid_argument("swan: a core needs at least one MSHR");
+    return size_t(cfg.mshrs);
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &cfg)
-    : cfg_(cfg),
-      numSets_(cfg.sizeBytes / (cfg.lineBytes * cfg.ways)),
+    : cfg_(cfg), numSets_(setCount(cfg)),
       lines_(size_t(numSets_) * size_t(cfg.ways))
 {
     // Hard contract, not an assert: the line/set/tag address splits
@@ -17,8 +41,7 @@ Cache::Cache(const CacheConfig &cfg)
     if (numSets_ <= 0 || (numSets_ & (numSets_ - 1)) != 0)
         throw std::invalid_argument(
             "swan: cache set count must be a power of two");
-    if (cfg.lineBytes <= 0 ||
-        (cfg.lineBytes & (cfg.lineBytes - 1)) != 0)
+    if ((cfg.lineBytes & (cfg.lineBytes - 1)) != 0)
         throw std::invalid_argument(
             "swan: cache line size must be a power of two");
 }
@@ -100,7 +123,7 @@ Cache::resetStats()
 MemHierarchy::MemHierarchy(const CoreConfig &cfg)
     : cfg_(cfg), l1_(cfg.l1d), l2_(cfg.l2), llc_(cfg.llc),
       dram_(cfg.dramLatencyCycles(), cfg.dramServiceCycles()),
-      mshrFree_(size_t(cfg.mshrs), 0)
+      mshrFree_(mshrCount(cfg), 0)
 {
 }
 

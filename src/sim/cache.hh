@@ -22,6 +22,8 @@ namespace swan::sim
 class Cache
 {
   public:
+    /** @throws std::invalid_argument unless ways and lineBytes are
+     *  positive and lineBytes and the set count are powers of two. */
     explicit Cache(const CacheConfig &cfg);
 
     struct Result
@@ -132,6 +134,8 @@ class Cache
 class MemHierarchy
 {
   public:
+    /** @throws std::invalid_argument for fewer than one MSHR or a
+     *  cache level Cache rejects. */
     explicit MemHierarchy(const CoreConfig &cfg);
 
     /** Which level serviced an access. */

@@ -21,6 +21,9 @@ namespace swan::sim
 /** One cache level. */
 struct CacheConfig
 {
+    // sizeBytes / (lineBytes * ways) sets; lineBytes and the set count
+    // must be powers of two, ways positive (sim::Cache throws
+    // std::invalid_argument otherwise).
     int sizeBytes = 64 * 1024;
     int ways = 4;
     int lineBytes = 64;
@@ -40,10 +43,12 @@ struct CoreConfig
     int commitWidth = 4;
     int vecBits = 128;          //!< ASIMD datapath/register width
 
-    /** Functional-unit pool sizes, indexed by trace::Fu. */
+    /** Functional-unit pool sizes, indexed by trace::Fu: at most 255
+     *  units (sim::CoreModel throws std::invalid_argument above that);
+     *  0 or less means one unit. */
     std::array<int, size_t(trace::Fu::NumFus)> fuCount{};
 
-    int mshrs = 20;             //!< outstanding L1 misses
+    int mshrs = 20;             //!< outstanding L1 misses, >= 1
     CacheConfig l1d;
     CacheConfig l2;
     CacheConfig llc;

@@ -124,6 +124,11 @@ CoreModel::CoreModel(const CoreConfig &cfg)
       robRing_(size_t(std::max(cfg.robSize, 1)), 0)
 {
     for (size_t f = 0; f < fuFree_.size(); ++f) {
+        // Issue slots count a pool's busy units in a byte.
+        if (cfg_.fuCount[f] > 255)
+            throw std::invalid_argument(
+                "swan: a functional-unit pool holds at most 255 units, "
+                "got " + std::to_string(cfg_.fuCount[f]));
         int count = std::max(cfg_.fuCount[f], 1);
         fuFree_[f].assign(size_t(count), 0);
     }
@@ -230,7 +235,7 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
             slot.cycle = c + uint64_t(k);
             slot.used = 0;
         }
-        slot.used = uint8_t(std::min<int>(slot.used + 1, 255));
+        ++slot.used; // stays <= limit <= 255
     }
     return c;
 }
@@ -653,10 +658,7 @@ replayWith(const trace::PackedTrace &trace,
     // prototype per deduplicated descriptor (class/FU predicates,
     // unpipelined occupancy, latency), built once per traversal. Both
     // this table and the lane blocks live on the stack for every
-    // realistic span — the replay path then makes no heap allocation,
-    // which benches that interleave capture and simulation on one
-    // thread rely on (the cache models are address-sensitive; see
-    // sweep/scheduler.cc).
+    // realistic span, so setup rarely touches the heap.
     constexpr uint32_t kStackDescs = 512;
     const uint32_t dc = trace.descCount();
     CoreModel::StepIn stackProto[kStackDescs];
@@ -727,18 +729,17 @@ replayWith(const trace::PackedTrace &trace,
 
     // From here to the end of the traversal the engine is heap-free —
     // the setup above (prototype table, lanes) took any allocations
-    // it needed, and benches interleave replay with capture on one
-    // thread, so heap traffic here would shift the addresses later
-    // captures record. Statically checked by swan-lint; dynamically
-    // by AllocGuard under -DSWAN_ALLOC_GUARD=ON. Payload callbacks
-    // are foreign code and run under SWAN_NOALLOC_PAUSE — the
-    // contract binds the engine, not the payload.
+    // it needed; this is the per-instruction hot loop of every
+    // replay. Statically checked by swan-lint; dynamically by
+    // AllocGuard under -DSWAN_ALLOC_GUARD=ON. Payload callbacks are
+    // foreign code and run under SWAN_NOALLOC_PAUSE — the contract
+    // binds the engine, not the payload — as does the rare
+    // issue-window growth (CoreModel::findIssueSlot).
     SWAN_NOALLOC_BEGIN("sim::replay");
     constexpr size_t kBatch = 4 * trace::PackedTrace::kBlockInstrs;
     // Decode sub-batch: the batch kernels (Cursor::nextBatch) fill an
     // L1-resident Decoded span which the merge loop folds with the
-    // prototype table into StepIn operands. Capture-phase scratch:
-    // sized by the Decoded layout pin.
+    // prototype table into StepIn operands.
     constexpr size_t kDecodeChunk = 128;
     CoreModel::StepIn batch[kBatch];
     trace::PackedTrace::Decoded dbuf[kDecodeChunk];

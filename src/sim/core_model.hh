@@ -171,6 +171,9 @@ void replayWith(const trace::PackedTrace &trace,
 class CoreModel : public trace::Sink
 {
   public:
+    /** @throws std::invalid_argument for a configuration the model
+     *  cannot represent: a functional-unit pool above 255 units, fewer
+     *  than one MSHR, or a cache geometry sim::Cache rejects. */
     explicit CoreModel(const CoreConfig &cfg);
 
     CoreModel(const CoreModel &) = delete;

@@ -3,6 +3,7 @@
 #include "obs/telemetry.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,15 +30,41 @@ struct ScenarioInfo
     FaultScenario scenario;
     const char *name;
     double defaultIntensity;
+    double maxIntensity; //!< largest explicit intensity parse() accepts
 };
 
+// The caps keep every use of the intensity defined and meaningful: a
+// mispredict rate is at most 1; flush and element counts convert to
+// uint32_t (an element count past 255 never truncates a vector op);
+// a DRAM spike multiplies the latency, and the issue window grows with
+// the cycles a load can complete past its dispatch.
 constexpr ScenarioInfo kScenarios[] = {
-    {FaultScenario::None, "none", 0.0},
-    {FaultScenario::DramSpike, "dram-spike", 8.0},
-    {FaultScenario::CacheFlush, "cache-flush", 4.0},
-    {FaultScenario::MispredictBurst, "mispredict-burst", 0.25},
-    {FaultScenario::FirstFault, "firstfault", 1.0},
+    {FaultScenario::None, "none", 0.0, 0.0},
+    {FaultScenario::DramSpike, "dram-spike", 8.0, 100.0},
+    {FaultScenario::CacheFlush, "cache-flush", 4.0, 1000.0},
+    {FaultScenario::MispredictBurst, "mispredict-burst", 0.25, 1.0},
+    {FaultScenario::FirstFault, "firstfault", 1.0, 255.0},
 };
+
+/** Parse a run of ASCII decimal digits that fits in 64 bits (no sign,
+ *  no blanks, no base prefix). */
+bool
+parseU64(const std::string &s, uint64_t *out)
+{
+    if (s.empty())
+        return false;
+    uint64_t n = 0;
+    for (const char ch : s) {
+        if (ch < '0' || ch > '9')
+            return false;
+        const uint64_t digit = uint64_t(ch - '0');
+        if (n > (UINT64_MAX - digit) / 10)
+            return false;
+        n = n * 10 + digit;
+    }
+    *out = n;
+    return true;
+}
 
 const ScenarioInfo &
 infoFor(FaultScenario s)
@@ -105,11 +132,11 @@ FaultSpec::parse(const std::string &text, FaultSpec *out, std::string *err)
             return fail("expected key=value, got \"" + kv + "\"");
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
-        char *endp = nullptr;
         if (key == "seed" || key == "period" || key == "duration") {
-            const unsigned long long v = std::strtoull(val.c_str(), &endp, 10);
-            if (endp == val.c_str() || *endp != '\0')
-                return fail("bad integer for " + key + ": \"" + val + "\"");
+            uint64_t v = 0;
+            if (!parseU64(val, &v))
+                return fail("bad integer for " + key + ": \"" + val +
+                            "\" (decimal digits, at most 2^64-1)");
             if (key == "seed")
                 spec.seed = v;
             else if (key == "period")
@@ -117,8 +144,10 @@ FaultSpec::parse(const std::string &text, FaultSpec *out, std::string *err)
             else
                 spec.duration = v;
         } else if (key == "intensity") {
+            char *endp = nullptr;
             const double v = std::strtod(val.c_str(), &endp);
-            if (endp == val.c_str() || *endp != '\0' || v < 0.0)
+            if (endp == val.c_str() || *endp != '\0' || !std::isfinite(v) ||
+                v < 0.0)
                 return fail("bad intensity: \"" + val + "\"");
             spec.intensity = v;
         } else {
@@ -127,6 +156,13 @@ FaultSpec::parse(const std::string &text, FaultSpec *out, std::string *err)
     }
 
     if (spec.enabled()) {
+        const double cap = infoFor(spec.scenario).maxIntensity;
+        if (spec.intensity > cap) {
+            char buf[96];
+            std::snprintf(buf, sizeof buf, "%s intensity must be <= %g",
+                          name(spec.scenario), cap);
+            return fail(buf);
+        }
         if (spec.period == 0)
             return fail("period must be >= 1");
         if (spec.duration == 0)
@@ -187,20 +223,27 @@ FaultSpec::catalog()
            "fault sweep)\n"
            "  dram-spike        DRAM idle latency x intensity while a "
            "window is open\n"
-           "                    (default intensity 8)\n"
+           "                    (default intensity 8, at most 100)\n"
            "  cache-flush       flush L1/L2/LLC <intensity> times per "
-           "window (default 4)\n"
+           "window (default 4,\n"
+           "                    at most 1000; fractions round down, "
+           "at least 1)\n"
            "  mispredict-burst  branch mispredict rate = intensity while "
-           "open (default 0.25)\n"
+           "open (default 0.25,\n"
+           "                    at most 1)\n"
            "  firstfault        gather/scatter/strided ops truncated to "
            "<intensity>\n"
-           "                    element(s) while open (default 1)\n"
+           "                    element(s) while open (default 1, at "
+           "most 255)\n"
            "\n"
            "parameters, colon-separated after the scenario name:\n"
            "  seed=N       window jitter seed            (default 1)\n"
            "  period=N     instructions per window slot  (default 50000)\n"
            "  duration=N   window length in instructions (default 5000)\n"
-           "  intensity=X  scenario strength, see above\n"
+           "  intensity=X  scenario strength, see above: finite, "
+           ">= 0 (0 = the default)\n"
+           "N is 0 to 2^64-1 in decimal digits (no sign); period and "
+           "duration are >= 1.\n"
            "\n"
            "Window k opens at k*period + splitmix64(seed^k) % (period - "
            "duration + 1)\n"

@@ -54,10 +54,10 @@ struct FaultSpec
     uint64_t duration = 5000;   //!< instructions a window stays open
     /**
      * Scenario-specific strength; 0 selects the per-scenario default:
-     * dram-spike = latency multiplier (default 8), cache-flush =
-     * flushes per window (default 4), mispredict-burst = mispredict
-     * rate while open (default 0.25), firstfault = element clamp
-     * (default 1).
+     * dram-spike = latency multiplier (default 8, at most 100),
+     * cache-flush = flushes per window (default 4, at most 1000),
+     * mispredict-burst = mispredict rate while open (default 0.25, at
+     * most 1), firstfault = element clamp (default 1, at most 255).
      */
     double intensity = 0.0;
 
@@ -73,9 +73,10 @@ struct FaultSpec
      * Parse `scenario[:key=value]...` (keys: seed, period, duration,
      * intensity; e.g. "dram-spike:seed=7:intensity=16" — parameters
      * are colon-separated so specs can live in a comma-separated axis
-     * list). "" and "none" give a disabled spec. On failure returns
-     * false and sets @p err to a message that embeds the scenario
-     * catalog().
+     * list). "" and "none" give a disabled spec. Integers are plain
+     * decimal digits up to 2^64-1; an intensity must be finite, >= 0
+     * and within its scenario's cap. On failure returns false and sets
+     * @p err to a message that embeds the scenario catalog().
      */
     static bool parse(const std::string &text, FaultSpec *out,
                       std::string *err);

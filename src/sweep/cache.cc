@@ -561,11 +561,13 @@ namespace
  *  everything after itself — the payload carries its own internal
  *  checksum, but the key echo and mix counters would otherwise be
  *  trusted unverified, and a flipped counter byte must quarantine the
- *  entry, not silently skew a warm run's instruction mix. v3 traces
- *  record canonical addresses (trace/canon.hh); entries of any other
+ *  entry, not silently skew a warm run's instruction mix. v4 traces
+ *  record canonical addresses (trace/canon.hh) with every workload
+ *  table in a registered region (BS/sha256 and BS/aes_encrypt loaded
+ *  static tables through the page map up to v3); entries of any other
  *  version are plain misses. */
 constexpr char kTraceMagic[4] = {'S', 'W', 'T', 'P'};
-constexpr uint32_t kTraceTierVersion = 3;
+constexpr uint32_t kTraceTierVersion = 4;
 
 template <typename T>
 void

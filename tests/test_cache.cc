@@ -5,6 +5,8 @@
  * overlap and DRAM bandwidth queueing.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "sim/cache.hh"
@@ -74,6 +76,17 @@ TEST(Cache, ResetClearsEverything)
     EXPECT_FALSE(c.probe(0x0));
 }
 
+TEST(Cache, RejectsNonPositiveWaysOrLineSize)
+{
+    // The set count divides by lineBytes * ways, so these must be
+    // rejected before the division (a zero divisor raises SIGFPE).
+    for (const CacheConfig &bad :
+         {CacheConfig{1024, 0, 64, 4, false},
+          CacheConfig{1024, 2, 0, 4, false},
+          CacheConfig{1024, -2, 64, 4, false}})
+        EXPECT_THROW(Cache{bad}, std::invalid_argument);
+}
+
 TEST(MemHierarchy, LatencyGrowsDownTheHierarchy)
 {
     auto cfg = primeConfig();
@@ -122,6 +135,17 @@ TEST(MemHierarchy, MshrsBoundOverlap)
         std::max(many.load(0x0000, 4, 0).latency,
                  many.load(0x4000, 4, 0).latency);
     EXPECT_GT(lat_one, lat_many);
+}
+
+TEST(MemHierarchy, RejectsCoresWithoutMshrs)
+{
+    // With no MSHR a miss would take its slot through the end()
+    // iterator of an empty MSHR table.
+    for (int mshrs : {0, -1}) {
+        auto cfg = primeConfig();
+        cfg.mshrs = mshrs;
+        EXPECT_THROW(MemHierarchy{cfg}, std::invalid_argument) << mshrs;
+    }
 }
 
 TEST(MemHierarchy, StoreTrafficCountsDramWrites)

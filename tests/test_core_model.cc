@@ -6,6 +6,8 @@
  * branch-misprediction front-end stalls.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "sim/core_model.hh"
@@ -231,4 +233,25 @@ TEST(CoreModel, TimeScalesWithFrequency)
     auto gold = simulateTrace(trace, goldConfig(), 0);
     EXPECT_EQ(prime.cycles, gold.cycles); // same microarchitecture
     EXPECT_LT(prime.timeSec, gold.timeSec);
+}
+
+TEST(CoreModel, FuPoolSizesOutsideOneTo255AreRejectedOrClamped)
+{
+    // Issue slots count a pool's busy units in a byte, so a 256- or
+    // 257-unit pool cannot be represented (it would simulate as a
+    // single unit) and is rejected, while 255 units still run
+    // decode-bound.
+    auto trace = independentAlus(2000);
+    auto cfg = primeConfig();
+    cfg.fuCount[size_t(Fu::SAlu)] = 255;
+    EXPECT_LE(simulateTrace(trace, cfg, 0).cycles, 510u);
+    for (int units : {256, 257}) {
+        cfg.fuCount[size_t(Fu::SAlu)] = units;
+        EXPECT_THROW(CoreModel{cfg}, std::invalid_argument) << units;
+    }
+    // A count of 0 keeps meaning one unit.
+    cfg.fuCount[size_t(Fu::SAlu)] = 0;
+    const auto none = simulateTrace(trace, cfg, 0);
+    cfg.fuCount[size_t(Fu::SAlu)] = 1;
+    EXPECT_EQ(none.cycles, simulateTrace(trace, cfg, 0).cycles);
 }

@@ -222,6 +222,38 @@ TEST(FaultSpec, BadInputFailsWithCatalogInTheMessage)
     }
 }
 
+TEST(FaultSpec, OutOfRangeValuesAreRejectedWithTheCatalog)
+{
+    // A rate above 1 truncates the mispredict interval to 0 ("never"),
+    // a non-finite or huge intensity reaches an undefined
+    // float-to-integer conversion, and a signed or overflowing integer
+    // would wrap: each must be rejected.
+    sim::FaultSpec spec;
+    for (const char *bad :
+         {"mispredict-burst:intensity=2", "mispredict-burst:intensity=1.5",
+          "dram-spike:intensity=inf", "dram-spike:intensity=nan",
+          "dram-spike:intensity=1e30", "dram-spike:intensity=101",
+          "cache-flush:intensity=1e30", "cache-flush:intensity=1001",
+          "firstfault:intensity=1e10", "firstfault:intensity=256",
+          "dram-spike:period=-1", "dram-spike:seed=-1",
+          "dram-spike:duration=+5", "dram-spike:seed= 7",
+          "dram-spike:period=18446744073709551616"}) {
+        std::string err;
+        EXPECT_FALSE(sim::FaultSpec::parse(bad, &spec, &err)) << bad;
+        EXPECT_NE(err.find("fault scenario catalog"), std::string::npos)
+            << bad << " -> " << err;
+    }
+    // The edges of every range still parse.
+    EXPECT_EQ(mustParse("mispredict-burst:intensity=1").intensity, 1.0);
+    EXPECT_EQ(mustParse("dram-spike:intensity=100").intensity, 100.0);
+    EXPECT_EQ(mustParse("cache-flush:intensity=1000").intensity, 1000.0);
+    EXPECT_EQ(mustParse("firstfault:intensity=255").intensity, 255.0);
+    EXPECT_EQ(mustParse("dram-spike:intensity=0").effectiveIntensity(),
+              8.0);
+    EXPECT_EQ(mustParse("dram-spike:seed=18446744073709551615").seed,
+              ~uint64_t(0));
+}
+
 TEST(FaultSpec, FingerprintSeparatesScenariosAndParameters)
 {
     const std::vector<std::string> specs = {

@@ -2,11 +2,14 @@
  * @file
  * Tests for the trace substrate: recorder id assignment, buffered vs
  * streaming modes, instruction classification mapping (Figure 1 buckets),
- * MixStats accounting and the scalar instrumentation layer (Sc<T>).
+ * MixStats accounting, the scalar instrumentation layer (Sc<T>) and the
+ * canonical address space every registered kernel must stay inside.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/registry.hh"
+#include "core/runner.hh"
 #include "simd/scalar.hh"
 #include "trace/instr.hh"
 #include "trace/recorder.hh"
@@ -198,4 +201,44 @@ TEST(Trace, TakeMovesTraceOut)
     EXPECT_EQ(instrs.size(), 2u);
     EXPECT_TRUE(rec.instrs().empty());
     EXPECT_EQ(rec.count(), 0u);
+}
+
+TEST(Trace, EveryKernelRecordsOnlyRegionAndStackAddresses)
+{
+    // A workload must load its tables from registered buffers
+    // (workloads::Buf): anything else falls back to the page map, which
+    // keeps each address's in-page offset, i.e. wherever the linker put
+    // the table, so the simulated cycles would follow the binary's link
+    // layout. The page map hands out kPageBase + k pages and the stack
+    // maps to just below kStackTop, so the lower half of the gap
+    // between them is page-map territory no capture may reach. Explicit
+    // SWAN_FAST-sized options: no environment decides the inputs.
+    core::Options o;
+    o.imageWidth = 96;
+    o.imageHeight = 48;
+    o.audioSamples = 1024;
+    o.bufferBytes = 4 * 1024;
+    o.gemmM = 32;
+    o.gemmN = 32;
+    o.gemmK = 32;
+    o.videoBlocks = 16;
+    constexpr uint64_t lo = trace::CanonMap::kPageBase;
+    constexpr uint64_t hi =
+        (trace::CanonMap::kPageBase + trace::CanonMap::kStackTop) / 2;
+    size_t captures = 0;
+    for (const auto &spec : core::Registry::instance().kernels()) {
+        for (const auto impl :
+             {core::Impl::Scalar, core::Impl::Auto, core::Impl::Neon}) {
+            auto w = spec.make(o);
+            uint64_t paged = 0;
+            for (const auto &i : core::Runner::capture(*w, impl))
+                for (const uint64_t a : {i.addr, i.addr2})
+                    paged += a >= lo && a < hi;
+            EXPECT_EQ(paged, 0u) << spec.info.symbol << "/"
+                                 << spec.info.name << " impl "
+                                 << core::name(impl);
+            ++captures;
+        }
+    }
+    EXPECT_GE(captures, 3u * 59);
 }

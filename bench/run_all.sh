@@ -71,12 +71,4 @@ echo "== obs_overhead (BENCH_sweep_obs.json) =="
 SWAN_PERF_ENFORCE="${SWAN_PERF_ENFORCE:-1}" "$BUILD_DIR/obs_overhead" \
     "$BUILD_DIR/BENCH_sweep_obs.json"
 
-# Tiered-cache gate: 80/20 warm-skewed re-lookup traffic must run
-# >= 1.3x faster than the cold miss+store pass, with >= 0.9 of warm
-# lookups served from the RAM tier (memo hits + pinned traces). Same
-# SWAN_PERF_ENFORCE policy as perf_smoke.
-echo "== cache_tiers (BENCH_cache_tiers.json) =="
-SWAN_PERF_ENFORCE="${SWAN_PERF_ENFORCE:-1}" "$BUILD_DIR/cache_tiers" \
-    "$BUILD_DIR/BENCH_cache_tiers.json"
-
 echo "== done =="

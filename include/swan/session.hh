@@ -2,9 +2,9 @@
  * @file
  * swan::Session — the runtime-policy root of the public API. A Session
  * owns everything about *how* experiments execute (worker threads,
- * trace-memo byte budget, result-cache location and size cap, cache
- * warm-up passes) as explicit options, replacing the scattered SWAN_*
- * getenv calls that benches and the CLI used to hand-wire. The
+ * result-cache location and size cap, cache warm-up passes) as
+ * explicit options, replacing the scattered SWAN_* getenv calls that
+ * benches and the CLI used to hand-wire. The
  * environment variables still work, but only as *defaults*:
  * Session::fromEnv() reads them once into a SessionOptions value, and
  * anything set explicitly on that value wins (explicit > environment >
@@ -53,35 +53,16 @@ struct SessionOptions
      *  replay (paper Section 4.3). */
     int warmupPasses = 1;
 
-    /** Byte budget for the cache's pinned-trace tier (T0: hot packed
-     *  traces held in RAM; see docs/cache.md). Results are
-     *  byte-identical for any value. 0 = no budget.
-     *  [env: SWAN_TRACE_MEMO_BYTES] */
-    uint64_t traceMemoBytes = 0;
-
-    /** Directory of the on-disk result + packed-trace cache tier,
+    /** Directory of the on-disk result + packed-trace cache,
      *  shared across processes; empty = in-memory cache only.
      *  [env: SWAN_SWEEP_CACHE_DIR] */
     std::string cacheDir;
 
     /** Size cap for the on-disk cache directory: after every store the
-     *  coldest entries (hotness, then first-lookup order — never file
-     *  mtimes) are pruned until the tier fits. 0 = unbounded.
+     *  least recently used entries (by the cache's logical clock, never
+     *  file mtimes) are pruned until the directory fits. 0 = unbounded.
      *  [env: SWAN_SWEEP_CACHE_MAX_BYTES] */
     uint64_t cacheMaxBytes = 0;
-
-    /** Far/shared cache tier (T2) directory — the slow, durable tier a
-     *  sweep service shares across hosts. Probed after the local disk
-     *  tier; hits are write-through-promoted into cacheDir, stores
-     *  write through. Empty = no far tier. See docs/cache.md.
-     *  [env: SWAN_CACHE_FAR_DIR] */
-    std::string farCacheDir;
-
-    /** Byte cap for the in-RAM result memo (T0): over the cap, the
-     *  coldest results are dropped (they remain on disk). 0 =
-     *  unbounded, the pre-tiering behavior. Byte-identical results for
-     *  any value. [env: SWAN_CACHE_RAM_BYTES] */
-    uint64_t cacheRamMaxBytes = 0;
 
     /**
      * Default fault-scenario axis for Experiments run through this
@@ -124,12 +105,6 @@ struct SessionOptions
         return *this;
     }
     SessionOptions &
-    withTraceMemoBytes(uint64_t n)
-    {
-        traceMemoBytes = n;
-        return *this;
-    }
-    SessionOptions &
     withCacheDir(std::string dir)
     {
         cacheDir = std::move(dir);
@@ -139,18 +114,6 @@ struct SessionOptions
     withCacheMaxBytes(uint64_t n)
     {
         cacheMaxBytes = n;
-        return *this;
-    }
-    SessionOptions &
-    withFarCacheDir(std::string dir)
-    {
-        farCacheDir = std::move(dir);
-        return *this;
-    }
-    SessionOptions &
-    withCacheRamMaxBytes(uint64_t n)
-    {
-        cacheRamMaxBytes = n;
         return *this;
     }
     SessionOptions &
@@ -194,12 +157,12 @@ class Session
 
     /**
      * The SWAN_* environment overlaid on the library defaults:
-     * SWAN_JOBS, SWAN_TRACE_MEMO_BYTES, SWAN_SWEEP_CACHE_DIR,
-     * SWAN_SWEEP_CACHE_MAX_BYTES, SWAN_CACHE_FAR_DIR,
-     * SWAN_CACHE_RAM_BYTES, SWAN_METRICS. Unset, unparsable or (for
-     * SWAN_JOBS) non-positive values leave the built-in default
-     * untouched: all-cores fan-out is an explicit option (jobs <= 0),
-     * never an ambient environment one.
+     * SWAN_JOBS, SWAN_SWEEP_CACHE_DIR, SWAN_SWEEP_CACHE_MAX_BYTES,
+     * SWAN_METRICS. Counts are plain decimal digits (no sign, blank or
+     * suffix). Unset, unparsable, out-of-range or (for SWAN_JOBS) zero
+     * values leave the built-in default untouched: all-cores fan-out
+     * is an explicit option (jobs <= 0), never an ambient environment
+     * one.
      */
     static SessionOptions envDefaults();
 
@@ -208,7 +171,7 @@ class Session
 
     const SessionOptions &options() const { return opts_; }
 
-    /** The session-lifetime result cache (two-tier; see sweep/cache.hh). */
+    /** The session-lifetime result cache (see sweep/cache.hh). */
     sweep::ResultCache &cache() const { return cache_; }
 
     /**

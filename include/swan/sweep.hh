@@ -2,10 +2,11 @@
  * @file
  * Public re-export: the sweep engine underneath swan::Experiment.
  * Declarative SweepSpec grids, the multi-threaded scheduler, the
- * two-tier ResultCache and the table/csv/jsonl emitters. Most
- * consumers want the swan::Experiment façade (swan/experiment.hh)
- * instead; these types are public for code that post-processes
- * SweepResult streams or embeds the engine directly.
+ * ResultCache (in-process map plus cache directory) and the
+ * table/csv/jsonl emitters. Most consumers want the swan::Experiment
+ * façade (swan/experiment.hh) instead; these types are public for code
+ * that post-processes SweepResult streams or embeds the engine
+ * directly.
  */
 
 #ifndef SWAN_SWEEP_HH

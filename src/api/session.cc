@@ -1,5 +1,6 @@
 #include "swan/session.hh"
 
+#include <climits>
 #include <cstdlib>
 
 namespace swan
@@ -9,33 +10,28 @@ namespace
 {
 
 /**
- * Parse a positive integer env var; @p fallback when unset, unparsable
- * or non-positive. SWAN_JOBS deliberately cannot express "all cores":
- * an environment default silently fanning a sweep out to every
+ * Parse a positive int env var as plain decimal digits
+ * (sweep::parseByteCount's rules); @p fallback when unset, unparsable,
+ * zero or above INT_MAX. SWAN_JOBS deliberately cannot express "all
+ * cores": an environment default silently fanning a sweep out to every
  * hardware thread is a footgun, so all-cores stays an explicit choice
  * (SessionOptions::jobs <= 0, or `--jobs 0` on the CLI).
  */
 int
 envInt(const char *name, int fallback)
 {
-    const char *v = std::getenv(name);
-    if (!v || !*v)
+    uint64_t n = 0;
+    if (!sweep::parseByteCount(std::getenv(name), &n) || n == 0 ||
+        n > uint64_t(INT_MAX))
         return fallback;
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    return (end && *end == '\0' && n > 0) ? int(n) : fallback;
+    return int(n);
 }
 
 } // namespace
 
 Session::Session(SessionOptions opts)
-    : opts_(std::move(opts)),
-      cache_(opts_.cacheDir, opts_.cacheMaxBytes, opts_.farCacheDir,
-             opts_.cacheRamMaxBytes)
+    : opts_(std::move(opts)), cache_(opts_.cacheDir, opts_.cacheMaxBytes)
 {
-    // The cache's pinned-trace tier (T0) answers to
-    // SWAN_TRACE_MEMO_BYTES.
-    cache_.setRamTraceBudget(opts_.traceMemoBytes);
 }
 
 SessionOptions
@@ -46,11 +42,8 @@ Session::envDefaults()
     // engine.
     SessionOptions o;
     o.jobs = envInt("SWAN_JOBS", o.jobs);
-    o.traceMemoBytes = sweep::ResultCache::envTraceMemoBytes();
     o.cacheDir = sweep::ResultCache::envDiskDir();
     o.cacheMaxBytes = sweep::ResultCache::envMaxDiskBytes();
-    o.farCacheDir = sweep::ResultCache::envFarDir();
-    o.cacheRamMaxBytes = sweep::ResultCache::envRamMaxBytes();
     o.workload = core::Options::fromEnv();
     if (const char *v = std::getenv("SWAN_METRICS"); v && *v)
         o.metricsOut = v;

@@ -103,14 +103,7 @@ writeReportJson(std::ostream &os, const RunReport &rep)
        << ", \"stores\": " << c.stores << ", \"trace_hits\": "
        << c.traceHits << ", \"trace_misses\": " << c.traceMisses
        << ", \"trace_stores\": " << c.traceStores
-       << ", \"trace_ram_hits\": " << c.traceRamHits
        << ", \"evictions\": " << c.evictions
-       << ", \"far_hits\": " << c.farHits
-       << ", \"far_misses\": " << c.farMisses
-       << ", \"far_stores\": " << c.farStores
-       << ", \"disk_promotions\": " << c.farPromotions
-       << ", \"ram_promotions\": " << c.ramPromotions
-       << ", \"ram_demotions\": " << c.ramDemotions
        << ", \"corrupt_quarantined\": " << c.corruptEntriesQuarantined
        << "}\n";
     os << "}\n";

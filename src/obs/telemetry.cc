@@ -42,10 +42,8 @@ name(Phase p)
         return "replay";
       case Phase::Publish:
         return "publish";
-      case Phase::Promote:
-        return "promote";
-      case Phase::Demote:
-        return "demote";
+      case Phase::Evict:
+        return "evict";
     }
     return "unknown";
 }

@@ -4,7 +4,7 @@
  *
  * A Telemetry instance is a lock-free span registry: every pipeline
  * phase (grid expand, cache lookup, capture, pack, decode/replay,
- * publish, tier promotion/demotion) brackets itself with a Span guard,
+ * publish, cache eviction) brackets itself with a Span guard,
  * and the guard appends one fixed-size SpanRec to a shared buffer with
  * a single atomic fetch_add. When no collector is active the guard is
  * a relaxed pointer load and a branch — no clock reads, no stores, no
@@ -44,12 +44,11 @@ enum class Phase : uint8_t
     Capture,     //!< instrumented kernel execution, encoded on emit
     Pack,        //!< encoded stream -> assembled PackedTrace
     Replay,      //!< fused multi-config packed-trace traversal
-    Publish,     //!< result stores into the cache tiers
-    Promote,     //!< cache tier promotion (far->disk copy, RAM pin)
-    Demote,      //!< cache tier demotion (cold-first eviction)
+    Publish,     //!< result stores into the cache
+    Evict,       //!< size-cap eviction from the cache directory
 };
 
-constexpr size_t kPhaseCount = size_t(Phase::Demote) + 1;
+constexpr size_t kPhaseCount = size_t(Phase::Evict) + 1;
 
 /** Lower-case stable phase name ("grid_expand", "replay", ...). */
 std::string_view name(Phase p);

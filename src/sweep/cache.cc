@@ -5,17 +5,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string_view>
 #include <vector>
 
 #include "obs/telemetry.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/stat.h>
-#define SWAN_CACHE_HAVE_POSIX 1
-#endif
 
 namespace swan::sweep
 {
@@ -89,19 +83,16 @@ f64str(double v)
 }
 
 /**
- * Parse the leading 16-hex-digit stem of a cache entry file name back
- * into its key hash, the join between on-disk entries and the in-RAM
- * hotness table. False for foreign names (which then carry hotness 0
- * and age out first).
+ * Parse the 16 lowercase hex digits at @p s (hex64's format): a cache
+ * entry's file stem, the join between on-disk entries and the
+ * last-use stamps, or a `.swr` checksum. False on any other character.
  */
 bool
-parseStemHash(const std::string &name, uint64_t *out)
+parseHex16(const char *s, uint64_t *out)
 {
-    if (name.size() < 16)
-        return false;
     uint64_t h = 0;
     for (int i = 0; i < 16; ++i) {
-        const char c = name[i];
+        const char c = s[i];
         uint64_t d = 0;
         if (c >= '0' && c <= '9')
             d = uint64_t(c - '0');
@@ -116,35 +107,21 @@ parseStemHash(const std::string &name, uint64_t *out)
 }
 
 /**
- * Stable per-entry cost of the T0 result memo. An estimate, not an
- * accounting of true heap bytes: the point is a platform-independent
- * figure so a given RAM cap evicts the same entries everywhere.
+ * Read the whole entry file @p path in one sized read (a trace blob can
+ * be tens of MB, so no stream copies). False when it is absent — the
+ * ordinary cold-cache case — or unreadable: nothing can be judged about
+ * its bytes, so the caller misses.
  */
-uint64_t
-entryRamCost(const CacheKey &key, const core::KernelRun &run)
-{
-    return sizeof(CacheKey) + sizeof(core::KernelRun) +
-           key.kernel.size() + run.sim.config.size() + 64;
-}
-
-/** Deterministic strict order on full keys — the last eviction
- *  tiebreak, reached only under a 64-bit hash collision. */
 bool
-keyLess(const CacheKey &a, const CacheKey &b)
+readEntry(const std::filesystem::path &path, std::string *buf)
 {
-    if (a.kernel != b.kernel)
-        return a.kernel < b.kernel;
-    if (a.impl != b.impl)
-        return int(a.impl) < int(b.impl);
-    if (a.vecBits != b.vecBits)
-        return a.vecBits < b.vecBits;
-    if (a.configFp != b.configFp)
-        return a.configFp < b.configFp;
-    if (a.optionsFp != b.optionsFp)
-        return a.optionsFp < b.optionsFp;
-    if (a.warmupPasses != b.warmupPasses)
-        return a.warmupPasses < b.warmupPasses;
-    return a.faultFp < b.faultFp;
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    if (ec)
+        return false;
+    buf->assign(size, '\0');
+    std::ifstream in(path, std::ios::binary);
+    return in && in.read(buf->data(), std::streamsize(size));
 }
 
 } // namespace
@@ -270,10 +247,8 @@ traceKeyFor(const SweepPoint &point)
     return k;
 }
 
-ResultCache::ResultCache(std::string disk_dir, uint64_t max_disk_bytes,
-                         std::string far_dir, uint64_t ram_max_bytes)
-    : diskDir_(std::move(disk_dir)), farDir_(std::move(far_dir)),
-      maxDiskBytes_(max_disk_bytes), ramMaxBytes_(ram_max_bytes)
+ResultCache::ResultCache(std::string disk_dir, uint64_t max_disk_bytes)
+    : diskDir_(std::move(disk_dir)), maxDiskBytes_(max_disk_bytes)
 {
     if (!diskDir_.empty()) {
         std::error_code ec;
@@ -281,25 +256,12 @@ ResultCache::ResultCache(std::string disk_dir, uint64_t max_disk_bytes,
         if (ec)
             diskDir_.clear(); // unusable directory: memory-only
     }
-    if (!farDir_.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(farDir_, ec);
-        if (ec)
-            farDir_.clear(); // unusable far tier: two-tier cache
-    }
 }
 
 std::string
 ResultCache::envDiskDir()
 {
     const char *v = std::getenv("SWAN_SWEEP_CACHE_DIR");
-    return v ? std::string(v) : std::string();
-}
-
-std::string
-ResultCache::envFarDir()
-{
-    const char *v = std::getenv("SWAN_CACHE_FAR_DIR");
     return v ? std::string(v) : std::string();
 }
 
@@ -329,86 +291,12 @@ ResultCache::envMaxDiskBytes()
     return n;
 }
 
-uint64_t
-ResultCache::envRamMaxBytes()
-{
-    uint64_t n = 0;
-    parseByteCount(std::getenv("SWAN_CACHE_RAM_BYTES"), &n);
-    return n;
-}
-
-uint64_t
-ResultCache::envTraceMemoBytes()
-{
-    uint64_t n = 0;
-    parseByteCount(std::getenv("SWAN_TRACE_MEMO_BYTES"), &n);
-    return n;
-}
-
-uint32_t
-ResultCache::noteLookupLocked(uint64_t key_hash)
-{
-    ++lookupSeq_;
-    Hot &hp = hot_[key_hash];
-    if (hp.seq == 0)
-        hp.seq = lookupSeq_; // first-lookup order: the eviction tiebreak
-    if (hp.count != UINT32_MAX)
-        ++hp.count;
-    if (lookupSeq_ % kDecayPeriod == 0) {
-        // Halve every counter so popularity ages out as a function of
-        // traffic, never wall-clock. The traversal order of hot_ is
-        // unspecified, but uniform halving is order-independent.
-        for (auto &kv : hot_)
-            kv.second.count >>= 1;
-    }
-    return hp.count;
-}
-
-uint32_t
-ResultCache::hotnessLocked(uint64_t key_hash) const
-{
-    const auto it = hot_.find(key_hash);
-    return it == hot_.end() ? 0 : it->second.count;
-}
-
-uint64_t
-ResultCache::seqLocked(uint64_t key_hash) const
-{
-    const auto it = hot_.find(key_hash);
-    return it == hot_.end() ? 0 : it->second.seq;
-}
-
-bool
-ResultCache::entryExists(const std::string &dir, uint64_t stem_hash,
-                         const char *ext)
-{
-#ifdef SWAN_CACHE_HAVE_POSIX
-    // Stack-built path + ::stat: the far tier's absence probe runs on
-    // every trace lookup, so a miss stays a single syscall.
-    char path[3072];
-    const int n =
-        std::snprintf(path, sizeof path, "%s/%016llx%s", dir.c_str(),
-                      static_cast<unsigned long long>(stem_hash), ext);
-    if (n > 0 && size_t(n) < sizeof path) {
-        struct stat st;
-        return ::stat(path, &st) == 0;
-    }
-#endif
-    // Non-POSIX (or an absurdly long directory).
-    std::error_code ec;
-    return std::filesystem::exists(
-        std::filesystem::path(dir) / (hex64(stem_hash) + ext), ec);
-}
-
 bool
 ResultCache::lookup(const CacheKey &key, core::KernelRun *out)
 {
-    const uint64_t h = key.hash();
     {
         std::lock_guard<std::mutex> lock(mu_);
-        // Hotness is charged per user-visible lookup, whichever tier
-        // answers (or none): placement reflects demand, not luck.
-        noteLookupLocked(h);
+        touchLocked(key.hash());
         auto it = map_.find(key);
         if (it != map_.end()) {
             *out = it->second;
@@ -416,71 +304,16 @@ ResultCache::lookup(const CacheKey &key, core::KernelRun *out)
             return true;
         }
     }
-    const std::string name = key.hex() + ".swr";
-    if (!diskDir_.empty()) {
-        switch (loadDisk(diskDir_, key, out)) {
-        case DiskLoad::Hit: {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (map_.emplace(key, *out).second)
-                ramBytesEst_ += entryRamCost(key, *out);
-            ++stats_.diskHits;
-            // No RAM pruning here: the memo may transiently overshoot
-            // until the next store() prunes.
-            return true;
-        }
-        case DiskLoad::Corrupt: {
-            std::lock_guard<std::mutex> lock(mu_);
-            quarantineEntry(
-                (std::filesystem::path(diskDir_) / name).string());
-            break;
-        }
-        case DiskLoad::Miss:
-            break;
-        }
-    }
-    if (!farDir_.empty()) {
-        if (!entryExists(farDir_, h, ".swr")) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.farMisses;
-        } else {
-            switch (loadDisk(farDir_, key, out)) {
-            case DiskLoad::Hit: {
-                // Write-through promotion: a far hit lands in T1 so
-                // the next process on this host pays local latency.
-                uint64_t copied = 0;
-                if (!diskDir_.empty()) {
-                    obs::Span span(obs::Phase::Promote);
-                    copied = copyEntry(farDir_, diskDir_, name);
-                    span.addArg(copied);
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    if (map_.emplace(key, *out).second)
-                        ramBytesEst_ += entryRamCost(key, *out);
-                    ++stats_.farHits;
-                    if (copied)
-                        ++stats_.farPromotions;
-                }
-                if (copied)
-                    pruneDisk(copied);
-                return true;
-            }
-            case DiskLoad::Corrupt: {
-                std::lock_guard<std::mutex> lock(mu_);
-                quarantineEntry(
-                    (std::filesystem::path(farDir_) / name).string());
-                ++stats_.farMisses;
-                break;
-            }
-            case DiskLoad::Miss: {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.farMisses;
-                break;
-            }
-            }
-        }
-    }
+    const DiskLoad got =
+        diskDir_.empty() ? DiskLoad::Miss : loadDisk(key, out);
     std::lock_guard<std::mutex> lock(mu_);
+    if (got == DiskLoad::Hit) {
+        map_.emplace(key, *out);
+        ++stats_.diskHits;
+        return true;
+    }
+    if (got == DiskLoad::Corrupt)
+        quarantineEntry(key.hex() + ".swr");
     ++stats_.misses;
     return false;
 }
@@ -490,37 +323,24 @@ ResultCache::store(const CacheKey &key, const core::KernelRun &run)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (map_.insert_or_assign(key, run).second)
-            ramBytesEst_ += entryRamCost(key, run);
+        touchLocked(key.hash());
+        map_.insert_or_assign(key, run);
         ++stats_.stores;
-        // The only place the RAM cap evicts.
-        pruneRamLocked();
-    }
-    uint64_t wrote = 0;
-    if (!diskDir_.empty())
-        wrote = storeDisk(diskDir_, key, run);
-    if (!farDir_.empty()) {
-        obs::Span pub(obs::Phase::Publish);
-        const uint64_t farWrote = storeDisk(farDir_, key, run);
-        pub.addArg(farWrote);
-        if (farWrote) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.farStores;
-        }
     }
     if (!diskDir_.empty())
-        pruneDisk(wrote);
+        pruneDisk(storeDisk(key, run));
 }
 
 void
-ResultCache::quarantineEntry(const std::string &path)
+ResultCache::quarantineEntry(const std::string &name)
 {
     // Rename, never delete: the damaged bytes stay on disk for
     // post-mortem, out of the lookup namespace. The rename is the
     // cross-process race arbiter — every process that trips over the
     // same bad entry tries it, exactly one succeeds and counts it.
+    const auto path = std::filesystem::path(diskDir_) / name;
     std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
+    std::filesystem::rename(path, path.string() + ".quarantined", ec);
     if (!ec)
         ++stats_.corruptEntriesQuarantined;
 }
@@ -530,27 +350,6 @@ ResultCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-}
-
-void
-ResultCache::resetStats()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = CacheStats{};
-}
-
-uint32_t
-ResultCache::hotness(uint64_t key_hash) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hotnessLocked(key_hash);
-}
-
-void
-ResultCache::setRamTraceBudget(uint64_t bytes)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ramTraceBudget_ = bytes;
 }
 
 namespace
@@ -588,8 +387,7 @@ readRaw(const std::string &buf, size_t *at, T *v)
 }
 
 /** Serialize one packed-trace entry into `<dir>/<stem>.swtp`
- *  (write-then-rename). Shared by the T1 store and the far
- *  publish. @return bytes written, 0 on failure. */
+ *  (write-then-rename). @return bytes written, 0 on failure. */
 uint64_t
 writeTraceBlob(const std::string &dir_s, const TraceKey &key,
                const trace::PackedTrace &t, const trace::MixStats &mix)
@@ -644,112 +442,28 @@ bool
 ResultCache::lookupTrace(const TraceKey &key, trace::PackedTrace *out,
                          trace::MixStats *mix)
 {
-    const uint64_t h = key.hash();
-    uint32_t hot = 0;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        hot = noteLookupLocked(h);
-        // T0: serve the pinned copy (mmap + memcpy, no payload
-        // re-validation).
-        for (RamTrace &slot : ramTraces_) {
-            if (!slot.used || slot.keyHash != h)
-                continue;
-            if (std::strncmp(slot.kernel, key.kernel.c_str(),
-                             sizeof slot.kernel) == 0 &&
-                slot.impl == int32_t(key.impl) &&
-                slot.vecBits == key.vecBits &&
-                slot.optionsFp == key.optionsFp) {
-                *out = slot.trace.clone();
-                *mix = slot.mix;
-                ++stats_.traceRamHits;
-                return true;
-            }
-            // Key-echo mismatch under a hash collision: fall through
-            // to the durable tiers, like on-disk foreign entries.
-        }
-    }
-    const std::string name = key.hex() + ".swtp";
-    if (!diskDir_.empty()) {
-        switch (loadTraceFrom(diskDir_, key, out, mix)) {
-        case DiskLoad::Hit: {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.traceHits;
-            maybePinTraceLocked(key, hot, *out, *mix);
-            return true;
-        }
-        case DiskLoad::Corrupt: {
-            std::lock_guard<std::mutex> lock(mu_);
-            quarantineEntry(
-                (std::filesystem::path(diskDir_) / name).string());
-            break;
-        }
-        case DiskLoad::Miss:
-            break;
-        }
-    }
-    if (!farDir_.empty()) {
-        if (!entryExists(farDir_, h, ".swtp")) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.farMisses;
-        } else {
-            switch (loadTraceFrom(farDir_, key, out, mix)) {
-            case DiskLoad::Hit: {
-                uint64_t copied = 0;
-                if (!diskDir_.empty()) {
-                    obs::Span span(obs::Phase::Promote);
-                    copied = copyEntry(farDir_, diskDir_, name);
-                    span.addArg(copied);
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++stats_.farHits;
-                    if (copied)
-                        ++stats_.farPromotions;
-                    maybePinTraceLocked(key, hot, *out, *mix);
-                }
-                if (copied)
-                    pruneDisk(copied);
-                return true;
-            }
-            case DiskLoad::Corrupt: {
-                std::lock_guard<std::mutex> lock(mu_);
-                quarantineEntry(
-                    (std::filesystem::path(farDir_) / name).string());
-                ++stats_.farMisses;
-                break;
-            }
-            case DiskLoad::Miss: {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.farMisses;
-                break;
-            }
-            }
-        }
-    }
+    const DiskLoad got =
+        diskDir_.empty() ? DiskLoad::Miss : loadTraceDisk(key, out, mix);
     std::lock_guard<std::mutex> lock(mu_);
+    touchLocked(key.hash());
+    if (got == DiskLoad::Hit) {
+        ++stats_.traceHits;
+        return true;
+    }
+    if (got == DiskLoad::Corrupt)
+        quarantineEntry(key.hex() + ".swtp");
     ++stats_.traceMisses;
     return false;
 }
 
 ResultCache::DiskLoad
-ResultCache::loadTraceFrom(const std::string &dir, const TraceKey &key,
-                           trace::PackedTrace *out,
+ResultCache::loadTraceDisk(const TraceKey &key, trace::PackedTrace *out,
                            trace::MixStats *mix)
 {
-    const auto path =
-        std::filesystem::path(dir) / (key.hex() + ".swtp");
-    // Single sized read: a trace blob can be tens of MB, so avoid the
-    // ostringstream route's extra full copies.
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec)
+    std::string buf;
+    if (!readEntry(std::filesystem::path(diskDir_) / (key.hex() + ".swtp"),
+                   &buf))
         return DiskLoad::Miss;
-    std::string buf(size, '\0');
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in || !in.read(buf.data(), std::streamsize(size)))
-            return DiskLoad::Miss; // unreadable: cannot judge the bytes
-    }
 
     size_t at = 0;
     char magic[4];
@@ -809,168 +523,54 @@ void
 ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
                         const trace::MixStats &mix)
 {
-    if (!diskDir_.empty()) {
-        const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
-        if (wrote) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.traceStores;
-            }
-            pruneDisk(wrote);
-        }
-    }
-    if (!farDir_.empty()) {
-        obs::Span pub(obs::Phase::Publish);
-        const uint64_t farWrote = writeTraceBlob(farDir_, key, t, mix);
-        pub.addArg(farWrote);
-        if (farWrote) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.farStores;
-        }
-    }
-}
-
-void
-ResultCache::maybePinTraceLocked(const TraceKey &key, uint32_t hot_count,
-                                 const trace::PackedTrace &t,
-                                 const trace::MixStats &mix)
-{
-    if (hot_count < kPinHits)
+    if (diskDir_.empty())
         return;
-    const uint64_t bytes = t.byteSize();
-    if (bytes == 0)
-        return;
-    if (ramTraceBudget_ && bytes > ramTraceBudget_)
-        return; // can never fit, even with every slot evicted
-    if (key.kernel.size() >= sizeof ramTraces_[0].kernel)
-        return; // no room for the full key echo: never pin
-    for (const RamTrace &slot : ramTraces_)
-        if (slot.used && slot.keyHash == key.hash())
-            return; // already pinned
-    const uint64_t keyHash = key.hash();
-    const uint64_t mySeq = seqLocked(keyHash);
-    for (;;) {
-        RamTrace *freeSlot = nullptr;
-        for (RamTrace &slot : ramTraces_)
-            if (!slot.used) {
-                freeSlot = &slot;
-                break;
-            }
-        const bool overBudget =
-            ramTraceBudget_ && ramTraceBytes_ + bytes > ramTraceBudget_;
-        if (freeSlot && !overBudget) {
-            obs::Span span(obs::Phase::Promote, bytes);
-            freeSlot->keyHash = keyHash;
-            freeSlot->bytes = bytes;
-            freeSlot->trace = t.clone();
-            freeSlot->mix = mix;
-            std::memset(freeSlot->kernel, 0, sizeof freeSlot->kernel);
-            std::memcpy(freeSlot->kernel, key.kernel.data(),
-                        key.kernel.size());
-            freeSlot->impl = int32_t(key.impl);
-            freeSlot->vecBits = key.vecBits;
-            freeSlot->optionsFp = key.optionsFp;
-            freeSlot->used = true;
-            ramTraceBytes_ += bytes;
-            ++stats_.ramPromotions;
-            return;
-        }
-        // Slot or budget pressure: evict the coldest pin, but only if
-        // it is strictly colder than the candidate — a warm memo never
-        // churns for an equally-warm newcomer.
-        RamTrace *victim = nullptr;
-        uint32_t vHot = 0;
-        uint64_t vSeq = 0;
-        for (RamTrace &slot : ramTraces_) {
-            if (!slot.used)
-                continue;
-            const uint32_t sh = hotnessLocked(slot.keyHash);
-            const uint64_t ss = seqLocked(slot.keyHash);
-            const bool colderThanVictim =
-                !victim || sh < vHot || (sh == vHot && ss < vSeq) ||
-                (sh == vHot && ss == vSeq &&
-                 slot.keyHash < victim->keyHash);
-            if (colderThanVictim) {
-                victim = &slot;
-                vHot = sh;
-                vSeq = ss;
-            }
-        }
-        if (!victim)
-            return;
-        const bool colderThanUs =
-            vHot < hot_count || (vHot == hot_count && vSeq < mySeq);
-        if (!colderThanUs)
-            return;
-        obs::Span span(obs::Phase::Demote, victim->bytes);
-        ramTraceBytes_ -= std::min(ramTraceBytes_, victim->bytes);
-        victim->trace = trace::PackedTrace(); // munmap, not free()
-        victim->used = false;
-        victim->keyHash = 0;
-        victim->bytes = 0;
-        ++stats_.ramDemotions;
+    const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        touchLocked(key.hash());
+        if (wrote)
+            ++stats_.traceStores;
     }
-}
-
-void
-ResultCache::pruneRamLocked()
-{
-    if (!ramMaxBytes_)
-        return;
-    while (ramBytesEst_ > ramMaxBytes_ && map_.size() > 1) {
-        // Victim = the coldest entry, found by a min-reduction over
-        // the unordered map: the strict total order on (hotness,
-        // first-lookup seq, hash, key) makes the winner independent of
-        // traversal order.
-        auto victim = map_.end();
-        uint32_t vHot = 0;
-        uint64_t vSeq = 0;
-        uint64_t vHash = 0;
-        for (auto it = map_.begin(); it != map_.end(); ++it) {
-            const uint64_t hsh = it->first.hash();
-            const uint32_t hc = hotnessLocked(hsh);
-            const uint64_t sq = seqLocked(hsh);
-            bool colder = false;
-            if (victim == map_.end())
-                colder = true;
-            else if (hc != vHot)
-                colder = hc < vHot;
-            else if (sq != vSeq)
-                colder = sq < vSeq;
-            else if (hsh != vHash)
-                colder = hsh < vHash;
-            else
-                colder = keyLess(it->first, victim->first);
-            if (colder) {
-                victim = it;
-                vHot = hc;
-                vSeq = sq;
-                vHash = hsh;
-            }
-        }
-        if (victim == map_.end())
-            return;
-        const uint64_t cost =
-            entryRamCost(victim->first, victim->second);
-        obs::Span span(obs::Phase::Demote, cost);
-        ramBytesEst_ -= std::min(ramBytesEst_, cost);
-        map_.erase(victim);
-        ++stats_.ramDemotions;
-    }
+    if (wrote)
+        pruneDisk(wrote);
 }
 
 namespace
 {
 
-/** True for the pruner's unit of accounting: .swr results, .swtp
- *  packed traces, and .quarantined corpses (never served, but they
- *  hold disk and age out under the same cold-first cap). Temporaries
- *  (.tmp) and foreign files are ignored. */
-bool
-isCacheEntry(const std::filesystem::path &p)
+/** One file of the cap's accounting. */
+struct DirEntry
 {
-    const auto ext = p.extension();
-    return ext == ".swr" || ext == ".swtp" || ext == ".quarantined";
+    uint64_t lastUse = 0; //!< logical-clock stamp; 0 = never touched
+    uint64_t size = 0;
+    std::string name;
+};
+
+/** The files in @p dir the cap accounts for: .swr results, .swtp
+ *  packed traces, and .quarantined corpses (never served, but they
+ *  hold disk and age out under the same cap). Temporaries (.tmp) and
+ *  foreign files are ignored. */
+std::vector<DirEntry>
+scanEntries(const std::string &dir)
+{
+    std::vector<DirEntry> entries;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const auto &p = it->path();
+        const auto ext = p.extension();
+        if (ext != ".swr" && ext != ".swtp" && ext != ".quarantined")
+            continue;
+        std::error_code fec;
+        DirEntry e;
+        e.size = std::filesystem::file_size(p, fec);
+        if (fec)
+            continue;
+        e.name = p.filename().string();
+        entries.push_back(std::move(e));
+    }
+    return entries;
 }
 
 } // namespace
@@ -978,61 +578,11 @@ isCacheEntry(const std::filesystem::path &p)
 uint64_t
 ResultCache::diskBytes() const
 {
-    if (diskDir_.empty())
-        return 0;
     uint64_t total = 0;
-    std::error_code ec;
-    for (std::filesystem::directory_iterator
-             it(diskDir_, ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (!isCacheEntry(it->path()))
-            continue;
-        std::error_code fec;
-        const auto size = std::filesystem::file_size(it->path(), fec);
-        if (!fec)
-            total += size;
-    }
+    if (!diskDir_.empty())
+        for (const DirEntry &e : scanEntries(diskDir_))
+            total += e.size;
     return total;
-}
-
-uint64_t
-ResultCache::copyEntry(const std::string &src_dir,
-                       const std::string &dst_dir,
-                       const std::string &name)
-{
-    const auto src = std::filesystem::path(src_dir) / name;
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(src, ec);
-    if (ec)
-        return 0;
-    std::string buf(size, '\0');
-    {
-        std::ifstream in(src, std::ios::binary);
-        if (!in || !in.read(buf.data(), std::streamsize(size)))
-            return 0;
-    }
-    const auto dst = std::filesystem::path(dst_dir) / name;
-    // Write-then-rename, like every tier write: a reader (or a
-    // concurrent promoter racing on the same entry) sees the old
-    // state or the new one, never a torn copy.
-    const auto tmp = std::filesystem::path(dst_dir) / (name + ".tmp");
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return 0;
-        os.write(buf.data(), std::streamsize(buf.size()));
-        if (!os) {
-            std::filesystem::remove(tmp, ec);
-            return 0;
-        }
-    }
-    std::filesystem::rename(tmp, dst, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return 0;
-    }
-    return uint64_t(buf.size());
 }
 
 void
@@ -1057,43 +607,20 @@ ResultCache::pruneDisk(uint64_t stored_bytes)
         baseline = diskTotal_;
     }
 
-    struct Entry
-    {
-        uint32_t hot = 0;
-        uint64_t seq = 0;
-        uint64_t size = 0;
-        std::string name;
-    };
-    std::vector<Entry> entries;
+    std::vector<DirEntry> entries = scanEntries(diskDir_);
     uint64_t total = 0;
-    std::error_code ec;
-    for (std::filesystem::directory_iterator
-             it(diskDir_, ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        const auto &p = it->path();
-        if (!isCacheEntry(p))
-            continue;
-        std::error_code fec;
-        Entry e;
-        e.size = std::filesystem::file_size(p, fec);
-        if (fec)
-            continue;
-        e.name = p.filename().string();
-        total += e.size;
-        entries.push_back(std::move(e));
-    }
     {
-        // Join each entry to its hotness/first-lookup record via the
-        // file-name stem. Foreign stems stay (0, 0): entries this
-        // process has no demand signal for age out first, in name
-        // order.
+        // Join each entry to its last-use stamp via the file-name stem.
+        // Entries this cache never touched (other processes' writes,
+        // foreign names) keep 0 and go first, in name order.
         std::lock_guard<std::mutex> lock(mu_);
-        for (Entry &e : entries) {
+        for (DirEntry &e : entries) {
+            total += e.size;
             uint64_t stem = 0;
-            if (parseStemHash(e.name, &stem)) {
-                e.hot = hotnessLocked(stem);
-                e.seq = seqLocked(stem);
+            if (e.name.size() >= 16 && parseHex16(e.name.data(), &stem)) {
+                const auto it = lastUse_.find(stem);
+                if (it != lastUse_.end())
+                    e.lastUse = it->second;
             }
         }
     }
@@ -1112,23 +639,21 @@ ResultCache::pruneDisk(uint64_t stored_bytes)
         return;
     }
 
-    // Coldest first: (hotness, first-lookup order, name). A pure
-    // function of the lookup history — never file mtimes, whose
-    // coarse, filesystem-dependent clocks would make two runs of the
-    // same command prune different entries (and whose reads the
-    // nondet lint now rejects in this file).
+    // Least recently used first: (last use, name). A pure function of
+    // this cache's operations — never file mtimes, whose coarse,
+    // filesystem-dependent clocks would make two runs of the same
+    // command prune different entries (and whose reads the nondet lint
+    // rejects in this file).
     std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.hot != b.hot)
-                      return a.hot < b.hot;
-                  if (a.seq != b.seq)
-                      return a.seq < b.seq;
+              [](const DirEntry &a, const DirEntry &b) {
+                  if (a.lastUse != b.lastUse)
+                      return a.lastUse < b.lastUse;
                   return a.name < b.name;
               });
 
     const auto dir = std::filesystem::path(diskDir_);
     uint64_t evicted = 0;
-    obs::Span span(obs::Phase::Demote);
+    obs::Span span(obs::Phase::Evict);
     for (const auto &e : entries) {
         if (total <= maxDiskBytes_)
             break;
@@ -1147,76 +672,13 @@ ResultCache::pruneDisk(uint64_t stored_bytes)
     stats_.evictions += evicted;
 }
 
-std::string
-ResultCache::placementMap() const
-{
-    struct Rec
-    {
-        bool mem = false;
-        bool disk = false;
-        bool far = false;
-        bool trace = false;
-    };
-    std::map<std::string, Rec> recs;
-    const auto scan = [&recs](const std::string &dir, bool is_far) {
-        if (dir.empty())
-            return;
-        std::error_code ec;
-        for (std::filesystem::directory_iterator it(dir, ec), end;
-             !ec && it != end; it.increment(ec)) {
-            const auto &p = it->path();
-            const auto ext = p.extension();
-            if (ext != ".swr" && ext != ".swtp")
-                continue;
-            Rec &r = recs[p.stem().string()];
-            if (is_far)
-                r.far = true;
-            else
-                r.disk = true;
-            if (ext == ".swtp")
-                r.trace = true;
-        }
-    };
-    scan(diskDir_, false);
-    scan(farDir_, true);
-    std::ostringstream os;
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fold the in-memory result tier in. Iterating the unordered map
-    // only inserts into the ordered `recs`, so the rendered output is
-    // independent of traversal order.
-    for (const auto &kv : map_)
-        recs[kv.first.hex()].mem = true;
-    for (const auto &kv : recs) {
-        uint64_t stem = 0;
-        uint32_t hotc = 0;
-        if (parseStemHash(kv.first, &stem))
-            hotc = hotnessLocked(stem);
-        os << kv.first << ' '
-           << (kv.second.trace ? "trace" : "result")
-           << " mem=" << (kv.second.mem ? 1 : 0)
-           << " disk=" << (kv.second.disk ? 1 : 0)
-           << " far=" << (kv.second.far ? 1 : 0) << " hot=" << hotc
-           << '\n';
-    }
-    return os.str();
-}
-
 ResultCache::DiskLoad
-ResultCache::loadDisk(const std::string &dir, const CacheKey &key,
-                      core::KernelRun *out)
+ResultCache::loadDisk(const CacheKey &key, core::KernelRun *out)
 {
-    const auto path =
-        std::filesystem::path(dir) / (key.hex() + ".swr");
-    std::error_code ec;
-    const auto fsize = std::filesystem::file_size(path, ec);
-    if (ec)
-        return DiskLoad::Miss; // absent: the ordinary cold-cache case
-    std::string buf(fsize, '\0');
-    {
-        std::ifstream raw(path, std::ios::binary);
-        if (!raw || !raw.read(buf.data(), std::streamsize(fsize)))
-            return DiskLoad::Miss; // unreadable: cannot judge the bytes
-    }
+    std::string buf;
+    if (!readEntry(std::filesystem::path(diskDir_) / (key.hex() + ".swr"),
+                   &buf))
+        return DiskLoad::Miss;
 
     size_t bodyStart = buf.find('\n');
     if (bodyStart == std::string::npos)
@@ -1234,28 +696,23 @@ ResultCache::loadDisk(const std::string &dir, const CacheKey &key,
         return otherVersion ? DiskLoad::Miss : DiskLoad::Corrupt;
     }
     ++bodyStart;
-    // Self-checksum line (entries written since the quarantine tier;
-    // older entries simply lack it and skip verification): FNV-1a over
-    // every byte after this line, so any flipped bit or truncation in
-    // the body is detected before a field of it is trusted.
+    // Self-checksum line, `checksum <16 hex digits>`: FNV-1a over every
+    // byte after this line, so any flipped bit or truncation in the
+    // body is detected before a field of it is trusted. Every v3 writer
+    // writes it, so a missing or malformed line is damage too.
     constexpr std::string_view kChecksumTag = "checksum ";
-    if (buf.compare(bodyStart, kChecksumTag.size(), kChecksumTag) == 0) {
-        const size_t eol = buf.find('\n', bodyStart);
-        if (eol == std::string::npos)
-            return DiskLoad::Corrupt;
-        const std::string cs = buf.substr(
-            bodyStart + kChecksumTag.size(),
-            eol - bodyStart - kChecksumTag.size());
-        char *endp = nullptr;
-        const uint64_t want = std::strtoull(cs.c_str(), &endp, 16);
-        if (endp == cs.c_str() || *endp != '\0')
-            return DiskLoad::Corrupt;
-        bodyStart = eol + 1;
-        Fnv f;
-        f.bytes(buf.data() + bodyStart, buf.size() - bodyStart);
-        if (f.h != want)
-            return DiskLoad::Corrupt;
-    }
+    const size_t sumAt = bodyStart + kChecksumTag.size();
+    const size_t eol = buf.find('\n', bodyStart);
+    uint64_t want = 0;
+    if (eol == std::string::npos || eol != sumAt + 16 ||
+        buf.compare(bodyStart, kChecksumTag.size(), kChecksumTag) != 0 ||
+        !parseHex16(buf.data() + sumAt, &want))
+        return DiskLoad::Corrupt;
+    bodyStart = eol + 1;
+    Fnv f;
+    f.bytes(buf.data() + bodyStart, buf.size() - bodyStart);
+    if (f.h != want)
+        return DiskLoad::Corrupt;
 
     std::istringstream in(buf.substr(bodyStart));
     std::string line;
@@ -1342,8 +799,7 @@ ResultCache::loadDisk(const std::string &dir, const CacheKey &key,
             haveMix = true;
         }
     }
-    // Structural damage first (a checksum-less legacy entry truncated
-    // mid-body lands here), then the key echo: a hash collision or
+    // Structural damage first, then the key echo: a hash collision or
     // stale rename is a foreign-but-intact entry — a plain miss.
     if (!haveMix || !trace::MixStats::fromCounters(mixFlat, &run.mix))
         return DiskLoad::Corrupt;
@@ -1354,10 +810,9 @@ ResultCache::loadDisk(const std::string &dir, const CacheKey &key,
 }
 
 uint64_t
-ResultCache::storeDisk(const std::string &dir_s, const CacheKey &key,
-                       const core::KernelRun &run)
+ResultCache::storeDisk(const CacheKey &key, const core::KernelRun &run)
 {
-    const auto dir = std::filesystem::path(dir_s);
+    const auto dir = std::filesystem::path(diskDir_);
     const auto path = dir / (key.hex() + ".swr");
     // Write-then-rename so concurrent readers never see a torn entry.
     const auto tmp = dir / (key.hex() + ".tmp");

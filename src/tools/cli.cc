@@ -1,6 +1,6 @@
 #include "tools/cli.hh"
 
-#include <cstdlib>
+#include <climits>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -77,29 +77,17 @@ sweep grid flags (cartesian product of the axes):
                                (also honors SWAN_SWEEP_CACHE_DIR);
                                hit/miss counters go to stderr
   --cache-max-bytes N          size cap for the on-disk cache: after
-                               every store, the coldest entries (by
-                               lookup hotness, then first-lookup order
-                               — never file mtimes) are pruned until
-                               the cache fits (0 = unbounded)
-  --cache-far-dir DIR          far/shared cache tier probed after the
-                               local one; hits promote into
-                               --cache-dir, stores write through
-                               (also honors SWAN_CACHE_FAR_DIR;
-                               docs/cache.md)
+                               every store, the least recently used
+                               entries (by the cache's own lookup and
+                               store order — never file mtimes) are
+                               pruned until the cache fits
+                               (0 = unbounded)
 
 environment (defaults only; explicit flags win — docs/api.md):
   SWAN_JOBS                    default --jobs (positive values only)
   SWAN_SWEEP_CACHE_DIR         default --cache-dir
   SWAN_SWEEP_CACHE_MAX_BYTES   default --cache-max-bytes
-  SWAN_CACHE_FAR_DIR           default --cache-far-dir
-  SWAN_CACHE_RAM_BYTES         byte cap for the in-RAM result memo;
-                               coldest results drop first, results
-                               byte-identical for any value
   SWAN_METRICS                 default --metrics-out stem
-  SWAN_TRACE_MEMO_BYTES        byte budget for the cache's pinned
-                               packed-trace tier (hot traces held in
-                               RAM); results byte-identical for any
-                               value (docs/cache.md)
 )";
 
 /** Split a comma-separated flag value; empty segments dropped. */
@@ -144,7 +132,6 @@ struct Parsed
     bool jobsSet = false;
     std::string format = "table";
     std::string cacheDir;
-    std::string cacheFarDir;
     uint64_t cacheMaxBytes = 0;
     bool cacheMaxBytesSet = false;
     bool progress = false;
@@ -236,13 +223,14 @@ parse(const std::vector<std::string> &args, std::ostream &err)
                 return std::nullopt;
             // Single width for run/compare; a comma list is a sweep axis.
             for (const auto &tok : splitList(*v)) {
-                const int bits = std::atoi(tok.c_str());
-                if (bits != 128 && bits != 256 && bits != 512 &&
-                    bits != 1024) {
+                uint64_t bits = 0;
+                if (!sweep::parseByteCount(tok.c_str(), &bits) ||
+                    (bits != 128 && bits != 256 && bits != 512 &&
+                     bits != 1024)) {
                     err << "swan: --bits must be 128/256/512/1024\n";
                     return std::nullopt;
                 }
-                p.bitsList.push_back(bits);
+                p.bitsList.push_back(int(bits));
             }
             if (p.bitsList.empty()) {
                 err << "swan: --bits must be 128/256/512/1024\n";
@@ -298,13 +286,14 @@ parse(const std::vector<std::string> &args, std::ostream &err)
             const auto *v = value();
             if (!v)
                 return std::nullopt;
-            char *end = nullptr;
-            p.jobs = int(std::strtol(v->c_str(), &end, 10));
-            if (end == v->c_str() || *end != '\0' || p.jobs < 0) {
+            uint64_t jobs = 0;
+            if (!sweep::parseByteCount(v->c_str(), &jobs) ||
+                jobs > uint64_t(INT_MAX)) {
                 err << "swan: --jobs must be a number >= 0 "
                        "(0 = all cores)\n";
                 return std::nullopt;
             }
+            p.jobs = int(jobs);
             p.jobsSet = true;
         } else if (a == "--cache-max-bytes") {
             const auto *v = value();
@@ -331,11 +320,6 @@ parse(const std::vector<std::string> &args, std::ostream &err)
             if (!v)
                 return std::nullopt;
             p.cacheDir = *v;
-        } else if (a == "--cache-far-dir") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            p.cacheFarDir = *v;
         } else if (a == "--progress") {
             p.progress = true;
         } else if (a == "--metrics-out") {
@@ -377,8 +361,6 @@ sessionFor(const Parsed &p)
         opts.faults = p.faultList;
     if (!p.cacheDir.empty())
         opts.cacheDir = p.cacheDir;
-    if (!p.cacheFarDir.empty())
-        opts.farCacheDir = p.cacheFarDir;
     if (p.cacheMaxBytesSet)
         opts.cacheMaxBytes = p.cacheMaxBytes;
     if (!p.metricsOut.empty())

@@ -93,20 +93,6 @@ PackedTrace::Buf::release()
     n_ = 0;
 }
 
-PackedTrace
-PackedTrace::clone() const
-{
-    PackedTrace c;
-    c.buf_ = Buf(buf_.size());
-    if (buf_.size())
-        std::memcpy(c.buf_.data(), buf_.data(), buf_.size());
-    c.count_ = count_;
-    c.mainLen_ = mainLen_;
-    c.multiLen_ = multiLen_;
-    c.descCount_ = descCount_;
-    return c;
-}
-
 // --- pack --------------------------------------------------------------
 
 void

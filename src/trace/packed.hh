@@ -279,12 +279,6 @@ class PackedTrace
     void deliver(Sink &sink) const;
 
     /**
-     * Deep copy: a fresh anonymous-mmap buffer plus a memcpy (the
-     * class is otherwise move-only precisely to keep copies explicit).
-     */
-    PackedTrace clone() const;
-
-    /**
      * One decoded record's identity fields. The shape fields live in
      * the descriptor side table (see descCount()/expandDesc()); the
      * fused replay engine keeps a per-descriptor prototype instead of

@@ -136,6 +136,23 @@ TEST(CliUsage, BadCacheMaxBytesRejected)
     }
 }
 
+TEST(CliUsage, WrappingJobsAndJunkBitsRejected)
+{
+    // Counts are plain decimal digits: a --jobs value past INT_MAX must
+    // not wrap into "all cores" (0) or a small thread count, and a
+    // width with trailing junk is not a width.
+    for (const char *v : {"4294967296", "4294967298", "+4", " 4"}) {
+        auto r = cli({"sweep", "--kernels", "ZL/adler32", "--jobs", v});
+        EXPECT_EQ(r.code, 2) << v;
+        EXPECT_NE(r.err.find("--jobs"), std::string::npos) << v;
+    }
+    for (const char *v : {"128junk", "128,256x", "+128"}) {
+        auto r = cli({"run", "ZL/adler32", "--bits", v});
+        EXPECT_EQ(r.code, 2) << v;
+        EXPECT_NE(r.err.find("--bits"), std::string::npos) << v;
+    }
+}
+
 TEST(CliUsage, WiderBitsRequireWiderKernel)
 {
     // PF/fft_forward is not one of the eight Figure-5 kernels.

@@ -254,55 +254,70 @@ TEST(SweepCache, OtherFormatVersionIsAPlainMiss)
     std::filesystem::remove_all(dir);
 }
 
-TEST(SweepCache, FlippedResultEntryIsQuarantinedAndRecomputedIdentically)
+TEST(SweepCache, DamagedResultEntryIsQuarantinedAndRecomputedIdentically)
 {
-    const auto dir = tempDir("bitflip");
+    const auto dir = tempDir("damaged");
     std::string err;
     auto points = sweep::expand(adlerSpec(), &err);
     ASSERT_EQ(points.size(), 1u) << err;
-    const auto key = sweep::keyFor(points[0], 1);
-
-    std::ostringstream cold;
-    {
+    const auto path = std::filesystem::path(dir) /
+                      (sweep::keyFor(points[0], 1).hex() + ".swr");
+    // One sweep through a fresh in-process cache on the directory.
+    const auto sweepOnce = [&](sweep::CacheStats *stats) {
         sweep::ResultCache cache(dir);
         sweep::SchedulerConfig sc;
         sc.cache = &cache;
-        sweep::emitResults(cold, sweep::runSweep(points, sc),
+        std::ostringstream os;
+        sweep::emitResults(os, sweep::runSweep(points, sc),
                            sweep::Format::JsonLines);
-    }
-    // Flip one body byte (a bad sector, not a truncation): the entry
-    // still parses line-by-line but its checksum no longer matches.
-    const auto path = std::filesystem::path(dir) / (key.hex() + ".swr");
-    ASSERT_TRUE(std::filesystem::exists(path));
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekg(0, std::ios::end);
-        const auto size = f.tellg();
-        f.seekp(std::streamoff(size) - 2);
-        char c = 0;
-        f.seekg(std::streamoff(size) - 2);
-        f.get(c);
-        f.seekp(std::streamoff(size) - 2);
-        f.put(c == '1' ? '2' : '1');
-    }
+        *stats = cache.stats();
+        return os.str();
+    };
 
-    std::ostringstream recompute;
-    {
-        sweep::ResultCache cache(dir);
-        sweep::SchedulerConfig sc;
-        sc.cache = &cache;
-        sweep::emitResults(recompute, sweep::runSweep(points, sc),
-                           sweep::Format::JsonLines);
-        EXPECT_EQ(cache.stats().misses, 1u);
-        EXPECT_EQ(cache.stats().diskHits, 0u);
-        EXPECT_EQ(cache.stats().corruptEntriesQuarantined, 1u);
-        EXPECT_EQ(cache.stats().stores, 1u);
+    // Both damages leave an entry that still parses line by line. Leg 0
+    // flips one body byte (a bad sector, not a truncation), so the
+    // checksum no longer matches. Leg 1 misspells the checksum tag and
+    // doubles the cycle count: with no checksum line nothing vouches
+    // for the body, so it must not serve the doubled cycles either.
+    for (int leg = 0; leg < 2; ++leg) {
+        std::filesystem::remove_all(dir);
+        sweep::CacheStats st;
+        const std::string cold = sweepOnce(&st);
+        std::string body;
+        {
+            std::ifstream is(path, std::ios::binary);
+            ASSERT_TRUE(is) << path;
+            std::ostringstream ss;
+            ss << is.rdbuf();
+            body = ss.str();
+        }
+        if (leg == 0) {
+            char &c = body[body.size() - 2];
+            c = c == '1' ? '2' : '1';
+        } else {
+            const size_t tag = body.find("\nchecksum ");
+            const size_t at = body.find("\nsim.cycles ");
+            ASSERT_NE(tag, std::string::npos);
+            ASSERT_NE(at, std::string::npos);
+            body[tag + 8] = 'n';
+            const size_t from = at + 12;
+            const size_t len = body.find('\n', from) - from;
+            const uint64_t cycles = std::stoull(body.substr(from, len));
+            body.replace(from, len, std::to_string(2 * cycles));
+        }
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << body;
+
+        const std::string recompute = sweepOnce(&st);
+        EXPECT_EQ(st.misses, 1u) << leg;
+        EXPECT_EQ(st.diskHits, 0u) << leg;
+        EXPECT_EQ(st.corruptEntriesQuarantined, 1u) << leg;
+        EXPECT_EQ(st.stores, 1u) << leg;
+        EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"))
+            << leg;
+        // The quarantined bytes are never served again; the recompute
+        // replays the same trace, so its report is byte-identical.
+        EXPECT_EQ(cold, recompute) << leg;
     }
-    EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"));
-    // The quarantined bytes must never be served again; the recompute
-    // replays the pinned trace, so its report is byte-identical.
-    EXPECT_EQ(cold.str(), recompute.str());
     std::filesystem::remove_all(dir);
 }
 

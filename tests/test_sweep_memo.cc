@@ -1,11 +1,9 @@
 /**
  * @file
- * Tests of the sweep's packed-trace tier (sweep/cache.hh): the
- * SWAN_TRACE_MEMO_BYTES parser (the T0 pinned-trace budget) and the
- * on-disk trace tier serving captures to later sweeps.
+ * Tests of the sweep cache's packed-trace entries (sweep/cache.hh):
+ * the on-disk trace entries serving captures to later sweeps.
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -42,17 +40,6 @@ tempDir(const char *tag)
 }
 
 } // namespace
-
-TEST(TraceMemo, EnvBudgetParsing)
-{
-    ::unsetenv("SWAN_TRACE_MEMO_BYTES");
-    EXPECT_EQ(sweep::ResultCache::envTraceMemoBytes(), 0u);
-    ::setenv("SWAN_TRACE_MEMO_BYTES", "1048576", 1);
-    EXPECT_EQ(sweep::ResultCache::envTraceMemoBytes(), 1048576u);
-    ::setenv("SWAN_TRACE_MEMO_BYTES", "not-a-number", 1);
-    EXPECT_EQ(sweep::ResultCache::envTraceMemoBytes(), 0u);
-    ::unsetenv("SWAN_TRACE_MEMO_BYTES");
-}
 
 TEST(TraceTier, ServesCapturesAcrossSweeps)
 {

@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace swan::sim
@@ -120,183 +121,238 @@ Cache::resetStats()
     misses_ = 0;
 }
 
-MemHierarchy::MemHierarchy(const CoreConfig &cfg)
-    : cfg_(cfg), l1_(cfg.l1d), l2_(cfg.l2), llc_(cfg.llc),
-      dram_(cfg.dramLatencyCycles(), cfg.dramServiceCycles()),
-      mshrFree_(mshrCount(cfg), 0)
+CacheHierarchy::CacheHierarchy(const CoreConfig &cfg)
+    : l1_(cfg.l1d), l2_(cfg.l2), llc_(cfg.llc),
+      prefetch_(cfg.l1d.nextLinePrefetch)
 {
 }
 
-MemHierarchy::FillResult
-MemHierarchy::fillFrom(uint64_t addr, uint64_t cycle)
+bool
+CacheHierarchy::sameGeometry(const CoreConfig &a, const CoreConfig &b)
 {
+    const auto same = [](const CacheConfig &x, const CacheConfig &y) {
+        return x.sizeBytes == y.sizeBytes && x.ways == y.ways &&
+               x.lineBytes == y.lineBytes;
+    };
+    return same(a.l1d, b.l1d) && same(a.l2, b.l2) && same(a.llc, b.llc) &&
+           a.l1d.nextLinePrefetch == b.l1d.nextLinePrefetch;
+}
 
+uint8_t
+CacheHierarchy::fill(uint64_t addr)
+{
     // L1 already missed; walk L2 -> LLC -> DRAM, filling on the way back.
-    // Each level has a service queue bounding its sustained fill
-    // bandwidth (the cache-pressure effect of Section 5.4).
-    FillResult res;
-    const double start2 = std::max(double(cycle), l2Free_);
-    l2Free_ = start2 + cfg_.l2ServiceCycles;
-    res.extra = uint64_t(start2) - cycle;
-
     auto r2 = l2_.access(addr, false);
     if (r2.writeback)
         llc_.access(r2.wbLineAddr, true);
-    if (r2.hit) {
-        res.level = Level::L2;
-        return res;
-    }
-
-    const double start3 = std::max(start2, llcFree_);
-    llcFree_ = start3 + cfg_.llcServiceCycles;
-    res.extra = uint64_t(start3) - cycle;
+    if (r2.hit)
+        return uint8_t(MemLevel::L2);
 
     auto r3 = llc_.access(addr, false);
+    uint8_t f = 0;
     if (r3.writeback) {
         ++dramWrites_;
-        dram_.access(uint64_t(start3));
+        f = LineOutcome::kWriteback;
     }
-    if (r3.hit) {
-        res.level = Level::Llc;
-        return res;
-    }
-
+    if (r3.hit)
+        return f | uint8_t(MemLevel::Llc);
     ++dramReads_;
-    res.level = Level::Dram;
-    res.extra = uint64_t(start3) - cycle;
-    return res;
+    return f | uint8_t(MemLevel::Dram);
 }
 
-MemHierarchy::Result
-MemHierarchy::load(uint64_t addr, uint32_t size, uint64_t cycle)
+size_t
+CacheHierarchy::walk(uint64_t addr, uint32_t size, bool write, uint8_t *out)
 {
     const uint64_t lb = uint64_t(l1_.lineBytes());
     const unsigned ls = unsigned(__builtin_ctzll(lb));
     const uint64_t first = addr >> ls;
     const uint64_t last = (addr + (size ? size - 1 : 0)) >> ls;
 
-    Result out;
-    out.latency = uint64_t(l1_.latency());
+    size_t n = 0;
     for (uint64_t line = first; line <= last; ++line) {
         const uint64_t a = line * lb;
-        auto r1 = l1_.access(a, false);
+        auto r1 = l1_.access(a, write);
         if (r1.writeback)
             l2_.access(r1.wbLineAddr, true);
         if (r1.hit)
             continue;
-
-        // Miss: allocate an MSHR (bounds memory-level parallelism).
-        auto mshr = std::min_element(mshrFree_.begin(), mshrFree_.end());
-        const uint64_t start = std::max(cycle, *mshr);
-
-        auto fill = fillFrom(a, start);
-        uint64_t lat;
-        switch (fill.level) {
-          case Level::L2:
-            lat = uint64_t(l2_.latency());
-            break;
-          case Level::Llc:
-            lat = uint64_t(llc_.latency());
-            break;
-          default:
-            // dram_.access absorbs fill.extra into its start time, so
-            // subtract it back out: the L2/LLC queue wait must be
-            // charged exactly once (double-charging lets MSHR release
-            // times outrun physical time and the bandwidth queues
-            // ratchet off each other without bound).
-            lat = dram_.access(start + fill.extra) -
-                  (start + fill.extra) + uint64_t(llc_.latency());
-            break;
-        }
-        const uint64_t ready = start + fill.extra + lat;
-        *mshr = ready;
-        out.latency = std::max(out.latency, ready - cycle);
-        if (int(fill.level) > int(out.level))
-            out.level = fill.level;
-
-        // Simple next-line prefetch on demand miss (streaming helper);
-        // the prefetch fill consumes real L2/LLC/DRAM bandwidth.
-        if (cfg_.l1d.nextLinePrefetch) {
+        // A store write-allocates the line; a load also prefetches the
+        // next one (streaming helper), whose fill takes real L2/LLC/
+        // DRAM bandwidth in the timing replay.
+        uint8_t o = fill(a);
+        if (!write && prefetch_) {
             const uint64_t next = a + lb;
             if (!l1_.probe(next)) {
                 auto p1 = l1_.access(next, false);
                 if (p1.writeback)
                     l2_.access(p1.wbLineAddr, true);
-                auto pf = fillFrom(next, start);
-                if (pf.level == Level::Dram)
-                    dram_.access(start + pf.extra);
+                o |= uint8_t(LineOutcome::kPrefetch |
+                             fill(next) << LineOutcome::kPrefetchShift);
             }
         }
+        out[n++] = o;
     }
-    return out;
-}
-
-MemHierarchy::Result
-MemHierarchy::store(uint64_t addr, uint32_t size, uint64_t cycle)
-{
-    const uint64_t lb = uint64_t(l1_.lineBytes());
-    const unsigned ls = unsigned(__builtin_ctzll(lb));
-    const uint64_t first = addr >> ls;
-    const uint64_t last = (addr + (size ? size - 1 : 0)) >> ls;
-
-    Result out;
-    out.latency = 1;
-    for (uint64_t line = first; line <= last; ++line) {
-        const uint64_t a = line * lb;
-        auto r1 = l1_.access(a, true);
-        if (r1.writeback)
-            l2_.access(r1.wbLineAddr, true);
-        if (!r1.hit) {
-            // Write-allocate: fetch the line; latency hidden by the
-            // store buffer but traffic and MSHR occupancy are real.
-            auto mshr = std::min_element(mshrFree_.begin(),
-                                         mshrFree_.end());
-            const uint64_t start = std::max(cycle, *mshr);
-            auto fill = fillFrom(a, start);
-            uint64_t lat;
-            switch (fill.level) {
-              case Level::L2:
-                lat = uint64_t(l2_.latency());
-                break;
-              case Level::Llc:
-                lat = uint64_t(llc_.latency());
-                break;
-              default:
-                // Same single-charge rule as the load path.
-                lat = dram_.access(start + fill.extra) -
-                      (start + fill.extra) + uint64_t(llc_.latency());
-                break;
-            }
-            *mshr = start + fill.extra + lat;
-            if (int(fill.level) > int(out.level))
-                out.level = fill.level;
-        }
-    }
-    return out;
+    return n;
 }
 
 void
-MemHierarchy::reset()
+CacheHierarchy::reset()
 {
     l1_.reset();
     l2_.reset();
     llc_.reset();
-    dram_.reset();
-    std::fill(mshrFree_.begin(), mshrFree_.end(), 0);
-    l2Free_ = 0.0;
-    llcFree_ = 0.0;
     dramReads_ = 0;
     dramWrites_ = 0;
 }
 
 void
-MemHierarchy::resetStats()
+CacheHierarchy::resetStats()
 {
     l1_.resetStats();
     l2_.resetStats();
     llc_.resetStats();
     dramReads_ = 0;
     dramWrites_ = 0;
+}
+
+MemTiming::MemTiming(const CoreConfig &cfg)
+    : l1Lat_(uint64_t(cfg.l1d.latency)), l2Lat_(uint64_t(cfg.l2.latency)),
+      llcLat_(uint64_t(cfg.llc.latency)),
+      l2Service_(cfg.l2ServiceCycles), llcService_(cfg.llcServiceCycles),
+      dram_(cfg.dramLatencyCycles(), cfg.dramServiceCycles()),
+      mshrFree_(mshrCount(cfg), 0)
+{
+}
+
+uint64_t
+MemTiming::fill(uint8_t f, uint64_t cycle)
+{
+    // Each level has a service queue bounding its sustained fill
+    // bandwidth; a fill that reaches the LLC queues there too.
+    const double start2 = std::max(double(cycle), l2Free_);
+    l2Free_ = start2 + l2Service_;
+    if (MemLevel(f & LineOutcome::kLevel) == MemLevel::L2)
+        return uint64_t(start2) - cycle;
+
+    const double start3 = std::max(start2, llcFree_);
+    llcFree_ = start3 + llcService_;
+    if (f & LineOutcome::kWriteback)
+        dram_.access(uint64_t(start3));
+    return uint64_t(start3) - cycle;
+}
+
+uint64_t
+MemTiming::miss(uint8_t o, uint64_t cycle)
+{
+    // Allocate an MSHR (bounds memory-level parallelism).
+    auto mshr = std::min_element(mshrFree_.begin(), mshrFree_.end());
+    const uint64_t start = std::max(cycle, *mshr);
+
+    const uint64_t extra = fill(o, start);
+    uint64_t lat;
+    switch (MemLevel(o & LineOutcome::kLevel)) {
+      case MemLevel::L2:
+        lat = l2Lat_;
+        break;
+      case MemLevel::Llc:
+        lat = llcLat_;
+        break;
+      default:
+        // dram_.access absorbs extra into its start time, so subtract
+        // it back out: the L2/LLC queue wait must be charged exactly
+        // once (double-charging lets MSHR release times outrun
+        // physical time and the bandwidth queues ratchet off each
+        // other without bound).
+        lat = dram_.access(start + extra) - (start + extra) + llcLat_;
+        break;
+    }
+    const uint64_t ready = start + extra + lat;
+    *mshr = ready;
+
+    // The next-line prefetch issues with the demand miss and queues
+    // behind it, for the DRAM channel too.
+    if (o & LineOutcome::kPrefetch) {
+        const uint8_t pf = uint8_t(o >> LineOutcome::kPrefetchShift);
+        const uint64_t pextra = fill(pf, start);
+        if (MemLevel(pf & LineOutcome::kLevel) == MemLevel::Dram)
+            dram_.access(start + pextra);
+    }
+    return ready;
+}
+
+uint64_t
+MemTiming::load(const uint8_t *o, size_t n, uint64_t cycle)
+{
+    uint64_t latency = l1Lat_;
+    for (size_t i = 0; i < n; ++i)
+        latency = std::max(latency, miss(o[i], cycle) - cycle);
+    return latency;
+}
+
+void
+MemTiming::store(const uint8_t *o, size_t n, uint64_t cycle)
+{
+    for (size_t i = 0; i < n; ++i)
+        miss(o[i], cycle);
+}
+
+void
+MemTiming::reset()
+{
+    dram_.reset();
+    std::fill(mshrFree_.begin(), mshrFree_.end(), 0);
+    l2Free_ = 0.0;
+    llcFree_ = 0.0;
+}
+
+MemHierarchy::MemHierarchy(const CoreConfig &cfg)
+    : caches_(cfg), timing_(cfg)
+{
+}
+
+uint8_t *
+MemHierarchy::outcomesFor(uint64_t addr, uint32_t size)
+{
+    const unsigned ls =
+        unsigned(__builtin_ctz(uint32_t(caches_.l1().lineBytes())));
+    const uint64_t lines =
+        ((addr + (size ? size - 1 : 0)) >> ls) - (addr >> ls) + 1;
+    if (outcomes_.size() < lines)
+        outcomes_.resize(size_t(lines));
+    return outcomes_.data();
+}
+
+MemHierarchy::Level
+MemHierarchy::slowest(const uint8_t *o, size_t n)
+{
+    uint8_t level = uint8_t(Level::L1);
+    for (size_t i = 0; i < n; ++i)
+        level = std::max(level, uint8_t(o[i] & LineOutcome::kLevel));
+    return Level(level);
+}
+
+MemHierarchy::Result
+MemHierarchy::load(uint64_t addr, uint32_t size, uint64_t cycle)
+{
+    uint8_t *o = outcomesFor(addr, size);
+    const size_t n = caches_.load(addr, size, o);
+    return {timing_.load(o, n, cycle), slowest(o, n)};
+}
+
+MemHierarchy::Result
+MemHierarchy::store(uint64_t addr, uint32_t size, uint64_t cycle)
+{
+    uint8_t *o = outcomesFor(addr, size);
+    const size_t n = caches_.store(addr, size, o);
+    timing_.store(o, n, cycle);
+    return {1, slowest(o, n)};
+}
+
+void
+MemHierarchy::reset()
+{
+    caches_.reset();
+    timing_.reset();
 }
 
 } // namespace swan::sim

@@ -1,14 +1,20 @@
 /**
  * @file
  * Set-associative cache model with LRU replacement and write-back
- * write-allocate policy, plus the three-level hierarchy + MSHR + DRAM
- * timing used by the trace-driven core models (the cache parameters of
- * Table 3).
+ * write-allocate policy, and the three-level memory system of the
+ * trace-driven core models (the cache parameters of Table 3), in two
+ * parts: CacheHierarchy, the functional contents (which lines each
+ * level holds, the L1 next-line prefetch, DRAM traffic counts), and
+ * MemTiming, one configuration's timing (MSHRs, fill queues, DRAM
+ * channel, latencies). The caches never read a cycle, so the first is
+ * a function of the address stream alone and configurations with equal
+ * geometry can share it; MemHierarchy composes the two.
  */
 
 #ifndef SWAN_SIM_CACHE_HH
 #define SWAN_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -126,10 +132,165 @@ class Cache
     uint64_t misses_ = 0;
 };
 
+/** Which level serviced an access. */
+enum class MemLevel : uint8_t { L1, L2, Llc, Dram };
+
 /**
- * Three-level hierarchy with MSHR-limited misses and a bandwidth-limited
- * DRAM behind the LLC. Returns load-to-use latencies; keeps the per-level
- * access/miss statistics the paper reports as MPKI (Table 5).
+ * Outcome byte of one L1-missing line: what the functional hierarchy
+ * (CacheHierarchy) did for it, and all the timing part (MemTiming)
+ * needs to charge it. The low three bits describe the demand fill —
+ * the level that held the line and whether filling the LLC evicted a
+ * dirty line to DRAM; kPrefetch flags a next-line prefetch, whose fill
+ * is described the same way kPrefetchShift bits up. A line that hits
+ * L1 leaves no byte.
+ */
+struct LineOutcome
+{
+    static constexpr uint8_t kLevel = 0x3;     //!< fill level, a MemLevel
+    static constexpr uint8_t kWriteback = 0x4; //!< LLC wrote a dirty line back
+    static constexpr uint8_t kPrefetch = 0x8;  //!< next-line prefetch issued
+    static constexpr unsigned kPrefetchShift = 4;
+};
+
+/**
+ * The functional memory system: L1/L2/LLC contents, the L1 next-line
+ * prefetch, and the DRAM read/write counts. It never reads a cycle, so
+ * its state is a function of the address stream alone — cores with
+ * equal cache geometry (sameGeometry) can share one, walked once per
+ * access, each timing the outcomes on its own MemTiming.
+ */
+class CacheHierarchy
+{
+  public:
+    /** @throws std::invalid_argument for a cache level Cache rejects. */
+    explicit CacheHierarchy(const CoreConfig &cfg);
+
+    /** Whether @p a and @p b evolve equal hierarchies from one address
+     *  stream: equal L1/L2/LLC size, ways and line, and equal L1
+     *  prefetch (latencies are timing, not contents). */
+    static bool sameGeometry(const CoreConfig &a, const CoreConfig &b);
+
+    /**
+     * Load [addr, addr + size) (size 0 touches one line), line by line:
+     * appends one LineOutcome byte per L1-missing line to @p out and
+     * returns how many. A single-line L1 hit stays inline.
+     */
+    size_t
+    load(uint64_t addr, uint32_t size, uint8_t *out)
+    {
+        if (singleLine(addr, size) && l1_.accessHit(addr, false))
+            return 0;
+        return walk(addr, size, false, out);
+    }
+
+    /** Store: the same walk, write-allocate, with no prefetch. */
+    size_t
+    store(uint64_t addr, uint32_t size, uint8_t *out)
+    {
+        if (singleLine(addr, size) && l1_.accessHit(addr, true))
+            return 0;
+        return walk(addr, size, true, out);
+    }
+
+    /**
+     * Invalidate all three levels at once: a fault-injection actuator
+     * (see sim/faults.hh). Statistics are deliberately untouched — a
+     * fault perturbs *state*, and its cost surfaces through the
+     * ordinary miss/traffic counters.
+     */
+    void
+    flush()
+    {
+        l1_.flushAll();
+        l2_.flushAll();
+        llc_.flushAll();
+    }
+
+    void reset();
+    void resetStats();
+
+    const Cache &l1() const { return l1_; }
+    const Cache &l2() const { return l2_; }
+    const Cache &llc() const { return llc_; }
+
+    uint64_t dramReads() const { return dramReads_; }
+    uint64_t dramWrites() const { return dramWrites_; }
+    uint64_t dramAccesses() const { return dramReads_ + dramWrites_; }
+
+  private:
+    bool
+    singleLine(uint64_t addr, uint32_t size) const
+    {
+        const unsigned ls =
+            unsigned(__builtin_ctz(uint32_t(l1_.lineBytes())));
+        return (addr >> ls) == ((addr + (size ? size - 1 : 0)) >> ls);
+    }
+
+    /** The line-by-line walk behind load() and store(). */
+    size_t walk(uint64_t addr, uint32_t size, bool write, uint8_t *out);
+
+    /** Fill an L1-missing line from L2/LLC/DRAM; returns its fill
+     *  bits (LineOutcome level and write-back). */
+    uint8_t fill(uint64_t addr);
+
+    Cache l1_, l2_, llc_;
+    bool prefetch_;
+    uint64_t dramReads_ = 0;
+    uint64_t dramWrites_ = 0;
+};
+
+/**
+ * The per-configuration timing of the memory system: MSHRs bounding
+ * overlapping misses, the L2/LLC fill queues bounding fill bandwidth
+ * (the cache-pressure effect of Section 5.4), the bandwidth-limited
+ * DRAM channel and the level latencies. It replays the LineOutcome
+ * bytes a CacheHierarchy left for an access at the cycle the core
+ * issues it; lines that hit L1 cost nothing beyond the L1 latency.
+ */
+class MemTiming
+{
+  public:
+    /** @throws std::invalid_argument for fewer than one MSHR. */
+    explicit MemTiming(const CoreConfig &cfg);
+
+    /** Time a load issued at @p cycle whose L1-missing lines had the
+     *  @p n outcomes at @p o; returns its load-to-use latency, the
+     *  slowest line's (the L1 latency when n is 0). */
+    uint64_t load(const uint8_t *o, size_t n, uint64_t cycle);
+
+    /** Time a store's write-allocate fills: they take MSHRs and fill
+     *  bandwidth, while the store buffer hides their latency. */
+    void store(const uint8_t *o, size_t n, uint64_t cycle);
+
+    uint64_t l1Latency() const { return l1Lat_; }
+
+    /** The DRAM channel; fault payloads retime it mid-replay. */
+    Dram &dram() { return dram_; }
+    const Dram &dram() const { return dram_; }
+
+    void reset();
+
+  private:
+    /** Charge one L1-missing line; returns its data-ready cycle. */
+    uint64_t miss(uint8_t o, uint64_t cycle);
+
+    /** Queue a fill described by @p f at L2 (and the LLC below it)
+     *  from @p cycle; returns the queueing beyond the hit latency. */
+    uint64_t fill(uint8_t f, uint64_t cycle);
+
+    uint64_t l1Lat_, l2Lat_, llcLat_;
+    double l2Service_, llcService_;
+    Dram dram_;
+    std::vector<uint64_t> mshrFree_;
+    double l2Free_ = 0.0;
+    double llcFree_ = 0.0;
+};
+
+/**
+ * A CacheHierarchy and a MemTiming composed into timed accesses, one
+ * at a time: each access walks the caches, then times the outcomes.
+ * Returns load-to-use latencies and keeps the per-level access/miss
+ * statistics the paper reports as MPKI (Table 5).
  */
 class MemHierarchy
 {
@@ -138,13 +299,12 @@ class MemHierarchy
      *  cache level Cache rejects. */
     explicit MemHierarchy(const CoreConfig &cfg);
 
-    /** Which level serviced an access. */
-    enum class Level { L1, L2, Llc, Dram };
+    using Level = MemLevel;
 
     struct Result
     {
         uint64_t latency = 0;   //!< load-to-use latency in cycles
-        Level level = Level::L1;
+        Level level = Level::L1; //!< slowest level any line came from
     };
 
     /**
@@ -160,80 +320,31 @@ class MemHierarchy
      */
     Result store(uint64_t addr, uint32_t size, uint64_t cycle);
 
-    /**
-     * Single-line L1-hit fast paths: bit-identical bookkeeping to
-     * load()/store() for their dominant case, inline in the caller;
-     * return false — touching nothing — when the access spans lines
-     * or misses L1, so the full path can run instead.
-     */
-    bool
-    loadHit(uint64_t addr, uint32_t size, uint64_t *latency)
-    {
-        const unsigned ls =
-            unsigned(__builtin_ctz(uint32_t(l1_.lineBytes())));
-        if ((addr >> ls) != ((addr + (size ? size - 1 : 0)) >> ls))
-            return false;
-        if (!l1_.accessHit(addr, false))
-            return false;
-        *latency = uint64_t(l1_.latency());
-        return true;
-    }
-    bool
-    storeHit(uint64_t addr, uint32_t size)
-    {
-        const unsigned ls =
-            unsigned(__builtin_ctz(uint32_t(l1_.lineBytes())));
-        if ((addr >> ls) != ((addr + (size ? size - 1 : 0)) >> ls))
-            return false;
-        return l1_.accessHit(addr, true);
-    }
-
     void reset();
-    void resetStats();
+    void resetStats() { caches_.resetStats(); }
 
-    const Cache &l1() const { return l1_; }
-    const Cache &l2() const { return l2_; }
-    const Cache &llc() const { return llc_; }
+    const Cache &l1() const { return caches_.l1(); }
+    const Cache &l2() const { return caches_.l2(); }
+    const Cache &llc() const { return caches_.llc(); }
 
-    /**
-     * Fault-injection actuators (see sim/faults.hh). dram() exposes
-     * the mutable DRAM model so payloads can retime it mid-replay;
-     * flushCaches() invalidates all three levels at once. Statistics
-     * are deliberately untouched — a fault perturbs *state*, and its
-     * cost surfaces through the ordinary miss/traffic counters.
-     */
-    Dram &dram() { return dram_; }
-    const Dram &dram() const { return dram_; }
-    void
-    flushCaches()
-    {
-        l1_.flushAll();
-        l2_.flushAll();
-        llc_.flushAll();
-    }
+    Dram &dram() { return timing_.dram(); }
+    const Dram &dram() const { return timing_.dram(); }
+    void flushCaches() { caches_.flush(); }
 
-    uint64_t dramReads() const { return dramReads_; }
-    uint64_t dramWrites() const { return dramWrites_; }
-    uint64_t dramAccesses() const { return dramReads_ + dramWrites_; }
+    uint64_t dramReads() const { return caches_.dramReads(); }
+    uint64_t dramWrites() const { return caches_.dramWrites(); }
+    uint64_t dramAccesses() const { return caches_.dramAccesses(); }
 
   private:
-    struct FillResult
-    {
-        Level level = Level::L2;
-        uint64_t extra = 0; //!< bandwidth queueing beyond the hit latency
-    };
+    /** Size outcomes_ for an access of @p size bytes at @p addr. */
+    uint8_t *outcomesFor(uint64_t addr, uint32_t size);
 
-    /** Fill below L1 at @p cycle; models L2/LLC/DRAM bandwidth queues. */
-    FillResult fillFrom(uint64_t addr, uint64_t cycle);
+    /** Slowest demand level among @p n outcomes. */
+    static Level slowest(const uint8_t *o, size_t n);
 
-    CoreConfig cfg_;
-    Cache l1_, l2_, llc_;
-    Dram dram_;
-    std::vector<uint64_t> mshrFree_;
-    double l2Free_ = 0.0;
-    double llcFree_ = 0.0;
-    uint64_t dramReads_ = 0;
-    uint64_t dramWrites_ = 0;
+    CacheHierarchy caches_;
+    MemTiming timing_;
+    std::vector<uint8_t> outcomes_;
 };
 
 } // namespace swan::sim

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -28,11 +29,62 @@ constexpr int kUnpipelinedLat = 10;
 namespace
 {
 
-/** Branches between modeled mispredicts (>= 1; 0 = never). */
-inline uint64_t
-mispredictInterval(const CoreConfig &cfg)
+/** Reject a mispredict rate that is not a probability. */
+double
+checkedMispredictRate(double rate)
 {
-    return uint64_t(1.0 / std::max(cfg.branchMispredictRate, 1e-6));
+    // Written so that NaN fails too.
+    if (!(rate >= 0.0 && rate <= 1.0))
+        throw std::invalid_argument(
+            "swan: branchMispredictRate must be in [0, 1], got " +
+            std::to_string(rate));
+    return rate;
+}
+
+/** Branches between modeled mispredicts (>= 1), or 0 for never: a rate
+ *  of 0, or one so small the interval does not fit 64 bits. */
+inline uint64_t
+mispredictInterval(double rate)
+{
+    const double interval = rate > 0.0 ? 1.0 / rate : 0.0;
+    return interval < 0x1p64 ? uint64_t(interval) : 0;
+}
+
+/**
+ * @p cfg, once its scalars are known to convert: the model turns
+ * frequencies, latencies and penalties into unsigned cycle counts, so a
+ * negative, infinite or NaN value would convert to garbage (or be
+ * undefined behavior) instead of failing.
+ */
+const CoreConfig &
+checkedConfig(const CoreConfig &cfg)
+{
+    const auto require = [](bool ok, const char *what, double got) {
+        if (!ok)
+            throw std::invalid_argument(std::string("swan: ") + what +
+                                        ", got " + std::to_string(got));
+    };
+    checkedMispredictRate(cfg.branchMispredictRate);
+    const auto positive = [](double v) { return std::isfinite(v) && v > 0; };
+    const auto nonNegative = [](double v) {
+        return std::isfinite(v) && v >= 0;
+    };
+    require(positive(cfg.freqGHz), "freqGHz must be finite and positive",
+            cfg.freqGHz);
+    require(positive(cfg.dramGBs), "dramGBs must be finite and positive",
+            cfg.dramGBs);
+    require(nonNegative(cfg.dramLatencyNs),
+            "dramLatencyNs must be finite and non-negative",
+            cfg.dramLatencyNs);
+    require(nonNegative(cfg.l2ServiceCycles),
+            "l2ServiceCycles must be finite and non-negative",
+            cfg.l2ServiceCycles);
+    require(nonNegative(cfg.llcServiceCycles),
+            "llcServiceCycles must be finite and non-negative",
+            cfg.llcServiceCycles);
+    require(cfg.branchPenalty >= 0, "branchPenalty must be non-negative",
+            cfg.branchPenalty);
+    return cfg;
 }
 
 #if defined(__x86_64__) && !defined(SWAN_SIMD_OFF)
@@ -119,7 +171,13 @@ scanSlots4(const unsigned char *ring, uint64_t c, uint64_t slot_mask,
 } // namespace
 
 CoreModel::CoreModel(const CoreConfig &cfg)
-    : cfg_(cfg), mem_(cfg),
+    : CoreModel(cfg, std::make_shared<CacheHierarchy>(cfg))
+{
+}
+
+CoreModel::CoreModel(const CoreConfig &cfg,
+                     std::shared_ptr<CacheHierarchy> caches)
+    : cfg_(checkedConfig(cfg)), caches_(std::move(caches)), timing_(cfg),
       readyRing_(std::bit_ceil(size_t(std::max(cfg.robSize, 1))), 0),
       robRing_(size_t(std::max(cfg.robSize, 1)), 0)
 {
@@ -136,7 +194,7 @@ CoreModel::CoreModel(const CoreConfig &cfg)
         issueSlots_.assign(fuFree_.size() * kIssueWindow0, IssueSlot{});
         issueMask_ = kIssueWindow0 - 1;
     }
-    st_.branchCountdown = mispredictInterval(cfg_);
+    st_.branchCountdown = mispredictInterval(cfg_.branchMispredictRate);
 }
 
 void
@@ -289,14 +347,126 @@ CoreModel::onBlock(const Instr *instrs, size_t n)
     const StepBlockFn fn = cfg_.outOfOrder
                                ? &CoreModel::stepBlock<true, true>
                                : &CoreModel::stepBlock<false, true>;
+    OutcomeTable table(
+        1, unsigned(__builtin_ctz(uint32_t(caches_->l1().lineBytes()))));
     while (n) {
         const size_t nb =
             std::min<size_t>(n, trace::PackedTrace::kBlockInstrs);
         for (size_t k = 0; k < nb; ++k)
             batch[k] = stepInFor(instrs[k]);
-        fn(*this, st_, frontier, batch, nb);
+        // Walk this model's own hierarchy over the block, then step it.
+        for (size_t at = 0; at < nb;) {
+            const size_t m = table.fit(batch + at, nb - at);
+            walkCaches(*caches_, batch + at, m, table, 0);
+            fn(*this, st_, frontier, batch + at, m, table.of(0));
+            at += m;
+        }
         instrs += nb;
         n -= nb;
+    }
+}
+
+CoreModel::OutcomeTable::OutcomeTable(size_t walk_count,
+                                      unsigned line_shift)
+    : walks(walk_count), lineShift(line_shift), misses(inlineMisses_),
+      lines(inlineLines_)
+{
+    if (walks > kInlineWalks)
+        toHeap();
+}
+
+void
+CoreModel::OutcomeTable::toHeap()
+{
+    heapMisses_.assign(walks * accessCap, 0);
+    heapLines_.assign(walks * lineCap, 0);
+    misses = heapMisses_.data();
+    lines = heapLines_.data();
+}
+
+size_t
+CoreModel::OutcomeTable::fit(const StepIn *ins, size_t n)
+{
+    // The walk of ins[k] appends at most one access (elems for a
+    // multi-address op) and one line outcome per line it touches.
+    size_t accesses = 0;
+    uint64_t worst = 0;
+    for (size_t k = 0; k < n; ++k) {
+        const StepIn &in = ins[k];
+        if (!(in.flags & (kFlagLoad | kFlagStore | kFlagMulti)))
+            continue;
+        size_t a = 1;
+        uint64_t l;
+        if (in.flags & kFlagMulti) {
+            // An element of b >= 1 bytes touches at most
+            // ((b - 1) >> lineShift) + 2 lines, wherever it starts.
+            a = in.elems;
+            const uint32_t elemBytes =
+                std::max<uint32_t>(in.size / in.elems, 1);
+            l = a * (((elemBytes - 1) >> lineShift) + 2);
+        } else {
+            // Exact for one access: its first to its last line.
+            l = ((in.addr + (in.size ? in.size - 1 : 0)) >> lineShift) -
+                (in.addr >> lineShift) + 1;
+        }
+        if (accesses + a > accessCap || worst + l > lineCap) {
+            if (k > 0)
+                return k;
+            // ins[0] alone needs more room: grow to fit it.
+            SWAN_NOALLOC_PAUSE();
+            accessCap = std::max(accessCap, a);
+            lineCap = std::max<size_t>(lineCap, size_t(l));
+            toHeap();
+        }
+        accesses += a;
+        worst += l;
+    }
+    return n;
+}
+
+void
+CoreModel::walkCaches(CacheHierarchy &caches, const StepIn *ins, size_t n,
+                      OutcomeTable &table, size_t w)
+{
+    uint32_t *misses = table.misses + w * table.accessCap;
+    uint8_t *lines = table.lines + w * table.lineCap;
+    for (size_t k = 0; k < n; ++k) {
+        const StepIn &in = ins[k];
+        if (!(in.flags & (kFlagLoad | kFlagStore | kFlagMulti)))
+            continue;
+        const bool isLoad = (in.flags & kFlagLoad) != 0;
+        if (!(in.flags & kFlagMulti)) {
+            const size_t got = isLoad
+                                   ? caches.load(in.addr, in.size, lines)
+                                   : caches.store(in.addr, in.size, lines);
+            *misses++ = uint32_t(got);
+            lines += got;
+            continue;
+        }
+        // SVE/RVV-style gather/scatter and arbitrary-stride accesses
+        // crack into per-element cache accesses. LdS/StS element
+        // addresses are exact (addr + i*elemStride); gather/scatter
+        // addresses are data-dependent, so the elements are spread
+        // evenly across the touched region [addr, addr2] recorded at
+        // emit time — the right cache-line footprint for the uniform
+        // LUT keys the Section 6.2 kernels generate.
+        const int elems = in.elems;
+        const uint32_t elemBytes =
+            std::max<uint32_t>(in.size / uint32_t(elems), 1);
+        int64_t stride = in.elemStride;
+        if (!stride) {
+            stride = elems > 1
+                         ? (int64_t(in.addr2) - int64_t(in.addr)) /
+                               (elems - 1)
+                         : 0;
+        }
+        for (int i = 0; i < elems; ++i) {
+            const uint64_t a = uint64_t(int64_t(in.addr) + i * stride);
+            const size_t got = isLoad ? caches.load(a, elemBytes, lines)
+                                      : caches.store(a, elemBytes, lines);
+            *misses++ = uint32_t(got);
+            lines += got;
+        }
     }
 }
 
@@ -327,60 +497,41 @@ CoreModel::reserveFu(uint8_t fu, uint64_t ready, int occupancy)
 }
 
 uint64_t
-CoreModel::memComplete(const StepIn &in, uint64_t start)
+CoreModel::memComplete(const StepIn &in, uint64_t start, Outcomes &mem)
 {
     if (in.flags & kFlagMulti)
-        return memCompleteMulti(in, start);
-    if (in.flags & kFlagLoad) {
-        uint64_t lat;
-        if (mem_.loadHit(in.addr, in.size, &lat))
-            return start + std::max<uint64_t>(in.latency, lat);
-        auto r = mem_.load(in.addr, in.size, start);
-        return start + std::max<uint64_t>(in.latency, r.latency);
-    }
-    if (in.flags & kFlagStore) {
-        if (!mem_.storeHit(in.addr, in.size))
-            mem_.store(in.addr, in.size, start);
-        return start + in.latency;
-    }
+        return memCompleteMulti(in, start, mem);
+    const uint32_t n = *mem.misses++;
+    const uint8_t *o = mem.lines;
+    mem.lines += n;
+    if (in.flags & kFlagLoad)
+        return start +
+               std::max<uint64_t>(in.latency, timing_.load(o, n, start));
+    timing_.store(o, n, start);
     return start + in.latency;
 }
 
 uint64_t
-CoreModel::memCompleteMulti(const StepIn &in, uint64_t start)
+CoreModel::memCompleteMulti(const StepIn &in, uint64_t start,
+                            Outcomes &mem)
 {
-    // SVE/RVV-style gather/scatter and arbitrary-stride accesses crack
-    // into per-element cache accesses in the LSU, lsuCrackPerCycle at a
-    // time. LdS/StS element addresses are exact (addr + i*elemStride);
-    // gather/scatter addresses are data-dependent, so the elements are
-    // spread evenly across the touched region [addr, addr2] recorded at
-    // emit time — the right cache-line footprint for the uniform LUT
-    // keys the Section 6.2 kernels generate.
+    // The LSU issues the elements (walked in element order by
+    // walkCaches) lsuCrackPerCycle at a time.
     const uint64_t crack = uint64_t(std::max(cfg_.lsuCrackPerCycle, 1));
-    const int elems = in.elems;
-    const uint32_t elemBytes =
-        std::max<uint32_t>(in.size / uint32_t(elems), 1);
     const bool isLoad = (in.flags & kFlagLoad) != 0;
-    int64_t stride = in.elemStride;
-    if (!stride) {
-        stride = elems > 1
-                     ? (int64_t(in.addr2) - int64_t(in.addr)) /
-                           (elems - 1)
-                     : 0;
-    }
     uint64_t complete = start + in.latency;
-    for (int i = 0; i < elems; ++i) {
-        const uint64_t a = uint64_t(int64_t(in.addr) + i * stride);
+    for (int i = 0; i < in.elems; ++i) {
         const uint64_t issue = start + uint64_t(i) / crack;
+        const uint32_t n = *mem.misses++;
         if (isLoad) {
-            auto r = mem_.load(a, elemBytes, issue);
+            const uint64_t lat = timing_.load(mem.lines, n, issue);
             complete = std::max(complete,
-                                issue + std::max<uint64_t>(in.latency,
-                                                           r.latency));
+                                issue + std::max<uint64_t>(in.latency, lat));
         } else {
-            mem_.store(a, elemBytes, issue);
+            timing_.store(mem.lines, n, issue);
             complete = std::max(complete, issue + in.latency);
         }
+        mem.lines += n;
     }
     return complete;
 }
@@ -388,7 +539,7 @@ CoreModel::memCompleteMulti(const StepIn &in, uint64_t start)
 template <bool OutOfOrder, bool CheckRestart>
 void
 CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
-                     const StepIn *ins, size_t n)
+                     const StepIn *ins, size_t n, Outcomes mem)
 {
     // The whole batch runs on a local StepState copy: the
     // per-instruction recurrence (dispatch/commit cycles and
@@ -408,6 +559,7 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
     uint64_t *const robRing = m.robRing_.data();
     uint64_t *const readyRing = m.readyRing_.data();
     const uint64_t readyMask = m.readyRing_.size() - 1;
+    const uint64_t l1Latency = m.timing_.l1Latency();
     (void)issueWidth; // only the in-order instantiation issues in order
     for (size_t k = 0; k < n; ++k) {
         const StepIn &in = ins[k];
@@ -476,19 +628,28 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
             }
         }
 
-        // Execute: pure compute completes inline; only memory
-        // operations call into the hierarchy model.
-        const uint64_t complete =
-            in.flags & (kFlagLoad | kFlagStore | kFlagMulti)
-                ? m.memComplete(in, start)
-                : start + in.latency;
+        // Execute: pure compute, and an access that hit L1 on every
+        // line, complete inline; misses and multi-address ops call
+        // into the timing model.
+        uint64_t complete = start + in.latency;
+        if (in.flags & (kFlagLoad | kFlagStore | kFlagMulti)) {
+            if (!(in.flags & kFlagMulti) && *mem.misses == 0) {
+                ++mem.misses;
+                if (in.flags & kFlagLoad)
+                    complete =
+                        start + std::max<uint64_t>(in.latency, l1Latency);
+            } else {
+                complete = m.memComplete(in, start, mem);
+            }
+        }
 
         // Branch handling: a fixed fraction mispredicts and redirects
         // the front-end after resolution (front-end stall
         // attribution).
         if (in.flags & kFlagBranch) {
             if (st.branchCountdown && --st.branchCountdown == 0) {
-                st.branchCountdown = mispredictInterval(m.cfg_);
+                st.branchCountdown =
+                    mispredictInterval(m.cfg_.branchMispredictRate);
                 const uint64_t redirect =
                     complete + uint64_t(m.cfg_.branchPenalty);
                 if (redirect > st.dispCycle) {
@@ -533,7 +694,7 @@ CoreModel::beginMeasurement()
     instr0_ = st_.n;
     cycle0_ = st_.commitCycle;
     feStall0_ = st_.feStallCycles;
-    mem_.resetStats();
+    caches_->resetStats();
     byClass_.fill(0);
     vecBytes_ = 0;
 }
@@ -549,15 +710,16 @@ CoreModel::finish()
     r.timeSec = double(r.cycles) / (cfg_.freqGHz * 1e9);
 
     const double kilo = double(r.instrs) / 1000.0;
-    r.l1Accesses = mem_.l1().accesses();
-    r.l2Accesses = mem_.l2().accesses();
-    r.llcAccesses = mem_.llc().accesses();
+    const CacheHierarchy &mem = *caches_;
+    r.l1Accesses = mem.l1().accesses();
+    r.l2Accesses = mem.l2().accesses();
+    r.llcAccesses = mem.llc().accesses();
     if (kilo > 0) {
-        r.l1Mpki = double(mem_.l1().misses()) / kilo;
-        r.l2Mpki = double(mem_.l2().misses()) / kilo;
-        r.llcMpki = double(mem_.llc().misses()) / kilo;
+        r.l1Mpki = double(mem.l1().misses()) / kilo;
+        r.l2Mpki = double(mem.l2().misses()) / kilo;
+        r.llcMpki = double(mem.llc().misses()) / kilo;
     }
-    r.l1HitRate = 1.0 - mem_.l1().missRate();
+    r.l1HitRate = 1.0 - mem.l1().missRate();
 
     const uint64_t fe = st_.feStallCycles - feStall0_;
     r.feStallPct = 100.0 * double(fe) / double(r.cycles);
@@ -566,10 +728,10 @@ CoreModel::finish()
         slots - double(r.instrs) - double(fe) * double(cfg_.decodeWidth);
     r.beStallPct = std::max(0.0, 100.0 * lost / slots);
 
-    r.dramReads = mem_.dramReads();
-    r.dramWrites = mem_.dramWrites();
+    r.dramReads = mem.dramReads();
+    r.dramWrites = mem.dramWrites();
     r.dramAccessPerKCycle =
-        1000.0 * double(mem_.dramAccesses()) / double(r.cycles);
+        1000.0 * double(mem.dramAccesses()) / double(r.cycles);
 
     r.byClass = byClass_;
     r.vecBytes = vecBytes_;
@@ -615,19 +777,19 @@ ReplayObserver::elemClamp() const
 uint64_t
 ReplayObserver::dramLatency(const CoreModel &m)
 {
-    return m.mem_.dram().latency();
+    return m.timing_.dram().latency();
 }
 
 void
 ReplayObserver::setDramLatency(CoreModel &m, uint64_t latency_cycles)
 {
-    m.mem_.dram().setLatency(latency_cycles);
+    m.timing_.dram().setLatency(latency_cycles);
 }
 
 void
 ReplayObserver::flushCaches(CoreModel &m)
 {
-    m.mem_.flushCaches();
+    m.caches_->flush();
 }
 
 double
@@ -639,8 +801,8 @@ ReplayObserver::branchMispredictRate(const CoreModel &m)
 void
 ReplayObserver::setBranchMispredictRate(CoreModel &m, double rate)
 {
-    m.cfg_.branchMispredictRate = rate;
-    m.st_.branchCountdown = mispredictInterval(m.cfg_);
+    m.cfg_.branchMispredictRate = checkedMispredictRate(rate);
+    m.st_.branchCountdown = mispredictInterval(rate);
 }
 
 namespace detail
@@ -690,9 +852,30 @@ replayWith(const trace::PackedTrace &trace,
         heapBlocks.resize((nm + kBL - 1) / kBL);
         blocks = heapBlocks.data();
     }
+    // The distinct functional hierarchies among the models, in
+    // first-seen order: each is walked once per batch, and every lane
+    // on it times the same outcomes.
+    CacheHierarchy *stackWalks[kBL];
+    std::vector<CacheHierarchy *> heapWalks;
+    CacheHierarchy **walks = stackWalks;
+    if (nm > kBL) {
+        heapWalks.resize(nm);
+        walks = heapWalks.data();
+    }
+    size_t nw = 0;
+    unsigned lineShift = 31;
     for (size_t i = 0; i < nm; ++i) {
         CoreModel::LaneBlock &b = blocks[i / kBL];
         const size_t s = i % kBL;
+        CacheHierarchy *h = models[i]->caches_.get();
+        const size_t w = size_t(std::find(walks, walks + nw, h) - walks);
+        b.walk[s] = uint32_t(w);
+        if (w == nw) {
+            walks[nw++] = h;
+            lineShift = std::min(
+                lineShift, unsigned(__builtin_ctz(
+                               uint32_t(h->l1().lineBytes()))));
+        }
         b.model[s] = models[i];
         if (models[i]->cfg_.outOfOrder) {
             b.fnChecked[s] = &CoreModel::stepBlock<true, true>;
@@ -704,6 +887,7 @@ replayWith(const trace::PackedTrace &trace,
         b.st[s] = models[i]->st_;
         std::memset(b.frontier[s], 0, sizeof(b.frontier[s]));
     }
+    CoreModel::OutcomeTable table(nw, lineShift);
 
     // One decode, N models: each record is decoded into registers and
     // merged with its shape prototype exactly once — per *batch*, not
@@ -817,17 +1001,29 @@ replayWith(const trace::PackedTrace &trace,
         }
         if (nb == 0)
             break;
-        for (size_t i = 0; i < nm; ++i) {
-            CoreModel::LaneBlock &b = blocks[i / kBL];
-            const size_t s = i % kBL;
-            // A batch with strictly increasing ids that start above
-            // the lane's last seen id cannot contain a pass restart:
-            // the per-instruction check is dead, so run the
-            // instantiation without it.
-            const bool noRestart =
-                mono && batch[0].id > b.st[s].lastSeenId;
-            (noRestart ? b.fnMono[s] : b.fnChecked[s])(
-                *b.model[s], b.st[s], b.frontier[s], batch, nb);
+        // Walk each distinct hierarchy over the batch, in program and
+        // element order, then step every lane against its hierarchy's
+        // outcomes — in prefixes that fit the outcome table, which
+        // batches heavy in multi-address ops can outgrow.
+        for (size_t at = 0; at < nb;) {
+            const CoreModel::StepIn *sub = batch + at;
+            const size_t ns = table.fit(sub, nb - at);
+            for (size_t w = 0; w < nw; ++w)
+                CoreModel::walkCaches(*walks[w], sub, ns, table, w);
+            for (size_t i = 0; i < nm; ++i) {
+                CoreModel::LaneBlock &b = blocks[i / kBL];
+                const size_t s = i % kBL;
+                // A batch with strictly increasing ids that start
+                // above the lane's last seen id cannot contain a pass
+                // restart: the per-instruction check is dead, so run
+                // the instantiation without it.
+                const bool noRestart =
+                    mono && sub[0].id > b.st[s].lastSeenId;
+                (noRestart ? b.fnMono[s] : b.fnChecked[s])(
+                    *b.model[s], b.st[s], b.frontier[s], sub, ns,
+                    table.of(b.walk[s]));
+            }
+            at += ns;
         }
         if constexpr (HasObserver) {
             pos += nb;
@@ -886,37 +1082,6 @@ replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
     detail::replayWith<true>(trace, models, &payload);
 }
 
-namespace
-{
-
-/**
- * Shared warmup/measure/finish protocol of all the replay entry
- * points. @p feedPass delivers one full pass of the trace to a span of
- * models; it is called warmup_passes + 1 times.
- */
-template <typename FeedPass>
-std::vector<SimResult>
-replayPasses(const std::vector<CoreConfig> &cfgs, int warmup_passes,
-             FeedPass &&feedPass)
-{
-    std::vector<std::unique_ptr<CoreModel>> models;
-    models.reserve(cfgs.size());
-    for (const auto &cfg : cfgs)
-        models.push_back(std::make_unique<CoreModel>(cfg));
-    for (int p = 0; p < warmup_passes; ++p)
-        feedPass(models);
-    for (auto &m : models)
-        m->beginMeasurement();
-    feedPass(models);
-    std::vector<SimResult> out;
-    out.reserve(models.size());
-    for (auto &m : models)
-        out.push_back(m->finish());
-    return out;
-}
-
-} // namespace
-
 SimResult
 simulateTrace(const std::vector<Instr> &instrs, const CoreConfig &cfg,
               int warmup_passes)
@@ -947,37 +1112,53 @@ simulateTraceMany(const trace::PackedTrace &trace,
     obs::Span span(obs::Phase::Replay,
                    uint64_t(trace.size()) * cfgs.size() *
                        uint64_t(warmup_passes + 1));
-    return replayPasses(cfgs, warmup_passes, [&](auto &models) {
-        // Fused replay: decode once per pass, step every model per
-        // decoded instruction (see replay()).
-        CoreModel *ptrs[16];
-        std::vector<CoreModel *> heapPtrs;
-        CoreModel **base = ptrs;
-        if (models.size() > 16) {
-            heapPtrs.resize(models.size());
-            base = heapPtrs.data();
-        }
-        for (size_t i = 0; i < models.size(); ++i)
-            base[i] = models[i].get();
-        replay(trace, std::span<CoreModel *const>(base, models.size()));
-    });
+    // Configurations of equal cache geometry share one functional
+    // hierarchy: the fused engine walks it once per batch for all of
+    // them, and each times the outcomes on its own MemTiming.
+    std::vector<std::unique_ptr<CoreModel>> models;
+    models.reserve(cfgs.size());
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        std::shared_ptr<CacheHierarchy> caches;
+        for (size_t j = 0; j < i && !caches; ++j)
+            if (CacheHierarchy::sameGeometry(cfgs[j], cfgs[i]))
+                caches = models[j]->caches_;
+        if (!caches)
+            caches = std::make_shared<CacheHierarchy>(cfgs[i]);
+        models.push_back(std::unique_ptr<CoreModel>(
+            new CoreModel(cfgs[i], std::move(caches))));
+    }
+
+    // Fused replay: decode once per pass, step every model per decoded
+    // instruction (see replay()).
+    CoreModel *ptrs[16];
+    std::vector<CoreModel *> heapPtrs;
+    CoreModel **base = ptrs;
+    if (models.size() > 16) {
+        heapPtrs.resize(models.size());
+        base = heapPtrs.data();
+    }
+    for (size_t i = 0; i < models.size(); ++i)
+        base[i] = models[i].get();
+    const std::span<CoreModel *const> lanes(base, models.size());
+    for (int p = 0; p < warmup_passes; ++p)
+        replay(trace, lanes);
+    for (auto &m : models)
+        m->beginMeasurement();
+    replay(trace, lanes);
+
+    std::vector<SimResult> out;
+    out.reserve(models.size());
+    for (auto &m : models)
+        out.push_back(m->finish());
+    return out;
 }
 
 std::vector<SimResult>
 simulateTraceMany(const std::vector<Instr> &instrs,
                   const std::vector<CoreConfig> &cfgs, int warmup_passes)
 {
-    constexpr size_t kBlock = trace::PackedTrace::kBlockInstrs;
-    obs::Span span(obs::Phase::Replay,
-                   uint64_t(instrs.size()) * cfgs.size() *
-                       uint64_t(warmup_passes + 1));
-    return replayPasses(cfgs, warmup_passes, [&](auto &models) {
-        for (size_t at = 0; at < instrs.size(); at += kBlock) {
-            const size_t n = std::min(kBlock, instrs.size() - at);
-            for (auto &m : models)
-                m->onBlock(instrs.data() + at, n);
-        }
-    });
+    return simulateTraceMany(trace::PackedTrace::pack(instrs), cfgs,
+                             warmup_passes);
 }
 
 } // namespace swan::sim

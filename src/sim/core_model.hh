@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,7 +69,9 @@ class CoreModel;
  * immediately step every model in @p models from the same decoded
  * fields. Per-descriptor shape lookups (class, FU, latency, occupancy)
  * are hoisted out of the loop into a prototype table built once per
- * call. Bit-identical to delivering the trace through onBlock/onInstr
+ * call. Each distinct functional cache hierarchy among the models (see
+ * CoreModel) is walked once per decoded batch, before the models step
+ * it. Bit-identical to delivering the trace through onBlock/onInstr
  * to each model in turn. @throws std::runtime_error when the encoded
  * stream is malformed (Cursor checked decode).
  */
@@ -167,13 +170,30 @@ void replayWith(const trace::PackedTrace &trace,
                 ReplayObserver *payload);
 } // namespace detail
 
-/** Incremental trace-driven core model. */
+/**
+ * Incremental trace-driven core model. Its memory system is split like
+ * sim/cache.hh's: a functional CacheHierarchy, which may be shared
+ * with other models of equal cache geometry, and its own MemTiming.
+ * Before the step core consumes a batch of instructions, the batch's
+ * loads and stores are walked through the hierarchy once, leaving an
+ * outcome table; the step core completes an access that hit L1 on
+ * every line inline and hands the rest to its timing. Only
+ * simulateTraceMany(const PackedTrace &, ...) shares a hierarchy —
+ * between the models of one fused replay, which walks each distinct
+ * hierarchy once. A model built here keeps a private one, so Sink
+ * delivery (which walks it per block) and replay payloads (which
+ * perturb single models) see only their own.
+ */
 class CoreModel : public trace::Sink
 {
   public:
     /** @throws std::invalid_argument for a configuration the model
      *  cannot represent: a functional-unit pool above 255 units, fewer
-     *  than one MSHR, or a cache geometry sim::Cache rejects. */
+     *  than one MSHR, a cache geometry sim::Cache rejects, a
+     *  branchMispredictRate outside [0, 1], a freqGHz or dramGBs that
+     *  is not finite and positive, a dramLatencyNs, l2ServiceCycles or
+     *  llcServiceCycles that is not finite and non-negative, or a
+     *  negative branchPenalty. */
     explicit CoreModel(const CoreConfig &cfg);
 
     CoreModel(const CoreModel &) = delete;
@@ -208,6 +228,14 @@ class CoreModel : public trace::Sink
     const CoreConfig &config() const { return cfg_; }
 
   private:
+    /** A model on @p caches, which models of equal geometry may share
+     *  (CacheHierarchy::sameGeometry). */
+    CoreModel(const CoreConfig &cfg, std::shared_ptr<CacheHierarchy> caches);
+
+    friend std::vector<SimResult>
+    simulateTraceMany(const trace::PackedTrace &trace,
+                      const std::vector<CoreConfig> &cfgs,
+                      int warmup_passes);
     friend void replay(const trace::PackedTrace &trace,
                        std::span<CoreModel *const> models);
     template <bool HasObserver>
@@ -252,6 +280,79 @@ class CoreModel : public trace::Sink
     struct StepState;
 
     /**
+     * One hierarchy's walk of a batch, as the step core reads it back:
+     * per memory access in program order (one per load or store, one
+     * per element of a multi-address op), its count of L1-missing
+     * lines, and those lines' LineOutcome bytes in the same order.
+     */
+    struct Outcomes
+    {
+        const uint32_t *misses;
+        const uint8_t *lines;
+    };
+
+    /**
+     * Outcome storage of one traversal (or of one Sink block), a local
+     * of the walking frame: room for accessCap accesses and lineCap
+     * line outcomes per walked hierarchy. Up to kInlineWalks
+     * hierarchies fit inline, so the common traversal takes nothing
+     * from the heap. Batches are walked and stepped in prefixes that
+     * fit it (fit()), so it never grows unless a single instruction
+     * alone needs more room.
+     */
+    struct OutcomeTable
+    {
+        /** Starting room per hierarchy: four accesses and four lines
+         *  per instruction of a full fused batch. */
+        static constexpr size_t kRoom0 = 4096;
+        /** Hierarchies held inline (two cover the paper's grids). */
+        static constexpr size_t kInlineWalks = 2;
+
+        /** Room for @p walks hierarchies whose smallest L1 line is
+         *  1 << @p line_shift bytes. */
+        OutcomeTable(size_t walks, unsigned line_shift);
+        OutcomeTable(const OutcomeTable &) = delete;
+        OutcomeTable &operator=(const OutcomeTable &) = delete;
+
+        /**
+         * The longest prefix of ins[0, n) whose worst case — every
+         * touched line an L1 miss — fits; at least 1 when n > 0: a
+         * first instruction that does not fit grows the table (a
+         * cold, allocating path run under SWAN_NOALLOC_PAUSE).
+         */
+        size_t fit(const StepIn *ins, size_t n);
+
+        /** Walk @p w's outcomes, as the step core reads them. */
+        Outcomes
+        of(size_t w) const
+        {
+            return {misses + w * accessCap, lines + w * lineCap};
+        }
+
+        size_t walks;       //!< hierarchies walked per batch
+        unsigned lineShift; //!< log2 of their smallest L1 line
+        size_t accessCap = kRoom0;
+        size_t lineCap = kRoom0;
+        uint32_t *misses; //!< walks x accessCap
+        uint8_t *lines;   //!< walks x lineCap
+
+      private:
+        /** Point misses/lines at heap storage of the current caps. */
+        void toHeap();
+
+        std::vector<uint32_t> heapMisses_;
+        std::vector<uint8_t> heapLines_;
+        uint32_t inlineMisses_[kInlineWalks * kRoom0];
+        uint8_t inlineLines_[kInlineWalks * kRoom0];
+    };
+
+    /** Walk @p caches over ins[0, n) — a prefix OutcomeTable::fit
+     *  admitted — in program and element order, into walk @p w of
+     *  @p table. */
+    static void walkCaches(CacheHierarchy &caches, const StepIn *ins,
+                           size_t n, OutcomeTable &table, size_t w);
+
+    /**
      * The step core: consume @p n predigested instructions. The
      * in-order/out-of-order split is a template parameter, resolved
      * per model into a step-function table entry (the fused loop
@@ -266,14 +367,16 @@ class CoreModel : public trace::Sink
     /** CheckRestart: whether to test every instruction for a
      *  replayed-pass id restart. The Sink wrappers must (their stream
      *  is arbitrary); the fused driver proves batch monotonicity
-     *  while decoding and picks the check-free instantiation. */
+     *  while decoding and picks the check-free instantiation.
+     *  @p mem is the model's hierarchy's walk of exactly ins[0, n). */
     template <bool OutOfOrder, bool CheckRestart>
     static void stepBlock(CoreModel &m, StepState &st,
                           uint64_t *fu_frontier, const StepIn *ins,
-                          size_t n);
+                          size_t n, Outcomes mem);
     using StepBlockFn = void (*)(CoreModel &m, StepState &st,
                                  uint64_t *fu_frontier,
-                                 const StepIn *ins, size_t n);
+                                 const StepIn *ins, size_t n,
+                                 Outcomes mem);
 
     /** Completion cycle of producer @p dep (0 = long retired). */
     uint64_t readyOf(const StepState &st, uint64_t dep) const;
@@ -314,16 +417,18 @@ class CoreModel : public trace::Sink
      *  re-home the live slots (stamps >= @p dispatch). Cold path. */
     void growIssueWindow(uint64_t dispatch, uint64_t end);
 
-    /** Execute the memory side; returns the completion cycle. */
-    uint64_t memComplete(const StepIn &in, uint64_t start);
+    /** Time the memory side from the walk's outcomes, advancing
+     *  @p mem past them; returns the completion cycle. */
+    uint64_t memComplete(const StepIn &in, uint64_t start, Outcomes &mem);
 
     /**
      * Gather/scatter and arbitrary-stride accesses (StrideKind::Gather/
-     * Scatter/LdS/StS) crack into per-element cache accesses, two
-     * elements per cycle; the instruction completes with its slowest
-     * element.
+     * Scatter/LdS/StS) crack into per-element cache accesses,
+     * lsuCrackPerCycle elements per cycle; the instruction completes
+     * with its slowest element.
      */
-    uint64_t memCompleteMulti(const StepIn &in, uint64_t start);
+    uint64_t memCompleteMulti(const StepIn &in, uint64_t start,
+                              Outcomes &mem);
 
     /** Issue-window slots per pool before any growth. */
     static constexpr uint64_t kIssueWindow0 = 1024;
@@ -394,11 +499,13 @@ class CoreModel : public trace::Sink
         CoreModel *model[kLanes];
         StepBlockFn fnChecked[kLanes]; //!< restart check per instr
         StepBlockFn fnMono[kLanes];    //!< batch proven monotone
+        uint32_t walk[kLanes];         //!< the lane's hierarchy's walk
     };
 
   private:
     CoreConfig cfg_;
-    MemHierarchy mem_;
+    std::shared_ptr<CacheHierarchy> caches_;
+    MemTiming timing_;
     StepState st_;
 
     /**
@@ -440,16 +547,20 @@ SimResult simulateTrace(const trace::PackedTrace &trace,
  * instruction is decoded once per pass, straight into registers, and
  * every configuration's model steps from the same decoded fields — an
  * N-config sweep point costs one trace traversal, one decode, and zero
- * staging-buffer round-trips. Each model's state evolution only
- * depends on the instruction stream it sees, so result i is
- * bit-identical to simulateTrace(trace, cfgs[i], warmup_passes).
+ * staging-buffer round-trips. Configurations with equal cache geometry
+ * (CacheHierarchy::sameGeometry) share one functional hierarchy,
+ * walked once per batch; each keeps its own timing. Each model's state
+ * evolution only depends on the instruction stream it sees, and cache
+ * contents never depend on timing, so result i is bit-identical to
+ * simulateTrace(trace, cfgs[i], warmup_passes).
  */
 std::vector<SimResult>
 simulateTraceMany(const trace::PackedTrace &trace,
                   const std::vector<CoreConfig> &cfgs,
                   int warmup_passes = 1);
 
-/** AoS-buffer overload of the single-pass multi-config replay. */
+/** AoS-buffer overload of the single-pass multi-config replay: packs
+ *  @p instrs and runs the packed overload. */
 std::vector<SimResult>
 simulateTraceMany(const std::vector<trace::Instr> &instrs,
                   const std::vector<CoreConfig> &cfgs,

@@ -429,6 +429,9 @@ simulateTraceMany(const trace::PackedTrace &trace,
                    uint64_t(trace.size()) * cfgs.size() *
                        uint64_t(warmup_passes + 1));
     FaultObserver payload(fault);
+    // Payloads perturb single models (a cache flush, a DRAM retime),
+    // so every model keeps a private cache hierarchy here, even where
+    // the clean path would share one.
     std::vector<std::unique_ptr<CoreModel>> models;
     models.reserve(cfgs.size());
     for (const auto &cfg : cfgs)

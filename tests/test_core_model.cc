@@ -6,12 +6,15 @@
  * branch-misprediction front-end stalls.
  */
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "sim/core_model.hh"
 #include "simd/emit.hh"
+#include "trace/packed.hh"
 
 using namespace swan;
 using namespace swan::sim;
@@ -254,4 +257,159 @@ TEST(CoreModel, FuPoolSizesOutsideOneTo255AreRejectedOrClamped)
     const auto none = simulateTrace(trace, cfg, 0);
     cfg.fuCount[size_t(Fu::SAlu)] = 1;
     EXPECT_EQ(none.cycles, simulateTrace(trace, cfg, 0).cycles);
+}
+
+namespace
+{
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** CoreModel must reject a prime config with @p set applied for each
+ *  of @p bad, and accept it for each of @p good. */
+void
+expectRejected(const std::function<void(CoreConfig &, double)> &set,
+               std::initializer_list<double> bad,
+               std::initializer_list<double> good)
+{
+    for (double v : bad) {
+        auto cfg = primeConfig();
+        set(cfg, v);
+        EXPECT_THROW(CoreModel{cfg}, std::invalid_argument) << v;
+    }
+    for (double v : good) {
+        auto cfg = primeConfig();
+        set(cfg, v);
+        EXPECT_NO_THROW(CoreModel{cfg}) << v;
+    }
+}
+
+} // namespace
+
+TEST(CoreModel, RejectsMispredictRatesOutsideZeroToOne)
+{
+    // 2.0 made the interval 0, which the step core reads as "never";
+    // NaN reached uint64_t(NaN).
+    expectRejected([](CoreConfig &c, double v) { c.branchMispredictRate = v; },
+                   {-0.01, 1.01, 2.0, kNaN, kInf, -kInf},
+                   {0.0, 1e-30, 0.01, 1.0});
+}
+
+TEST(CoreModel, RejectsNonPositiveOrNonFiniteFrequency)
+{
+    expectRejected([](CoreConfig &c, double v) { c.freqGHz = v; },
+                   {0.0, -2.8, kNaN, kInf}, {0.1, 2.8});
+}
+
+TEST(CoreModel, RejectsNonPositiveOrNonFiniteDramBandwidth)
+{
+    expectRejected([](CoreConfig &c, double v) { c.dramGBs = v; },
+                   {0.0, -14.0, kNaN, kInf}, {0.5, 14.0});
+}
+
+TEST(CoreModel, RejectsNegativeOrNonFiniteDramLatency)
+{
+    // A negative latency reached uint64_t of a negative double.
+    expectRejected([](CoreConfig &c, double v) { c.dramLatencyNs = v; },
+                   {-1.0, kNaN, kInf}, {0.0, 100.0});
+}
+
+TEST(CoreModel, RejectsNegativeOrNonFiniteL2Service)
+{
+    expectRejected([](CoreConfig &c, double v) { c.l2ServiceCycles = v; },
+                   {-4.0, kNaN, kInf}, {0.0, 4.0});
+}
+
+TEST(CoreModel, RejectsNegativeOrNonFiniteLlcService)
+{
+    expectRejected([](CoreConfig &c, double v) { c.llcServiceCycles = v; },
+                   {-8.0, kNaN, kInf}, {0.0, 8.0});
+}
+
+TEST(CoreModel, RejectsNegativeBranchPenalty)
+{
+    expectRejected(
+        [](CoreConfig &c, double v) { c.branchPenalty = int(v); },
+        {-1.0, -12.0}, {0.0, 12.0});
+}
+
+TEST(CoreModel, ZeroMispredictRateNeverMispredicts)
+{
+    // Rate 0 used to be clamped to one mispredict per 10^6 branches;
+    // past that many branches it must still never stall the front end.
+    auto cfg = primeConfig();
+    cfg.branchMispredictRate = 0.0;
+    CoreModel model(cfg);
+    constexpr size_t kChunk = 4096;
+    constexpr size_t kChunks = 250; // 1,024,000 branches
+    std::vector<Instr> chunk(kChunk);
+    uint64_t id = 0;
+    for (size_t c = 0; c < kChunks; ++c) {
+        for (auto &br : chunk) {
+            br = Instr{};
+            br.id = ++id;
+            br.cls = InstrClass::Branch;
+            br.fu = Fu::Branch;
+            br.latency = 1;
+        }
+        model.onBlock(chunk.data(), chunk.size());
+    }
+    const auto r = model.finish();
+    EXPECT_EQ(r.instrs, kChunk * kChunks);
+    EXPECT_GT(r.instrs, 1000000u);
+    EXPECT_EQ(r.feStallPct, 0.0);
+}
+
+namespace
+{
+
+/** Sets the mispredict rate of every model at its first boundary. */
+struct RateSetter final : ReplayObserver
+{
+    double rate;
+    explicit RateSetter(double r) : rate(r) {}
+    uint64_t nextBoundary(uint64_t pos) override
+    {
+        return pos == 0 ? 1 : kNoBoundary;
+    }
+    void
+    atBoundary(uint64_t, std::span<CoreModel *const> models) override
+    {
+        for (CoreModel *m : models)
+            setBranchMispredictRate(*m, rate);
+    }
+};
+
+} // namespace
+
+TEST(CoreModel, ReplayPayloadsGetTheSameMispredictRateRule)
+{
+    std::vector<Instr> prog;
+    uint64_t id = 0;
+    for (int i = 0; i < 4000; ++i) {
+        prog.push_back(alu(++id));
+        Instr br;
+        br.id = ++id;
+        br.cls = InstrClass::Branch;
+        br.fu = Fu::Branch;
+        br.latency = 1;
+        prog.push_back(br);
+    }
+    const auto packed = trace::PackedTrace::pack(prog);
+    for (double bad : {-0.5, 1.5, kNaN}) {
+        CoreModel model(primeConfig());
+        CoreModel *mp = &model;
+        RateSetter payload(bad);
+        EXPECT_THROW(replay(packed, std::span<CoreModel *const>(&mp, 1),
+                            payload),
+                     std::invalid_argument)
+            << bad;
+    }
+    // Rate 0 from a payload means never, like rate 0 in the config.
+    CoreModel model(primeConfig());
+    CoreModel *mp = &model;
+    RateSetter payload(0.0);
+    model.beginMeasurement();
+    replay(packed, std::span<CoreModel *const>(&mp, 1), payload);
+    EXPECT_EQ(model.finish().feStallPct, 0.0);
 }

@@ -5,7 +5,9 @@
  * lengths (cache-dir names), --jobs 1 to 4, memory-only and disk
  * caches, a warm rerun, and one solo run per kernel — must emit
  * byte-identical jsonl, the solo rows equal to the same rows of the
- * 4-kernel grid. One in-process leg runs the same grid through Session
+ * 4-kernel grid. Prime and gold share one functional cache hierarchy
+ * in each fused replay (sim::simulateTraceMany), so the grid also pins
+ * that shared walk across processes. One in-process leg runs the same grid through Session
  * on the calling thread (jobs 1) after another sweep in the same
  * process and must match the CLI byte for byte.
  *
@@ -76,7 +78,7 @@ class Determinism : public ::testing::Test
     {
         std::vector<std::string> args = {
             SWAN_CLI_PATH, "sweep",    "--kernels", joined(kernels),
-            "--impls",     "scalar,auto,neon", "--cores", "prime,silver",
+            "--impls",     "scalar,auto,neon", "--cores", "prime,gold,silver",
             "--ws",        "default",  "--format",  "jsonl"};
         args.insert(args.end(), extra.begin(), extra.end());
         std::vector<char *> argv;
@@ -197,7 +199,7 @@ TEST_F(Determinism, ResultIsAPureFunctionOfItsKeyAcrossProcesses)
     Experiment(session)
         .kernels(kKernels)
         .impls({core::Impl::Scalar, core::Impl::Auto, core::Impl::Neon})
-        .configs({"prime", "silver"})
+        .configs({"prime", "gold", "silver"})
         .workingSets({"default"})
         .run()
         .emit(os, sweep::Format::JsonLines);

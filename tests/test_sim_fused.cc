@@ -5,8 +5,10 @@
  * to block (onBlock) and per-instruction (onInstr) Sink delivery, for
  * in-order and out-of-order configurations, any warm-up pass count,
  * config groups of 1..4, and streams with mid-trace id restarts (the
- * concatenated traces the perf smoke replays). Also covers the
- * corrupt-trace rejection path.
+ * concatenated traces the perf smoke replays). Configurations of
+ * equal cache geometry share one functional hierarchy under
+ * simulateTraceMany and must still match private-hierarchy runs. Also
+ * covers the corrupt-trace rejection path.
  */
 
 #include <memory>
@@ -476,17 +478,22 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
         {227, {3655, 3497, 3581, 3648, 3664, 3650, 3713, 3650, 3649, 3637,
                3656}},
     };
+    const std::vector<sim::CoreConfig> cfgs = {
+        sim::primeConfig(), sim::silverConfig(), sim::scalabilityConfig(8, 8)};
     size_t next = 0;
     for (const auto &[seed, byClass] : kByClass) {
         const auto packed = PackedTrace::pack(randomTrace(40000, seed));
-        const auto got = runFused(packed,
-                                  {sim::primeConfig(), sim::silverConfig(),
-                                   sim::scalabilityConfig(8, 8)},
-                                  1);
-        for (const auto &r : got) {
-            const Pin &p = kPins[next++];
-            SCOPED_TRACE(testing::Message() << "seed " << seed << " on "
-                                            << p.config);
+        // Private hierarchies (runFused), then simulateTraceMany, where
+        // prime and 8W-8V share one.
+        auto got = runFused(packed, cfgs, 1);
+        const auto shared = sim::simulateTraceMany(packed, cfgs, 1);
+        got.insert(got.end(), shared.begin(), shared.end());
+        for (size_t i = 0; i < got.size(); ++i) {
+            const sim::SimResult &r = got[i];
+            const Pin &p = kPins[next + i % cfgs.size()];
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " on " << p.config
+                         << (i < cfgs.size() ? "" : " (shared)"));
             EXPECT_EQ(r.config, p.config);
             EXPECT_EQ(r.cycles, p.cycles);
             EXPECT_EQ(r.instrs, p.instrs);
@@ -497,8 +504,152 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
             EXPECT_EQ(r.dramWrites, p.dramWrites);
             EXPECT_EQ(r.byClass, byClass);
         }
+        next += cfgs.size();
     }
     EXPECT_EQ(next, std::size(kPins));
+}
+
+TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
+{
+    // simulateTraceMany walks one functional hierarchy for every
+    // configuration of equal cache geometry (here prime, gold, 8W-8V
+    // and the 512-bit prime) and gives the others their own (silver,
+    // prime without L1 prefetch, prime with a 1 MiB LLC), interleaved
+    // so a shared group is not a contiguous run of lanes. Each result
+    // must equal that configuration replayed alone through Sink
+    // delivery on a private hierarchy.
+    const auto instrs = randomTrace(30000, 233);
+    size_t multi = 0, straddling = 0;
+    for (const auto &i : instrs) {
+        multi += i.isMultiAddress();
+        straddling += i.isMem() && !i.isMultiAddress() &&
+                      (i.addr >> 6) != ((i.addr + i.size - 1) >> 6);
+    }
+    EXPECT_GT(multi, 100u);
+    EXPECT_GT(straddling, 100u);
+
+    auto noPrefetch = sim::primeConfig();
+    noPrefetch.name = "prime-no-prefetch";
+    noPrefetch.l1d.nextLinePrefetch = false;
+    auto smallLlc = sim::primeConfig();
+    smallLlc.name = "prime-1MiB-llc";
+    smallLlc.llc.sizeBytes = 1 << 20;
+    const std::vector<sim::CoreConfig> cfgs = {
+        sim::silverConfig(), sim::primeConfig(), noPrefetch,
+        sim::goldConfig(),   smallLlc,           sim::scalabilityConfig(8, 8),
+        sim::widerVectorConfig(512)};
+    const auto many =
+        sim::simulateTraceMany(PackedTrace::pack(instrs), cfgs, 1);
+    ASSERT_EQ(many.size(), cfgs.size());
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        SCOPED_TRACE(cfgs[i].name);
+        // DRAM-heavy, dirty evictions included.
+        EXPECT_GT(many[i].dramReads, 500u);
+        EXPECT_GT(many[i].dramWrites, 100u);
+        expectSameResult(many[i], runOnInstr(instrs, cfgs[i], 1));
+    }
+}
+
+TEST(FusedReplay, BatchesThatOutgrowTheOutcomeTableStillMatch)
+{
+    // 255-element gathers and scatters need up to 255 outcome-table
+    // accesses each, so a full decode batch is walked and stepped in
+    // prefixes; a 1 MiB load (16,384 lines) and a scatter of 4 KiB
+    // elements each need more room than the table starts with, so it
+    // grows mid-traversal. Every path must still match Sink delivery.
+    std::vector<Instr> instrs;
+    std::mt19937_64 rng(241);
+    uint64_t addr = 0x7f0000100000ull;
+    for (size_t i = 0; i < 1200; ++i) {
+        Instr ins;
+        ins.id = i + 1;
+        ins.dep0 = i > 0 && rng() % 2 ? 1 + rng() % i : 0;
+        ins.latency = 4;
+        ins.fu = trace::Fu::Load;
+        ins.vecBytes = 16;
+        ins.lanes = 255;
+        ins.activeLanes = 255;
+        addr += rng() % 8192;
+        ins.addr = addr;
+        const uint64_t kind = i % 400;
+        if (kind == 200) {
+            ins.cls = trace::InstrClass::VLoad;
+            ins.size = 1u << 20;
+            ins.activeLanes = 1;
+        } else if (kind == 399) {
+            ins.cls = trace::InstrClass::VStore;
+            ins.fu = trace::Fu::Store;
+            ins.stride = trace::StrideKind::Scatter;
+            ins.size = 255u * 4096u;
+            ins.addr2 = ins.addr + (1u << 22);
+        } else {
+            const bool load = rng() % 4 != 0;
+            ins.cls = load ? trace::InstrClass::VLoad
+                           : trace::InstrClass::VStore;
+            ins.fu = load ? trace::Fu::Load : trace::Fu::Store;
+            ins.stride = load ? trace::StrideKind::Gather
+                              : trace::StrideKind::Scatter;
+            ins.size = 255u * 8u;
+            ins.addr2 = ins.addr + (1u << 16);
+        }
+        instrs.push_back(ins);
+    }
+    const auto packed = PackedTrace::pack(instrs);
+    const std::vector<sim::CoreConfig> cfgs = {sim::primeConfig(),
+                                               sim::silverConfig(),
+                                               sim::goldConfig()};
+    const auto fused = runFused(packed, cfgs, 1);
+    const auto shared = sim::simulateTraceMany(packed, cfgs, 1);
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        SCOPED_TRACE(cfgs[i].name);
+        const auto ref = runOnInstr(instrs, cfgs[i], 1);
+        expectSameResult(fused[i], ref);
+        expectSameResult(shared[i], ref);
+        EXPECT_GT(ref.l1Accesses, 1200u * 255u / 2);
+    }
+}
+
+TEST(FusedReplay, PayloadFlushesOnlyTheModelItTargets)
+{
+    // Models built with CoreModel(cfg) keep private hierarchies even
+    // when their geometry is equal: a payload that flushes the first
+    // of two prime-geometry models must leave the second's result
+    // exactly the clean one.
+    struct FlushFirst final : sim::ReplayObserver
+    {
+        uint64_t
+        nextBoundary(uint64_t pos) override
+        {
+            return pos + 500;
+        }
+        void
+        atBoundary(uint64_t, std::span<sim::CoreModel *const> models) override
+        {
+            flushCaches(*models[0]);
+        }
+    };
+    const auto instrs = randomTrace(6000, 239);
+    const auto packed = PackedTrace::pack(instrs);
+    const std::vector<sim::CoreConfig> cfgs = {sim::primeConfig(),
+                                               sim::goldConfig()};
+    std::vector<std::unique_ptr<sim::CoreModel>> models;
+    std::vector<sim::CoreModel *> ptrs;
+    for (const auto &c : cfgs) {
+        models.push_back(std::make_unique<sim::CoreModel>(c));
+        ptrs.push_back(models.back().get());
+    }
+    const std::span<sim::CoreModel *const> span(ptrs.data(), ptrs.size());
+    sim::replay(packed, span);
+    for (auto &m : models)
+        m->beginMeasurement();
+    FlushFirst payload;
+    sim::replay(packed, span, payload);
+    const auto flushed = models[0]->finish();
+    const auto clean = models[1]->finish();
+
+    expectSameResult(clean, runOnInstr(instrs, cfgs[1], 1));
+    EXPECT_GT(flushed.l1Mpki,
+              runOnInstr(instrs, cfgs[0], 1).l1Mpki); // re-missed
 }
 
 TEST(FusedReplay, IssueWindowNeverDoubleBooksAUnit)

@@ -3,8 +3,9 @@
  * Figure 6 reproduction: Neon vs GPU execution time for XNNPACK GEMM and
  * SpMM across operation counts. The GPU has ~96x Neon's FP32 MAC
  * throughput but pays a fixed launch overhead, so Neon wins below ~4M
- * MACs (Section 8). Neon times are simulated (streaming, cold caches for
- * the largest points); GPU times come from the analytical offload model.
+ * MACs (Section 8). Neon times are simulated (one pass over the packed
+ * capture with no warm-up, so the largest points start on cold caches);
+ * GPU times come from the analytical offload model.
  */
 
 #include "bench_common.hh"
@@ -23,19 +24,13 @@ using namespace swan;
 namespace
 {
 
-/** Simulate a workload's Neon implementation in streaming mode. */
+/** Simulate a workload's Neon implementation from cold caches. */
 double
 neonTimeSec(core::Workload &w, const sim::CoreConfig &cfg)
 {
-    sim::CoreModel model(cfg);
-    model.beginMeasurement();
-    {
-        trace::Recorder rec(&model);
-        trace::ScopedRecorder scoped(&rec);
-        w.runNeon(128);
-    }
-    auto res = model.finish();
-    return res.timeSec;
+    const auto packed =
+        core::Runner::capturePacked(w, core::Impl::Neon, 128, nullptr);
+    return sim::simulateTrace(packed, cfg, 0).timeSec;
 }
 
 void

@@ -25,7 +25,6 @@
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.hh"
@@ -33,6 +32,7 @@
 #include "swan/trace.hh"
 
 using namespace swan;
+using bench::fmtJson;
 
 namespace
 {
@@ -50,23 +50,6 @@ secondsOf(const std::function<void()> &fn, int reps)
                         std::chrono::duration<double>(t1 - t0).count());
     }
     return best;
-}
-
-bool
-sameSim(const sim::SimResult &a, const sim::SimResult &b)
-{
-    return a.instrs == b.instrs && a.cycles == b.cycles &&
-           a.dramReads == b.dramReads && a.dramWrites == b.dramWrites &&
-           a.l1Accesses == b.l1Accesses && a.byClass == b.byClass;
-}
-
-std::string
-fmtJson(double v)
-{
-    std::ostringstream os;
-    os.precision(6);
-    os << v;
-    return os.str();
 }
 
 } // namespace
@@ -145,7 +128,7 @@ main(int argc, char **argv)
     }
 
     for (size_t i = 0; i < cfgs.size(); ++i) {
-        if (!sameSim(refOff[i], refOn[i])) {
+        if (!bench::sameSim(refOff[i], refOn[i])) {
             std::cerr << "obs_overhead: metrics-on replay diverged "
                          "from metrics-off\n";
             return 1;

@@ -1,51 +1,51 @@
 /**
  * @file
  * Replay-pipeline perf smoke: measures simulated instructions per
- * second through the trace replay paths the sweeps spend their
- * wall-clock in, and writes two machine-readable result files so the
- * perf trajectory is tracked run over run.
+ * second through the fused replay engine (sim::replay) the sweeps
+ * spend their wall-clock in, and writes two machine-readable result
+ * files so the perf trajectory is tracked run over run.
  *
  * BENCH_trace_replay.json (argv[1] overrides the path) — the packed
- * *encoding* pipeline, as shipped by the packed-trace PR:
+ * encoding: its bytes/instr against the 64-byte AoS record (>= 2x
+ * memory reduction is a hard failure), and replay throughput of a
+ * kernel-capture mix over three core configurations, as three
+ * single-config replays (multi_nx) and as one fused pass
+ * (multi_1pass).
  *
- *   aos_sink    per-instruction virtual Sink dispatch over the 64-byte
- *               AoS buffer (the pre-packed pipeline),
- *   aos_block   block delivery over the AoS buffer (devirtualized),
- *   packed      block-decoded replay of the PackedTrace encoding,
- *   multi_nx    N separate packed replays, one per core config,
- *   multi_1pass single-pass multi-config replay (simulateTraceMany,
- *               now the fused engine),
+ * BENCH_sim_replay.json (argv[2] overrides the path) — what fusion
+ * buys: one decode and one cache walk per hierarchy shared by N
+ * configurations. Each gate is the CPU-time ratio of N separate
+ * single-config replays (simulateTrace per configuration) over one
+ * fused N-config replay (simulateTraceMany) of the same packed trace,
+ * the median of kTrials interleaved trials (bench::Ratio). Three are
+ * gated:
  *
- * plus the packed encoding's bytes/instr against the AoS baseline
- * (>= 2x memory reduction is a hard failure).
+ *   capture_mix_n3   the capture mix at N=3 (prime, gold, silver),
+ *   capture_mix_n4   the same plus the 512-bit prime (half a lane
+ *                    block, four lanes of one step-cost class),
+ *   saturation_n3    a synthetic corpus that holds the ROB at capacity
+ *                    behind DRAM-missing loads while ready bursts
+ *                    oversubscribe the vector FU pool (full per-cycle
+ *                    issue tables), at N=3.
  *
- * BENCH_sim_replay.json (argv[2] overrides the path) — the fused
- * *replay engine*: AoS-sink vs block-delivery vs fused decode->step,
- * at 1 config and at N=3 configs, on two corpora: the kernel-capture
- * mix above, and a synthetic *saturation* corpus that holds the ROB at
- * capacity behind DRAM-missing loads while ready bursts oversubscribe
- * the vector FU pool (full per-cycle issue tables — the regime where
- * the fused engine's persistent per-FU issue frontiers matter most).
- * A third, report-only row replays a full-working-set capture (WA/vmul
+ * A fourth, report-only row replays a full-working-set capture (WA/vmul
  * Neon at the paper's input size) across the nine Figure 4 / 5(b)
  * core configurations, the regime of a fanout_full sweep unit: nine
  * models' host state competes for the host caches, so the model's own
- * memory footprint shows, which the two cache-resident corpora hide.
- * The fused engine must beat block-delivery replay by >= 1.3x at N=3
- * on the capture mix and >= 1.2x on the saturation corpus. The gates
- * are report-only by default (CI machines are noisy); an optimized
- * build run with SWAN_PERF_ENFORCE=1 — which bench/run_all.sh sets —
- * turns them into hard failures. Result divergence between any two
- * paths is always a hard failure.
+ * memory footprint shows, which the cache-resident corpora hide.
+ *
+ * The ratios are measured inside one process, so they travel between
+ * hosts better than absolute throughput does. The gates are
+ * report-only by default (CI machines are noisy); an optimized build
+ * run with SWAN_PERF_ENFORCE=1 — which bench/run_all.sh sets — turns
+ * them into hard failures. A fused result that differs from the
+ * separate replays is always a hard failure.
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <iterator>
 #include <vector>
 
 #include "bench_common.hh"
@@ -53,78 +53,15 @@
 #include "swan/trace.hh"
 
 using namespace swan;
+using bench::fmtJson;
 
 namespace
 {
 
-double
-secondsOf(const std::function<void()> &fn, int reps)
-{
-    // Best-of-N wall time: robust against scheduler noise.
-    double best = 1e100;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best,
-                        std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
-
-bool
-sameSim(const sim::SimResult &a, const sim::SimResult &b)
-{
-    return a.instrs == b.instrs && a.cycles == b.cycles &&
-           a.dramReads == b.dramReads && a.dramWrites == b.dramWrites &&
-           a.l1Accesses == b.l1Accesses && a.byClass == b.byClass;
-}
-
-std::string
-fmtJson(double v)
-{
-    std::ostringstream os;
-    os.precision(6);
-    os << v;
-    return os.str();
-}
-
-/**
- * The incumbent block-delivery pipeline: decode the packed trace into
- * 256-instruction Instr staging blocks and deliver each block to every
- * model through the Sink interface — one decode per pass, but a
- * staging-buffer round-trip and a per-model Instr walk per block.
- */
-void
-replayBlockDelivery(const trace::PackedTrace &packed,
-                    const std::vector<sim::CoreConfig> &cfgs,
-                    std::vector<sim::SimResult> *out)
-{
-    std::vector<std::unique_ptr<sim::CoreModel>> models;
-    models.reserve(cfgs.size());
-    for (const auto &c : cfgs)
-        models.push_back(std::make_unique<sim::CoreModel>(c));
-    const auto pass = [&] {
-        trace::Instr block[trace::PackedTrace::kBlockInstrs];
-        trace::PackedTrace::Cursor cur(packed);
-        size_t n;
-        while ((n = cur.next(block, trace::PackedTrace::kBlockInstrs)))
-            for (auto &m : models)
-                m->onBlock(block, n);
-    };
-    pass();
-    for (auto &m : models)
-        m->beginMeasurement();
-    pass();
-    if (out) {
-        out->clear();
-        for (auto &m : models)
-            out->push_back(m->finish());
-    } else {
-        for (auto &m : models)
-            m->finish();
-    }
-}
+/** Interleaved trials per gated ratio: single trials ranged from 0.99x
+ *  to 2.14x on a shared 4-vCPU VM, where medians of 11 stayed within
+ *  0.15x of each other. */
+constexpr int kTrials = 11;
 
 /**
  * Synthetic saturation corpus (full-ROB / full-FU regime). Every 32nd
@@ -133,10 +70,9 @@ replayBlockDelivery(const trace::PackedTrace &packed,
  * depend on that outstanding miss, so the window fills while the load
  * is in flight and, the cycle it completes, a 31-op ready burst slams
  * the (2-3 unit) vector pool — per-cycle issue tables run full for
- * long stretches. This is the regime where the legacy issue-slot scan
- * cost O(ROB) per instruction and the fused engine's pass-persistent
- * per-FU frontiers pay off; the capture-mix corpus above barely
- * touches it.
+ * long stretches. This is the regime where the issue-slot search
+ * leans on the fused engine's pass-persistent per-FU frontiers; the
+ * capture-mix corpus barely touches it.
  */
 std::vector<trace::Instr>
 buildSaturationTrace(size_t n)
@@ -176,23 +112,53 @@ buildSaturationTrace(size_t n)
     return t;
 }
 
-/** Per-instruction virtual Sink dispatch over the AoS buffer, one
- *  full replay per config (the pre-packed-trace serving path). */
+/** Each configuration replayed alone: the baseline fusion must beat. */
 void
-replayAosSink(const std::vector<trace::Instr> &instrs,
-              const std::vector<sim::CoreConfig> &cfgs)
+replaySeparately(const trace::PackedTrace &packed,
+                 const std::vector<sim::CoreConfig> &cfgs)
 {
-    for (const auto &c : cfgs) {
-        sim::CoreModel model(c);
-        trace::Sink *sink = &model;
-        for (const auto &i : instrs)
-            sink->onInstr(i);
-        model.beginMeasurement();
-        for (const auto &i : instrs)
-            sink->onInstr(i);
-        model.finish();
-    }
+    for (const auto &c : cfgs)
+        sim::simulateTrace(packed, c, 1);
 }
+
+/** Whether the fused replay of @p cfgs matches replaying each alone. */
+bool
+fusedMatchesSeparate(const trace::PackedTrace &packed,
+                     const std::vector<sim::CoreConfig> &cfgs)
+{
+    const auto fused = sim::simulateTraceMany(packed, cfgs, 1);
+    for (size_t i = 0; i < cfgs.size(); ++i)
+        if (!bench::sameSim(fused[i], sim::simulateTrace(packed, cfgs[i], 1)))
+            return false;
+    return true;
+}
+
+/** One gated ratio: N separate replays over one fused N-config one. */
+struct Gate
+{
+    const char *name;
+    const trace::PackedTrace *trace;
+    const std::vector<sim::CoreConfig> *cfgs;
+    double threshold;
+    bench::Ratio ratio;
+
+    Gate(const char *n, const trace::PackedTrace &t,
+         const std::vector<sim::CoreConfig> &c, double thr)
+        : name(n), trace(&t), cfgs(&c), threshold(thr),
+          ratio([&] { replaySeparately(t, c); },
+                [&] { sim::simulateTraceMany(t, c, 1); }, kTrials)
+    {
+    }
+
+    /** Simulated instruction steps per wall second of arm @p seconds
+     *  (warm-up plus measured pass, every configuration). */
+    double
+    ips(double seconds) const
+    {
+        return 2.0 * double(trace->size()) * double(cfgs->size()) /
+               seconds;
+    }
+};
 
 } // namespace
 
@@ -207,11 +173,12 @@ main(int argc, char **argv)
     // A realistic mixed trace: compression + memcpy kernels, Neon and
     // Scalar, concatenated — memory ops, vector ops and long
     // dependency chains, like the sweeps replay all day. The capture
-    // is tiled until the AoS buffer exceeds any plausible LLC
+    // is tiled until its AoS form would exceed any plausible LLC
     // (replay-speed claims are about paper-scale traces that stream
     // from DRAM, not toy traces that sit in cache; SWAN_PERF_SMOKE_MB
-    // overrides the target size).
-    std::vector<trace::Instr> instrs;
+    // overrides the target size). Tiles restart ids at 1, which the
+    // fused engine must handle mid-stream.
+    std::vector<trace::Instr> seed;
     for (const char *name : {"ZL/adler32", "ZL/crc32", "OR/memcpy"}) {
         const auto *spec = core::Registry::instance().find(name);
         if (!spec) {
@@ -221,7 +188,7 @@ main(int argc, char **argv)
         for (auto impl : {core::Impl::Scalar, core::Impl::Neon}) {
             auto w = spec->make(core::Options::fromEnv());
             auto t = core::Runner::capture(*w, impl, 128);
-            instrs.insert(instrs.end(), t.begin(), t.end());
+            seed.insert(seed.end(), t.begin(), t.end());
         }
     }
     size_t targetMb = 192;
@@ -230,108 +197,27 @@ main(int argc, char **argv)
             targetMb = size_t(std::atoi(v));
     const size_t targetInstrs =
         targetMb * (size_t(1) << 20) / sizeof(trace::Instr);
-    // Tile from a stable copy — self-inserting a vector range is UB
-    // once the insert reallocates.
-    const std::vector<trace::Instr> seed = instrs;
-    instrs.reserve(std::max(targetInstrs, seed.size()));
-    while (instrs.size() + seed.size() <= targetInstrs)
-        instrs.insert(instrs.end(), seed.begin(), seed.end());
-    const size_t n = instrs.size();
-    const auto packed = trace::PackedTrace::pack(instrs);
+    trace::PackedTrace::Builder builder;
+    do {
+        for (const auto &i : seed)
+            builder.add(i);
+    } while (builder.size() + seed.size() <= targetInstrs);
+    const auto packed = builder.finish();
+    const size_t n = packed.size();
 
-    // Byte-identity smoke: fused replay, block delivery and the AoS
-    // paths must agree exactly, single- and multi-config.
-    const auto cfg = sim::primeConfig();
     const std::vector<sim::CoreConfig> cfgs = {
         sim::primeConfig(), sim::goldConfig(), sim::silverConfig()};
-    // Half a lane block: the vectorized config-lane engine's headline
-    // width (the 1.5x-over-block gate below is evaluated here). The
-    // fourth lane is the paper's Figure-5a wide-vector core — prime's
-    // pipeline with 512-bit registers — keeping all four lanes in the
-    // same step-cost class so the gate measures how decode+predigest
-    // amortization scales with lane count; heavyweight saturated
-    // cores are gated separately on the saturation corpus below.
+    // The fourth lane is the paper's Figure-5a wide-vector core —
+    // prime's pipeline with 512-bit registers — keeping all four lanes
+    // in one step-cost class, so the gate measures how the shared
+    // decode and cache walk amortize with lane count.
     const std::vector<sim::CoreConfig> cfgs4 = {
         sim::primeConfig(), sim::goldConfig(), sim::silverConfig(),
         sim::widerVectorConfig(512)};
-    const auto refAos = sim::simulateTrace(instrs, cfg, 1);
-    const auto refPacked = sim::simulateTrace(packed, cfg, 1);
-    const auto refMany = sim::simulateTraceMany(packed, cfgs, 1);
-    std::vector<sim::SimResult> refBlock;
-    replayBlockDelivery(packed, cfgs, &refBlock);
-    bool identical = sameSim(refAos, refPacked);
-    for (size_t i = 0; i < cfgs.size(); ++i) {
-        const auto one = sim::simulateTrace(instrs, cfgs[i], 1);
-        identical = identical && sameSim(one, refMany[i]) &&
-                    sameSim(one, refBlock[i]);
-    }
-    {
-        const auto refMany4 = sim::simulateTraceMany(packed, cfgs4, 1);
-        std::vector<sim::SimResult> refBlock4;
-        replayBlockDelivery(packed, cfgs4, &refBlock4);
-        for (size_t i = 0; i < cfgs4.size(); ++i)
-            identical = identical && sameSim(refMany4[i], refBlock4[i]);
-    }
-    if (!identical) {
-        std::cerr << "perf_smoke: fused/block/AoS replays diverged\n";
-        return 1;
-    }
-
-    const int reps = 3;
-    // Each simulateTrace run feeds warmup+measure = 2 passes.
-    const double passInstrs = 2.0 * double(n);
-
-    const std::vector<sim::CoreConfig> one = {cfg};
-
-    const double tSink = secondsOf([&] { replayAosSink(instrs, one); },
-                                   reps);
-    const double tBlock = secondsOf(
-        [&] { sim::simulateTrace(instrs, cfg, 1); }, reps);
-    const double tPacked1 = secondsOf(
-        [&] { replayBlockDelivery(packed, one, nullptr); }, reps);
-    const double tFused1 = secondsOf(
-        [&] { sim::simulateTrace(packed, cfg, 1); }, reps);
-    const double tManyNx = secondsOf(
-        [&] {
-            for (const auto &c : cfgs)
-                sim::simulateTrace(packed, c, 1);
-        },
-        reps);
-    const double tSinkN = secondsOf([&] { replayAosSink(instrs, cfgs); },
-                                    reps);
-    const double tBlockN = secondsOf(
-        [&] { replayBlockDelivery(packed, cfgs, nullptr); }, reps);
-    const double tFusedN = secondsOf(
-        [&] { sim::simulateTraceMany(packed, cfgs, 1); }, reps);
-    const double tBlock4 = secondsOf(
-        [&] { replayBlockDelivery(packed, cfgs4, nullptr); }, reps);
-    const double tFused4 = secondsOf(
-        [&] { sim::simulateTraceMany(packed, cfgs4, 1); }, reps);
-
-    // Saturation corpus: same block-vs-fused comparison in the
-    // full-ROB/full-FU regime (a quarter of the capture-mix length —
-    // saturated simulation costs several host ops per stalled cycle).
-    const std::vector<trace::Instr> satInstrs =
-        buildSaturationTrace(std::max<size_t>(n / 4, 1u << 16));
-    const size_t satN = satInstrs.size();
-    const auto satPacked = trace::PackedTrace::pack(satInstrs);
-    const auto satRefMany = sim::simulateTraceMany(satPacked, cfgs, 1);
-    std::vector<sim::SimResult> satRefBlock;
-    replayBlockDelivery(satPacked, cfgs, &satRefBlock);
-    for (size_t i = 0; i < cfgs.size(); ++i) {
-        const auto one = sim::simulateTrace(satInstrs, cfgs[i], 1);
-        if (!sameSim(one, satRefMany[i]) ||
-            !sameSim(one, satRefBlock[i])) {
-            std::cerr << "perf_smoke: saturation-corpus replays "
-                         "diverged\n";
-            return 1;
-        }
-    }
-    const double tSatBlockN = secondsOf(
-        [&] { replayBlockDelivery(satPacked, cfgs, nullptr); }, reps);
-    const double tSatFusedN = secondsOf(
-        [&] { sim::simulateTraceMany(satPacked, cfgs, 1); }, reps);
-    const double satPassInstrs = 2.0 * double(satN);
+    // Saturation corpus at a quarter of the capture-mix length:
+    // saturated simulation costs several host ops per stalled cycle.
+    const auto satPacked = trace::PackedTrace::pack(
+        buildSaturationTrace(std::max<size_t>(n / 4, 1u << 16)));
 
     // Host-memory corpus: one full-working-set capture over the nine
     // Figure 4 / 5(b) configurations, as a fanout_full unit replays it.
@@ -341,131 +227,88 @@ main(int argc, char **argv)
         return 1;
     }
     auto vmulWork = vmul->make(core::Options::full());
-    const auto fullPacked = trace::PackedTrace::pack(
-        core::Runner::capture(*vmulWork, core::Impl::Neon, 128));
-    const size_t fullN = fullPacked.size();
+    const auto fullPacked = core::Runner::capturePacked(
+        *vmulWork, core::Impl::Neon, 128, nullptr);
     const std::vector<sim::CoreConfig> cfgs9 = {
         sim::primeConfig(),           sim::goldConfig(),
         sim::silverConfig(),          sim::scalabilityConfig(4, 2),
         sim::scalabilityConfig(4, 4), sim::scalabilityConfig(4, 6),
         sim::scalabilityConfig(6, 6), sim::scalabilityConfig(4, 8),
         sim::scalabilityConfig(8, 8)};
-    const auto fullRefMany = sim::simulateTraceMany(fullPacked, cfgs9, 1);
-    for (size_t i = 0; i < cfgs9.size(); ++i) {
-        if (!sameSim(sim::simulateTrace(fullPacked, cfgs9[i], 1),
-                     fullRefMany[i])) {
-            std::cerr << "perf_smoke: full-working-set replays "
-                         "diverged\n";
-            return 1;
-        }
-    }
-    const double tFullFused9 = secondsOf(
-        [&] { sim::simulateTraceMany(fullPacked, cfgs9, 1); }, reps);
-    const double ipsFullFused9 =
-        2.0 * double(fullN) * double(cfgs9.size()) / tFullFused9;
 
-    const double ipsSink = passInstrs / tSink;
-    const double ipsBlock = passInstrs / tBlock;
-    const double ipsPacked1 = passInstrs / tPacked1;
-    const double ipsFused1 = passInstrs / tFused1;
-    const double nConfigs = double(cfgs.size());
-    const double ipsManyNx = passInstrs * nConfigs / tManyNx;
-    const double ipsSinkN = passInstrs * nConfigs / tSinkN;
-    const double ipsBlockN = passInstrs * nConfigs / tBlockN;
-    const double ipsFusedN = passInstrs * nConfigs / tFusedN;
-    const double ipsSatBlockN = satPassInstrs * nConfigs / tSatBlockN;
-    const double ipsSatFusedN = satPassInstrs * nConfigs / tSatFusedN;
-    const double nConfigs4 = double(cfgs4.size());
-    const double ipsBlock4 = passInstrs * nConfigs4 / tBlock4;
-    const double ipsFused4 = passInstrs * nConfigs4 / tFused4;
+    // Byte identity first: every fused lane must equal its
+    // configuration replayed alone.
+    if (!fusedMatchesSeparate(packed, cfgs) ||
+        !fusedMatchesSeparate(packed, cfgs4) ||
+        !fusedMatchesSeparate(satPacked, cfgs) ||
+        !fusedMatchesSeparate(fullPacked, cfgs9)) {
+        std::cerr << "perf_smoke: fused and separate replays diverged\n";
+        return 1;
+    }
+
+    // Thresholds sit below the lowest median of six runs on a 4-vCPU
+    // x86-64 VM when the gates were set: medians ranged 1.33-1.43 at
+    // N=3, 1.46-1.61 at N=4 and 1.33-1.41 on the saturation corpus.
+    const Gate gates[] = {
+        {"capture_mix_n3", packed, cfgs, 1.25},
+        {"capture_mix_n4", packed, cfgs4, 1.25},
+        {"saturation_n3", satPacked, cfgs, 1.2},
+    };
+    const Gate &mix3 = gates[0];
+
+    std::vector<double> fullTimes;
+    for (int k = 0; k < 3; ++k)
+        fullTimes.push_back(bench::cpuSecondsOnce(
+            [&] { sim::simulateTraceMany(fullPacked, cfgs9, 1); }));
+    const double ipsFull9 = 2.0 * double(fullPacked.size()) *
+                            double(cfgs9.size()) / bench::median(fullTimes);
 
     const double aosBytes = double(trace::PackedTrace::aosBytes(n));
     const double packedBytes = double(packed.byteSize());
     const double memReduction = aosBytes / packedBytes;
 
     core::banner(std::cout, "Trace replay perf smoke");
-    core::Table t({"path", "Minstr/s", "vs aos_sink"});
-    const auto row = [&](const char *name, double ips) {
-        t.addRow({name, core::fmt(ips / 1e6, 1),
-                  core::fmtX(ips / ipsSink, 2)});
-    };
-    row("aos_sink (per-instr virtual)", ipsSink);
-    row("aos_block", ipsBlock);
-    row("packed (block delivery)", ipsPacked1);
-    row("multi_nx (3 cores, N passes)", ipsManyNx);
-    row("multi_1pass (3 cores, fused)", ipsFusedN);
-    t.print(std::cout);
-    std::cout << "trace: " << n << " instrs; " << aosBytes / n
-              << " B/instr AoS vs " << core::fmt(packedBytes / n, 2)
+    std::cout << "trace: " << n << " instrs; " << aosBytes / double(n)
+              << " B/instr AoS vs " << core::fmt(packedBytes / double(n), 2)
               << " B/instr packed (" << core::fmtX(memReduction, 1)
               << " smaller)\n";
 
-    core::banner(std::cout, "Fused replay engine (decode->step fusion)");
-    core::Table t2({"path", "1 config", "3 configs", "unit"});
-    t2.addRow({"aos_sink", core::fmt(ipsSink / 1e6, 1),
-               core::fmt(ipsSinkN / 1e6, 1), "Minstr/s"});
-    t2.addRow({"block", core::fmt(ipsPacked1 / 1e6, 1),
-               core::fmt(ipsBlockN / 1e6, 1), "Minstr/s"});
-    t2.addRow({"fused", core::fmt(ipsFused1 / 1e6, 1),
-               core::fmt(ipsFusedN / 1e6, 1), "Minstr/s"});
-    t2.print(std::cout);
-    const double fusedVsBlockN = ipsFusedN / ipsBlockN;
-    const double fusedVsBlock1 = ipsFused1 / ipsPacked1;
-    const double fusedVsBlock4 = ipsFused4 / ipsBlock4;
-    const double satFusedVsBlockN = ipsSatFusedN / ipsSatBlockN;
-    std::cout << "config lanes at N=4 (half a lane block): block "
-              << core::fmt(ipsBlock4 / 1e6, 1) << " vs fused "
-              << core::fmt(ipsFused4 / 1e6, 1) << " Minstr/s ("
-              << core::fmtX(fusedVsBlock4, 2) << ")\n";
-    std::cout << "saturation corpus (" << satN
-              << " instrs, full ROB / full vector pool): block "
-              << core::fmt(ipsSatBlockN / 1e6, 1) << " vs fused "
-              << core::fmt(ipsSatFusedN / 1e6, 1) << " Minstr/s ("
-              << core::fmtX(satFusedVsBlockN, 2) << ") at N="
-              << cfgs.size() << "\n";
-    std::cout << "full working set (WA/vmul Neon, " << fullN
+    core::banner(std::cout, "Fused replay over separate single-config "
+                            "replays (median of interleaved trials)");
+    core::Table t({"corpus", "configs", "separate Minstr/s",
+                   "fused Minstr/s", "ratio", "min-max", "gate"});
+    for (const Gate &g : gates)
+        t.addRow({g.name, std::to_string(g.cfgs->size()),
+                  core::fmt(g.ips(g.ratio.aSeconds) / 1e6, 1),
+                  core::fmt(g.ips(g.ratio.bSeconds) / 1e6, 1),
+                  core::fmtX(g.ratio.median, 2),
+                  core::fmt(g.ratio.min, 2) + "-" +
+                      core::fmt(g.ratio.max, 2),
+                  core::fmtX(g.threshold, 2)});
+    t.print(std::cout);
+    std::cout << "full working set (WA/vmul Neon, " << fullPacked.size()
               << " instrs) over the " << cfgs9.size()
               << " Figure 4/5(b) cores: fused "
-              << core::fmt(ipsFullFused9 / 1e6, 1) << " Minstr/s ("
-              << core::fmt(1e9 / ipsFullFused9, 1)
+              << core::fmt(ipsFull9 / 1e6, 1) << " Minstr/s ("
+              << core::fmt(1e9 / ipsFull9, 1)
               << " ns per configuration step)\n";
-    std::cout << "headline: fused replay advances all " << cfgs.size()
-              << " configs inside a single decode pass — "
-              << core::fmtX(fusedVsBlockN, 2)
-              << " vs block-delivery replay and "
-              << core::fmtX(ipsFusedN / ipsSinkN, 2)
-              << " vs the per-instr legacy path at N=" << cfgs.size()
-              << ", at " << core::fmtX(memReduction, 1)
-              << " less trace memory\n";
 
     {
         std::ofstream os(traceJsonPath, std::ios::trunc);
         os << "{\n"
            << "  \"bench\": \"trace_replay\",\n"
            << "  \"n_instrs\": " << n << ",\n"
-           << "  \"aos_bytes_per_instr\": " << fmtJson(aosBytes / n)
+           << "  \"aos_bytes_per_instr\": " << fmtJson(aosBytes / double(n))
            << ",\n"
            << "  \"packed_bytes_per_instr\": "
-           << fmtJson(packedBytes / n) << ",\n"
+           << fmtJson(packedBytes / double(n)) << ",\n"
            << "  \"mem_reduction_x\": " << fmtJson(memReduction) << ",\n"
-           << "  \"aos_sink_instrs_per_sec\": " << fmtJson(ipsSink)
+           << "  \"multi_nx_instrs_per_sec\": "
+           << fmtJson(mix3.ips(mix3.ratio.aSeconds)) << ",\n"
+           << "  \"multi_1pass_instrs_per_sec\": "
+           << fmtJson(mix3.ips(mix3.ratio.bSeconds)) << ",\n"
+           << "  \"speedup_1pass_vs_nx\": " << fmtJson(mix3.ratio.median)
            << ",\n"
-           << "  \"aos_block_instrs_per_sec\": " << fmtJson(ipsBlock)
-           << ",\n"
-           << "  \"packed_instrs_per_sec\": " << fmtJson(ipsPacked1)
-           << ",\n"
-           << "  \"multi_nx_instrs_per_sec\": " << fmtJson(ipsManyNx)
-           << ",\n"
-           << "  \"multi_1pass_instrs_per_sec\": " << fmtJson(ipsFusedN)
-           << ",\n"
-           << "  \"speedup_block_vs_sink\": "
-           << fmtJson(ipsBlock / ipsSink) << ",\n"
-           << "  \"speedup_packed_vs_aos_sink\": "
-           << fmtJson(ipsPacked1 / ipsSink) << ",\n"
-           << "  \"speedup_1pass_vs_nx\": "
-           << fmtJson(ipsFusedN / ipsManyNx) << ",\n"
-           << "  \"speedup_pipeline_vs_legacy\": "
-           << fmtJson(ipsFusedN / ipsSink) << ",\n"
            << "  \"byte_identical\": true\n"
            << "}\n";
         if (!os) {
@@ -476,17 +319,6 @@ main(int argc, char **argv)
         std::cout << "wrote " << traceJsonPath << "\n";
     }
 
-    // The fused-engine gates: >= 1.3x over block-delivery replay at
-    // N=3 and >= 1.5x at N=4 on the capture mix (the vectorized
-    // config-lane width), >= 1.2x on the saturation corpus, and no
-    // regression below block delivery at N=1 (batch decode staging
-    // must never cost more than it saves). Enforced only in an
-    // optimized build when the caller opts in (bench/run_all.sh does);
-    // CI publishes the JSON report-only.
-    constexpr double kFusedGate = 1.3;
-    constexpr double kFusedGate4 = 1.5;
-    constexpr double kFusedGate1 = 1.0;
-    constexpr double kSatFusedGate = 1.2;
 #ifdef NDEBUG
     const char *enf = std::getenv("SWAN_PERF_ENFORCE");
     const bool gateEnforced = enf && enf[0] == '1';
@@ -500,53 +332,37 @@ main(int argc, char **argv)
         std::ofstream os(simJsonPath, std::ios::trunc);
         os << "{\n"
            << "  \"bench\": \"sim_replay\",\n"
-           << "  \"n_instrs\": " << n << ",\n"
-           << "  \"n_configs\": " << cfgs.size() << ",\n"
-           << "  \"aos_sink_1_instrs_per_sec\": " << fmtJson(ipsSink)
-           << ",\n"
-           << "  \"block_1_instrs_per_sec\": " << fmtJson(ipsPacked1)
-           << ",\n"
-           << "  \"fused_1_instrs_per_sec\": " << fmtJson(ipsFused1)
-           << ",\n"
-           << "  \"aos_sink_n_instrs_per_sec\": " << fmtJson(ipsSinkN)
-           << ",\n"
-           << "  \"block_n_instrs_per_sec\": " << fmtJson(ipsBlockN)
-           << ",\n"
-           << "  \"fused_n_instrs_per_sec\": " << fmtJson(ipsFusedN)
-           << ",\n"
-           << "  \"block_4_instrs_per_sec\": " << fmtJson(ipsBlock4)
-           << ",\n"
-           << "  \"fused_4_instrs_per_sec\": " << fmtJson(ipsFused4)
-           << ",\n"
-           << "  \"speedup_fused_vs_block_n1\": "
-           << fmtJson(fusedVsBlock1) << ",\n"
-           << "  \"speedup_fused_vs_block_n3\": "
-           << fmtJson(fusedVsBlockN) << ",\n"
-           << "  \"speedup_fused_vs_block_n4\": "
-           << fmtJson(fusedVsBlock4) << ",\n"
-           << "  \"speedup_fused_vs_aos_sink_n3\": "
-           << fmtJson(ipsFusedN / ipsSinkN) << ",\n"
-           << "  \"sat_n_instrs\": " << satN << ",\n"
-           << "  \"sat_block_n_instrs_per_sec\": "
-           << fmtJson(ipsSatBlockN) << ",\n"
-           << "  \"sat_fused_n_instrs_per_sec\": "
-           << fmtJson(ipsSatFusedN) << ",\n"
-           << "  \"speedup_fused_vs_block_sat_n3\": "
-           << fmtJson(satFusedVsBlockN) << ",\n"
-           << "  \"fullws_n_instrs\": " << fullN << ",\n"
+           << "  \"gate_metric\": \"CPU time of N single-config replays "
+              "(simulateTrace per config) over one fused N-config replay "
+              "(simulateTraceMany) of the same packed trace; median of "
+           << kTrials
+           << " trials, alternating which arm runs first\",\n"
+           << "  \"gate_basis\": \"thresholds sit below the lowest "
+              "median of six runs on a 4-vCPU x86-64 VM when the gates "
+              "were set: 1.33-1.43 at N=3, 1.46-1.61 at N=4, 1.33-1.41 "
+              "on the saturation corpus, with single trials from 0.99 "
+              "to 2.14; a ratio measured in one process depends less "
+              "on the host than absolute throughput does\",\n"
+           << "  \"gates\": [\n";
+        for (size_t k = 0; k < std::size(gates); ++k) {
+            const Gate &g = gates[k];
+            os << "    {\"name\": \"" << g.name << "\", \"n_instrs\": "
+               << g.trace->size() << ", \"n_configs\": " << g.cfgs->size()
+               << ",\n     \"separate_instrs_per_sec\": "
+               << fmtJson(g.ips(g.ratio.aSeconds))
+               << ", \"fused_instrs_per_sec\": "
+               << fmtJson(g.ips(g.ratio.bSeconds))
+               << ",\n     \"ratio\": " << g.ratio.json()
+               << ",\n     \"threshold\": " << fmtJson(g.threshold) << "}"
+               << (k + 1 < std::size(gates) ? "," : "") << "\n";
+        }
+        os << "  ],\n"
+           << "  \"fullws_n_instrs\": " << fullPacked.size() << ",\n"
            << "  \"fullws_n_configs\": " << cfgs9.size() << ",\n"
-           << "  \"fullws_fused_9_instrs_per_sec\": "
-           << fmtJson(ipsFullFused9) << ",\n"
-           << "  \"gate_fused_vs_block_n1_min\": " << fmtJson(kFusedGate1)
+           << "  \"fullws_fused_9_instrs_per_sec\": " << fmtJson(ipsFull9)
            << ",\n"
-           << "  \"gate_fused_vs_block_n3_min\": " << fmtJson(kFusedGate)
+           << "  \"gate_enforced\": " << (gateEnforced ? "true" : "false")
            << ",\n"
-           << "  \"gate_fused_vs_block_n4_min\": " << fmtJson(kFusedGate4)
-           << ",\n"
-           << "  \"gate_fused_vs_block_sat_n3_min\": "
-           << fmtJson(kSatFusedGate) << ",\n"
-           << "  \"gate_enforced\": "
-           << (gateEnforced ? "true" : "false") << ",\n"
            << "  \"simd_isa\": \"" << simd.isa << "\",\n"
            << "  \"decode_kernel\": \"" << simd.decodeKernel << "\",\n"
            << "  \"step_kernel\": \"" << simd.stepKernel << "\",\n"
@@ -561,39 +377,21 @@ main(int argc, char **argv)
     }
 
     // Hard acceptance bars: the >= 2x packed memory reduction always;
-    // the fused >= 1.3x block gate when enforcement is on.
+    // the fusion gates when enforcement is on.
     if (memReduction < 2.0) {
         std::cerr << "perf_smoke: packed encoding only " << memReduction
                   << "x smaller (< 2x)\n";
         return 1;
     }
-    if (gateEnforced && fusedVsBlockN < kFusedGate) {
-        std::cerr << "perf_smoke: fused replay only "
-                  << core::fmtX(fusedVsBlockN, 3)
-                  << " vs block delivery at N=" << cfgs.size() << " (< "
-                  << kFusedGate << "x)\n";
-        return 1;
+    int failed = 0;
+    for (const Gate &g : gates) {
+        if (g.ratio.median >= g.threshold)
+            continue;
+        std::cerr << "perf_smoke: " << g.name << ": fused replay only "
+                  << core::fmtX(g.ratio.median, 3)
+                  << " over separate replays (< " << g.threshold << "x)"
+                  << (gateEnforced ? "" : " (report-only)") << "\n";
+        failed += gateEnforced;
     }
-    if (gateEnforced && satFusedVsBlockN < kSatFusedGate) {
-        std::cerr << "perf_smoke: fused replay only "
-                  << core::fmtX(satFusedVsBlockN, 3)
-                  << " vs block delivery on the saturation corpus (< "
-                  << kSatFusedGate << "x)\n";
-        return 1;
-    }
-    if (gateEnforced && fusedVsBlock4 < kFusedGate4) {
-        std::cerr << "perf_smoke: fused replay only "
-                  << core::fmtX(fusedVsBlock4, 3)
-                  << " vs block delivery at N=4 (< " << kFusedGate4
-                  << "x)\n";
-        return 1;
-    }
-    if (gateEnforced && fusedVsBlock1 < kFusedGate1) {
-        std::cerr << "perf_smoke: fused replay regressed to "
-                  << core::fmtX(fusedVsBlock1, 3)
-                  << " vs block delivery at N=1 (< " << kFusedGate1
-                  << "x)\n";
-        return 1;
-    }
-    return 0;
+    return failed ? 1 : 0;
 }

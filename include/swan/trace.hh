@@ -1,8 +1,10 @@
 /**
  * @file
  * Public re-export: dynamic instruction traces. The Instr record and
- * recorder, MixStats instruction-class accounting, the packed
- * (columnar varint) trace encoding, and trace file serialization.
+ * recorder, MixStats instruction-class accounting, and the packed
+ * (columnar varint) trace encoding, whose checksummed payload is the
+ * one trace file format (the sweep cache's `.swtp` entries and `swan
+ * run --dump-trace` files).
  */
 
 #ifndef SWAN_TRACE_HH
@@ -11,7 +13,6 @@
 #include "trace/instr.hh"
 #include "trace/packed.hh"
 #include "trace/recorder.hh"
-#include "trace/serialize.hh"
 #include "trace/stats.hh"
 
 #endif // SWAN_TRACE_HH

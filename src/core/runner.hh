@@ -91,17 +91,16 @@ class Runner
 
     /**
      * capture() into a caller-owned AoS buffer (cleared first,
-     * capacity kept), for .swt dumps and drivers that reuse one buffer
-     * across captures.
+     * capacity kept), for drivers that reuse one buffer across
+     * captures.
      */
     static void captureInto(Workload &w, Impl impl, int vec_bits,
                             std::vector<trace::Instr> *out);
 
     /**
      * Capture streaming every instruction into @p sink as it is
-     * emitted — a PackedTrace::Builder (encode on emit) or a core
-     * model (simulate while capturing). Same canonical addresses as
-     * the buffered forms.
+     * emitted — a PackedTrace::Builder (encode on emit) or a
+     * MixStats. Same canonical addresses as the buffered forms.
      */
     static void captureInto(Workload &w, Impl impl, int vec_bits,
                             trace::Sink *sink);

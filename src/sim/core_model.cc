@@ -19,7 +19,6 @@
 namespace swan::sim
 {
 
-using trace::Fu;
 using trace::Instr;
 using trace::InstrClass;
 
@@ -327,43 +326,6 @@ CoreModel::stepInFor(const Instr &i)
         flags |= kFlagBranch;
     in.flags = flags;
     return in;
-}
-
-void
-CoreModel::onInstr(const Instr &instr)
-{
-    onBlock(&instr, 1);
-}
-
-void
-CoreModel::onBlock(const Instr *instrs, size_t n)
-{
-    // Same step core as the fused path: predigest a chunk, then step
-    // it. The issue frontier is scoped to this call (a zeroed
-    // frontier is always valid — it only bounds the scan, never the
-    // result).
-    uint64_t frontier[size_t(Fu::NumFus)] = {};
-    StepIn batch[trace::PackedTrace::kBlockInstrs];
-    const StepBlockFn fn = cfg_.outOfOrder
-                               ? &CoreModel::stepBlock<true, true>
-                               : &CoreModel::stepBlock<false, true>;
-    OutcomeTable table(
-        1, unsigned(__builtin_ctz(uint32_t(caches_->l1().lineBytes()))));
-    while (n) {
-        const size_t nb =
-            std::min<size_t>(n, trace::PackedTrace::kBlockInstrs);
-        for (size_t k = 0; k < nb; ++k)
-            batch[k] = stepInFor(instrs[k]);
-        // Walk this model's own hierarchy over the block, then step it.
-        for (size_t at = 0; at < nb;) {
-            const size_t m = table.fit(batch + at, nb - at);
-            walkCaches(*caches_, batch + at, m, table, 0);
-            fn(*this, st_, frontier, batch + at, m, table.of(0));
-            at += m;
-        }
-        instrs += nb;
-        n -= nb;
-    }
 }
 
 CoreModel::OutcomeTable::OutcomeTable(size_t walk_count,
@@ -839,10 +801,8 @@ replayWith(const trace::PackedTrace &trace,
     // Configurations advance as vector lanes: each LaneBlock carries
     // up to kLanes configurations' step states, issue frontiers and
     // step-function table entries field-major (sim/core_model.hh), so
-    // the per-batch lane walk touches one contiguous state span —
-    // persistent across the whole pass, which is exactly what the
-    // Sink-delivery path cannot offer (it has nowhere to keep
-    // cross-call scratch without growing every model).
+    // the per-batch lane walk touches one contiguous state span,
+    // persistent across the whole pass.
     constexpr size_t kBL = CoreModel::LaneBlock::kLanes;
     const size_t nm = models.size();
     CoreModel::LaneBlock stackBlock;
@@ -897,8 +857,7 @@ replayWith(const trace::PackedTrace &trace,
     // per-instruction interleave measures ~10% slower (N models
     // thrash each other out of the host's L1 and predictors). No
     // trace::Instr is ever materialized: the batch holds predigested
-    // StepIn operands, built once for all configurations, where the
-    // Sink path re-derives them per model per instruction.
+    // StepIn operands, built once for all configurations.
     // Observer bookkeeping: the traversal position (instructions
     // stepped so far) and the next boundary the payload asked for.
     // Both exist only in the HasObserver instantiation — every use is
@@ -1083,22 +1042,18 @@ replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
 }
 
 SimResult
-simulateTrace(const std::vector<Instr> &instrs, const CoreConfig &cfg,
-              int warmup_passes)
-{
-    CoreModel model(cfg);
-    for (int p = 0; p < warmup_passes; ++p)
-        model.onBlock(instrs.data(), instrs.size());
-    model.beginMeasurement();
-    model.onBlock(instrs.data(), instrs.size());
-    return model.finish();
-}
-
-SimResult
 simulateTrace(const trace::PackedTrace &trace, const CoreConfig &cfg,
               int warmup_passes)
 {
     return simulateTraceMany(trace, {cfg}, warmup_passes).front();
+}
+
+SimResult
+simulateTrace(const std::vector<Instr> &instrs, const CoreConfig &cfg,
+              int warmup_passes)
+{
+    return simulateTrace(trace::PackedTrace::pack(instrs), cfg,
+                         warmup_passes);
 }
 
 std::vector<SimResult>

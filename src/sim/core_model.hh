@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace-driven core timing models. CoreModel consumes the dynamic
- * instruction stream (as a trace::Sink, so it works buffered or streaming)
- * and models either an out-of-order core (Cortex-A76-like Prime/Gold: ROB,
+ * Trace-driven core timing models. CoreModel replays a packed dynamic
+ * instruction trace (through the fused engine, replay()) and models
+ * either an out-of-order core (Cortex-A76-like Prime/Gold: ROB,
  * W-wide dispatch/commit, functional-unit pools, MSHR-limited memory-level
  * parallelism) or an in-order core (Cortex-A55-like Silver). This is the
  * substitute for the paper's Ramulator-based trace-driven simulator plus
@@ -24,7 +24,6 @@
 #include "swan/internal/contracts.hh"
 #include "trace/instr.hh"
 #include "trace/packed.hh"
-#include "trace/recorder.hh"
 
 namespace swan::sim
 {
@@ -65,15 +64,14 @@ class CoreModel;
 
 /**
  * Fused replay: decode each packed instruction once — into registers,
- * with no Instr staging buffer and no Sink virtual hop — and
- * immediately step every model in @p models from the same decoded
- * fields. Per-descriptor shape lookups (class, FU, latency, occupancy)
- * are hoisted out of the loop into a prototype table built once per
- * call. Each distinct functional cache hierarchy among the models (see
- * CoreModel) is walked once per decoded batch, before the models step
- * it. Bit-identical to delivering the trace through onBlock/onInstr
- * to each model in turn. @throws std::runtime_error when the encoded
- * stream is malformed (Cursor checked decode).
+ * with no Instr staging buffer — and immediately step every model in
+ * @p models from the same decoded fields. Per-descriptor shape lookups
+ * (class, FU, latency, occupancy) are hoisted out of the loop into a
+ * prototype table built once per call. Each distinct functional cache
+ * hierarchy among the models (see CoreModel) is walked once per
+ * decoded batch, before the models step it. Each model evolves exactly
+ * as it would replayed alone. @throws std::runtime_error when the
+ * encoded stream is malformed (Cursor checked decode).
  */
 void replay(const trace::PackedTrace &trace,
             std::span<CoreModel *const> models);
@@ -85,7 +83,7 @@ void replay(const trace::PackedTrace &trace,
  * attached — the observer-free replay() above compiles to the exact
  * loop it always was (the driver is a template on the presence of the
  * payload, and the empty instantiation is bit-identical; the
- * BENCH_sim_replay.json fused-over-block gates enforce it).
+ * BENCH_sim_replay.json gates time it).
  *
  * Protocol, per traversal of replay(trace, models, payload):
  *  - begin(models) once, before any instruction is decoded;
@@ -180,11 +178,10 @@ void replayWith(const trace::PackedTrace &trace,
  * every line inline and hands the rest to its timing. Only
  * simulateTraceMany(const PackedTrace &, ...) shares a hierarchy —
  * between the models of one fused replay, which walks each distinct
- * hierarchy once. A model built here keeps a private one, so Sink
- * delivery (which walks it per block) and replay payloads (which
- * perturb single models) see only their own.
+ * hierarchy once. A model built here keeps a private one, so replay
+ * payloads (which perturb single models) reach only their own.
  */
-class CoreModel : public trace::Sink
+class CoreModel
 {
   public:
     /** @throws std::invalid_argument for a configuration the model
@@ -198,17 +195,6 @@ class CoreModel : public trace::Sink
 
     CoreModel(const CoreModel &) = delete;
     CoreModel &operator=(const CoreModel &) = delete;
-
-    /** Compatibility wrapper: one instruction through the step core. */
-    void onInstr(const trace::Instr &instr) override;
-
-    /**
-     * Compatibility wrapper: feeds a block through the same step core
-     * the fused replay engine drives (per-model step function resolved
-     * once at construction, no per-instruction virtual dispatch), so
-     * Sink delivery and fused replay are bit-identical by construction.
-     */
-    void onBlock(const trace::Instr *instrs, size_t n) override;
 
     /**
      * Mark the start of the measured region: statistics reset, cache and
@@ -255,7 +241,7 @@ class CoreModel : public trace::Sink
      * predicates as flags, the unpipelined-occupancy rule applied).
      * Model-independent, so the fused loop builds one StepIn per
      * decoded instruction and feeds every configuration's model from
-     * it; the onBlock/onInstr wrappers build it from a trace::Instr.
+     * it.
      */
     struct StepIn
     {
@@ -274,7 +260,8 @@ class CoreModel : public trace::Sink
         uint8_t flags;      //!< kFlag* predicates
     };
 
-    /** Predigest @p instr for the step core. */
+    /** Predigest @p instr for the step core (the fused loop's
+     *  per-descriptor prototypes). */
     static StepIn stepInFor(const trace::Instr &instr);
 
     struct StepState;
@@ -292,13 +279,12 @@ class CoreModel : public trace::Sink
     };
 
     /**
-     * Outcome storage of one traversal (or of one Sink block), a local
-     * of the walking frame: room for accessCap accesses and lineCap
-     * line outcomes per walked hierarchy. Up to kInlineWalks
-     * hierarchies fit inline, so the common traversal takes nothing
-     * from the heap. Batches are walked and stepped in prefixes that
-     * fit it (fit()), so it never grows unless a single instruction
-     * alone needs more room.
+     * Outcome storage of one traversal, a local of the walking frame:
+     * room for accessCap accesses and lineCap line outcomes per
+     * walked hierarchy. Up to kInlineWalks hierarchies fit inline, so
+     * the common traversal takes nothing from the heap. Batches are
+     * walked and stepped in prefixes that fit it (fit()), so it never
+     * grows unless a single instruction alone needs more room.
      */
     struct OutcomeTable
     {
@@ -356,18 +342,19 @@ class CoreModel : public trace::Sink
      * The step core: consume @p n predigested instructions. The
      * in-order/out-of-order split is a template parameter, resolved
      * per model into a step-function table entry (the fused loop
-     * tables one per model at replay start; the wrappers pick once
-     * per block). The core operates on a caller-owned StepState plus
-     * a caller-owned per-FU issue frontier (see findIssueSlot) so the
-     * fused loop can keep both hot — and persistent — across a whole
-     * traversal; internally it runs the batch on a local StepState
-     * copy, keeping the per-instruction recurrence (dispatch/commit
-     * cycles, counters) in registers instead of memory.
+     * tables one per model at replay start). The core operates on a
+     * caller-owned StepState plus a caller-owned per-FU issue frontier
+     * (see findIssueSlot) so the fused loop can keep both hot — and
+     * persistent — across a whole traversal; internally it runs the
+     * batch on a local StepState copy, keeping the per-instruction
+     * recurrence (dispatch/commit cycles, counters) in registers
+     * instead of memory.
      */
     /** CheckRestart: whether to test every instruction for a
-     *  replayed-pass id restart. The Sink wrappers must (their stream
-     *  is arbitrary); the fused driver proves batch monotonicity
-     *  while decoding and picks the check-free instantiation.
+     *  replayed-pass id restart. The fused driver proves batch
+     *  monotonicity while decoding and picks the check-free
+     *  instantiation; a batch it cannot prove (a pass start, or
+     *  concatenated captures) takes the checked one.
      *  @p mem is the model's hierarchy's walk of exactly ins[0, n). */
     template <bool OutOfOrder, bool CheckRestart>
     static void stepBlock(CoreModel &m, StepState &st,
@@ -531,15 +518,16 @@ class CoreModel : public trace::Sink
 };
 
 /**
- * Simulate a buffered trace on @p cfg with @p warmup_passes cache-warming
+ * Simulate a packed trace on @p cfg with @p warmup_passes cache-warming
  * replays before the measured pass (the paper warms caches before each
- * measured iteration).
+ * measured iteration): simulateTraceMany() with one configuration, on
+ * a private cache hierarchy.
  */
-SimResult simulateTrace(const std::vector<trace::Instr> &instrs,
+SimResult simulateTrace(const trace::PackedTrace &trace,
                         const CoreConfig &cfg, int warmup_passes = 1);
 
-/** Same, replaying a packed trace (block-decoded, bit-identical). */
-SimResult simulateTrace(const trace::PackedTrace &trace,
+/** AoS-buffer overload: packs @p instrs and runs the packed overload. */
+SimResult simulateTrace(const std::vector<trace::Instr> &instrs,
                         const CoreConfig &cfg, int warmup_passes = 1);
 
 /**

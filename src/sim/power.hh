@@ -47,16 +47,6 @@ struct PowerParams
  */
 void applyPowerModel(SimResult &result, const PowerParams &params);
 
-/** Convenience wrapper from before the power model was fused into
- *  CoreModel::finish; kept for API compatibility — now exactly
- *  simulateTrace(). */
-inline SimResult
-simulateWithPower(const std::vector<trace::Instr> &instrs,
-                  const CoreConfig &cfg, int warmup_passes = 1)
-{
-    return simulateTrace(instrs, cfg, warmup_passes);
-}
-
 } // namespace swan::sim
 
 #endif // SWAN_SIM_POWER_HH

@@ -389,8 +389,8 @@ readRaw(const std::string &buf, size_t *at, T *v)
 /** Serialize one packed-trace entry into `<dir>/<stem>.swtp`
  *  (write-then-rename). @return bytes written, 0 on failure. */
 uint64_t
-writeTraceBlob(const std::string &dir_s, const TraceKey &key,
-               const trace::PackedTrace &t, const trace::MixStats &mix)
+writePackedEntry(const std::string &dir_s, const TraceKey &key,
+                 const trace::PackedTrace &t, const trace::MixStats &mix)
 {
     // Everything after the checksum field except the payload body,
     // which is hashed and written in place rather than copied.
@@ -525,7 +525,7 @@ ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
 {
     if (diskDir_.empty())
         return;
-    const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
+    const uint64_t wrote = writePackedEntry(diskDir_, key, t, mix);
     {
         std::lock_guard<std::mutex> lock(mu_);
         touchLocked(key.hash());

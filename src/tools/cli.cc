@@ -1,9 +1,13 @@
 #include "tools/cli.hh"
 
 #include <climits>
+#include <cstring>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <stdexcept>
 
 // The CLI is a consumer of the public API, not of src/ internals: every
 // command goes through the same include/swan/ surface an out-of-tree
@@ -18,6 +22,13 @@ namespace swan::tools
 namespace
 {
 
+/**
+ * `swan run --dump-trace` files: this magic, then the trace's
+ * PackedTrace payload (appendPayload: FNV-checksummed, and a same-host
+ * format like the sweep cache's `.swtp` entries).
+ */
+constexpr char kDumpMagic[8] = {'S', 'W', 'A', 'N', 'D', 'M', 'P', '1'};
+
 constexpr const char *kUsage = R"(usage: swan <command> [options]
 
 commands:
@@ -26,7 +37,8 @@ commands:
   info <kernel>                metadata of one kernel ("ZL/adler32")
   run <kernel> [options]       trace + simulate one implementation
   compare <kernel> [options]   Scalar vs Auto vs Neon on one core
-  simulate <trace.swt> [opts]  replay a stored trace on a core model
+  simulate <dump> [opts]       replay a 'run --dump-trace' file on a
+                               core model (--core)
   sweep <kernel> --what X      sweep widths (Fig. 5a) or cores (Fig. 4)
   sweep [grid flags]           run a declarative experiment grid on the
                                parallel sweep engine (docs/sweep.md)
@@ -39,7 +51,8 @@ options:
   --bits 128|256|512|1024      vector width for wider-register kernels
   --full                       paper-scale input sizes (Section 4.1)
   --dump-trace FILE            with 'run': also write the captured
-                               dynamic instruction trace to FILE
+                               trace to FILE as a packed trace (a
+                               same-host format) for 'simulate'
   --what widths|cores          sweep axis for 'sweep <kernel>'
 
 sweep grid flags (cartesian product of the axes):
@@ -474,13 +487,18 @@ cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
     auto r = session.run(*w, p.impl, coreFor(p.coreName), p.bits);
 
     if (!p.dumpTrace.empty()) {
-        auto instrs = core::Runner::capture(*w, p.impl, p.bits);
-        std::string werr;
-        if (!trace::writeTrace(p.dumpTrace, instrs, &werr)) {
-            err << "swan: " << werr << "\n";
+        const auto packed =
+            core::Runner::capturePacked(*w, p.impl, p.bits, nullptr);
+        std::string blob(kDumpMagic, sizeof kDumpMagic);
+        packed.appendPayload(&blob);
+        std::ofstream os(p.dumpTrace, std::ios::binary | std::ios::trunc);
+        os.write(blob.data(), std::streamsize(blob.size()));
+        os.close();
+        if (!os) {
+            err << "swan: cannot write " << p.dumpTrace << "\n";
             return 1;
         }
-        out << "trace:         " << p.dumpTrace << " (" << instrs.size()
+        out << "trace:         " << p.dumpTrace << " (" << packed.size()
             << " records)\n";
     }
 
@@ -697,18 +715,43 @@ cmdSweep(const Parsed &p, std::ostream &out, std::ostream &err)
 int
 cmdSimulate(const Parsed &p, std::ostream &out, std::ostream &err)
 {
-    std::string rerr;
-    auto instrs = trace::readTrace(p.kernel, &rerr);
-    if (!instrs) {
-        err << "swan: " << rerr << "\n";
+    const std::string &path = p.kernel;
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+        err << "swan: cannot open " << path << "\n";
         return 2;
     }
-    const auto cfg = coreFor(p.coreName);
-    auto r = sim::simulateTrace(*instrs, cfg); // power-complete (fused)
+    const std::string blob((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    if (blob.size() < sizeof kDumpMagic ||
+        std::memcmp(blob.data(), kDumpMagic, sizeof kDumpMagic) != 0) {
+        err << "swan: " << path
+            << ": not a trace dump (bad magic; write one with "
+               "'swan run --dump-trace')\n";
+        return 2;
+    }
+    trace::PackedTrace packed;
+    std::string why;
+    if (!trace::PackedTrace::parsePayload(
+            reinterpret_cast<const uint8_t *>(blob.data()) +
+                sizeof kDumpMagic,
+            blob.size() - sizeof kDumpMagic, &packed, &why)) {
+        err << "swan: " << path << ": " << why << "\n";
+        return 2;
+    }
+    sim::SimResult r; // power-complete (fused)
+    try {
+        r = sim::simulateTrace(packed, coreFor(p.coreName));
+    } catch (const std::runtime_error &) {
+        err << "swan: " << path
+            << ": malformed trace stream (checked decode failed)\n";
+        return 2;
+    }
     trace::MixStats mix;
-    mix.addTrace(*instrs);
+    for (const trace::Instr &i : packed)
+        mix.onInstr(i);
 
-    out << "trace:         " << p.kernel << " (" << instrs->size()
+    out << "trace:         " << path << " (" << packed.size()
         << " records, " << mix.vectorInstrs() << " vector)\n"
         << "core:          " << p.coreName << "\n"
         << "cycles:        " << r.cycles << "\n"

@@ -299,17 +299,7 @@ PackedTrace::unpack() const
     return out;
 }
 
-void
-PackedTrace::deliver(Sink &sink) const
-{
-    Instr block[kBlockInstrs];
-    Cursor cur(*this);
-    size_t n;
-    while ((n = cur.next(block, kBlockInstrs)) != 0)
-        sink.onBlock(block, n);
-}
-
-// --- payload (the on-disk sweep trace tier) ----------------------------
+// --- payload (the sweep cache's .swtp entries and trace dumps) ---------
 
 namespace
 {
@@ -382,22 +372,29 @@ PackedTrace::appendPayload(std::string *out) const
 
 bool
 PackedTrace::parsePayload(const uint8_t *data, size_t len,
-                          PackedTrace *out)
+                          PackedTrace *out, std::string *error)
 {
+    const auto reject = [error](const char *why) {
+        if (error)
+            *error = why;
+        return false;
+    };
     PayloadHeader h;
     if (len < sizeof h)
-        return false;
+        return reject("truncated payload header");
     std::memcpy(&h, data, sizeof h);
     if (h.descSize != sizeof(Desc))
-        return false;
+        return reject("descriptor layout of another build");
     const size_t descBytes = size_t(h.descCount) * sizeof(Desc);
     const size_t bodyLen = descBytes + h.mainLen + h.multiLen;
     if (h.mainLen > len || h.multiLen > len || descBytes > len ||
-        len != sizeof h + bodyLen)
-        return false;
+        len - sizeof h < bodyLen)
+        return reject("truncated payload body");
+    if (len - sizeof h != bodyLen)
+        return reject("trailing bytes after the payload");
     const uint8_t *body = data + sizeof h;
     if (payloadChecksum(h, body, bodyLen) != h.checksum)
-        return false;
+        return reject("payload checksum mismatch");
     // Validate every descriptor's enums once, so decoding never has to.
     for (uint32_t i = 0; i < h.descCount; ++i) {
         Desc d;
@@ -405,7 +402,7 @@ PackedTrace::parsePayload(const uint8_t *data, size_t len,
         if (d.cls >= uint8_t(InstrClass::NumClasses) ||
             d.fu >= uint8_t(Fu::NumFus) ||
             d.stride >= uint8_t(StrideKind::NumKinds))
-            return false;
+            return reject("descriptor out of range");
     }
     PackedTrace t;
     t.buf_ = Buf(bodyLen);

@@ -188,9 +188,9 @@ class PackedTrace
                                       "payload format");
 
   public:
-    /** Instrs decoded per block by deliver() (16 KiB of Instr: the
-     *  block buffer stays cache-resident while every core model of a
-     *  multi-config replay consumes it). */
+    /** Decode block: Instrs per Cursor::next(Instr *, n) block (16
+     *  KiB of Instr, cache-resident); the fused replay engine decodes
+     *  four blocks per batch. */
     static constexpr size_t kBlockInstrs = 256;
 
     PackedTrace() = default;
@@ -274,9 +274,6 @@ class PackedTrace
 
     /** Decode the full trace back into an AoS buffer. */
     std::vector<Instr> unpack() const;
-
-    /** Stream the trace into @p sink in kBlockInstrs-sized blocks. */
-    void deliver(Sink &sink) const;
 
     /**
      * One decoded record's identity fields. The shape fields live in
@@ -432,8 +429,9 @@ class PackedTrace
     Iterator end() const { return Iterator(); }
 
     /**
-     * Append the encoded payload (header + streams) to @p out, for the
-     * on-disk sweep trace tier. Same-host format, FNV-checksummed.
+     * Append the encoded payload (header + streams) to @p out: the
+     * body of the sweep cache's `.swtp` entries and of `swan run
+     * --dump-trace` files. Same-host format, FNV-checksummed.
      */
     void appendPayload(std::string *out) const;
 
@@ -445,10 +443,11 @@ class PackedTrace
 
     /**
      * Parse an appendPayload() blob. @return false (and leaves @p out
-     * untouched) on any truncation, bound or checksum violation.
+     * untouched) on any truncation, bound or checksum violation; then
+     * @p error, when non-null, names the violation.
      */
     static bool parsePayload(const uint8_t *data, size_t len,
-                             PackedTrace *out);
+                             PackedTrace *out, std::string *error = nullptr);
 
     /** Number of deduplicated shape descriptors. */
     uint32_t descCount() const { return descCount_; }

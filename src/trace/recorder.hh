@@ -1,15 +1,13 @@
 /**
  * @file
  * Trace recorder: collects the dynamic instruction stream of one kernel
- * invocation, either buffering it for multi-configuration replay or
- * streaming it into a sink (e.g. directly into a timing simulator) when the
- * trace would be too large to hold.
+ * invocation, either buffering it as an AoS vector or streaming it into
+ * a sink (a PackedTrace::Builder encodes it on emit).
  */
 
 #ifndef SWAN_TRACE_RECORDER_HH
 #define SWAN_TRACE_RECORDER_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,40 +17,25 @@
 namespace swan::trace
 {
 
-/** Consumer interface for streaming traces. */
+/**
+ * Consumer of a streaming Recorder: a PackedTrace::Builder (encode on
+ * emit) or a MixStats.
+ */
 class Sink
 {
   public:
     virtual ~Sink() = default;
     /** Called once per recorded instruction, in program order. */
     virtual void onInstr(const Instr &instr) = 0;
-
-    /**
-     * Block delivery: @p n consecutive instructions in program order,
-     * equivalent to n onInstr calls. Producers that buffer (PackedTrace
-     * replay, simulateTrace) prefer this entry point — one virtual call
-     * per block instead of per instruction, with the block staying
-     * cache-resident. The default simply loops onto onInstr, so every
-     * existing sink keeps working; hot sinks (sim::CoreModel) override
-     * it. Blocks must never split the program order: the concatenation
-     * of all blocks is the trace.
-     */
-    virtual void
-    onBlock(const Instr *instrs, size_t n)
-    {
-        for (size_t i = 0; i < n; ++i)
-            onInstr(instrs[i]);
-    }
 };
 
 /**
  * Records the dynamic instruction stream of a kernel invocation.
  *
  * A Recorder either keeps the full trace in memory as an AoS buffer
- * (.swt dumps, tests) or forwards each record to a Sink without
+ * (benches, tests) or forwards each record to a Sink without
  * buffering: a PackedTrace::Builder encodes on emit (the sweep and
- * Runner capture path), a core model simulates while capturing (the
- * Figure-6 GEMM sweep).
+ * Runner capture path).
  *
  * Every recorded address is translated into the canonical trace
  * address space (trace/canon.hh) on emit, so a trace is a pure

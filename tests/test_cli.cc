@@ -5,8 +5,12 @@
  * compare driven through string streams.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -266,28 +270,188 @@ TEST(CliSweep, BadAxisRejected)
     EXPECT_EQ(r.code, 2);
 }
 
+namespace
+{
+
+/** A trace-dump path private to this process; removed on scope exit. */
+struct TmpDump
+{
+    std::string path;
+
+    explicit TmpDump(const std::string &tag)
+        : path((std::filesystem::temp_directory_path() /
+                ("swan_cli_" + tag + "_" + std::to_string(::getpid()) +
+                 ".dump"))
+                   .string())
+    {
+    }
+    ~TmpDump() { std::remove(path.c_str()); }
+
+    std::string
+    read() const
+    {
+        std::ifstream is(path, std::ios::binary);
+        return {std::istreambuf_iterator<char>(is),
+                std::istreambuf_iterator<char>()};
+    }
+    void
+    write(const std::string &bytes) const
+    {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    }
+};
+
+/** The value printed after @p label on its line of @p out. */
+std::string
+field(const std::string &out, const std::string &label)
+{
+    const size_t at = out.find(label);
+    if (at == std::string::npos)
+        return "";
+    const size_t from = out.find_first_not_of(' ', at + label.size());
+    return out.substr(from, out.find('\n', from) - from);
+}
+
+/** Dump ZL/adler32 Neon's trace to @p dump; the run must succeed. */
+void
+dumpAdler(const TmpDump &dump)
+{
+    auto r = cli({"run", "ZL/adler32", "--dump-trace", dump.path});
+    ASSERT_EQ(r.code, 0) << r.err;
+}
+
+/** simulate @p dump must exit 2 with a `swan:` line naming @p cause. */
+void
+expectRejected(const TmpDump &dump, const std::string &cause)
+{
+    auto r = cli({"simulate", dump.path});
+    EXPECT_EQ(r.code, 2);
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_EQ(r.err.rfind("swan: ", 0), 0u) << r.err;
+    EXPECT_NE(r.err.find(cause), std::string::npos) << r.err;
+}
+
+// The dump layout: an 8-byte magic, then PackedTrace::appendPayload —
+// this header, then the descriptor table, the main stream and the
+// multi-address stream. The checksum is FNV-1a over the other header
+// fields and the body.
+constexpr size_t kMagicBytes = 8;
+struct PayloadHeader
+{
+    uint64_t count, mainLen, multiLen;
+    uint32_t descCount, descSize;
+    uint64_t checksum;
+};
+
+uint64_t
+fnv1a(uint64_t h, const void *data, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        h ^= static_cast<const uint8_t *>(data)[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // namespace
+
 TEST(CliTrace, DumpThenSimulateRoundTrip)
 {
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("swan_cli_trace_" + std::to_string(::getpid()) + ".swt"))
-            .string();
-    auto r = cli({"run", "ZL/adler32", "--dump-trace", path});
-    ASSERT_EQ(r.code, 0) << r.err;
-    EXPECT_NE(r.out.find("trace:"), std::string::npos);
+    // The dump replays to the cycle count the run reported, on the
+    // run's own core: Neon and Scalar, out of order and in order.
+    struct Case
+    {
+        const char *kernel, *impl, *core;
+    };
+    for (const Case &c : {Case{"ZL/adler32", "neon", "gold"},
+                          Case{"LP/defilter_up", "scalar", "silver"}}) {
+        SCOPED_TRACE(std::string(c.kernel) + " " + c.impl);
+        const TmpDump dump("roundtrip");
+        auto r = cli({"run", c.kernel, "--impl", c.impl, "--core", c.core,
+                      "--dump-trace", dump.path});
+        ASSERT_EQ(r.code, 0) << r.err;
+        EXPECT_NE(r.out.find("trace:"), std::string::npos);
 
-    auto s = cli({"simulate", path, "--core", "gold"});
-    EXPECT_EQ(s.code, 0) << s.err;
-    EXPECT_NE(s.out.find("cycles:"), std::string::npos);
-    EXPECT_NE(s.out.find("gold"), std::string::npos);
-    std::remove(path.c_str());
+        auto s = cli({"simulate", dump.path, "--core", c.core});
+        ASSERT_EQ(s.code, 0) << s.err;
+        EXPECT_EQ(field(s.out, "core:"), c.core);
+        EXPECT_FALSE(field(r.out, "cycles:").empty());
+        EXPECT_EQ(field(s.out, "cycles:"), field(r.out, "cycles:"));
+        EXPECT_EQ(field(s.out, "energy:"), field(r.out, "energy:"));
+    }
 }
 
 TEST(CliTrace, SimulateRejectsGarbageFile)
 {
-    auto r = cli({"simulate", "/no/such/trace.swt"});
+    auto r = cli({"simulate", "/no/such/trace.dump"});
     EXPECT_EQ(r.code, 2);
     EXPECT_NE(r.err.find("cannot open"), std::string::npos);
+}
+
+TEST(CliTrace, SimulateRejectsAnOldSwtFile)
+{
+    // The retired 64 B/instr format: "SWTR", u32 version, u64 count,
+    // then fixed-width records.
+    const TmpDump dump("swt");
+    std::string swt("SWTR\x01\0\0\0\x01\0\0\0\0\0\0\0", 16);
+    swt += std::string(64, '\0');
+    dump.write(swt);
+    expectRejected(dump, "bad magic");
+}
+
+TEST(CliTrace, SimulateRejectsATruncatedDump)
+{
+    const TmpDump dump("truncated");
+    dumpAdler(dump);
+    const std::string bytes = dump.read();
+    ASSERT_GT(bytes.size(), kMagicBytes + sizeof(PayloadHeader) + 16);
+    dump.write(bytes.substr(0, bytes.size() - 16));
+    expectRejected(dump, "truncated");
+    dump.write(bytes.substr(0, kMagicBytes + 10)); // inside the header
+    expectRejected(dump, "truncated");
+}
+
+TEST(CliTrace, SimulateRejectsAFlippedBodyByte)
+{
+    const TmpDump dump("flipped");
+    dumpAdler(dump);
+    std::string bytes = dump.read();
+    ASSERT_GT(bytes.size(), kMagicBytes + sizeof(PayloadHeader));
+    bytes[(kMagicBytes + sizeof(PayloadHeader) + bytes.size()) / 2] ^= 0x10;
+    dump.write(bytes);
+    expectRejected(dump, "checksum");
+}
+
+TEST(CliTrace, SimulateRejectsAStreamThatFailsCheckedDecode)
+{
+    // Drop the main stream's last byte and shrink mainLen to match,
+    // with a freshly valid checksum: the payload parses, but the last
+    // record runs off the stream, so the fused replay throws — which
+    // the CLI must report, not let escape.
+    const TmpDump dump("undecodable");
+    dumpAdler(dump);
+    const std::string bytes = dump.read();
+    ASSERT_GT(bytes.size(), kMagicBytes + sizeof(PayloadHeader));
+    PayloadHeader h;
+    std::memcpy(&h, bytes.data() + kMagicBytes, sizeof h);
+    ASSERT_GT(h.mainLen, 0u);
+    const std::string body = bytes.substr(kMagicBytes + sizeof h);
+    const size_t mainEnd = size_t(h.descCount) * h.descSize + h.mainLen;
+    ASSERT_EQ(body.size(), mainEnd + h.multiLen);
+    const std::string cut =
+        body.substr(0, mainEnd - 1) + body.substr(mainEnd);
+    --h.mainLen;
+    uint64_t c = 1469598103934665603ull;
+    c = fnv1a(c, &h.count, sizeof h.count);
+    c = fnv1a(c, &h.mainLen, sizeof h.mainLen);
+    c = fnv1a(c, &h.multiLen, sizeof h.multiLen);
+    c = fnv1a(c, &h.descCount, sizeof h.descCount);
+    c = fnv1a(c, &h.descSize, sizeof h.descSize);
+    h.checksum = fnv1a(c, cut.data(), cut.size());
+    dump.write(bytes.substr(0, kMagicBytes) +
+               std::string(reinterpret_cast<const char *>(&h), sizeof h) +
+               cut);
+    expectRejected(dump, "checked decode");
 }
 
 TEST(CliCompare, PrintsThreeImplsAndVerifies)

@@ -201,14 +201,7 @@ TEST(CoreModel, StallPercentagesWellFormed)
 
 TEST(CoreModel, MeasurementWindowExcludesWarmupCounts)
 {
-    auto trace = independentAlus(1000);
-    CoreModel model(primeConfig());
-    for (const auto &i : trace)
-        model.onInstr(i);
-    model.beginMeasurement();
-    for (const auto &i : trace)
-        model.onInstr(i);
-    auto res = model.finish();
+    const auto res = simulateTrace(independentAlus(1000), primeConfig(), 1);
     EXPECT_EQ(res.instrs, 1000u);
     EXPECT_EQ(res.byClass[size_t(InstrClass::SInt)], 1000u);
 }
@@ -339,24 +332,18 @@ TEST(CoreModel, ZeroMispredictRateNeverMispredicts)
     // past that many branches it must still never stall the front end.
     auto cfg = primeConfig();
     cfg.branchMispredictRate = 0.0;
-    CoreModel model(cfg);
-    constexpr size_t kChunk = 4096;
-    constexpr size_t kChunks = 250; // 1,024,000 branches
-    std::vector<Instr> chunk(kChunk);
-    uint64_t id = 0;
-    for (size_t c = 0; c < kChunks; ++c) {
-        for (auto &br : chunk) {
-            br = Instr{};
-            br.id = ++id;
-            br.cls = InstrClass::Branch;
-            br.fu = Fu::Branch;
-            br.latency = 1;
-        }
-        model.onBlock(chunk.data(), chunk.size());
+    constexpr uint64_t kBranches = 1024000;
+    trace::PackedTrace::Builder builder;
+    for (uint64_t id = 1; id <= kBranches; ++id) {
+        Instr br;
+        br.id = id;
+        br.cls = InstrClass::Branch;
+        br.fu = Fu::Branch;
+        br.latency = 1;
+        builder.add(br);
     }
-    const auto r = model.finish();
-    EXPECT_EQ(r.instrs, kChunk * kChunks);
-    EXPECT_GT(r.instrs, 1000000u);
+    const auto r = simulateTrace(builder.finish(), cfg, 0);
+    EXPECT_EQ(r.instrs, kBranches);
     EXPECT_EQ(r.feStallPct, 0.0);
 }
 

@@ -246,8 +246,7 @@ TEST(AllocGuard, FusedReplayOfARealTraceIsHeapFree)
     sim::replay(packed, span); // warm-up pass
     prime.beginMeasurement();
     silver.beginMeasurement();
-    sim::replay(packed, span);     // fused no-alloc region
-    packed.deliver(prime);         // block path: stepBlock's region
+    sim::replay(packed, span); // fused no-alloc region
     const auto r = prime.finish();
     EXPECT_GT(r.instrs, 0u);
     EXPECT_EQ(detail::AllocGuard::totalViolations(), before)

@@ -1,14 +1,15 @@
 /**
  * @file
  * Fused replay engine equivalence (sim::replay, sim/core_model.cc):
- * the fused decode->step path must produce SimResults byte-identical
- * to block (onBlock) and per-instruction (onInstr) Sink delivery, for
- * in-order and out-of-order configurations, any warm-up pass count,
- * config groups of 1..4, and streams with mid-trace id restarts (the
- * concatenated traces the perf smoke replays). Configurations of
- * equal cache geometry share one functional hierarchy under
- * simulateTraceMany and must still match private-hierarchy runs. Also
- * covers the corrupt-trace rejection path.
+ * every lane of a fused replay must produce the SimResult of its
+ * configuration replayed alone (simulateTrace on a private hierarchy),
+ * for in-order and out-of-order configurations, any warm-up pass
+ * count, config groups of 1..12, and streams with mid-trace id
+ * restarts (the concatenated traces the perf smoke replays).
+ * Configurations of equal cache geometry share one functional
+ * hierarchy under simulateTraceMany and must still match
+ * private-hierarchy runs. Pinned integers hold the step core itself
+ * where a comparison would only set fused replay against itself.
  */
 
 #include <memory>
@@ -124,33 +125,42 @@ runFused(const PackedTrace &packed,
     return out;
 }
 
-/** Same protocol through per-instruction virtual Sink delivery. */
+/** The reference: @p cfg replayed alone on a private hierarchy. */
 sim::SimResult
-runOnInstr(const std::vector<Instr> &instrs, const sim::CoreConfig &cfg,
-           int warmup)
+replayAlone(const PackedTrace &packed, const sim::CoreConfig &cfg,
+            int warmup)
 {
-    sim::CoreModel model(cfg);
-    trace::Sink *sink = &model;
-    for (int p = 0; p < warmup; ++p)
-        for (const auto &i : instrs)
-            sink->onInstr(i);
-    model.beginMeasurement();
-    for (const auto &i : instrs)
-        sink->onInstr(i);
-    return model.finish();
+    return sim::simulateTrace(packed, cfg, warmup);
 }
 
-/** Same protocol through block (deliver/onBlock) delivery. */
-sim::SimResult
-runOnBlock(const PackedTrace &packed, const sim::CoreConfig &cfg,
-           int warmup)
+using ByClass = decltype(sim::SimResult::byClass);
+
+/**
+ * The integers of one configuration's measured pass (the doubles
+ * derive from them), recorded from per-instruction delivery into the
+ * step core before fused replay became the only path to it.
+ */
+struct Pin
 {
-    sim::CoreModel model(cfg);
-    for (int p = 0; p < warmup; ++p)
-        packed.deliver(model);
-    model.beginMeasurement();
-    packed.deliver(model);
-    return model.finish();
+    const char *config;
+    int warmup;
+    uint64_t cycles, instrs, l1, l2, llc, dramReads, dramWrites;
+};
+
+void
+expectPinned(const sim::SimResult &r, const Pin &p, const ByClass &byClass)
+{
+    SCOPED_TRACE(testing::Message()
+                 << p.config << " after " << p.warmup << " warm-up passes");
+    EXPECT_EQ(r.config, p.config);
+    EXPECT_EQ(r.cycles, p.cycles);
+    EXPECT_EQ(r.instrs, p.instrs);
+    EXPECT_EQ(r.l1Accesses, p.l1);
+    EXPECT_EQ(r.l2Accesses, p.l2);
+    EXPECT_EQ(r.llcAccesses, p.llc);
+    EXPECT_EQ(r.dramReads, p.dramReads);
+    EXPECT_EQ(r.dramWrites, p.dramWrites);
+    EXPECT_EQ(r.byClass, byClass);
 }
 
 std::vector<sim::CoreConfig>
@@ -162,30 +172,30 @@ fourCores()
 
 } // namespace
 
-TEST(FusedReplay, MatchesOnBlockAndOnInstrForInOrderAndOoO)
-{
-    const auto instrs = randomTrace(4000, 101);
-    const auto packed = PackedTrace::pack(instrs);
-    // Prime is out of order, silver in order: both step-function
-    // table entries are exercised.
-    for (const auto &cfg : {sim::primeConfig(), sim::silverConfig()}) {
-        const auto fused = runFused(packed, {cfg}, 1);
-        ASSERT_EQ(fused.size(), 1u);
-        expectSameResult(fused[0], runOnBlock(packed, cfg, 1));
-        expectSameResult(fused[0], runOnInstr(instrs, cfg, 1));
-    }
-}
-
 TEST(FusedReplay, MatchesAcrossWarmupPasses)
 {
-    const auto instrs = randomTrace(2500, 103);
-    const auto packed = PackedTrace::pack(instrs);
-    for (int warmup : {0, 1, 2, 3}) {
-        for (const auto &cfg :
-             {sim::primeConfig(), sim::silverConfig()}) {
-            const auto fused = runFused(packed, {cfg}, warmup);
-            expectSameResult(fused[0], runOnInstr(instrs, cfg, warmup));
-        }
+    // Prime is out of order, silver in order: both step-function
+    // table entries are exercised, from cold caches (0) to warm ones.
+    static const Pin kPins[] = {
+        {"prime", 0, 24406, 2500, 2082, 2014, 1712, 1712, 0},
+        {"silver", 0, 45971, 2500, 2082, 2230, 1763, 1712, 0},
+        {"prime", 1, 5849, 2500, 1994, 2202, 5, 5, 0},
+        {"silver", 1, 9920, 2500, 2082, 2465, 872, 0, 0},
+        {"prime", 2, 6060, 2500, 1991, 2193, 1, 1, 0},
+        {"silver", 2, 9876, 2500, 2082, 2465, 872, 0, 0},
+        {"prime", 3, 6060, 2500, 1991, 2194, 0, 0, 0},
+        {"silver", 3, 9868, 2500, 2082, 2465, 872, 0, 0},
+    };
+    const ByClass byClass = {236, 232, 216, 232, 257, 204,
+                             227, 224, 245, 207, 220};
+    const auto packed = PackedTrace::pack(randomTrace(2500, 103));
+    for (const Pin &p : kPins) {
+        const auto cfg = std::string(p.config) == "prime"
+                             ? sim::primeConfig()
+                             : sim::silverConfig();
+        const auto fused = runFused(packed, {cfg}, p.warmup);
+        expectPinned(fused[0], p, byClass);
+        expectSameResult(fused[0], replayAlone(packed, cfg, p.warmup));
     }
 }
 
@@ -206,8 +216,7 @@ TEST(FusedReplay, ConfigGroupsOneToFour)
             // group result is the single-config result, bit for bit —
             // whichever entry point ran it.
             expectSameResult(fused[i], many[i]);
-            expectSameResult(fused[i], runOnBlock(packed, cfgs[i], 1));
-            expectSameResult(fused[i], runOnInstr(instrs, cfgs[i], 1));
+            expectSameResult(fused[i], replayAlone(packed, cfgs[i], 1));
         }
     }
 }
@@ -223,10 +232,16 @@ TEST(FusedReplay, HandlesMidStreamIdRestarts)
     instrs.insert(instrs.end(), b.begin(), b.end());
     instrs.insert(instrs.end(), c.begin(), c.end());
     const auto packed = PackedTrace::pack(instrs);
-    for (const auto &cfg : {sim::primeConfig(), sim::silverConfig()}) {
-        const auto fused = runFused(packed, {cfg}, 1);
-        expectSameResult(fused[0], runOnInstr(instrs, cfg, 1));
-    }
+    static const Pin kPins[] = {
+        {"prime", 1, 6919, 3100, 2322, 2613, 16, 7, 0},
+        {"silver", 1, 12010, 3100, 2376, 2799, 1132, 0, 0},
+    };
+    const ByClass byClass = {301, 305, 285, 259, 290, 239,
+                             267, 269, 283, 290, 312};
+    const auto fused =
+        runFused(packed, {sim::primeConfig(), sim::silverConfig()}, 1);
+    expectPinned(fused[0], kPins[0], byClass);
+    expectPinned(fused[1], kPins[1], byClass);
 }
 
 TEST(FusedReplay, MatchesOnARealKernelTrace)
@@ -239,10 +254,8 @@ TEST(FusedReplay, MatchesOnARealKernelTrace)
     const auto packed = PackedTrace::pack(instrs);
     const auto fused =
         runFused(packed, {sim::primeConfig(), sim::silverConfig()}, 1);
-    expectSameResult(fused[0],
-                     runOnInstr(instrs, sim::primeConfig(), 1));
-    expectSameResult(fused[1],
-                     runOnInstr(instrs, sim::silverConfig(), 1));
+    expectSameResult(fused[0], replayAlone(packed, sim::primeConfig(), 1));
+    expectSameResult(fused[1], replayAlone(packed, sim::silverConfig(), 1));
 }
 
 TEST(FusedReplay, ConfigGroupsCrossTheLaneBlockBoundary)
@@ -261,7 +274,7 @@ TEST(FusedReplay, ConfigGroupsCrossTheLaneBlockBoundary)
 
     std::vector<sim::SimResult> singles;
     for (const auto &cfg : all)
-        singles.push_back(runOnInstr(instrs, cfg, 1));
+        singles.push_back(replayAlone(packed, cfg, 1));
 
     for (size_t n : {size_t(1), size_t(2), size_t(5), size_t(7),
                      size_t(8), size_t(9), size_t(12)}) {
@@ -294,7 +307,7 @@ TEST(FusedReplay, MidStreamRestartsAcrossLaneCounts)
                                                 all.begin() + long(n));
         const auto fused = runFused(packed, cfgs, 1);
         for (size_t i = 0; i < n; ++i)
-            expectSameResult(fused[i], runOnInstr(instrs, cfgs[i], 1));
+            expectSameResult(fused[i], replayAlone(packed, cfgs[i], 1));
     }
 }
 
@@ -516,8 +529,8 @@ TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
     // and the 512-bit prime) and gives the others their own (silver,
     // prime without L1 prefetch, prime with a 1 MiB LLC), interleaved
     // so a shared group is not a contiguous run of lanes. Each result
-    // must equal that configuration replayed alone through Sink
-    // delivery on a private hierarchy.
+    // must equal that configuration replayed alone on a private
+    // hierarchy.
     const auto instrs = randomTrace(30000, 233);
     size_t multi = 0, straddling = 0;
     for (const auto &i : instrs) {
@@ -538,15 +551,15 @@ TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
         sim::silverConfig(), sim::primeConfig(), noPrefetch,
         sim::goldConfig(),   smallLlc,           sim::scalabilityConfig(8, 8),
         sim::widerVectorConfig(512)};
-    const auto many =
-        sim::simulateTraceMany(PackedTrace::pack(instrs), cfgs, 1);
+    const auto packed = PackedTrace::pack(instrs);
+    const auto many = sim::simulateTraceMany(packed, cfgs, 1);
     ASSERT_EQ(many.size(), cfgs.size());
     for (size_t i = 0; i < cfgs.size(); ++i) {
         SCOPED_TRACE(cfgs[i].name);
         // DRAM-heavy, dirty evictions included.
         EXPECT_GT(many[i].dramReads, 500u);
         EXPECT_GT(many[i].dramWrites, 100u);
-        expectSameResult(many[i], runOnInstr(instrs, cfgs[i], 1));
+        expectSameResult(many[i], replayAlone(packed, cfgs[i], 1));
     }
 }
 
@@ -556,7 +569,8 @@ TEST(FusedReplay, BatchesThatOutgrowTheOutcomeTableStillMatch)
     // accesses each, so a full decode batch is walked and stepped in
     // prefixes; a 1 MiB load (16,384 lines) and a scatter of 4 KiB
     // elements each need more room than the table starts with, so it
-    // grows mid-traversal. Every path must still match Sink delivery.
+    // grows mid-traversal. Private and shared hierarchies must both
+    // reproduce the pinned integers.
     std::vector<Instr> instrs;
     std::mt19937_64 rng(241);
     uint64_t addr = 0x7f0000100000ull;
@@ -598,14 +612,18 @@ TEST(FusedReplay, BatchesThatOutgrowTheOutcomeTableStillMatch)
     const std::vector<sim::CoreConfig> cfgs = {sim::primeConfig(),
                                                sim::silverConfig(),
                                                sim::goldConfig()};
+    static const Pin kPins[] = {
+        {"prime", 1, 3142094, 1200, 488009, 305649, 283277, 119302, 93804},
+        {"silver", 1, 4393696, 1200, 551613, 509468, 283466, 120005,
+         94444},
+        {"gold", 1, 2757891, 1200, 488009, 305649, 283277, 119302, 93804},
+    };
+    const ByClass byClass = {0, 0, 0, 0, 0, 889, 311, 0, 0, 0, 0};
     const auto fused = runFused(packed, cfgs, 1);
     const auto shared = sim::simulateTraceMany(packed, cfgs, 1);
     for (size_t i = 0; i < cfgs.size(); ++i) {
-        SCOPED_TRACE(cfgs[i].name);
-        const auto ref = runOnInstr(instrs, cfgs[i], 1);
-        expectSameResult(fused[i], ref);
-        expectSameResult(shared[i], ref);
-        EXPECT_GT(ref.l1Accesses, 1200u * 255u / 2);
+        expectPinned(fused[i], kPins[i], byClass);
+        expectSameResult(shared[i], fused[i]);
     }
 }
 
@@ -647,9 +665,9 @@ TEST(FusedReplay, PayloadFlushesOnlyTheModelItTargets)
     const auto flushed = models[0]->finish();
     const auto clean = models[1]->finish();
 
-    expectSameResult(clean, runOnInstr(instrs, cfgs[1], 1));
+    expectSameResult(clean, replayAlone(packed, cfgs[1], 1));
     EXPECT_GT(flushed.l1Mpki,
-              runOnInstr(instrs, cfgs[0], 1).l1Mpki); // re-missed
+              replayAlone(packed, cfgs[0], 1).l1Mpki); // re-missed
 }
 
 TEST(FusedReplay, IssueWindowNeverDoubleBooksAUnit)
@@ -694,6 +712,5 @@ TEST(FusedReplay, IssueWindowNeverDoubleBooksAUnit)
     const auto packed = PackedTrace::pack(instrs);
     const auto fused = runFused(packed, {cfg}, 0);
     EXPECT_GE(fused[0].cycles, kIndependent + 2);
-    expectSameResult(fused[0], runOnBlock(packed, cfg, 0));
-    expectSameResult(fused[0], runOnInstr(instrs, cfg, 0));
+    expectSameResult(fused[0], replayAlone(packed, cfg, 0));
 }

@@ -751,24 +751,3 @@ TEST(PackedReplay, AoSManyOverloadMatchesToo)
     for (size_t i = 0; i < cfgs.size(); ++i)
         expectSameResult(sim::simulateTrace(instrs, cfgs[i], 1), many[i]);
 }
-
-TEST(PackedReplay, OnBlockEqualsPerInstrSinkDelivery)
-{
-    const auto instrs = randomTrace(3000, 29);
-    const auto cfg = sim::primeConfig();
-
-    sim::CoreModel viaSink(cfg);
-    trace::Sink *sink = &viaSink;
-    for (const auto &i : instrs)
-        sink->onInstr(i);
-    viaSink.beginMeasurement();
-    for (const auto &i : instrs)
-        sink->onInstr(i);
-
-    sim::CoreModel viaBlocks(cfg);
-    viaBlocks.onBlock(instrs.data(), instrs.size());
-    viaBlocks.beginMeasurement();
-    viaBlocks.onBlock(instrs.data(), instrs.size());
-
-    expectSameResult(viaSink.finish(), viaBlocks.finish());
-}

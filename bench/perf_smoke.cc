@@ -35,7 +35,9 @@
  * memory footprint shows, which the cache-resident corpora hide.
  *
  * The ratios are measured inside one process, so they travel between
- * hosts better than absolute throughput does. The gates are
+ * hosts better than absolute throughput does. Every host runs the
+ * same decode and issue-slot code, so a shift between two runs' files
+ * comes from the code or the host's speed. The gates are
  * report-only by default (CI machines are noisy); an optimized build
  * run with SWAN_PERF_ENFORCE=1 — which bench/run_all.sh sets — turns
  * them into hard failures. A fused result that differs from the
@@ -49,7 +51,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "swan/internal/simd_dispatch.hh"
 #include "swan/trace.hh"
 
 using namespace swan;
@@ -325,9 +326,6 @@ main(int argc, char **argv)
 #else
     const bool gateEnforced = false;
 #endif
-    // Which decode/step kernels the runtime dispatch actually ran, so
-    // a published BENCH json is attributable to an ISA level.
-    const auto &simd = swan::detail::simdDispatch();
     {
         std::ofstream os(simJsonPath, std::ios::trunc);
         os << "{\n"
@@ -363,9 +361,6 @@ main(int argc, char **argv)
            << ",\n"
            << "  \"gate_enforced\": " << (gateEnforced ? "true" : "false")
            << ",\n"
-           << "  \"simd_isa\": \"" << simd.isa << "\",\n"
-           << "  \"decode_kernel\": \"" << simd.decodeKernel << "\",\n"
-           << "  \"step_kernel\": \"" << simd.stepKernel << "\",\n"
            << "  \"byte_identical\": true\n"
            << "}\n";
         if (!os) {

@@ -56,9 +56,7 @@ echo "== tab06_strided =="
 # on the capture mix at N=3 and N=4 (half a lane block) and by >= 1.2x
 # on the saturation corpus at N=3 (medians of interleaved trials).
 # Enforced here on optimized builds; CI runs the smoke report-only by
-# presetting SWAN_PERF_ENFORCE=0 — noisy shared runners. The emitted
-# JSON records the dispatched decode/step kernels so a gate failure
-# can be attributed to the code or to running on non-AVX2 hardware.
+# presetting SWAN_PERF_ENFORCE=0 — noisy shared runners.
 echo "== perf_smoke (BENCH_trace_replay.json, BENCH_sim_replay.json) =="
 SWAN_PERF_ENFORCE="${SWAN_PERF_ENFORCE:-1}" "$BUILD_DIR/perf_smoke" \
     "$BUILD_DIR/BENCH_trace_replay.json" "$BUILD_DIR/BENCH_sim_replay.json"

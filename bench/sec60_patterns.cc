@@ -25,14 +25,15 @@ main()
         int kernels = 0;
         std::vector<double> share;
     };
-    Row rows[] = {{"Reduction (6.1)", Pattern::Reduction},
+    Row rows[] = {{"Reduction (6.1)", Pattern::Reduction, 0, {}},
                   {"Random memory access / LUT (6.2)",
-                   Pattern::RandomAccess},
-                  {"Strided memory access (6.3)", Pattern::StridedAccess},
-                  {"Matrix transposition (6.4)", Pattern::Transpose},
-                  {"Portable vector APIs (6.5)", Pattern::VectorApi},
+                   Pattern::RandomAccess, 0, {}},
+                  {"Strided memory access (6.3)", Pattern::StridedAccess,
+                   0, {}},
+                  {"Matrix transposition (6.4)", Pattern::Transpose, 0, {}},
+                  {"Portable vector APIs (6.5)", Pattern::VectorApi, 0, {}},
                   {"Loop distribution rewrite (6.1)",
-                   Pattern::LoopDistribution}};
+                   Pattern::LoopDistribution, 0, {}}};
 
     for (const auto *spec : bench::headlineKernels()) {
         auto w = spec->make(runner.options());

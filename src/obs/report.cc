@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "swan/internal/simd_dispatch.hh"
-
 namespace swan::obs
 {
 
@@ -78,17 +76,10 @@ void
 writeReportJson(std::ostream &os, const RunReport &rep)
 {
     os << "{\n";
-    os << "  \"swan_obs_version\": 1,\n";
+    os << "  \"swan_obs_version\": 2,\n";
     os << "  \"meta\": {\"points\": " << rep.meta.points
        << ", \"units\": " << rep.meta.units
        << ", \"jobs\": " << rep.meta.jobs << "},\n";
-    // The replay engine's runtime ISA dispatch: which decode/step
-    // kernels this run actually executed (matches `swan version`).
-    const detail::SimdDispatch &simd = detail::simdDispatch();
-    os << "  \"simd\": {\"isa\": \"" << simd.isa << "\", \"decode\": \""
-       << simd.decodeKernel << "\", \"step\": \"" << simd.stepKernel
-       << "\", \"forced\": " << (simd.forced ? "true" : "false")
-       << "},\n";
     os << "  \"wall_ns\": " << rep.wallNs << ",\n";
     os << "  \"dropped_spans\": " << rep.droppedSpans << ",\n";
     char rate[64];

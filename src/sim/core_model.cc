@@ -2,7 +2,6 @@
 
 #include "obs/telemetry.hh"
 #include "sim/power.hh"
-#include "swan/internal/simd_dispatch.hh"
 
 #include <algorithm>
 #include <bit>
@@ -11,10 +10,6 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
-
-#if defined(__x86_64__) && !defined(SWAN_SIMD_OFF)
-#include <immintrin.h>
-#endif
 
 namespace swan::sim
 {
@@ -86,87 +81,6 @@ checkedConfig(const CoreConfig &cfg)
     return cfg;
 }
 
-#if defined(__x86_64__) && !defined(SWAN_SIMD_OFF)
-
-/** Whether the runtime dispatch selected the AVX2 issue-slot scan. */
-inline bool
-slotScanAvx2()
-{
-    static const bool on = swan::detail::simdDispatch().level ==
-                           swan::detail::SimdLevel::Avx2;
-    return on;
-}
-
-/**
- * AVX2 single-occupancy issue-slot scan: find the first cycle >= @p c
- * whose stamped slot is free. Four 16-byte slots ({uint64 cycle,
- * uint8 used, pad}; @p ring is the raw ring bytes, @p slot_mask its
- * index mask) load as two 256-bit vectors per step; unpacking splits
- * them into a cycle vector and a used vector in the permuted lane
- * order {0,2,1,3}, a stale stamp (cycle != expected) reads as used=0
- * exactly like the scalar probe, and a 16-entry table maps the free
- * mask back to the first free offset in true cycle order — so the
- * returned cycle is bit-identical to the scalar scan, four cycles per
- * compare instead of one. Windows straddling the ring seam step
- * scalar. Compiled with a target attribute: callers must check
- * slotScanAvx2() first.
- */
-__attribute__((target("avx2"))) uint64_t
-scanSlots4(const unsigned char *ring, uint64_t c, uint64_t slot_mask,
-           uint8_t limit)
-{
-    // First free offset, in cycle order, for each free mask whose bits
-    // are in lane order {c+0, c+2, c+1, c+3}; 4 = whole window full.
-    static const uint8_t kFirst[16] = {4, 0, 2, 0, 1, 0, 1, 0,
-                                       3, 0, 2, 0, 1, 0, 1, 0};
-    const __m256i vlimit = _mm256_set1_epi64x(int64_t(limit));
-    const __m256i vbyte = _mm256_set1_epi64x(0xff);
-    const __m256i vperm = _mm256_setr_epi64x(0, 2, 1, 3);
-    const __m256i vones = _mm256_set1_epi64x(-1);
-    while (true) {
-        const uint64_t idx = c & slot_mask;
-        if (__builtin_expect(idx + 4 > slot_mask + 1, 0)) {
-            // The 4-slot window straddles the ring seam: probe the
-            // seam scalar, exactly like the portable loop.
-            for (uint64_t k = 0; k < 4; ++k) {
-                const unsigned char *s =
-                    ring + ((c + k) & slot_mask) * 16;
-                uint64_t cyc;
-                std::memcpy(&cyc, s, 8);
-                const uint8_t used = cyc == c + k ? s[8] : 0;
-                if (used < limit)
-                    return c + k;
-            }
-            c += 4;
-            continue;
-        }
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(ring + idx * 16));
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(ring + idx * 16 + 32));
-        // Per 128-bit half, unpack interleaves a/b: cycles and used
-        // land in lane order {0, 2, 1, 3}.
-        const __m256i cycles = _mm256_unpacklo_epi64(a, b);
-        const __m256i used =
-            _mm256_and_si256(_mm256_unpackhi_epi64(a, b), vbyte);
-        const __m256i expect =
-            _mm256_add_epi64(_mm256_set1_epi64x(int64_t(c)), vperm);
-        const __m256i stamped = _mm256_cmpeq_epi64(cycles, expect);
-        const __m256i below = _mm256_cmpgt_epi64(vlimit, used);
-        // free = stale stamp (reads as used=0 < limit) or used < limit.
-        const __m256i free_ = _mm256_or_si256(
-            below, _mm256_xor_si256(stamped, vones));
-        const int m =
-            _mm256_movemask_pd(_mm256_castsi256_pd(free_));
-        const uint64_t off = kFirst[m];
-        if (off < 4)
-            return c + off;
-        c += 4;
-    }
-}
-
-#endif // __x86_64__ && !SWAN_SIMD_OFF
-
 } // namespace
 
 CoreModel::CoreModel(const CoreConfig &cfg)
@@ -232,30 +146,11 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
     // backlog (up to a ROB's worth of cycles) per instruction.
     uint64_t c = std::max(ready, frontier);
     if (occupancy == 1) {
-        // Scalar probe of the start cycle first: an unsaturated pool
-        // answers here, and the vectorized scan below only earns its
-        // setup once at least one full cycle must be skipped.
-        const auto &first = ring[c & mask];
-        if ((first.cycle == c ? first.used : 0) >= limit) {
-#if defined(__x86_64__) && !defined(SWAN_SIMD_OFF)
-            static_assert(sizeof(IssueSlot) == 16,
-                          "scanSlots4 hardcodes the slot stride");
-            if (slotScanAvx2()) {
-                c = scanSlots4(
-                    reinterpret_cast<const unsigned char *>(ring), c + 1,
-                    mask, limit);
-            } else
-#endif
-            {
-                ++c;
-                while (true) {
-                    const auto &slot = ring[c & mask];
-                    const uint8_t used = slot.cycle == c ? slot.used : 0;
-                    if (used < limit)
-                        break;
-                    ++c;
-                }
-            }
+        while (true) {
+            const auto &slot = ring[c & mask];
+            if ((slot.cycle == c ? slot.used : 0) < limit)
+                break;
+            ++c;
         }
         // The scan proved [start, c) full; when it started at the
         // frontier, everything below c is now known full.
@@ -880,9 +775,9 @@ replayWith(const trace::PackedTrace &trace,
     // issue-window growth (CoreModel::findIssueSlot).
     SWAN_NOALLOC_BEGIN("sim::replay");
     constexpr size_t kBatch = 4 * trace::PackedTrace::kBlockInstrs;
-    // Decode sub-batch: the batch kernels (Cursor::nextBatch) fill an
-    // L1-resident Decoded span which the merge loop folds with the
-    // prototype table into StepIn operands.
+    // Decode sub-batch: Cursor::nextBatch fills an L1-resident
+    // Decoded span which the merge loop folds with the prototype
+    // table into StepIn operands.
     constexpr size_t kDecodeChunk = 128;
     CoreModel::StepIn batch[kBatch];
     trace::PackedTrace::Decoded dbuf[kDecodeChunk];
@@ -905,10 +800,10 @@ replayWith(const trace::PackedTrace &trace,
         uint64_t prevId = 0;
         bool mono = true;
         while (nb < cap) {
-            // Batch decode straight into the Decoded span — the
-            // runtime-dispatched kernel amortizes bounds checks and
-            // keeps the decode recurrence in registers across the
-            // whole chunk (trace/packed_batch.cc).
+            // Batch decode straight into the Decoded span: the SWAR
+            // decoder amortizes bounds checks and keeps the decode
+            // recurrence in registers across the whole chunk
+            // (trace/packed_batch.cc).
             const size_t got = cur.nextBatch(
                 dbuf, std::min(cap - nb, kDecodeChunk));
             if (got == 0)

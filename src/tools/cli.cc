@@ -13,7 +13,6 @@
 // command goes through the same include/swan/ surface an out-of-tree
 // embedding would use (the sweep forms through Session/Experiment).
 #include "swan/faults.hh"
-#include "swan/internal/simd_dispatch.hh"
 #include "swan/swan.hh"
 
 namespace swan::tools
@@ -779,14 +778,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     }
     if (p->command == "version" || p->command == "--version" ||
         p->command == "-V") {
-        // The replay engine's runtime ISA dispatch, so "which kernels
-        // will this host actually run" is one command away (the same
-        // strings land in every run report — obs/report.cc).
-        const auto &d = detail::simdDispatch();
-        out << "swan " << versionString() << "\n"
-            << "simd: isa=" << d.isa << " decode=" << d.decodeKernel
-            << " step=" << d.stepKernel
-            << (d.forced ? " (forced via SWAN_SIMD)" : "") << "\n";
+        out << "swan " << versionString() << "\n";
         return 0;
     }
     if (p->command == "list")

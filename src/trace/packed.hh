@@ -54,10 +54,10 @@ namespace swan::trace
 {
 
 /**
- * Decode primitives shared by the block decoder (packed.cc) and the
- * inline single-record Cursor path that the fused replay engine
- * (sim/core_model.cc) compiles into its step loop. Header-inline so
- * both consumers see one definition of the stream format.
+ * Decode primitives shared by the inline single-record
+ * Cursor::next(Decoded&) and the batch decoder that the fused replay
+ * engine runs (packed_batch.cc). Header-inline so both see one
+ * definition of the stream format.
  */
 namespace packed_detail
 {
@@ -293,21 +293,6 @@ class PackedTrace
     // growing it grows every replay's staging footprint.
     static_assert(sizeof(Decoded) == 56, "Decoded grew");
 
-    /**
-     * Which batch-decode kernel family Cursor::nextBatch runs. Every
-     * implementation is bit-identical in output and cursor state
-     * transitions (including ok() checked-decode semantics); the
-     * choice is pure throughput. Auto defers to the process-wide
-     * runtime ISA dispatch (swan/internal/simd_dispatch.hh).
-     */
-    enum class DecodeImpl : uint8_t
-    {
-        Auto,   //!< runtime-dispatched best available
-        Scalar, //!< guaranteed fallback: a loop over next(Decoded&)
-        Swar,   //!< portable 64-bit SWAR batch kernel
-        Native, //!< AVX2+BMI2 / NEON; degrades to Swar if unavailable
-    };
-
     /** Incremental block decoder (checked: see ok()). */
     class Cursor
     {
@@ -323,29 +308,24 @@ class PackedTrace
 
         /**
          * Decode exactly one record into registers (no Instr
-         * materialization) — the scalar endpoint every batch kernel
-         * falls back to.
+         * materialization) — the checked reference nextBatch() is
+         * tested against.
          * @return false at end of trace, or when the stream is
          * malformed (check ok() to tell the two apart).
          */
         bool next(Decoded &out);
 
         /**
-         * Decode up to @p max records into @p out with the
-         * runtime-dispatched batch kernel — the fused replay engine's
-         * entry point. Cursor state (position, delta bases, ok())
-         * advances exactly as @p max calls of next(Decoded&) would;
-         * the batch kernels only amortize bounds checks and keep the
+         * Decode up to @p max records into @p out with the portable
+         * SWAR batch decoder (packed_batch.cc) — the fused replay
+         * engine's entry point. Cursor state (position, delta bases,
+         * ok()) advances exactly as @p max calls of next(Decoded&)
+         * would; the batch only amortizes bounds checks and keeps the
          * decode recurrence in registers across the whole batch.
          * @return the number decoded; 0 at end of trace or on a
          * malformed stream (check ok() to tell the two apart).
          */
         size_t nextBatch(Decoded *out, size_t max);
-
-        /** nextBatch() forcing a specific kernel family (tests and
-         *  benches; Native degrades to Swar when the hardware lacks
-         *  it). */
-        size_t nextBatch(Decoded *out, size_t max, DecodeImpl impl);
 
         /** Rewind to the first instruction. */
         void reset();
@@ -362,22 +342,6 @@ class PackedTrace
         bool ok() const;
 
       private:
-        /** Shared body of the SWAR and pext batch kernels: the Fold
-         *  policy abstracts multi-byte varint bit extraction (fold7
-         *  vs BMI2 pext). Defined in trace/packed_batch_impl.hh and
-         *  instantiated per kernel translation unit (the AVX2 one is
-         *  compiled with its own ISA flags). */
-        template <class Fold> size_t nextBatchImpl(Decoded *out, size_t max);
-        /** The guaranteed-available fallback: a next(Decoded&) loop. */
-        size_t nextBatchScalar(Decoded *out, size_t max);
-        /** Portable 64-bit SWAR batch kernel (packed_batch.cc). */
-        size_t nextBatchSwar(Decoded *out, size_t max);
-        /** Best native kernel this build carries: AVX2+BMI2 pext on
-         *  x86-64 (packed_batch_avx2.cc), NEON on AArch64, else an
-         *  alias of the SWAR kernel. Call only via nextBatch — the
-         *  x86 variant requires runtime AVX2/BMI2 support. */
-        size_t nextBatchNative(Decoded *out, size_t max);
-
         const PackedTrace *trace_ = nullptr;
         const uint8_t *p_ = nullptr;        //!< main stream position
         const uint8_t *end_ = nullptr;
@@ -542,9 +506,9 @@ PackedTrace::Cursor::ok() const
 }
 
 /**
- * Single-record decode, inline so the fused replay loop pays no call
- * (and no Instr staging store) per instruction. The structure mirrors
- * the block decoder's three tiers: a branch-free extraction when the
+ * Single-record decode, inline so the Instr block decoder
+ * (packed.cc) pays no call per instruction. nextBatch() runs the same
+ * three tiers over a whole batch: a branch-free extraction when the
  * next 8 bytes are all single-byte varints (the overwhelmingly common
  * case — a record is typically 2-4 bytes), an unchecked word-at-a-time
  * read when a maximal record cannot overrun the stream, and a fully

@@ -1,206 +1,180 @@
 /**
  * @file
- * Batch varint-decode kernels: the guaranteed scalar fallback, the
- * portable 64-bit SWAR kernel, the runtime-dispatched entry points,
- * and (on AArch64) the NEON window-probe kernel. The AVX2+BMI2
- * kernel lives in packed_batch_avx2.cc, which is compiled with its
- * own ISA flags. Every kernel is bit-identical to a next(Decoded&)
- * loop in decoded output, count, cursor advance and ok() semantics —
- * see trace/packed_batch_impl.hh.
+ * Batch varint decode: Cursor::nextBatch, the fused replay engine's
+ * decode kernel. It is portable 64-bit SWAR: all-single-byte records
+ * decode with flag-indexed shifts out of one 8-byte load, and
+ * multi-byte varints fold their 7-bit groups with packed_detail::rdFast.
+ *
+ * The body is a transplant of the inline Cursor::next(Decoded&) with
+ * the decode recurrence — stream position, previous id, previous
+ * address, records left — hoisted into locals for the whole batch:
+ * the per-record member loads/stores and the end-of-batch overrun
+ * checks amortize across up to `max` records. Everything observable
+ * is bit-identical to a next(Decoded&) loop: the same Decoded
+ * sequence, the same count, the same ok() verdict on truncated
+ * records, descriptor range violations, exhausted multi streams and
+ * trailing bytes. tests/test_trace_packed.cc checks it against
+ * next(Decoded&) on intact, truncated and fuzzed streams.
  */
 
-#include "trace/packed_batch_impl.hh"
-
-#include <algorithm>
-
-#include "swan/internal/simd_dispatch.hh"
-
-#if defined(__aarch64__) && !defined(SWAN_SIMD_OFF)
-#include <arm_neon.h>
-#endif
+#include "trace/packed.hh"
 
 namespace swan::trace
 {
 
-namespace
-{
-
-/**
- * Whether nextBatchNative is safe to call on this machine. Build-gate
- * aware but independent of the SWAN_SIMD env override: the explicit
- * DecodeImpl::Native request (tests, A/B benches) must exercise the
- * native kernel even when the process-wide dispatch was forced down.
- */
-bool
-nativeAvailable()
-{
-#if defined(SWAN_SIMD_OFF)
-    return false;
-#elif defined(__aarch64__)
-    return true;
-#elif defined(__x86_64__) && defined(__GNUC__)
-    static const bool ok = __builtin_cpu_supports("avx2") &&
-                           __builtin_cpu_supports("bmi2");
-    return ok;
-#else
-    return false;
-#endif
-}
-
-} // namespace
-
 size_t
-PackedTrace::Cursor::nextBatchScalar(Decoded *out, size_t max)
-{
-    size_t n = 0;
-    while (n < max && next(out[n]))
-        ++n;
-    return n;
-}
-
-size_t
-PackedTrace::Cursor::nextBatchSwar(Decoded *out, size_t max)
-{
-    return nextBatchImpl<packed_detail::SwarFold>(out, max);
-}
-
-#if defined(__aarch64__) && !defined(SWAN_SIMD_OFF)
-
-/**
- * NEON kernel: a 16-byte vector probe settles "no continuation bits
- * anywhere in this window" in two instructions, after which records
- * decode on the all-singles path with the per-record MSB scan already
- * answered. Windows with multi-byte varints (or multi-address
- * records) drain through the SWAR body in sub-batches.
- */
-size_t
-PackedTrace::Cursor::nextBatchNative(Decoded *out, size_t max)
+PackedTrace::Cursor::nextBatch(Decoded *out, size_t max)
 {
     using namespace packed_detail;
     if (!trace_ || left_ == 0)
         return 0;
+    // The decode recurrence lives in registers for the whole batch;
+    // members are written back once on every exit path.
+    const uint8_t *p = p_;
+    const uint8_t *const end = end_;
+    const uint8_t *mp = mp_;
+    const uint8_t *const mend = mend_;
     const uint32_t descCount = trace_->descCount_;
+    uint64_t prevId = prevId_;
+    uint64_t prevAddr = prevAddr_;
+    uint64_t left = left_;
+    bool bad = false;
     size_t n = 0;
-    while (n < max && left_) {
-        bool plain = true;
-        while (plain && n < max && left_ && end_ - p_ >= 16) {
-            const uint8x16_t win = vld1q_u8(p_);
-            if (vmaxvq_u8(vandq_u8(win, vdupq_n_u8(0x80))) != 0)
-                break;
-            // Clean window: every varint up to p_+16 is one byte.
-            // Decode while a full 8-byte view stays inside the span.
-            const uint8_t *const winEnd = p_ + 16;
-            while (n < max && left_ && winEnd - p_ >= 8) {
-                uint64_t w;
-                std::memcpy(&w, p_, 8);
-                const uint64_t tag = w & 0xff;
-                if (tag & kHasMulti) {
-                    plain = false;
-                    break;
+    while (n < max && left) {
+        uint64_t tag, id, dep0 = 0, dep1 = 0, dep2 = 0, addr = 0,
+                          addr2 = 0;
+        if (__builtin_expect(end - p >= 8, 1)) {
+            uint64_t w;
+            std::memcpy(&w, p, 8);
+            if (__builtin_expect(!(w & 0x8080808080808080ull), 1)) {
+                tag = w & 0xff;
+                if (__builtin_expect(!(tag & kHasMulti), 1)) {
+                    // All-single-byte record: flag-indexed shifts,
+                    // identical to the inline next(Decoded&) tier.
+                    const uint64_t fIdJ = (tag >> 2) & 1;
+                    const uint64_t fD0 = (tag >> 3) & 1;
+                    const uint64_t fD1 = (tag >> 4) & 1;
+                    const uint64_t fD2 = (tag >> 5) & 1;
+                    const uint64_t fA = tag & 1;
+                    const uint64_t pIdJ = 1;
+                    const uint64_t pD0 = pIdJ + fIdJ;
+                    const uint64_t pD1 = pD0 + fD0;
+                    const uint64_t pD2 = pD1 + fD1;
+                    const uint64_t pA = pD2 + fD2;
+                    p += pA + fA;
+                    id = uint64_t(
+                        int64_t(prevId + 1) +
+                        (unzigzag((w >> (8 * pIdJ)) & 0xff) &
+                         -int64_t(fIdJ)));
+                    dep0 = uint64_t(int64_t(id) -
+                                    unzigzag((w >> (8 * pD0)) & 0xff)) &
+                           -uint64_t(fD0);
+                    dep1 = uint64_t(int64_t(id) -
+                                    unzigzag((w >> (8 * pD1)) & 0xff)) &
+                           -uint64_t(fD1);
+                    dep2 = uint64_t(int64_t(id) -
+                                    unzigzag((w >> (8 * pD2)) & 0xff)) &
+                           -uint64_t(fD2);
+                    prevAddr += uint64_t(unzigzag((w >> (8 * pA)) & 0xff) &
+                                         -int64_t(fA));
+                    addr = prevAddr & -uint64_t(fA);
+                    prevId = id;
+                    const uint64_t idx = tag >> kTagFlagBits;
+                    if (__builtin_expect(idx >= descCount, 0)) {
+                        bad = true;
+                        break;
+                    }
+                    --left;
+                    Decoded &o = out[n++];
+                    o.id = id;
+                    o.dep0 = dep0;
+                    o.dep1 = dep1;
+                    o.dep2 = dep2;
+                    o.addr = addr;
+                    o.addr2 = 0;
+                    o.desc = uint32_t(idx);
+                    continue;
                 }
-                const uint64_t fIdJ = (tag >> 2) & 1;
-                const uint64_t fD0 = (tag >> 3) & 1;
-                const uint64_t fD1 = (tag >> 4) & 1;
-                const uint64_t fD2 = (tag >> 5) & 1;
-                const uint64_t fA = tag & 1;
-                const uint64_t pIdJ = 1;
-                const uint64_t pD0 = pIdJ + fIdJ;
-                const uint64_t pD1 = pD0 + fD0;
-                const uint64_t pD2 = pD1 + fD1;
-                const uint64_t pA = pD2 + fD2;
-                p_ += pA + fA;
-                const uint64_t id = uint64_t(
-                    int64_t(prevId_ + 1) +
-                    (unzigzag((w >> (8 * pIdJ)) & 0xff) & -int64_t(fIdJ)));
-                const uint64_t dep0 =
-                    uint64_t(int64_t(id) -
-                             unzigzag((w >> (8 * pD0)) & 0xff)) &
-                    -uint64_t(fD0);
-                const uint64_t dep1 =
-                    uint64_t(int64_t(id) -
-                             unzigzag((w >> (8 * pD1)) & 0xff)) &
-                    -uint64_t(fD1);
-                const uint64_t dep2 =
-                    uint64_t(int64_t(id) -
-                             unzigzag((w >> (8 * pD2)) & 0xff)) &
-                    -uint64_t(fD2);
-                prevAddr_ += uint64_t(unzigzag((w >> (8 * pA)) & 0xff) &
-                                      -int64_t(fA));
-                prevId_ = id;
-                const uint64_t idx = tag >> kTagFlagBits;
-                if (__builtin_expect(idx >= descCount, 0)) {
-                    bad_ = true;
-                    left_ = 0;
-                    return n;
-                }
-                --left_;
-                Decoded &o = out[n++];
-                o.id = id;
-                o.dep0 = dep0;
-                o.dep1 = dep1;
-                o.dep2 = dep2;
-                o.addr = prevAddr_ & -uint64_t(fA);
-                o.addr2 = 0;
-                o.desc = uint32_t(idx);
             }
         }
-        if (n >= max || left_ == 0)
+        if (__builtin_expect(end - p >= kMaxRecordBytes, 1)) {
+            // A maximal record fits: unchecked word-at-a-time reads.
+            tag = rdFast(p);
+            id = prevId + 1;
+            if (tag & kHasIdJump)
+                id = uint64_t(int64_t(id) + unzigzag(rdFast(p)));
+            if (tag & kHasDep0)
+                dep0 = uint64_t(int64_t(id) - unzigzag(rdFast(p)));
+            if (tag & kHasDep1)
+                dep1 = uint64_t(int64_t(id) - unzigzag(rdFast(p)));
+            if (tag & kHasDep2)
+                dep2 = uint64_t(int64_t(id) - unzigzag(rdFast(p)));
+            if (tag & kHasAddr) {
+                prevAddr += uint64_t(unzigzag(rdFast(p)));
+                addr = prevAddr;
+            }
+        } else {
+            // Checked near-end tail: byte-wise, never reads past end.
+            bool tb = false;
+            tag = getVarint(p, end, &tb);
+            id = prevId + 1;
+            if (tag & kHasIdJump)
+                id = uint64_t(int64_t(id) +
+                              unzigzag(getVarint(p, end, &tb)));
+            if (tag & kHasDep0)
+                dep0 = uint64_t(int64_t(id) -
+                                unzigzag(getVarint(p, end, &tb)));
+            if (tag & kHasDep1)
+                dep1 = uint64_t(int64_t(id) -
+                                unzigzag(getVarint(p, end, &tb)));
+            if (tag & kHasDep2)
+                dep2 = uint64_t(int64_t(id) -
+                                unzigzag(getVarint(p, end, &tb)));
+            if (tag & kHasAddr) {
+                prevAddr += uint64_t(unzigzag(getVarint(p, end, &tb)));
+                addr = prevAddr;
+            }
+            if (tb) {
+                bad = true;
+                break;
+            }
+        }
+        if (tag & kHasMulti) {
+            bool tb = false;
+            const uint64_t multiTok = getVarint(mp, mend, &tb);
+            if (tb) {
+                bad = true;
+                break;
+            }
+            addr2 = uint64_t(int64_t(addr) + unzigzag(multiTok));
+        }
+        prevId = id;
+        const uint64_t idx = tag >> kTagFlagBits;
+        if (__builtin_expect(idx >= descCount, 0)) {
+            bad = true;
             break;
-        // Dirty window / multi record / near-end tail: drain a
-        // sub-batch through the SWAR body, then probe again.
-        const size_t got =
-            nextBatchImpl<SwarFold>(out + n, std::min<size_t>(max - n, 64));
-        if (got == 0)
-            break;
-        n += got;
+        }
+        --left;
+        Decoded &o = out[n++];
+        o.id = id;
+        o.dep0 = dep0;
+        o.dep1 = dep1;
+        o.dep2 = dep2;
+        o.addr = addr;
+        o.addr2 = addr2;
+        o.desc = uint32_t(idx);
+    }
+    p_ = p;
+    mp_ = mp;
+    prevId_ = prevId;
+    prevAddr_ = prevAddr;
+    if (bad) {
+        bad_ = true;
+        left_ = 0;
+    } else {
+        left_ = left;
     }
     return n;
-}
-
-#elif !defined(__x86_64__) || defined(SWAN_SIMD_OFF)
-
-// No native kernel for this build: alias the portable SWAR kernel so
-// an explicit DecodeImpl::Native request still decodes. (On x86-64
-// non-gated builds the AVX2+BMI2 definition in packed_batch_avx2.cc
-// provides this symbol instead.)
-size_t
-PackedTrace::Cursor::nextBatchNative(Decoded *out, size_t max)
-{
-    return nextBatchSwar(out, max);
-}
-
-#endif
-
-size_t
-PackedTrace::Cursor::nextBatch(Decoded *out, size_t max)
-{
-    switch (swan::detail::simdDispatch().level) {
-    case swan::detail::SimdLevel::Avx2:
-    case swan::detail::SimdLevel::Neon:
-        return nextBatchNative(out, max);
-    case swan::detail::SimdLevel::Swar:
-        return nextBatchSwar(out, max);
-    case swan::detail::SimdLevel::Scalar:
-    default:
-        return nextBatchScalar(out, max);
-    }
-}
-
-size_t
-PackedTrace::Cursor::nextBatch(Decoded *out, size_t max, DecodeImpl impl)
-{
-    switch (impl) {
-    case DecodeImpl::Scalar:
-        return nextBatchScalar(out, max);
-    case DecodeImpl::Swar:
-        return nextBatchSwar(out, max);
-    case DecodeImpl::Native:
-        return nativeAvailable() ? nextBatchNative(out, max)
-                                 : nextBatchSwar(out, max);
-    case DecodeImpl::Auto:
-    default:
-        return nextBatch(out, max);
-    }
 }
 
 } // namespace swan::trace

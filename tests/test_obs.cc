@@ -194,7 +194,9 @@ TEST(ObsReport, JsonAndChromeTraceSerialize)
     std::ostringstream js;
     obs::writeReportJson(js, report);
     const std::string j = js.str();
-    EXPECT_NE(j.find("\"swan_obs_version\""), std::string::npos);
+    EXPECT_NE(j.find("\"swan_obs_version\": 2,"), std::string::npos) << j;
+    // No host decode-kernel record: every host runs the same decoder.
+    EXPECT_EQ(j.find("\"simd\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"phase\": \"replay\""), std::string::npos);
     EXPECT_NE(j.find("\"misses\": 0"), std::string::npos)
         << "stable spacing: CI greps this";

@@ -202,7 +202,9 @@ TEST(SimdCrypto, CryptoInstructionsClassified)
     auto s = vdup<uint8_t, 128>(uint8_t(1));
     (void)vaese(s, s);
     (void)vaesmc(s);
-    for (const auto &i : rec.instrs())
-        if (i.cls != trace::InstrClass::VMisc)
+    for (const auto &i : rec.instrs()) {
+        if (i.cls != trace::InstrClass::VMisc) {
             EXPECT_EQ(i.cls, trace::InstrClass::VCrypto);
+        }
+    }
 }

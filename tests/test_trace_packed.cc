@@ -180,8 +180,9 @@ TEST(PackedTrace, CursorBlocksConcatenateToTheTrace)
     size_t n;
     while ((n = cur.next(block, PackedTrace::kBlockInstrs)) != 0) {
         // Full blocks except possibly the last.
-        if (seen.size() + n < instrs.size())
+        if (seen.size() + n < instrs.size()) {
             EXPECT_EQ(n, PackedTrace::kBlockInstrs);
+        }
         seen.insert(seen.end(), block, block + n);
     }
     expectSameTrace(instrs, seen);
@@ -541,35 +542,15 @@ TEST(PackedTraceChecked, FuzzedStreamBytesNeverCrashTheDecoder)
 namespace
 {
 
-constexpr PackedTrace::DecodeImpl kAllImpls[] = {
-    PackedTrace::DecodeImpl::Auto,
-    PackedTrace::DecodeImpl::Scalar,
-    PackedTrace::DecodeImpl::Swar,
-    PackedTrace::DecodeImpl::Native,
-};
-
-const char *
-implName(PackedTrace::DecodeImpl impl)
-{
-    switch (impl) {
-      case PackedTrace::DecodeImpl::Auto: return "auto";
-      case PackedTrace::DecodeImpl::Scalar: return "scalar";
-      case PackedTrace::DecodeImpl::Swar: return "swar";
-      case PackedTrace::DecodeImpl::Native: return "native";
-    }
-    return "?";
-}
-
-/** Drain @p t through nextBatch(impl) in @p batchSize chunks. */
+/** Drain @p t through nextBatch() in @p batchSize chunks. */
 std::vector<PackedTrace::Decoded>
-decodeAll(const PackedTrace &t, PackedTrace::DecodeImpl impl,
-          size_t batchSize, bool *ok)
+decodeAll(const PackedTrace &t, size_t batchSize, bool *ok)
 {
     PackedTrace::Cursor cur(t);
     std::vector<PackedTrace::Decoded> out;
     std::vector<PackedTrace::Decoded> buf(batchSize);
     size_t k;
-    while ((k = cur.nextBatch(buf.data(), batchSize, impl)) != 0)
+    while ((k = cur.nextBatch(buf.data(), batchSize)) != 0)
         out.insert(out.end(), buf.begin(), buf.begin() + k);
     *ok = cur.ok();
     return out;
@@ -578,23 +559,22 @@ decodeAll(const PackedTrace &t, PackedTrace::DecodeImpl impl,
 void
 expectSameDecoded(const std::vector<PackedTrace::Decoded> &ref,
                   const std::vector<PackedTrace::Decoded> &got,
-                  PackedTrace::DecodeImpl impl, size_t batchSize)
+                  size_t batchSize)
 {
-    ASSERT_EQ(ref.size(), got.size())
-        << implName(impl) << " bs=" << batchSize;
+    ASSERT_EQ(ref.size(), got.size()) << "bs=" << batchSize;
     for (size_t i = 0; i < ref.size(); ++i) {
         const auto &a = ref[i];
         const auto &b = got[i];
         ASSERT_TRUE(a.id == b.id && a.dep0 == b.dep0 && a.dep1 == b.dep1 &&
                     a.dep2 == b.dep2 && a.addr == b.addr &&
                     a.addr2 == b.addr2 && a.desc == b.desc)
-            << implName(impl) << " bs=" << batchSize << " record " << i;
+            << "bs=" << batchSize << " record " << i;
     }
 }
 
 } // namespace
 
-TEST(PackedTraceBatch, EveryImplMatchesTheCheckedCursor)
+TEST(PackedTraceBatch, MatchesTheCheckedCursor)
 {
     for (uint32_t seed : {1u, 42u, 77u}) {
         for (size_t n : {size_t(0), size_t(1), size_t(257), size_t(6000)}) {
@@ -611,20 +591,18 @@ TEST(PackedTraceBatch, EveryImplMatchesTheCheckedCursor)
                 ASSERT_EQ(ref.size(), n);
             }
 
-            for (const auto impl : kAllImpls)
-                for (size_t bs : {size_t(1), size_t(13), size_t(128),
-                                  size_t(100000)}) {
-                    bool ok = false;
-                    const auto got = decodeAll(packed, impl, bs, &ok);
-                    EXPECT_TRUE(ok)
-                        << implName(impl) << " bs=" << bs << " n=" << n;
-                    expectSameDecoded(ref, got, impl, bs);
-                }
+            for (size_t bs : {size_t(1), size_t(13), size_t(128),
+                              size_t(100000)}) {
+                bool ok = false;
+                const auto got = decodeAll(packed, bs, &ok);
+                EXPECT_TRUE(ok) << "bs=" << bs << " n=" << n;
+                expectSameDecoded(ref, got, bs);
+            }
         }
     }
 }
 
-TEST(PackedTraceBatch, EveryImplMatchesOnARealKernelTrace)
+TEST(PackedTraceBatch, MatchesOnARealKernelTrace)
 {
     const auto *spec = core::Registry::instance().find("ZL/adler32");
     ASSERT_NE(spec, nullptr);
@@ -640,21 +618,19 @@ TEST(PackedTraceBatch, EveryImplMatchesOnARealKernelTrace)
         ref.push_back(d);
     ASSERT_TRUE(cur.ok());
 
-    for (const auto impl : kAllImpls) {
-        bool ok = false;
-        const auto got = decodeAll(packed, impl, 128, &ok);
-        EXPECT_TRUE(ok) << implName(impl);
-        expectSameDecoded(ref, got, impl, 128);
-    }
+    bool ok = false;
+    const auto got = decodeAll(packed, 128, &ok);
+    EXPECT_TRUE(ok);
+    expectSameDecoded(ref, got, 128);
 }
 
-TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdictFromEveryImpl)
+TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdict)
 {
-    // Truncations and random bit flips through the batch kernels: every
-    // implementation must terminate in bounds and agree with the
-    // checked per-record cursor on the decoded prefix AND the ok()
-    // verdict — the vector kernels may not turn malformed input into
-    // records (or silence) the scalar decoder would not.
+    // Truncations and random bit flips through the batch decoder: it
+    // must terminate in bounds and agree with the checked per-record
+    // cursor on the decoded prefix AND the ok() verdict — it may not
+    // turn malformed input into records (or silence) the per-record
+    // decoder would not.
     const auto instrs = randomTrace(900, 71);
     const auto packed = PackedTrace::pack(instrs);
     std::string blob;
@@ -704,14 +680,12 @@ TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdictFromEveryImpl)
             refOk = r.ok();
         }
 
-        for (const auto impl : kAllImpls)
-            for (size_t bs : {size_t(7), size_t(128)}) {
-                bool ok = false;
-                const auto got = decodeAll(t, impl, bs, &ok);
-                EXPECT_EQ(refOk, ok)
-                    << implName(impl) << " bs=" << bs << " case " << c;
-                expectSameDecoded(ref, got, impl, bs);
-            }
+        for (size_t bs : {size_t(7), size_t(128)}) {
+            bool ok = false;
+            const auto got = decodeAll(t, bs, &ok);
+            EXPECT_EQ(refOk, ok) << "bs=" << bs << " case " << c;
+            expectSameDecoded(ref, got, bs);
+        }
     }
 }
 

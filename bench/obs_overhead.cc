@@ -5,24 +5,25 @@
  * collector is attached, and call-granularity recording (two clock
  * reads + one slot write per phase span, never a per-instruction
  * cost) when one is. This bench holds the fused replay engine —
- * the path the sweeps spend their wall-clock in — to that contract:
- * it times simulateTraceMany over the perf_smoke capture mix with
- * metrics off and again with a live Collector draining to the real
- * ReportSink + ChromeTraceSink, checks the SimResults are identical,
- * and writes BENCH_sweep_obs.json (argv[1] overrides the path; the
- * sink outputs land next to it as <stem>.report.json /
- * <stem>.trace.jsonl).
+ * the path the sweeps spend their wall-clock in — to that contract.
+ * It times simulateTraceMany over the perf_smoke capture mix with
+ * metrics on (a live span registry) and off, as the thread-CPU-time
+ * ratio of the two arms in kTrials interleaved trials (bench::Ratio).
+ * One final pass under a Collector then drains to the real
+ * ReportSink + ChromeTraceSink and must reproduce the metrics-off
+ * SimResults. It writes BENCH_sweep_obs.json (argv[1] overrides the
+ * path; the sink outputs land next to it as <stem>.report.json /
+ * <stem>.trace.jsonl) with every trial, the median, min, max and the
+ * gate.
  *
- * The gate: metrics-on wall time <= 1.02x metrics-off. Like the
+ * The gate: the median metrics-on/off ratio <= 1.02. Like the
  * perf_smoke gates it is report-only by default and becomes a hard
  * failure in an optimized build run with SWAN_PERF_ENFORCE=1 (which
  * bench/run_all.sh sets). Result divergence is always a hard failure.
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -37,20 +38,17 @@ using bench::fmtJson;
 namespace
 {
 
-double
-secondsOf(const std::function<void()> &fn, int reps)
-{
-    // Best-of-N wall time: robust against scheduler noise.
-    double best = 1e100;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best,
-                        std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
+/** Interleaved trials per run: on a shared 4-vCPU VM single trials
+ *  ranged from 0.69 to 1.65, while medians of 11 read 0.993-1.002
+ *  over five runs on a quiet host and 0.93-0.99 on a busy one
+ *  (perf_smoke's gates read the same statistic). */
+constexpr int kTrials = 11;
+
+/** Records the metrics-on arm's registry holds: one Replay span per
+ *  simulateTraceMany call, with room to spare. */
+constexpr size_t kArmSpans = 64;
+
+constexpr double kOverheadGate = 1.02;
 
 } // namespace
 
@@ -96,27 +94,32 @@ main(int argc, char **argv)
 
     const std::vector<sim::CoreConfig> cfgs = {
         sim::primeConfig(), sim::goldConfig(), sim::silverConfig()};
-    const int reps = 3;
-    // Each rep feeds warmup+measure = 2 passes over every config.
+    // Each call feeds warmup+measure = 2 passes over every config.
     const double passInstrs = 2.0 * double(n) * double(cfgs.size());
 
     // Metrics off: the span sites must compile down to one relaxed
-    // load + untaken branch each.
+    // load + untaken branch each. Metrics on: each trial's arm starts
+    // a small registry, replays under it and releases it, so the two
+    // arms interleave and every fused traversal records its Replay
+    // span.
     const auto refOff = sim::simulateTraceMany(packed, cfgs, 1);
-    const double tOff = secondsOf(
-        [&] { sim::simulateTraceMany(packed, cfgs, 1); }, reps);
+    bool registryOk = true;
+    const bench::Ratio ratio(
+        [&] {
+            registryOk &= obs::Telemetry::start(kArmSpans);
+            sim::simulateTraceMany(packed, cfgs, 1);
+            obs::Telemetry::stop();
+            obs::Telemetry::release();
+        },
+        [&] { sim::simulateTraceMany(packed, cfgs, 1); }, kTrials);
 
-    // Metrics on: a live registry with the two shipped sinks. The
-    // collector stays active across every timed rep so each fused
-    // traversal records its Replay span.
+    // One final pass under a collector with the two shipped sinks.
     obs::Collector collector;
-    if (!collector.start()) {
+    if (!registryOk || !collector.start()) {
         std::cerr << "obs_overhead: telemetry registry unavailable\n";
         return 1;
     }
     const auto refOn = sim::simulateTraceMany(packed, cfgs, 1);
-    const double tOn = secondsOf(
-        [&] { sim::simulateTraceMany(packed, cfgs, 1); }, reps);
     collector.addSink(
         std::make_unique<obs::ReportSink>(stem + ".report.json"));
     collector.addSink(
@@ -135,9 +138,8 @@ main(int argc, char **argv)
         }
     }
 
-    const double ipsOff = passInstrs / tOff;
-    const double ipsOn = passInstrs / tOn;
-    const double ratio = tOn / tOff;
+    const double ipsOff = passInstrs / ratio.bSeconds;
+    const double ipsOn = passInstrs / ratio.aSeconds;
 
     core::banner(std::cout, "Observability overhead smoke");
     core::Table t({"leg", "Minstr/s", "vs metrics off"});
@@ -147,21 +149,37 @@ main(int argc, char **argv)
               core::fmtX(ipsOff / ipsOn, 2)});
     t.print(std::cout);
     std::cout << "trace: " << n << " instrs x " << cfgs.size()
-              << " configs; metrics-on/off wall ratio "
-              << core::fmt(ratio, 4) << " (gate <= 1.02)\n";
+              << " configs; metrics-on/off CPU ratio, median of "
+              << kTrials << " trials " << core::fmt(ratio.median, 4)
+              << " (min " << core::fmt(ratio.min, 4) << ", max "
+              << core::fmt(ratio.max, 4) << "; gate <= "
+              << kOverheadGate << ")\n";
 
+#ifdef NDEBUG
+    const char *enf = std::getenv("SWAN_PERF_ENFORCE");
+    const bool gateEnforced = enf && enf[0] == '1';
+#else
+    const bool gateEnforced = false;
+#endif
     {
         std::ofstream os(jsonPath, std::ios::trunc);
         os << "{\n"
            << "  \"bench\": \"sweep_obs\",\n"
+           << "  \"gate_metric\": \"thread CPU time of one "
+              "simulateTraceMany call (warm-up + measured pass) with a "
+              "live span registry over one without; median of "
+           << kTrials
+           << " trials, alternating which arm runs first\",\n"
            << "  \"n_instrs\": " << n << ",\n"
            << "  \"n_configs\": " << cfgs.size() << ",\n"
            << "  \"metrics_off_instrs_per_sec\": " << fmtJson(ipsOff)
            << ",\n"
            << "  \"metrics_on_instrs_per_sec\": " << fmtJson(ipsOn)
            << ",\n"
-           << "  \"overhead_ratio\": " << fmtJson(ratio) << ",\n"
-           << "  \"overhead_gate\": 1.02,\n"
+           << "  \"overhead_ratio\": " << ratio.json() << ",\n"
+           << "  \"overhead_gate\": " << fmtJson(kOverheadGate) << ",\n"
+           << "  \"gate_enforced\": " << (gateEnforced ? "true" : "false")
+           << ",\n"
            << "  \"results_identical\": true\n"
            << "}\n";
         if (!os) {
@@ -174,16 +192,9 @@ main(int argc, char **argv)
 
     // Enforced only in an optimized build when the caller opts in
     // (bench/run_all.sh does); CI publishes the JSON report-only.
-    constexpr double kOverheadGate = 1.02;
-#ifdef NDEBUG
-    const char *enf = std::getenv("SWAN_PERF_ENFORCE");
-    const bool gateEnforced = enf && enf[0] == '1';
-#else
-    const bool gateEnforced = false;
-#endif
-    if (ratio > kOverheadGate) {
+    if (ratio.median > kOverheadGate) {
         std::cerr << "obs_overhead: metrics-on overhead "
-                  << core::fmt((ratio - 1.0) * 100.0, 2)
+                  << core::fmt((ratio.median - 1.0) * 100.0, 2)
                   << "% exceeds the " << (kOverheadGate - 1.0) * 100.0
                   << "% gate"
                   << (gateEnforced ? "" : " (report-only)") << "\n";

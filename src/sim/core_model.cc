@@ -393,7 +393,7 @@ CoreModel::memCompleteMulti(const StepIn &in, uint64_t start,
     return complete;
 }
 
-template <bool OutOfOrder, bool CheckRestart>
+template <bool OutOfOrder>
 void
 CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
                      const StepIn *ins, size_t n, Outcomes mem)
@@ -420,13 +420,11 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
     (void)issueWidth; // only the in-order instantiation issues in order
     for (size_t k = 0; k < n; ++k) {
         const StepIn &in = ins[k];
-        if constexpr (CheckRestart) {
-            if (in.id <= st.lastSeenId) {
-                // A new replayed pass started: re-base ids.
-                st.idOffset = st.n;
-            }
-            st.lastSeenId = in.id;
+        if (in.id <= st.lastSeenId) {
+            // A new replayed pass started: re-base ids.
+            st.idOffset = st.n;
         }
+        st.lastSeenId = in.id;
         ++st.n;
         if (++st.robIdx == robSize)
             st.robIdx = 0;
@@ -533,13 +531,6 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
 
         ++m.byClass_[in.cls];
         m.vecBytes_ += in.vecBytes;
-    }
-    if constexpr (!CheckRestart) {
-        // The caller proved ids strictly increase and start above
-        // lastSeenId, so no restart could have fired; one update at
-        // batch end keeps the resting state identical.
-        if (n)
-            st.lastSeenId = ins[n - 1].id;
     }
     io = st;
     SWAN_NOALLOC_END();
@@ -662,13 +653,9 @@ ReplayObserver::setBranchMispredictRate(CoreModel &m, double rate)
     m.st_.branchCountdown = mispredictInterval(rate);
 }
 
-namespace detail
-{
-
-template <bool HasObserver>
 void
-replayWith(const trace::PackedTrace &trace,
-           std::span<CoreModel *const> models, ReplayObserver *payload)
+replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
+       ReplayObserver *payload)
 {
     if (models.empty())
         return;
@@ -695,9 +682,9 @@ replayWith(const trace::PackedTrace &trace,
 
     // Configurations advance as vector lanes: each LaneBlock carries
     // up to kLanes configurations' step states, issue frontiers and
-    // step-function table entries field-major (sim/core_model.hh), so
-    // the per-batch lane walk touches one contiguous state span,
-    // persistent across the whole pass.
+    // step functions field-major (sim/core_model.hh), so the per-batch
+    // lane walk touches one contiguous state span, persistent across
+    // the whole pass.
     constexpr size_t kBL = CoreModel::LaneBlock::kLanes;
     const size_t nm = models.size();
     CoreModel::LaneBlock stackBlock;
@@ -732,17 +719,24 @@ replayWith(const trace::PackedTrace &trace,
                                uint32_t(h->l1().lineBytes()))));
         }
         b.model[s] = models[i];
-        if (models[i]->cfg_.outOfOrder) {
-            b.fnChecked[s] = &CoreModel::stepBlock<true, true>;
-            b.fnMono[s] = &CoreModel::stepBlock<true, false>;
-        } else {
-            b.fnChecked[s] = &CoreModel::stepBlock<false, true>;
-            b.fnMono[s] = &CoreModel::stepBlock<false, false>;
-        }
+        b.fn[s] = models[i]->cfg_.outOfOrder ? &CoreModel::stepBlock<true>
+                                             : &CoreModel::stepBlock<false>;
         b.st[s] = models[i]->st_;
         std::memset(b.frontier[s], 0, sizeof(b.frontier[s]));
     }
     CoreModel::OutcomeTable table(nw, lineShift);
+
+    // The traversal position (instructions stepped so far), the next
+    // boundary the payload asked for and its element clamp for the
+    // next batch; without a payload no batch is capped or clamped.
+    uint64_t pos = 0;
+    uint64_t boundary = ReplayObserver::kNoBoundary;
+    uint32_t clamp = 0;
+    if (payload) {
+        payload->begin(models);
+        boundary = payload->nextBoundary(0);
+        clamp = payload->elemClamp();
+    }
 
     // One decode, N models: each record is decoded into registers and
     // merged with its shape prototype exactly once — per *batch*, not
@@ -753,18 +747,7 @@ replayWith(const trace::PackedTrace &trace,
     // thrash each other out of the host's L1 and predictors). No
     // trace::Instr is ever materialized: the batch holds predigested
     // StepIn operands, built once for all configurations.
-    // Observer bookkeeping: the traversal position (instructions
-    // stepped so far) and the next boundary the payload asked for.
-    // Both exist only in the HasObserver instantiation — every use is
-    // behind if constexpr, so the observer-free replay() stays the
-    // exact historic loop.
-    [[maybe_unused]] uint64_t pos = 0;
-    [[maybe_unused]] uint64_t boundary = ReplayObserver::kNoBoundary;
-    if constexpr (HasObserver) {
-        payload->begin(models);
-        boundary = payload->nextBoundary(0);
-    }
-
+    //
     // From here to the end of the traversal the engine is heap-free —
     // the setup above (prototype table, lanes) took any allocations
     // it needed; this is the per-instruction hot loop of every
@@ -783,22 +766,12 @@ replayWith(const trace::PackedTrace &trace,
     trace::PackedTrace::Decoded dbuf[kDecodeChunk];
     trace::PackedTrace::Cursor cur(trace);
     while (true) {
-        size_t cap = kBatch;
-        [[maybe_unused]] uint32_t clamp = 0;
-        if constexpr (HasObserver) {
-            // Never step across a requested boundary: cap the batch so
-            // the callback fires exactly when pos reaches it (a stale
-            // boundary at or before pos degrades to single stepping).
-            if (boundary != ReplayObserver::kNoBoundary) {
-                const uint64_t room = boundary > pos ? boundary - pos : 1;
-                cap = size_t(std::min<uint64_t>(cap, room));
-            }
-            SWAN_NOALLOC_PAUSE();
-            clamp = payload->elemClamp();
-        }
+        // Never step across a requested boundary: cap the batch so the
+        // callback fires exactly when pos reaches it (a stale boundary
+        // at or before pos degrades to single stepping).
+        const size_t cap = size_t(std::min<uint64_t>(
+            kBatch, boundary > pos ? boundary - pos : 1));
         size_t nb = 0;
-        uint64_t prevId = 0;
-        bool mono = true;
         while (nb < cap) {
             // Batch decode straight into the Decoded span: the SWAR
             // decoder amortizes bounds checks and keeps the decode
@@ -826,35 +799,33 @@ replayWith(const trace::PackedTrace &trace,
                 std::memcpy(&in.size, &proto[d.desc].size,
                             sizeof(CoreModel::StepIn) -
                                 offsetof(CoreModel::StepIn, size));
-                if constexpr (HasObserver) {
-                    // Firstfault-style partial progress: truncate a
-                    // multi-element access to a prefix of its lanes,
-                    // keeping the per-element footprint and stride
-                    // invariant (addr2 is re-derived so the implied
-                    // stride survives the element-count change).
-                    if (clamp && (in.flags & CoreModel::kFlagMulti) &&
-                        uint32_t(in.elems) > clamp) {
-                        const uint32_t oldElems = in.elems;
-                        const uint32_t elemBytes =
-                            std::max<uint32_t>(in.size / oldElems, 1);
-                        if (in.elemStride == 0 && oldElems > 1) {
-                            const int64_t stride =
-                                (int64_t(in.addr2) - int64_t(in.addr)) /
-                                int64_t(oldElems - 1);
-                            in.addr2 =
-                                uint64_t(int64_t(in.addr) +
-                                         stride * int64_t(clamp - 1));
-                        }
-                        in.elems = uint8_t(clamp);
-                        in.size = elemBytes * clamp;
-                    }
-                }
-                mono = mono && d.id > prevId;
-                prevId = d.id;
             }
         }
         if (nb == 0)
             break;
+        // Firstfault-style partial progress: truncate each
+        // multi-element access to a prefix of its lanes, keeping the
+        // per-element footprint and stride invariant (addr2 is
+        // re-derived so the implied stride survives the element-count
+        // change).
+        for (size_t k = 0; clamp && k < nb; ++k) {
+            CoreModel::StepIn &in = batch[k];
+            if (!(in.flags & CoreModel::kFlagMulti) ||
+                uint32_t(in.elems) <= clamp)
+                continue;
+            const uint32_t oldElems = in.elems;
+            const uint32_t elemBytes =
+                std::max<uint32_t>(in.size / oldElems, 1);
+            if (in.elemStride == 0 && oldElems > 1) {
+                const int64_t stride =
+                    (int64_t(in.addr2) - int64_t(in.addr)) /
+                    int64_t(oldElems - 1);
+                in.addr2 = uint64_t(int64_t(in.addr) +
+                                    stride * int64_t(clamp - 1));
+            }
+            in.elems = uint8_t(clamp);
+            in.size = elemBytes * clamp;
+        }
         // Walk each distinct hierarchy over the batch, in program and
         // element order, then step every lane against its hierarchy's
         // outcomes — in prefixes that fit the outcome table, which
@@ -867,22 +838,14 @@ replayWith(const trace::PackedTrace &trace,
             for (size_t i = 0; i < nm; ++i) {
                 CoreModel::LaneBlock &b = blocks[i / kBL];
                 const size_t s = i % kBL;
-                // A batch with strictly increasing ids that start
-                // above the lane's last seen id cannot contain a pass
-                // restart: the per-instruction check is dead, so run
-                // the instantiation without it.
-                const bool noRestart =
-                    mono && sub[0].id > b.st[s].lastSeenId;
-                (noRestart ? b.fnMono[s] : b.fnChecked[s])(
-                    *b.model[s], b.st[s], b.frontier[s], sub, ns,
-                    table.of(b.walk[s]));
+                b.fn[s](*b.model[s], b.st[s], b.frontier[s], sub, ns,
+                        table.of(b.walk[s]));
             }
             at += ns;
         }
-        if constexpr (HasObserver) {
-            pos += nb;
-            if (boundary != ReplayObserver::kNoBoundary &&
-                pos >= boundary) {
+        pos += nb;
+        if (payload) {
+            if (pos >= boundary) {
                 // Sync the register-resident lane state into the
                 // models so the payload sees (and may perturb)
                 // architectural state, then reload it.
@@ -901,39 +864,18 @@ replayWith(const trace::PackedTrace &trace,
                     boundary = payload->nextBoundary(pos);
                 }
             }
+            SWAN_NOALLOC_PAUSE();
+            clamp = payload->elemClamp();
         }
     }
     SWAN_NOALLOC_END();
     for (size_t i = 0; i < nm; ++i)
         blocks[i / kBL].model[i % kBL]->st_ = blocks[i / kBL].st[i % kBL];
-    if constexpr (HasObserver)
+    if (payload)
         payload->end(pos, models);
     if (!cur.ok())
         throw std::runtime_error(
             "swan: malformed packed trace rejected by fused replay");
-}
-
-template void replayWith<false>(const trace::PackedTrace &,
-                                std::span<CoreModel *const>,
-                                ReplayObserver *);
-template void replayWith<true>(const trace::PackedTrace &,
-                               std::span<CoreModel *const>,
-                               ReplayObserver *);
-
-} // namespace detail
-
-void
-replay(const trace::PackedTrace &trace,
-       std::span<CoreModel *const> models)
-{
-    detail::replayWith<false>(trace, models, nullptr);
-}
-
-void
-replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
-       ReplayObserver &payload)
-{
-    detail::replayWith<true>(trace, models, &payload);
 }
 
 SimResult
@@ -953,7 +895,8 @@ simulateTrace(const std::vector<Instr> &instrs, const CoreConfig &cfg,
 
 std::vector<SimResult>
 simulateTraceMany(const trace::PackedTrace &trace,
-                  const std::vector<CoreConfig> &cfgs, int warmup_passes)
+                  const std::vector<CoreConfig> &cfgs, int warmup_passes,
+                  ReplayObserver *payload)
 {
     // One telemetry span per fused traversal set; arg = instruction
     // steps (decoded instructions x configs x passes). A single
@@ -964,12 +907,14 @@ simulateTraceMany(const trace::PackedTrace &trace,
                        uint64_t(warmup_passes + 1));
     // Configurations of equal cache geometry share one functional
     // hierarchy: the fused engine walks it once per batch for all of
-    // them, and each times the outcomes on its own MemTiming.
+    // them, and each times the outcomes on its own MemTiming. A
+    // payload perturbs single models (a cache flush, a DRAM retime),
+    // so under one every model keeps a private hierarchy.
     std::vector<std::unique_ptr<CoreModel>> models;
     models.reserve(cfgs.size());
     for (size_t i = 0; i < cfgs.size(); ++i) {
         std::shared_ptr<CacheHierarchy> caches;
-        for (size_t j = 0; j < i && !caches; ++j)
+        for (size_t j = 0; j < i && !caches && !payload; ++j)
             if (CacheHierarchy::sameGeometry(cfgs[j], cfgs[i]))
                 caches = models[j]->caches_;
         if (!caches)
@@ -991,24 +936,16 @@ simulateTraceMany(const trace::PackedTrace &trace,
         base[i] = models[i].get();
     const std::span<CoreModel *const> lanes(base, models.size());
     for (int p = 0; p < warmup_passes; ++p)
-        replay(trace, lanes);
+        replay(trace, lanes, payload);
     for (auto &m : models)
         m->beginMeasurement();
-    replay(trace, lanes);
+    replay(trace, lanes, payload);
 
     std::vector<SimResult> out;
     out.reserve(models.size());
     for (auto &m : models)
         out.push_back(m->finish());
     return out;
-}
-
-std::vector<SimResult>
-simulateTraceMany(const std::vector<Instr> &instrs,
-                  const std::vector<CoreConfig> &cfgs, int warmup_passes)
-{
-    return simulateTraceMany(trace::PackedTrace::pack(instrs), cfgs,
-                             warmup_passes);
 }
 
 } // namespace swan::sim

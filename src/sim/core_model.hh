@@ -61,6 +61,7 @@ struct SimResult
 };
 
 class CoreModel;
+class ReplayObserver;
 
 /**
  * Fused replay: decode each packed instruction once — into registers,
@@ -70,20 +71,21 @@ class CoreModel;
  * prototype table built once per call. Each distinct functional cache
  * hierarchy among the models (see CoreModel) is walked once per
  * decoded batch, before the models step it. Each model evolves exactly
- * as it would replayed alone. @throws std::runtime_error when the
- * encoded stream is malformed (Cursor checked decode).
+ * as it would replayed alone. A @p payload, when given, rides the same
+ * pass (ReplayObserver); it may change model state, never the decoded
+ * stream. @throws std::runtime_error when the encoded stream is
+ * malformed (Cursor checked decode).
  */
 void replay(const trace::PackedTrace &trace,
-            std::span<CoreModel *const> models);
+            std::span<CoreModel *const> models,
+            ReplayObserver *payload = nullptr);
 
 /**
  * Payload seam on the fused replay engine: a ReplayObserver rides the
  * single decode pass and is called back at *instruction boundaries* it
- * chooses, without the engine paying anything when no observer is
- * attached — the observer-free replay() above compiles to the exact
- * loop it always was (the driver is a template on the presence of the
- * payload, and the empty instantiation is bit-identical; the
- * BENCH_sim_replay.json gates time it).
+ * chooses. The engine tests for a payload once per decode batch, so a
+ * replay without one pays a branch per batch and nothing per
+ * instruction.
  *
  * Protocol, per traversal of replay(trace, models, payload):
  *  - begin(models) once, before any instruction is decoded;
@@ -102,7 +104,9 @@ void replay(const trace::PackedTrace &trace,
  * Observers derive from this class; the protected statics below are
  * the *actuators* — the only sanctioned channel for perturbing a model
  * mid-replay (ReplayObserver is a friend of CoreModel so payloads
- * never grow ad-hoc friendships). sim/faults.hh builds the
+ * never grow ad-hoc friendships). No actuator touches what
+ * CoreModel::finish() reads of the configuration, so a payload needs
+ * no clean-up before results are taken. sim/faults.hh builds the
  * fault-injection scenario family on exactly this surface.
  */
 class ReplayObserver
@@ -149,26 +153,6 @@ class ReplayObserver
 };
 
 /**
- * Fused replay with an attached payload. Decode order, step order and
- * model evolution are identical to the observer-free replay() as long
- * as the payload does not perturb the models; a perturbing payload
- * changes *model state only*, never the decoded stream.
- */
-void replay(const trace::PackedTrace &trace,
-            std::span<CoreModel *const> models, ReplayObserver &payload);
-
-namespace detail
-{
-/** Shared driver behind both replay() overloads (defined in
- *  core_model.cc): HasObserver = false must compile to the historic
- *  observer-free loop, bit for bit. */
-template <bool HasObserver>
-void replayWith(const trace::PackedTrace &trace,
-                std::span<CoreModel *const> models,
-                ReplayObserver *payload);
-} // namespace detail
-
-/**
  * Incremental trace-driven core model. Its memory system is split like
  * sim/cache.hh's: a functional CacheHierarchy, which may be shared
  * with other models of equal cache geometry, and its own MemTiming.
@@ -176,10 +160,11 @@ void replayWith(const trace::PackedTrace &trace,
  * loads and stores are walked through the hierarchy once, leaving an
  * outcome table; the step core completes an access that hit L1 on
  * every line inline and hands the rest to its timing. Only
- * simulateTraceMany(const PackedTrace &, ...) shares a hierarchy —
- * between the models of one fused replay, which walks each distinct
- * hierarchy once. A model built here keeps a private one, so replay
- * payloads (which perturb single models) reach only their own.
+ * simulateTraceMany(const PackedTrace &, ...) without a payload shares
+ * a hierarchy — between the models of one fused replay, which walks
+ * each distinct hierarchy once. A model built here keeps a private
+ * one, so replay payloads (which perturb single models) reach only
+ * their own.
  */
 class CoreModel
 {
@@ -221,13 +206,10 @@ class CoreModel
     friend std::vector<SimResult>
     simulateTraceMany(const trace::PackedTrace &trace,
                       const std::vector<CoreConfig> &cfgs,
-                      int warmup_passes);
+                      int warmup_passes, ReplayObserver *payload);
     friend void replay(const trace::PackedTrace &trace,
-                       std::span<CoreModel *const> models);
-    template <bool HasObserver>
-    friend void detail::replayWith(const trace::PackedTrace &trace,
-                                   std::span<CoreModel *const> models,
-                                   ReplayObserver *payload);
+                       std::span<CoreModel *const> models,
+                       ReplayObserver *payload);
     friend class ReplayObserver;
 
     static constexpr uint8_t kFlagLoad = 1;
@@ -348,15 +330,12 @@ class CoreModel
      * persistent — across a whole traversal; internally it runs the
      * batch on a local StepState copy, keeping the per-instruction
      * recurrence (dispatch/commit cycles, counters) in registers
-     * instead of memory.
+     * instead of memory. Every instruction is tested for a
+     * replayed-pass id restart (a pass start, or concatenated
+     * captures). @p mem is the model's hierarchy's walk of exactly
+     * ins[0, n).
      */
-    /** CheckRestart: whether to test every instruction for a
-     *  replayed-pass id restart. The fused driver proves batch
-     *  monotonicity while decoding and picks the check-free
-     *  instantiation; a batch it cannot prove (a pass start, or
-     *  concatenated captures) takes the checked one.
-     *  @p mem is the model's hierarchy's walk of exactly ins[0, n). */
-    template <bool OutOfOrder, bool CheckRestart>
+    template <bool OutOfOrder>
     static void stepBlock(CoreModel &m, StepState &st,
                           uint64_t *fu_frontier, const StepIn *ins,
                           size_t n, Outcomes mem);
@@ -484,9 +463,8 @@ class CoreModel
         StepState st[kLanes];
         uint64_t frontier[kLanes][size_t(trace::Fu::NumFus)];
         CoreModel *model[kLanes];
-        StepBlockFn fnChecked[kLanes]; //!< restart check per instr
-        StepBlockFn fnMono[kLanes];    //!< batch proven monotone
-        uint32_t walk[kLanes];         //!< the lane's hierarchy's walk
+        StepBlockFn fn[kLanes];  //!< stepBlock<the lane's core type>
+        uint32_t walk[kLanes];   //!< the lane's hierarchy's walk
     };
 
   private:
@@ -519,9 +497,8 @@ class CoreModel
 
 /**
  * Simulate a packed trace on @p cfg with @p warmup_passes cache-warming
- * replays before the measured pass (the paper warms caches before each
- * measured iteration): simulateTraceMany() with one configuration, on
- * a private cache hierarchy.
+ * replays before the measured pass: simulateTraceMany() with one
+ * configuration, on a private cache hierarchy.
  */
 SimResult simulateTrace(const trace::PackedTrace &trace,
                         const CoreConfig &cfg, int warmup_passes = 1);
@@ -531,28 +508,31 @@ SimResult simulateTrace(const std::vector<trace::Instr> &instrs,
                         const CoreConfig &cfg, int warmup_passes = 1);
 
 /**
- * Single-pass multi-config replay on the fused engine (replay()): each
+ * The one place that runs the paper's simulation protocol:
+ * @p warmup_passes cache-warming replays, then the measured pass (the
+ * paper warms caches before each measured iteration), then finish().
+ * Every pass is one fused replay() over all of @p cfgs: each
  * instruction is decoded once per pass, straight into registers, and
  * every configuration's model steps from the same decoded fields — an
- * N-config sweep point costs one trace traversal, one decode, and zero
- * staging-buffer round-trips. Configurations with equal cache geometry
+ * N-config sweep point costs one trace traversal per pass, one decode,
+ * and zero staging-buffer round-trips.
+ *
+ * Without @p payload, configurations with equal cache geometry
  * (CacheHierarchy::sameGeometry) share one functional hierarchy,
  * walked once per batch; each keeps its own timing. Each model's state
  * evolution only depends on the instruction stream it sees, and cache
  * contents never depend on timing, so result i is bit-identical to
  * simulateTrace(trace, cfgs[i], warmup_passes).
+ *
+ * With @p payload, every pass (warm-ups included) runs under it, and
+ * every model keeps a private hierarchy: payloads perturb single
+ * models (a cache flush must not reach a neighbour lane). The
+ * FaultSpec overload (sim/faults.hh) is this with a FaultObserver.
  */
 std::vector<SimResult>
 simulateTraceMany(const trace::PackedTrace &trace,
                   const std::vector<CoreConfig> &cfgs,
-                  int warmup_passes = 1);
-
-/** AoS-buffer overload of the single-pass multi-config replay: packs
- *  @p instrs and runs the packed overload. */
-std::vector<SimResult>
-simulateTraceMany(const std::vector<trace::Instr> &instrs,
-                  const std::vector<CoreConfig> &cfgs,
-                  int warmup_passes = 1);
+                  int warmup_passes = 1, ReplayObserver *payload = nullptr);
 
 } // namespace swan::sim
 

@@ -1,13 +1,10 @@
 #include "sim/faults.hh"
 
-#include "obs/telemetry.hh"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 namespace swan::sim
 {
@@ -227,7 +224,9 @@ FaultSpec::catalog()
            "  cache-flush       flush L1/L2/LLC <intensity> times per "
            "window (default 4,\n"
            "                    at most 1000; fractions round down, "
-           "at least 1)\n"
+           "at least 1, at most\n"
+           "                    one per window instruction: "
+           "min(intensity, duration))\n"
            "  mispredict-burst  branch mispredict rate = intensity while "
            "open (default 0.25,\n"
            "                    at most 1)\n"
@@ -257,10 +256,12 @@ FaultSpec::catalog()
 
 FaultObserver::FaultObserver(const FaultSpec &spec) : spec_(spec)
 {
-    flashes_ = std::max<uint32_t>(
-        1, spec_.scenario == FaultScenario::CacheFlush
-               ? uint32_t(spec_.effectiveIntensity())
-               : 1);
+    // A storm fires at most one flush per window instruction, so its
+    // last flush lands inside the window and the window closes on time.
+    if (spec_.scenario == FaultScenario::CacheFlush)
+        flashes_ = uint32_t(std::clamp<uint64_t>(
+            uint64_t(spec_.effectiveIntensity()), 1,
+            std::max<uint64_t>(spec_.duration, 1)));
 }
 
 uint64_t
@@ -407,16 +408,6 @@ FaultObserver::elemClamp() const
     return clamp_;
 }
 
-void
-FaultObserver::restore(std::span<CoreModel *const> models)
-{
-    if (open_) {
-        revertWindow(models);
-        open_ = false;
-        ++window_;
-    }
-}
-
 std::vector<SimResult>
 simulateTraceMany(const trace::PackedTrace &trace,
                   const std::vector<CoreConfig> &cfgs,
@@ -424,44 +415,8 @@ simulateTraceMany(const trace::PackedTrace &trace,
 {
     if (!fault.enabled())
         return simulateTraceMany(trace, cfgs, warmup_passes);
-
-    obs::Span span(obs::Phase::Replay,
-                   uint64_t(trace.size()) * cfgs.size() *
-                       uint64_t(warmup_passes + 1));
     FaultObserver payload(fault);
-    // Payloads perturb single models (a cache flush, a DRAM retime),
-    // so every model keeps a private cache hierarchy here, even where
-    // the clean path would share one.
-    std::vector<std::unique_ptr<CoreModel>> models;
-    models.reserve(cfgs.size());
-    for (const auto &cfg : cfgs)
-        models.push_back(std::make_unique<CoreModel>(cfg));
-
-    CoreModel *ptrs[16];
-    std::vector<CoreModel *> heapPtrs;
-    CoreModel **base = ptrs;
-    if (models.size() > 16) {
-        heapPtrs.resize(models.size());
-        base = heapPtrs.data();
-    }
-    for (size_t i = 0; i < models.size(); ++i)
-        base[i] = models[i].get();
-    const std::span<CoreModel *const> ms(base, models.size());
-
-    for (int p = 0; p < warmup_passes; ++p)
-        replay(trace, ms, payload);
-    for (auto &m : models)
-        m->beginMeasurement();
-    replay(trace, ms, payload);
-    // A window may still be open at stream end; finish() must see the
-    // clean baseline configuration.
-    payload.restore(ms);
-
-    std::vector<SimResult> out;
-    out.reserve(models.size());
-    for (auto &m : models)
-        out.push_back(m->finish());
-    return out;
+    return simulateTraceMany(trace, cfgs, warmup_passes, &payload);
 }
 
 } // namespace swan::sim

@@ -55,7 +55,9 @@ struct FaultSpec
     /**
      * Scenario-specific strength; 0 selects the per-scenario default:
      * dram-spike = latency multiplier (default 8, at most 100),
-     * cache-flush = flushes per window (default 4, at most 1000),
+     * cache-flush = flushes per window (default 4, at most 1000; a
+     * window fires min(intensity, duration) of them, at most one per
+     * window instruction),
      * mispredict-burst = mispredict rate while open (default 0.25, at
      * most 1), firstfault = element clamp (default 1, at most 255).
      */
@@ -115,14 +117,6 @@ class FaultObserver final : public ReplayObserver
     void end(uint64_t total, std::span<CoreModel *const> models) override;
     uint32_t elemClamp() const override;
 
-    /**
-     * Revert any still-open window (a window may span the end of the
-     * final pass): restores DRAM latency / mispredict rate baselines
-     * so CoreModel::finish() runs against the clean configuration.
-     * Called by simulateTraceMany(..., fault, ...) before finishing.
-     */
-    void restore(std::span<CoreModel *const> models);
-
   private:
     uint64_t windowStart(uint64_t k) const;
     /** Global position of the next pending event, or kNoBoundary. */
@@ -146,11 +140,14 @@ class FaultObserver final : public ReplayObserver
 };
 
 /**
- * simulateTraceMany with a fault scenario attached: same
- * warmup/measure/finish protocol, with @p fault injected across all
- * passes via a FaultObserver on the replay payload seam. A disabled
- * spec delegates to the clean simulateTraceMany, so clean sweep points
- * are bit-identical to a build without fault support.
+ * simulateTraceMany with a fault scenario attached: the clean
+ * overload (sim/core_model.hh) with a FaultObserver as its payload, so
+ * @p fault is injected across all passes, warm-ups included, and every
+ * model keeps a private cache hierarchy. A window still open when the
+ * measured pass ends needs no reverting: CoreModel::finish() reads
+ * nothing an actuator changes. A disabled spec calls the clean
+ * overload without a payload, so clean sweep points are bit-identical
+ * to a build without fault support.
  */
 std::vector<SimResult>
 simulateTraceMany(const trace::PackedTrace &trace,

@@ -388,7 +388,7 @@ TEST(CoreModel, ReplayPayloadsGetTheSameMispredictRateRule)
         CoreModel *mp = &model;
         RateSetter payload(bad);
         EXPECT_THROW(replay(packed, std::span<CoreModel *const>(&mp, 1),
-                            payload),
+                            &payload),
                      std::invalid_argument)
             << bad;
     }
@@ -397,6 +397,6 @@ TEST(CoreModel, ReplayPayloadsGetTheSameMispredictRateRule)
     CoreModel *mp = &model;
     RateSetter payload(0.0);
     model.beginMeasurement();
-    replay(packed, std::span<CoreModel *const>(&mp, 1), payload);
+    replay(packed, std::span<CoreModel *const>(&mp, 1), &payload);
     EXPECT_EQ(model.finish().feStallPct, 0.0);
 }

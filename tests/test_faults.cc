@@ -348,6 +348,25 @@ TEST(FaultSim, FirstFaultTruncatesMultiElementAccesses)
     expectSameResult(sclean[0], shurt[0]);
 }
 
+TEST(FaultSim, CacheFlushStormFiresAtMostOneFlushPerWindowInstruction)
+{
+    // A 10-instruction window holds at most 10 flushes: asking for
+    // more must neither flush past the window's end nor delay the next
+    // window, so intensity 20 and 1000 replay exactly like 10.
+    const auto packed = PackedTrace::pack(randomTrace(6000, 29));
+    const std::vector<sim::CoreConfig> cfgs = {sim::primeConfig()};
+    const char *window = "cache-flush:seed=1:period=1000:duration=10";
+    const auto storm = [&](const char *intensity) {
+        return sim::simulateTraceMany(
+            packed, cfgs,
+            mustParse(std::string(window) + ":intensity=" + intensity), 1);
+    };
+    const auto ten = storm("10");
+    EXPECT_GT(ten[0].cycles, sim::simulateTraceMany(packed, cfgs, 1)[0].cycles);
+    expectSameResult(storm("20")[0], ten[0]);
+    expectSameResult(storm("1000")[0], ten[0]);
+}
+
 TEST(FaultCache, FaultedAndCleanPointsNeverShareEntries)
 {
     sweep::SweepSpec spec;

@@ -367,7 +367,7 @@ runFusedObserved(const PackedTrace &packed,
     for (auto &m : models)
         m->beginMeasurement();
     PulsePayload payload(stride);
-    sim::replay(packed, span, payload);
+    sim::replay(packed, span, &payload);
     std::vector<sim::SimResult> out;
     for (auto &m : models)
         out.push_back(m->finish());
@@ -438,7 +438,7 @@ TEST(FusedReplay, PassiveObserverChangesNothing)
     for (auto &m : models)
         m->beginMeasurement();
     Watcher w;
-    sim::replay(packed, span, w);
+    sim::replay(packed, span, &w);
     EXPECT_GT(w.seen, 0u);
     for (size_t i = 0; i < cfgs.size(); ++i)
         expectSameResult(plain[i], models[i]->finish());
@@ -630,9 +630,10 @@ TEST(FusedReplay, BatchesThatOutgrowTheOutcomeTableStillMatch)
 TEST(FusedReplay, PayloadFlushesOnlyTheModelItTargets)
 {
     // Models built with CoreModel(cfg) keep private hierarchies even
-    // when their geometry is equal: a payload that flushes the first
-    // of two prime-geometry models must leave the second's result
-    // exactly the clean one.
+    // when their geometry is equal, and so do the models of
+    // simulateTraceMany under a payload: a payload that flushes the
+    // first of two prime-geometry models must leave the second's
+    // result exactly the clean one.
     struct FlushFirst final : sim::ReplayObserver
     {
         uint64_t
@@ -661,13 +662,21 @@ TEST(FusedReplay, PayloadFlushesOnlyTheModelItTargets)
     for (auto &m : models)
         m->beginMeasurement();
     FlushFirst payload;
-    sim::replay(packed, span, payload);
+    sim::replay(packed, span, &payload);
     const auto flushed = models[0]->finish();
     const auto clean = models[1]->finish();
 
     expectSameResult(clean, replayAlone(packed, cfgs[1], 1));
     EXPECT_GT(flushed.l1Mpki,
               replayAlone(packed, cfgs[0], 1).l1Mpki); // re-missed
+
+    // simulateTraceMany, where payload-free models of equal geometry
+    // would share one hierarchy and the flush would reach gold too.
+    FlushFirst again;
+    const auto many = sim::simulateTraceMany(packed, cfgs, 1, &again);
+    ASSERT_EQ(many.size(), 2u);
+    expectSameResult(many[1], replayAlone(packed, cfgs[1], 1));
+    EXPECT_GT(many[0].l1Mpki, replayAlone(packed, cfgs[0], 1).l1Mpki);
 }
 
 TEST(FusedReplay, IssueWindowNeverDoubleBooksAUnit)

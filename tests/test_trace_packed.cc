@@ -715,13 +715,3 @@ TEST(PackedReplay, SimulateTraceManyMatchesSeparatePasses)
         }
     }
 }
-
-TEST(PackedReplay, AoSManyOverloadMatchesToo)
-{
-    const auto instrs = randomTrace(2500, 23);
-    const auto cfgs = threeCores();
-    const auto many = sim::simulateTraceMany(instrs, cfgs, 1);
-    ASSERT_EQ(many.size(), cfgs.size());
-    for (size_t i = 0; i < cfgs.size(); ++i)
-        expectSameResult(sim::simulateTrace(instrs, cfgs[i], 1), many[i]);
-}

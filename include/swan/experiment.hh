@@ -84,8 +84,6 @@ class Experiment
     Experiment &faults(std::vector<std::string> scenarios);
     /** Append one fault scenario to the axis. */
     Experiment &fault(std::string scenario);
-    /** Alias of faults(), mirroring SessionOptions::withFaults. */
-    Experiment &withFaults(std::vector<std::string> scenarios);
 
     // --- streaming -----------------------------------------------------
     /**

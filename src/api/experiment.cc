@@ -123,12 +123,6 @@ Experiment::fault(std::string scenario)
 }
 
 Experiment &
-Experiment::withFaults(std::vector<std::string> scenarios)
-{
-    return faults(std::move(scenarios));
-}
-
-Experiment &
 Experiment::onRow(sweep::RowCallback callback)
 {
     onRow_ = std::move(callback);

@@ -106,15 +106,6 @@ Cache::probe(uint64_t addr) const
 }
 
 void
-Cache::reset()
-{
-    for (auto &l : lines_)
-        l = Line{};
-    tick_ = 0;
-    resetStats();
-}
-
-void
 Cache::resetStats()
 {
     accesses_ = 0;
@@ -193,16 +184,6 @@ CacheHierarchy::walk(uint64_t addr, uint32_t size, bool write, uint8_t *out)
         out[n++] = o;
     }
     return n;
-}
-
-void
-CacheHierarchy::reset()
-{
-    l1_.reset();
-    l2_.reset();
-    llc_.reset();
-    dramReads_ = 0;
-    dramWrites_ = 0;
 }
 
 void
@@ -294,65 +275,6 @@ MemTiming::store(const uint8_t *o, size_t n, uint64_t cycle)
 {
     for (size_t i = 0; i < n; ++i)
         miss(o[i], cycle);
-}
-
-void
-MemTiming::reset()
-{
-    dram_.reset();
-    std::fill(mshrFree_.begin(), mshrFree_.end(), 0);
-    l2Free_ = 0.0;
-    llcFree_ = 0.0;
-}
-
-MemHierarchy::MemHierarchy(const CoreConfig &cfg)
-    : caches_(cfg), timing_(cfg)
-{
-}
-
-uint8_t *
-MemHierarchy::outcomesFor(uint64_t addr, uint32_t size)
-{
-    const unsigned ls =
-        unsigned(__builtin_ctz(uint32_t(caches_.l1().lineBytes())));
-    const uint64_t lines =
-        ((addr + (size ? size - 1 : 0)) >> ls) - (addr >> ls) + 1;
-    if (outcomes_.size() < lines)
-        outcomes_.resize(size_t(lines));
-    return outcomes_.data();
-}
-
-MemHierarchy::Level
-MemHierarchy::slowest(const uint8_t *o, size_t n)
-{
-    uint8_t level = uint8_t(Level::L1);
-    for (size_t i = 0; i < n; ++i)
-        level = std::max(level, uint8_t(o[i] & LineOutcome::kLevel));
-    return Level(level);
-}
-
-MemHierarchy::Result
-MemHierarchy::load(uint64_t addr, uint32_t size, uint64_t cycle)
-{
-    uint8_t *o = outcomesFor(addr, size);
-    const size_t n = caches_.load(addr, size, o);
-    return {timing_.load(o, n, cycle), slowest(o, n)};
-}
-
-MemHierarchy::Result
-MemHierarchy::store(uint64_t addr, uint32_t size, uint64_t cycle)
-{
-    uint8_t *o = outcomesFor(addr, size);
-    const size_t n = caches_.store(addr, size, o);
-    timing_.store(o, n, cycle);
-    return {1, slowest(o, n)};
-}
-
-void
-MemHierarchy::reset()
-{
-    caches_.reset();
-    timing_.reset();
 }
 
 } // namespace swan::sim

@@ -8,7 +8,7 @@
  * MemTiming, one configuration's timing (MSHRs, fill queues, DRAM
  * channel, latencies). The caches never read a cycle, so the first is
  * a function of the address stream alone and configurations with equal
- * geometry can share it; MemHierarchy composes the two.
+ * geometry can share it; sim::CoreModel composes the two.
  */
 
 #ifndef SWAN_SIM_CACHE_HH
@@ -72,7 +72,6 @@ class Cache
     /** Look up without filling or updating stats (used by prefetch). */
     bool probe(uint64_t addr) const;
 
-    void reset();
     void resetStats();
 
     uint64_t accesses() const { return accesses_; }
@@ -206,7 +205,6 @@ class CacheHierarchy
         llc_.flushAll();
     }
 
-    void reset();
     void resetStats();
 
     const Cache &l1() const { return l1_; }
@@ -268,8 +266,6 @@ class MemTiming
     Dram &dram() { return dram_; }
     const Dram &dram() const { return dram_; }
 
-    void reset();
-
   private:
     /** Charge one L1-missing line; returns its data-ready cycle. */
     uint64_t miss(uint8_t o, uint64_t cycle);
@@ -284,67 +280,6 @@ class MemTiming
     std::vector<uint64_t> mshrFree_;
     double l2Free_ = 0.0;
     double llcFree_ = 0.0;
-};
-
-/**
- * A CacheHierarchy and a MemTiming composed into timed accesses, one
- * at a time: each access walks the caches, then times the outcomes.
- * Returns load-to-use latencies and keeps the per-level access/miss
- * statistics the paper reports as MPKI (Table 5).
- */
-class MemHierarchy
-{
-  public:
-    /** @throws std::invalid_argument for fewer than one MSHR or a
-     *  cache level Cache rejects. */
-    explicit MemHierarchy(const CoreConfig &cfg);
-
-    using Level = MemLevel;
-
-    struct Result
-    {
-        uint64_t latency = 0;   //!< load-to-use latency in cycles
-        Level level = Level::L1; //!< slowest level any line came from
-    };
-
-    /**
-     * Timed load at @p cycle. Accesses spanning multiple lines pay the
-     * slowest line. MSHRs bound the number of overlapping misses.
-     */
-    Result load(uint64_t addr, uint32_t size, uint64_t cycle);
-
-    /**
-     * Store: updates cache state and traffic counters. Store latency is
-     * hidden by the store buffer; the returned latency is the commit-side
-     * latency (1 cycle).
-     */
-    Result store(uint64_t addr, uint32_t size, uint64_t cycle);
-
-    void reset();
-    void resetStats() { caches_.resetStats(); }
-
-    const Cache &l1() const { return caches_.l1(); }
-    const Cache &l2() const { return caches_.l2(); }
-    const Cache &llc() const { return caches_.llc(); }
-
-    Dram &dram() { return timing_.dram(); }
-    const Dram &dram() const { return timing_.dram(); }
-    void flushCaches() { caches_.flush(); }
-
-    uint64_t dramReads() const { return caches_.dramReads(); }
-    uint64_t dramWrites() const { return caches_.dramWrites(); }
-    uint64_t dramAccesses() const { return caches_.dramAccesses(); }
-
-  private:
-    /** Size outcomes_ for an access of @p size bytes at @p addr. */
-    uint8_t *outcomesFor(uint64_t addr, uint32_t size);
-
-    /** Slowest demand level among @p n outcomes. */
-    static Level slowest(const uint8_t *o, size_t n);
-
-    CacheHierarchy caches_;
-    MemTiming timing_;
-    std::vector<uint8_t> outcomes_;
 };
 
 } // namespace swan::sim

@@ -776,7 +776,7 @@ replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
             // Batch decode straight into the Decoded span: the SWAR
             // decoder amortizes bounds checks and keeps the decode
             // recurrence in registers across the whole chunk
-            // (trace/packed_batch.cc).
+            // (trace/packed.cc).
             const size_t got = cur.nextBatch(
                 dbuf, std::min(cap - nb, kDecodeChunk));
             if (got == 0)

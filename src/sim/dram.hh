@@ -37,18 +37,8 @@ class Dram
     {
         const double start = std::max(double(cycle), nextFree_);
         nextFree_ = start + service_;
-        ++accesses_;
         return uint64_t(start) + latency_;
     }
-
-    void
-    reset()
-    {
-        nextFree_ = 0.0;
-        accesses_ = 0;
-    }
-
-    uint64_t accesses() const { return accesses_; }
 
     uint64_t latency() const { return latency_; }
 
@@ -62,7 +52,6 @@ class Dram
     uint64_t latency_;
     double service_;
     double nextFree_ = 0.0;
-    uint64_t accesses_ = 0;
 };
 
 } // namespace swan::sim

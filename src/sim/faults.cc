@@ -72,6 +72,20 @@ infoFor(FaultScenario s)
     return kScenarios[0];
 }
 
+/** What a count-valued scenario applies for @p s's intensity: a
+ *  cache-flush storm fires clamp(floor(x), 1, duration) flushes per
+ *  window, at most one per window instruction; firstfault keeps
+ *  max(floor(x), 1) elements. */
+uint64_t
+appliedCount(const FaultSpec &s)
+{
+    const uint64_t n =
+        std::max<uint64_t>(uint64_t(s.effectiveIntensity()), 1);
+    if (s.scenario == FaultScenario::CacheFlush)
+        return std::min<uint64_t>(n, std::max<uint64_t>(s.duration, 1));
+    return n;
+}
+
 } // namespace
 
 double
@@ -166,6 +180,11 @@ FaultSpec::parse(const std::string &text, FaultSpec *out, std::string *err)
             return fail("duration must be >= 1");
         // A window must fit its slot (windows never overlap).
         spec.duration = std::min(spec.duration, spec.period);
+        // Keep the count that applies, so specs that replay alike
+        // share one label and one cache identity.
+        if (spec.scenario == FaultScenario::CacheFlush ||
+            spec.scenario == FaultScenario::FirstFault)
+            spec.intensity = double(appliedCount(spec));
     }
     if (out)
         *out = spec;
@@ -233,7 +252,11 @@ FaultSpec::catalog()
            "  firstfault        gather/scatter/strided ops truncated to "
            "<intensity>\n"
            "                    element(s) while open (default 1, at "
-           "most 255)\n"
+           "most 255; fractions\n"
+           "                    round down, at least 1)\n"
+           "cache-flush and firstfault keep the count that applies, so "
+           "intensity=2.5 and\n"
+           "intensity=2 name (and cache as) one scenario.\n"
            "\n"
            "parameters, colon-separated after the scenario name:\n"
            "  seed=N       window jitter seed            (default 1)\n"
@@ -259,9 +282,7 @@ FaultObserver::FaultObserver(const FaultSpec &spec) : spec_(spec)
     // A storm fires at most one flush per window instruction, so its
     // last flush lands inside the window and the window closes on time.
     if (spec_.scenario == FaultScenario::CacheFlush)
-        flashes_ = uint32_t(std::clamp<uint64_t>(
-            uint64_t(spec_.effectiveIntensity()), 1,
-            std::max<uint64_t>(spec_.duration, 1)));
+        flashes_ = uint32_t(appliedCount(spec_));
 }
 
 uint64_t
@@ -310,7 +331,7 @@ FaultObserver::applyWindow(std::span<CoreModel *const> models)
             setBranchMispredictRate(*m, spec_.effectiveIntensity());
         break;
     case FaultScenario::FirstFault:
-        clamp_ = std::max<uint32_t>(1, uint32_t(spec_.effectiveIntensity()));
+        clamp_ = uint32_t(appliedCount(spec_));
         break;
     case FaultScenario::None:
         break;

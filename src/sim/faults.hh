@@ -59,7 +59,10 @@ struct FaultSpec
      * window fires min(intensity, duration) of them, at most one per
      * window instruction),
      * mispredict-burst = mispredict rate while open (default 0.25, at
-     * most 1), firstfault = element clamp (default 1, at most 255).
+     * most 1), firstfault = element clamp (default 1, at most 255;
+     * max(floor(intensity), 1) elements). For cache-flush and
+     * firstfault, parse() stores the count that applies, so specs that
+     * replay alike share one describe() and one fingerprint().
      */
     double intensity = 0.0;
 

@@ -746,9 +746,18 @@ cmdSimulate(const Parsed &p, std::ostream &out, std::ostream &err)
             << ": malformed trace stream (checked decode failed)\n";
         return 2;
     }
+    // The mix reads only shape fields: count each decoded record's
+    // descriptor, with no AoS copy of a dump that may hold millions.
+    std::vector<trace::Instr> shapes(packed.descCount());
+    for (uint32_t d = 0; d < packed.descCount(); ++d)
+        packed.expandDesc(d, &shapes[d]);
     trace::MixStats mix;
-    for (const trace::Instr &i : packed)
-        mix.onInstr(i);
+    trace::PackedTrace::Cursor cur(packed);
+    std::vector<trace::PackedTrace::Decoded> batch(
+        trace::PackedTrace::kBlockInstrs);
+    while (const size_t n = cur.nextBatch(batch.data(), batch.size()))
+        for (size_t k = 0; k < n; ++k)
+            mix.onInstr(shapes[batch[k].desc]);
 
     out << "trace:         " << path << " (" << packed.size()
         << " records, " << mix.vectorInstrs() << " vector)\n"

@@ -22,9 +22,10 @@
  *    address; the rare second address of multi-address records
  *    (Gather/Scatter/LdS/StS) lives in a side stream.
  *
- * The encoding is lossless: unpack()/iteration reconstructs the exact
- * Instr sequence, so replaying a packed trace is byte-identical to
- * replaying the AoS buffer it came from.
+ * The encoding is lossless: unpack() reconstructs the exact Instr
+ * sequence (Cursor::nextBatch records over expandDesc shapes), so
+ * replaying a packed trace is byte-identical to replaying the AoS
+ * buffer it came from.
  *
  * Capture encodes on emit: a Recorder streams straight into a Builder
  * (counting the trace's MixStats on the way), so no capture holds the
@@ -40,8 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,119 +51,6 @@
 
 namespace swan::trace
 {
-
-/**
- * Decode primitives shared by the inline single-record
- * Cursor::next(Decoded&) and the batch decoder that the fused replay
- * engine runs (packed_batch.cc). Header-inline so both see one
- * definition of the stream format.
- */
-namespace packed_detail
-{
-
-inline int64_t
-unzigzag(uint64_t v)
-{
-    return int64_t(v >> 1) ^ -int64_t(v & 1);
-}
-
-// --- per-record tag layout --------------------------------------------
-// tag = descIndex << 6 | presence flags. A field whose flag is clear
-// contributes zero stream bytes and zero decode work: the common
-// sequential id costs nothing, and each absent dependence costs
-// nothing — a typical scalar ALU record is tag + one dep distance,
-// two bytes total.
-constexpr uint64_t kHasAddr = 1;
-constexpr uint64_t kHasMulti = 2;
-constexpr uint64_t kHasIdJump = 4;  //!< id != prevId + 1
-constexpr uint64_t kHasDep0 = 8;
-constexpr uint64_t kHasDep1 = 16;
-constexpr uint64_t kHasDep2 = 32;
-constexpr int kTagFlagBits = 6;
-
-/** Longest possible main-stream record: 6 varints of up to 10 bytes. */
-constexpr ptrdiff_t kMaxRecordBytes = 60;
-
-/** Strip each byte's continuation bit and fold the 7-bit groups of a
- *  masked little-endian word into one integer (up to 56 bits). */
-inline uint64_t
-fold7(uint64_t w)
-{
-    uint64_t x = (w & 0x007f007f007f007full) |
-                 ((w & 0x7f007f007f007f00ull) >> 1);
-    x = (x & 0x00003fff00003fffull) | ((x & 0x3fff00003fff0000ull) >> 2);
-    return (x & 0x000000000fffffffull) | ((x & 0x0fffffff00000000ull) >> 4);
-}
-
-/**
- * Unchecked word-at-a-time varint read. One 8-byte load covers every
- * varint the encoder emits for the values seen in practice: the length
- * comes from the first clear continuation bit (ctz on the inverted msb
- * mask), and the payload bits fold together without a per-byte loop —
- * no data-dependent branches for anything up to 8 encoded bytes.
- * Only used when the caller has already established that a maximal
- * record cannot run past the end of the stream.
- */
-inline uint64_t
-rdFast(const uint8_t *&p)
-{
-    uint64_t w;
-    std::memcpy(&w, p, 8);
-    if (__builtin_expect(!(w & 0x80), 1)) {
-        ++p;
-        return w & 0x7f;
-    }
-    const uint64_t stops = ~w & 0x8080808080808080ull;
-    if (__builtin_expect(stops != 0, 1)) {
-        // Bytes 0..len-1 belong to this varint (2 <= len <= 8).
-        const int len = (__builtin_ctzll(stops) >> 3) + 1;
-        p += len;
-        return fold7(w & (~0ull >> (64 - 8 * len)));
-    }
-    // 9- or 10-byte varint: all eight loaded bytes are continuation
-    // bytes; fold their 56 payload bits and finish byte-wise.
-    p += 8;
-    uint64_t v = fold7(w & 0x7f7f7f7f7f7f7f7full);
-    int shift = 56;
-    while (true) {
-        const uint64_t b = *p++;
-        v |= (b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-        if (shift >= 64)
-            return v;
-    }
-}
-
-/**
- * Checked byte-wise varint read: never reads at or past @p end, and
- * sets @p *bad (leaves it untouched otherwise) when the varint is
- * truncated by the stream end or over-long (> 10 encoded bytes —
- * something the encoder never emits).
- */
-inline uint64_t
-getVarint(const uint8_t *&p, const uint8_t *end, bool *bad)
-{
-    uint64_t v = 0;
-    int shift = 0;
-    while (p < end) {
-        const uint8_t b = *p++;
-        if (shift < 64)
-            v |= uint64_t(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-        if (shift >= 70) {
-            *bad = true;
-            return v;
-        }
-    }
-    *bad = true;
-    return v;
-}
-
-} // namespace packed_detail
 
 /** Losslessly packed dynamic instruction trace. */
 class PackedTrace
@@ -188,9 +74,9 @@ class PackedTrace
                                       "payload format");
 
   public:
-    /** Decode block: Instrs per Cursor::next(Instr *, n) block (16
-     *  KiB of Instr, cache-resident); the fused replay engine decodes
-     *  four blocks per batch. */
+    /** Decode block: a Cursor::nextBatch batch size whose Decoded
+     *  buffer stays cache-resident (14 KiB); the fused replay engine
+     *  steps four blocks per batch. */
     static constexpr size_t kBlockInstrs = 256;
 
     PackedTrace() = default;
@@ -293,49 +179,30 @@ class PackedTrace
     // growing it grows every replay's staging footprint.
     static_assert(sizeof(Decoded) == 56, "Decoded grew");
 
-    /** Incremental block decoder (checked: see ok()). */
+    /** Incremental batch decoder (checked: see ok()). */
     class Cursor
     {
       public:
-        Cursor() = default; //!< empty cursor; next() returns 0
+        Cursor() = default; //!< empty cursor; nextBatch() returns 0
         explicit Cursor(const PackedTrace &trace);
 
         /**
-         * Decode up to @p max instructions into @p out.
-         * @return the number decoded; 0 at end of trace.
-         */
-        size_t next(Instr *out, size_t max);
-
-        /**
-         * Decode exactly one record into registers (no Instr
-         * materialization) — the checked reference nextBatch() is
-         * tested against.
-         * @return false at end of trace, or when the stream is
-         * malformed (check ok() to tell the two apart).
-         */
-        bool next(Decoded &out);
-
-        /**
-         * Decode up to @p max records into @p out with the portable
-         * SWAR batch decoder (packed_batch.cc) — the fused replay
-         * engine's entry point. Cursor state (position, delta bases,
-         * ok()) advances exactly as @p max calls of next(Decoded&)
-         * would; the batch only amortizes bounds checks and keeps the
-         * decode recurrence in registers across the whole batch.
+         * Decode the next up to @p max records into @p out — the one
+         * decoder of the stream format, run by the fused replay engine
+         * and unpack(). Portable SWAR: the decode recurrence stays in
+         * registers across the whole batch, so bounds checks amortize.
          * @return the number decoded; 0 at end of trace or on a
          * malformed stream (check ok() to tell the two apart).
          */
         size_t nextBatch(Decoded *out, size_t max);
 
-        /** Rewind to the first instruction. */
-        void reset();
-
         /**
          * Checked decode: false once this cursor has observed a
-         * malformed stream — a record truncated by the varint stream
-         * end, a descriptor index out of range, an exhausted
-         * multi-address side stream, or (once the advertised
-         * instruction count has been decoded) trailing stream bytes.
+         * malformed stream — a varint truncated by the stream end or
+         * longer than the encoder's 10 bytes, a descriptor index out of
+         * range, an exhausted multi-address side stream, or (once the
+         * advertised instruction count has been decoded) trailing
+         * stream bytes.
          * Decoding never reads outside the encoded buffer either way;
          * ok() upgrades "stop early on garbage" to "reject".
          */
@@ -352,45 +219,6 @@ class PackedTrace
         uint64_t left_ = 0;                 //!< records still to decode
         bool bad_ = false;                  //!< malformation observed
     };
-
-    /** Input iterator reconstructing Instr views one at a time. */
-    class Iterator
-    {
-      public:
-        using iterator_category = std::input_iterator_tag;
-        using value_type = Instr;
-        using difference_type = std::ptrdiff_t;
-        using pointer = const Instr *;
-        using reference = const Instr &;
-
-        Iterator() = default; // end sentinel
-
-        explicit Iterator(const PackedTrace &trace) : cur_(trace)
-        {
-            ++*this;
-        }
-
-        reference operator*() const { return instr_; }
-        pointer operator->() const { return &instr_; }
-
-        Iterator &
-        operator++()
-        {
-            done_ = cur_.next(&instr_, 1) == 0;
-            return *this;
-        }
-
-        bool operator==(const Iterator &o) const { return done_ == o.done_; }
-        bool operator!=(const Iterator &o) const { return !(*this == o); }
-
-      private:
-        Cursor cur_;
-        Instr instr_;
-        bool done_ = true;
-    };
-
-    Iterator begin() const { return empty() ? Iterator() : Iterator(*this); }
-    Iterator end() const { return Iterator(); }
 
     /**
      * Append the encoded payload (header + streams) to @p out: the
@@ -502,146 +330,6 @@ PackedTrace::Cursor::ok() const
     // (trailing bytes mean the advertised count lied).
     if (trace_ && left_ == 0)
         return p_ == end_ && mp_ == mend_;
-    return true;
-}
-
-/**
- * Single-record decode, inline so the Instr block decoder
- * (packed.cc) pays no call per instruction. nextBatch() runs the same
- * three tiers over a whole batch: a branch-free extraction when the
- * next 8 bytes are all single-byte varints (the overwhelmingly common
- * case — a record is typically 2-4 bytes), an unchecked word-at-a-time
- * read when a maximal record cannot overrun the stream, and a fully
- * checked byte-wise tail.
- */
-inline bool
-PackedTrace::Cursor::next(Decoded &out)
-{
-    using namespace packed_detail;
-    if (left_ == 0)
-        return false;
-    const uint8_t *p = p_;
-    const uint32_t descCount = trace_->descCount_;
-    uint64_t tag, id, dep0 = 0, dep1 = 0, dep2 = 0, addr = 0, addr2 = 0;
-    if (__builtin_expect(end_ - p >= 8, 1)) {
-        uint64_t w;
-        std::memcpy(&w, p, 8);
-        if (__builtin_expect(!(w & 0x8080808080808080ull), 1)) {
-            tag = w & 0xff;
-            if (__builtin_expect(!(tag & kHasMulti), 1)) {
-                // Flag-indexed shifts: absent fields cost a mask, not
-                // a mispredicted branch.
-                const uint64_t fIdJ = (tag >> 2) & 1;
-                const uint64_t fD0 = (tag >> 3) & 1;
-                const uint64_t fD1 = (tag >> 4) & 1;
-                const uint64_t fD2 = (tag >> 5) & 1;
-                const uint64_t fA = tag & 1;
-                const uint64_t pIdJ = 1;
-                const uint64_t pD0 = pIdJ + fIdJ;
-                const uint64_t pD1 = pD0 + fD0;
-                const uint64_t pD2 = pD1 + fD1;
-                const uint64_t pA = pD2 + fD2;
-                p_ = p + (pA + fA);
-                id = uint64_t(
-                    int64_t(prevId_ + 1) +
-                    (unzigzag((w >> (8 * pIdJ)) & 0xff) & -int64_t(fIdJ)));
-                dep0 = uint64_t(int64_t(id) -
-                                unzigzag((w >> (8 * pD0)) & 0xff)) &
-                       -uint64_t(fD0);
-                dep1 = uint64_t(int64_t(id) -
-                                unzigzag((w >> (8 * pD1)) & 0xff)) &
-                       -uint64_t(fD1);
-                dep2 = uint64_t(int64_t(id) -
-                                unzigzag((w >> (8 * pD2)) & 0xff)) &
-                       -uint64_t(fD2);
-                prevAddr_ += uint64_t(unzigzag((w >> (8 * pA)) & 0xff) &
-                                      -int64_t(fA));
-                addr = prevAddr_ & -uint64_t(fA);
-                prevId_ = id;
-                const uint64_t idx = tag >> kTagFlagBits;
-                if (__builtin_expect(idx >= descCount, 0)) {
-                    bad_ = true;
-                    left_ = 0;
-                    return false;
-                }
-                --left_;
-                out.id = id;
-                out.dep0 = dep0;
-                out.dep1 = dep1;
-                out.dep2 = dep2;
-                out.addr = addr;
-                out.addr2 = 0;
-                out.desc = uint32_t(idx);
-                return true;
-            }
-        }
-    }
-    if (__builtin_expect(end_ - p >= kMaxRecordBytes, 1)) {
-        // A maximal record fits: skip per-byte checks. The rare
-        // multi-address side read stays checked below (the side
-        // stream may be empty).
-        tag = rdFast(p);
-        id = prevId_ + 1;
-        if (tag & kHasIdJump)
-            id = uint64_t(int64_t(id) + unzigzag(rdFast(p)));
-        if (tag & kHasDep0)
-            dep0 = uint64_t(int64_t(id) - unzigzag(rdFast(p)));
-        if (tag & kHasDep1)
-            dep1 = uint64_t(int64_t(id) - unzigzag(rdFast(p)));
-        if (tag & kHasDep2)
-            dep2 = uint64_t(int64_t(id) - unzigzag(rdFast(p)));
-        if (tag & kHasAddr) {
-            prevAddr_ += uint64_t(unzigzag(rdFast(p)));
-            addr = prevAddr_;
-        }
-    } else {
-        bool bad = false;
-        tag = getVarint(p, end_, &bad);
-        id = prevId_ + 1;
-        if (tag & kHasIdJump)
-            id = uint64_t(int64_t(id) + unzigzag(getVarint(p, end_, &bad)));
-        if (tag & kHasDep0)
-            dep0 = uint64_t(int64_t(id) - unzigzag(getVarint(p, end_, &bad)));
-        if (tag & kHasDep1)
-            dep1 = uint64_t(int64_t(id) - unzigzag(getVarint(p, end_, &bad)));
-        if (tag & kHasDep2)
-            dep2 = uint64_t(int64_t(id) - unzigzag(getVarint(p, end_, &bad)));
-        if (tag & kHasAddr) {
-            prevAddr_ += uint64_t(unzigzag(getVarint(p, end_, &bad)));
-            addr = prevAddr_;
-        }
-        if (bad) {
-            bad_ = true;
-            left_ = 0;
-            return false;
-        }
-    }
-    if (tag & kHasMulti) {
-        bool bad = false;
-        const uint64_t multiTok = getVarint(mp_, mend_, &bad);
-        if (bad) {
-            bad_ = true;
-            left_ = 0;
-            return false;
-        }
-        addr2 = uint64_t(int64_t(addr) + unzigzag(multiTok));
-    }
-    prevId_ = id;
-    const uint64_t idx = tag >> kTagFlagBits;
-    if (__builtin_expect(idx >= descCount, 0)) {
-        bad_ = true;
-        left_ = 0;
-        return false;
-    }
-    p_ = p;
-    --left_;
-    out.id = id;
-    out.dep0 = dep0;
-    out.dep1 = dep1;
-    out.dep2 = dep2;
-    out.addr = addr;
-    out.addr2 = addr2;
-    out.desc = uint32_t(idx);
     return true;
 }
 

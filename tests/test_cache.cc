@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the cache model and memory hierarchy: hit/miss behavior,
- * LRU replacement, write-back traffic, hierarchy fill, MSHR-bounded
- * overlap and DRAM bandwidth queueing.
+ * Tests for the cache model and memory system (a CacheHierarchy timed
+ * by a MemTiming): hit/miss behavior, LRU replacement, write-back
+ * traffic, hierarchy fill, MSHR-bounded overlap and DRAM bandwidth
+ * queueing.
  */
 
+#include <algorithm>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,45 @@ tinyCache(int size, int ways)
 {
     return {size, ways, 64, 4, false};
 }
+
+/**
+ * The memory system as sim::CoreModel composes it: each access walks
+ * the functional CacheHierarchy, then its MemTiming times the line
+ * outcomes the walk left.
+ */
+struct MemSystem
+{
+    explicit MemSystem(const CoreConfig &cfg) : caches(cfg), timing(cfg) {}
+
+    struct Load
+    {
+        uint64_t latency;  //!< load-to-use latency in cycles
+        MemLevel level;    //!< slowest level any line came from
+    };
+
+    /** A load at @p cycle of at most two lines. */
+    Load
+    load(uint64_t addr, uint32_t size, uint64_t cycle)
+    {
+        uint8_t o[2];
+        const size_t n = caches.load(addr, size, o);
+        uint8_t level = uint8_t(MemLevel::L1);
+        for (size_t i = 0; i < n; ++i)
+            level = std::max(level, uint8_t(o[i] & LineOutcome::kLevel));
+        return {timing.load(o, n, cycle), MemLevel(level)};
+    }
+
+    /** A store at @p cycle of at most two lines. */
+    void
+    store(uint64_t addr, uint32_t size, uint64_t cycle)
+    {
+        uint8_t o[2];
+        timing.store(o, caches.store(addr, size, o), cycle);
+    }
+
+    CacheHierarchy caches;
+    MemTiming timing;
+};
 
 } // namespace
 
@@ -67,15 +108,6 @@ TEST(Cache, ProbeDoesNotDisturbState)
     EXPECT_EQ(c.misses(), misses);
 }
 
-TEST(Cache, ResetClearsEverything)
-{
-    Cache c(tinyCache(1024, 2));
-    c.access(0x0, false);
-    c.reset();
-    EXPECT_EQ(c.accesses(), 0u);
-    EXPECT_FALSE(c.probe(0x0));
-}
-
 TEST(Cache, RejectsNonPositiveWaysOrLineSize)
 {
     // The set count divides by lineBytes * ways, so these must be
@@ -87,44 +119,44 @@ TEST(Cache, RejectsNonPositiveWaysOrLineSize)
         EXPECT_THROW(Cache{bad}, std::invalid_argument);
 }
 
-TEST(MemHierarchy, LatencyGrowsDownTheHierarchy)
+TEST(MemSystem, LatencyGrowsDownTheHierarchy)
 {
     auto cfg = primeConfig();
     cfg.l1d.nextLinePrefetch = false;
     cfg.l2.nextLinePrefetch = false;
-    MemHierarchy mem(cfg);
+    MemSystem mem(cfg);
 
     auto first = mem.load(0x10000, 4, 0);
-    EXPECT_EQ(first.level, MemHierarchy::Level::Dram);
+    EXPECT_EQ(first.level, MemLevel::Dram);
     EXPECT_GT(first.latency, uint64_t(cfg.llc.latency));
 
     auto hit = mem.load(0x10000, 4, 1000);
-    EXPECT_EQ(hit.level, MemHierarchy::Level::L1);
+    EXPECT_EQ(hit.level, MemLevel::L1);
     EXPECT_EQ(hit.latency, uint64_t(cfg.l1d.latency));
 }
 
-TEST(MemHierarchy, L2HitAfterL1Eviction)
+TEST(MemSystem, L2HitAfterL1Eviction)
 {
     auto cfg = primeConfig();
     cfg.l1d = {1024, 1, 64, 4, false};
     cfg.l2 = {64 * 1024, 8, 64, 9, false};
-    MemHierarchy mem(cfg);
+    MemSystem mem(cfg);
     mem.load(0x0000, 4, 0);
     // Conflict in L1 (direct-mapped 1 KiB) but fits easily in L2.
     mem.load(0x0000 + 1024, 4, 100);
     auto r = mem.load(0x0000, 4, 200);
-    EXPECT_EQ(r.level, MemHierarchy::Level::L2);
+    EXPECT_EQ(r.level, MemLevel::L2);
     EXPECT_EQ(r.latency, uint64_t(cfg.l2.latency));
 }
 
-TEST(MemHierarchy, MshrsBoundOverlap)
+TEST(MemSystem, MshrsBoundOverlap)
 {
     auto cfg = primeConfig();
     cfg.mshrs = 1;
     cfg.l1d.nextLinePrefetch = false;
-    MemHierarchy one(cfg);
+    MemSystem one(cfg);
     cfg.mshrs = 16;
-    MemHierarchy many(cfg);
+    MemSystem many(cfg);
 
     // Two concurrent misses at cycle 0: with one MSHR the second must
     // wait for the first to complete.
@@ -137,38 +169,38 @@ TEST(MemHierarchy, MshrsBoundOverlap)
     EXPECT_GT(lat_one, lat_many);
 }
 
-TEST(MemHierarchy, RejectsCoresWithoutMshrs)
+TEST(MemTiming, RejectsCoresWithoutMshrs)
 {
     // With no MSHR a miss would take its slot through the end()
     // iterator of an empty MSHR table.
     for (int mshrs : {0, -1}) {
         auto cfg = primeConfig();
         cfg.mshrs = mshrs;
-        EXPECT_THROW(MemHierarchy{cfg}, std::invalid_argument) << mshrs;
+        EXPECT_THROW(MemTiming{cfg}, std::invalid_argument) << mshrs;
     }
 }
 
-TEST(MemHierarchy, StoreTrafficCountsDramWrites)
+TEST(MemSystem, StoreTrafficCountsDramWrites)
 {
     auto cfg = primeConfig();
     cfg.l1d = {1024, 1, 64, 4, false};
     cfg.l2 = {2048, 1, 64, 9, false};
     cfg.llc = {4096, 1, 64, 31, false};
-    MemHierarchy mem(cfg);
+    MemSystem mem(cfg);
     // Write a long stream: dirty lines must eventually reach DRAM.
     for (uint64_t a = 0; a < 64 * 1024; a += 64)
         mem.store(a, 4, a);
-    EXPECT_GT(mem.dramWrites(), 0u);
-    EXPECT_GT(mem.dramReads(), 0u); // write-allocate fills
+    EXPECT_GT(mem.caches.dramWrites(), 0u);
+    EXPECT_GT(mem.caches.dramReads(), 0u); // write-allocate fills
 }
 
-TEST(MemHierarchy, SpanningAccessTouchesBothLines)
+TEST(MemSystem, SpanningAccessTouchesBothLines)
 {
     auto cfg = primeConfig();
     cfg.l1d.nextLinePrefetch = false;
-    MemHierarchy mem(cfg);
+    MemSystem mem(cfg);
     mem.load(0x1000 - 8, 16, 0); // spans two lines
-    EXPECT_EQ(mem.l1().misses(), 2u);
+    EXPECT_EQ(mem.caches.l1().misses(), 2u);
 }
 
 TEST(Dram, BandwidthQueueDelaysBursts)

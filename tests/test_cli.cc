@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.hh"
+#include "core/runner.hh"
 #include "swan/version.hh"
 #include "tools/cli.hh"
 
@@ -348,13 +349,17 @@ fnv1a(uint64_t h, const void *data, size_t n)
 TEST(CliTrace, DumpThenSimulateRoundTrip)
 {
     // The dump replays to the cycle count the run reported, on the
-    // run's own core: Neon and Scalar, out of order and in order.
+    // run's own core: Neon and Scalar, out of order and in order. Its
+    // record and vector counts are the capture's instruction mix.
+    using swan::core::Impl;
     struct Case
     {
         const char *kernel, *impl, *core;
+        Impl capture;
     };
-    for (const Case &c : {Case{"ZL/adler32", "neon", "gold"},
-                          Case{"LP/defilter_up", "scalar", "silver"}}) {
+    for (const Case &c :
+         {Case{"ZL/adler32", "neon", "gold", Impl::Neon},
+          Case{"LP/defilter_up", "scalar", "silver", Impl::Scalar}}) {
         SCOPED_TRACE(std::string(c.kernel) + " " + c.impl);
         const TmpDump dump("roundtrip");
         auto r = cli({"run", c.kernel, "--impl", c.impl, "--core", c.core,
@@ -364,6 +369,15 @@ TEST(CliTrace, DumpThenSimulateRoundTrip)
 
         auto s = cli({"simulate", dump.path, "--core", c.core});
         ASSERT_EQ(s.code, 0) << s.err;
+        const auto *spec = swan::core::Registry::instance().find(c.kernel);
+        ASSERT_NE(spec, nullptr);
+        auto w = spec->make(swan::core::Options::fromEnv());
+        swan::trace::MixStats mix;
+        mix.addTrace(swan::core::Runner::capture(*w, c.capture, 128));
+        EXPECT_EQ(field(s.out, "trace:"),
+                  dump.path + " (" + std::to_string(mix.total()) +
+                      " records, " + std::to_string(mix.vectorInstrs()) +
+                      " vector)");
         EXPECT_EQ(field(s.out, "core:"), c.core);
         EXPECT_FALSE(field(r.out, "cycles:").empty());
         EXPECT_EQ(field(s.out, "cycles:"), field(r.out, "cycles:"));

@@ -254,6 +254,32 @@ TEST(FaultSpec, OutOfRangeValuesAreRejectedWithTheCatalog)
               ~uint64_t(0));
 }
 
+TEST(FaultSpec, CountValuedIntensitiesKeepTheCountThatApplies)
+{
+    // A 10-instruction window fires at most 10 flushes, and flush and
+    // element counts round down: specs that replay alike must share
+    // one label and one cache identity.
+    const std::string window =
+        "cache-flush:seed=1:period=1000:duration=10:intensity=";
+    const std::pair<std::string, std::string> alike[] = {
+        {window + "10", window + "1000"},
+        {window + "2", window + "2.5"},
+        {"firstfault:intensity=2", "firstfault:intensity=2.5"},
+    };
+    for (const auto &[a, b] : alike) {
+        const auto sa = mustParse(a);
+        const auto sb = mustParse(b);
+        EXPECT_EQ(sa.describe(), sb.describe()) << a << " vs " << b;
+        EXPECT_EQ(sa.fingerprint(), sb.fingerprint()) << a << " vs " << b;
+    }
+    EXPECT_EQ(mustParse(window + "1000").describe(),
+              "cache-flush:seed=1:period=1000:duration=10:intensity=10");
+    // The cap applies to the intensity as written.
+    sim::FaultSpec spec;
+    EXPECT_FALSE(
+        sim::FaultSpec::parse("cache-flush:intensity=1001", &spec, nullptr));
+}
+
 TEST(FaultSpec, FingerprintSeparatesScenariosAndParameters)
 {
     const std::vector<std::string> specs = {

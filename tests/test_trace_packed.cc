@@ -2,10 +2,10 @@
  * @file
  * Tests of the packed trace encoding (trace/packed.hh): lossless
  * pack/unpack round-trips on randomized traces (including the
- * multi-address Gather/Scatter/LdS records), iterator and block-cursor
- * equivalence, payload (disk-tier) round-trips and corruption
- * handling, compression and encode-on-emit losslessness on real
- * captured traces, and the
+ * multi-address Gather/Scatter/LdS records), the batch decoder against
+ * a byte-wise reference decoder on intact and damaged streams, payload
+ * (disk-tier) round-trips and corruption handling, compression and
+ * encode-on-emit losslessness on real captured traces, and the
  * simulateTraceMany single-pass multi-config replay producing results
  * bit-identical to N separate simulateTrace passes.
  */
@@ -133,6 +133,36 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b)
     EXPECT_EQ(a.llcAccesses, b.llcAccesses);
 }
 
+/** Drain @p t through nextBatch() in @p batchSize chunks. */
+std::vector<PackedTrace::Decoded>
+decodeAll(const PackedTrace &t, size_t batchSize, bool *ok)
+{
+    PackedTrace::Cursor cur(t);
+    std::vector<PackedTrace::Decoded> out;
+    std::vector<PackedTrace::Decoded> buf(batchSize);
+    size_t k;
+    while ((k = cur.nextBatch(buf.data(), batchSize)) != 0)
+        out.insert(out.end(), buf.begin(), buf.begin() + k);
+    *ok = cur.ok();
+    return out;
+}
+
+void
+expectSameDecoded(const std::vector<PackedTrace::Decoded> &ref,
+                  const std::vector<PackedTrace::Decoded> &got,
+                  size_t batchSize)
+{
+    ASSERT_EQ(ref.size(), got.size()) << "bs=" << batchSize;
+    for (size_t i = 0; i < ref.size(); ++i) {
+        const auto &a = ref[i];
+        const auto &b = got[i];
+        ASSERT_TRUE(a.id == b.id && a.dep0 == b.dep0 && a.dep1 == b.dep1 &&
+                    a.dep2 == b.dep2 && a.addr == b.addr &&
+                    a.addr2 == b.addr2 && a.desc == b.desc)
+            << "bs=" << batchSize << " record " << i;
+    }
+}
+
 } // namespace
 
 TEST(PackedTrace, RoundTripsRandomizedTraces)
@@ -151,45 +181,12 @@ TEST(PackedTrace, RoundTripsEmptyAndTiny)
     EXPECT_EQ(empty.size(), 0u);
     EXPECT_TRUE(empty.empty());
     EXPECT_TRUE(empty.unpack().empty());
-    EXPECT_EQ(empty.begin(), empty.end());
+    bool ok = false;
+    EXPECT_TRUE(decodeAll(empty, 7, &ok).empty());
+    EXPECT_TRUE(ok);
 
     const auto one = randomTrace(1, 7);
     expectSameTrace(one, PackedTrace::pack(one).unpack());
-}
-
-TEST(PackedTrace, IteratorMatchesUnpack)
-{
-    const auto instrs = randomTrace(2000, 9);
-    const auto packed = PackedTrace::pack(instrs);
-    size_t i = 0;
-    for (const Instr &ins : packed) {
-        ASSERT_LT(i, instrs.size());
-        EXPECT_TRUE(sameInstr(instrs[i], ins)) << "record " << i;
-        ++i;
-    }
-    EXPECT_EQ(i, instrs.size());
-}
-
-TEST(PackedTrace, CursorBlocksConcatenateToTheTrace)
-{
-    const auto instrs = randomTrace(3000, 11);
-    const auto packed = PackedTrace::pack(instrs);
-    PackedTrace::Cursor cur(packed);
-    Instr block[PackedTrace::kBlockInstrs];
-    std::vector<Instr> seen;
-    size_t n;
-    while ((n = cur.next(block, PackedTrace::kBlockInstrs)) != 0) {
-        // Full blocks except possibly the last.
-        if (seen.size() + n < instrs.size()) {
-            EXPECT_EQ(n, PackedTrace::kBlockInstrs);
-        }
-        seen.insert(seen.end(), block, block + n);
-    }
-    expectSameTrace(instrs, seen);
-
-    cur.reset();
-    EXPECT_EQ(cur.next(block, 1), 1u);
-    EXPECT_TRUE(sameInstr(instrs[0], block[0]));
 }
 
 TEST(PackedTrace, ScratchReuseProducesIdenticalEncodings)
@@ -347,26 +344,90 @@ craftPayload(RawHeader h, const std::string &body)
     return out;
 }
 
+/**
+ * The checked reference nextBatch() is tested against: a plain
+ * byte-wise decoder of an appendPayload() blob that shares no code with
+ * the production decode tiers. Returns the records before the first
+ * malformation and sets @p ok to the verdict Cursor::ok() must reach.
+ */
+std::vector<PackedTrace::Decoded>
+referenceDecode(const std::string &blob, bool *ok)
+{
+    RawHeader h;
+    std::memcpy(&h, blob.data(), sizeof h);
+    const auto *p = reinterpret_cast<const uint8_t *>(blob.data()) +
+                    sizeof h + size_t(h.descCount) * h.descSize;
+    const uint8_t *const end = p + h.mainLen;
+    const uint8_t *mp = end;
+    const uint8_t *const mend = mp + h.multiLen;
+    bool bad = false;
+    // A varint of at most 10 bytes that ends before the stream does.
+    const auto varint = [&bad](const uint8_t *&q, const uint8_t *e) {
+        uint64_t v = 0;
+        for (int i = 0; i < 10 && q < e; ++i) {
+            const uint8_t b = *q++;
+            v |= uint64_t(b & 0x7f) << (7 * i);
+            if (!(b & 0x80))
+                return v;
+        }
+        bad = true;
+        return v;
+    };
+    const auto delta = [&](const uint8_t *&q, const uint8_t *e) {
+        const uint64_t z = varint(q, e);
+        return (z >> 1) ^ (0 - (z & 1)); // zigzag, in two's complement
+    };
+    std::vector<PackedTrace::Decoded> out;
+    uint64_t prevId = 0, prevAddr = 0;
+    for (uint64_t r = 0; r < h.count; ++r) {
+        PackedTrace::Decoded d{};
+        const uint64_t tag = varint(p, end);
+        d.id = prevId + 1;
+        if (tag & 4)
+            d.id += delta(p, end);
+        if (tag & 8)
+            d.dep0 = d.id - delta(p, end);
+        if (tag & 16)
+            d.dep1 = d.id - delta(p, end);
+        if (tag & 32)
+            d.dep2 = d.id - delta(p, end);
+        if (tag & 1) {
+            prevAddr += delta(p, end);
+            d.addr = prevAddr;
+        }
+        if (tag & 2)
+            d.addr2 = d.addr + delta(mp, mend);
+        if (bad || (tag >> 6) >= h.descCount) {
+            *ok = false;
+            return out;
+        }
+        d.desc = uint32_t(tag >> 6);
+        prevId = d.id;
+        out.push_back(d);
+    }
+    *ok = p == end && mp == mend;
+    return out;
+}
+
+/** referenceDecode() of @p t's payload. */
+std::vector<PackedTrace::Decoded>
+referenceDecode(const PackedTrace &t, bool *ok)
+{
+    std::string blob;
+    t.appendPayload(&blob);
+    return referenceDecode(blob, ok);
+}
+
 } // namespace
 
 TEST(PackedTraceChecked, CleanDecodeReportsOk)
 {
     const auto instrs = randomTrace(2000, 51);
     const auto packed = PackedTrace::pack(instrs);
-    PackedTrace::Cursor cur(packed);
-    PackedTrace::Decoded d;
-    size_t n = 0;
-    while (cur.next(d))
-        ++n;
-    EXPECT_EQ(n, instrs.size());
-    EXPECT_TRUE(cur.ok());
-
-    // The block form tracks the same checked state.
-    PackedTrace::Cursor blocks(packed);
-    Instr buf[PackedTrace::kBlockInstrs];
-    while (blocks.next(buf, PackedTrace::kBlockInstrs) != 0) {
-    }
-    EXPECT_TRUE(blocks.ok());
+    bool ok = false;
+    EXPECT_EQ(decodeAll(packed, PackedTrace::kBlockInstrs, &ok).size(),
+              instrs.size());
+    EXPECT_TRUE(ok);
 }
 
 TEST(PackedTraceChecked, RejectsTruncatedMainStream)
@@ -398,12 +459,9 @@ TEST(PackedTraceChecked, RejectsTruncatedMainStream)
                 reinterpret_cast<const uint8_t *>(crafted.data()),
                 crafted.size(), &t))
             continue; // structural reject is fine too
-        PackedTrace::Cursor cur(t);
-        PackedTrace::Decoded d;
-        size_t n = 0;
-        while (cur.next(d))
-            ++n;
-        EXPECT_FALSE(cur.ok()) << "k=" << k;
+        bool ok = true;
+        const size_t n = decodeAll(t, 128, &ok).size();
+        EXPECT_FALSE(ok) << "k=" << k;
         EXPECT_LE(n, instrs.size());
     }
 }
@@ -457,11 +515,9 @@ TEST(PackedTraceChecked, RejectsTruncatedMultiStream)
     if (PackedTrace::parsePayload(
             reinterpret_cast<const uint8_t *>(crafted.data()),
             crafted.size(), &t)) {
-        PackedTrace::Cursor cur(t);
-        PackedTrace::Decoded d;
-        while (cur.next(d)) {
-        }
-        EXPECT_FALSE(cur.ok());
+        bool ok = true;
+        decodeAll(t, 128, &ok);
+        EXPECT_FALSE(ok);
     }
 }
 
@@ -483,13 +539,11 @@ TEST(PackedTraceChecked, RejectsLyingInstructionCount)
         ASSERT_TRUE(PackedTrace::parsePayload(
             reinterpret_cast<const uint8_t *>(crafted.data()),
             crafted.size(), &t));
-        PackedTrace::Cursor cur(t);
-        PackedTrace::Decoded d;
-        while (cur.next(d)) {
-        }
+        bool ok = true;
+        decodeAll(t, 128, &ok);
         // Count understates -> trailing stream bytes; overstates ->
         // stream runs dry early. Both are malformations.
-        EXPECT_FALSE(cur.ok()) << "delta=" << delta;
+        EXPECT_FALSE(ok) << "delta=" << delta;
     }
 }
 
@@ -525,71 +579,28 @@ TEST(PackedTraceChecked, FuzzedStreamBytesNeverCrashTheDecoder)
         // Decoding must terminate without reading out of bounds and
         // never fabricate more records than advertised; a stream the
         // cursor calls ok must have decoded exactly `count`.
-        PackedTrace::Cursor cur(t);
-        PackedTrace::Decoded d;
-        size_t n = 0;
-        while (cur.next(d)) {
+        bool ok = false;
+        const auto got = decodeAll(t, 128, &ok);
+        for (const auto &d : got)
             ASSERT_LT(d.desc, t.descCount());
-            ++n;
-        }
-        EXPECT_LE(n, size_t(h.count));
-        if (cur.ok()) {
-            EXPECT_EQ(n, size_t(h.count));
+        EXPECT_LE(got.size(), size_t(h.count));
+        if (ok) {
+            EXPECT_EQ(got.size(), size_t(h.count));
         }
     }
 }
 
-namespace
-{
-
-/** Drain @p t through nextBatch() in @p batchSize chunks. */
-std::vector<PackedTrace::Decoded>
-decodeAll(const PackedTrace &t, size_t batchSize, bool *ok)
-{
-    PackedTrace::Cursor cur(t);
-    std::vector<PackedTrace::Decoded> out;
-    std::vector<PackedTrace::Decoded> buf(batchSize);
-    size_t k;
-    while ((k = cur.nextBatch(buf.data(), batchSize)) != 0)
-        out.insert(out.end(), buf.begin(), buf.begin() + k);
-    *ok = cur.ok();
-    return out;
-}
-
-void
-expectSameDecoded(const std::vector<PackedTrace::Decoded> &ref,
-                  const std::vector<PackedTrace::Decoded> &got,
-                  size_t batchSize)
-{
-    ASSERT_EQ(ref.size(), got.size()) << "bs=" << batchSize;
-    for (size_t i = 0; i < ref.size(); ++i) {
-        const auto &a = ref[i];
-        const auto &b = got[i];
-        ASSERT_TRUE(a.id == b.id && a.dep0 == b.dep0 && a.dep1 == b.dep1 &&
-                    a.dep2 == b.dep2 && a.addr == b.addr &&
-                    a.addr2 == b.addr2 && a.desc == b.desc)
-            << "bs=" << batchSize << " record " << i;
-    }
-}
-
-} // namespace
-
-TEST(PackedTraceBatch, MatchesTheCheckedCursor)
+TEST(PackedTraceBatch, MatchesTheReferenceDecoder)
 {
     for (uint32_t seed : {1u, 42u, 77u}) {
         for (size_t n : {size_t(0), size_t(1), size_t(257), size_t(6000)}) {
             const auto instrs = randomTrace(n, seed);
             const auto packed = PackedTrace::pack(instrs);
 
-            std::vector<PackedTrace::Decoded> ref;
-            {
-                PackedTrace::Cursor cur(packed);
-                PackedTrace::Decoded d;
-                while (cur.next(d))
-                    ref.push_back(d);
-                ASSERT_TRUE(cur.ok());
-                ASSERT_EQ(ref.size(), n);
-            }
+            bool refOk = false;
+            const auto ref = referenceDecode(packed, &refOk);
+            ASSERT_TRUE(refOk);
+            ASSERT_EQ(ref.size(), n);
 
             for (size_t bs : {size_t(1), size_t(13), size_t(128),
                               size_t(100000)}) {
@@ -611,12 +622,9 @@ TEST(PackedTraceBatch, MatchesOnARealKernelTrace)
     ASSERT_FALSE(instrs.empty());
     const auto packed = PackedTrace::pack(instrs);
 
-    std::vector<PackedTrace::Decoded> ref;
-    PackedTrace::Cursor cur(packed);
-    PackedTrace::Decoded d;
-    while (cur.next(d))
-        ref.push_back(d);
-    ASSERT_TRUE(cur.ok());
+    bool refOk = false;
+    const auto ref = referenceDecode(packed, &refOk);
+    ASSERT_TRUE(refOk);
 
     bool ok = false;
     const auto got = decodeAll(packed, 128, &ok);
@@ -626,11 +634,11 @@ TEST(PackedTraceBatch, MatchesOnARealKernelTrace)
 
 TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdict)
 {
-    // Truncations and random bit flips through the batch decoder: it
-    // must terminate in bounds and agree with the checked per-record
-    // cursor on the decoded prefix AND the ok() verdict — it may not
-    // turn malformed input into records (or silence) the per-record
-    // decoder would not.
+    // Truncations, random bit flips and over-long varints through the
+    // batch decoder: it must terminate in bounds and agree with the
+    // byte-wise reference on the decoded prefix AND the ok() verdict —
+    // it may not turn malformed input into records (or silence) the
+    // reference would not.
     const auto instrs = randomTrace(900, 71);
     const auto packed = PackedTrace::pack(instrs);
     std::string blob;
@@ -660,31 +668,49 @@ TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdict)
         }
         crafted.push_back(craftPayload(h, fuzzed));
     }
+    // One all-zero descriptor and a first record whose tag is an
+    // 11-byte varint (ten continuation bytes, then 0), alone or before
+    // 100 one-byte records, under a count one past the records
+    // encoded. A decoder that stops after 10 bytes without flagging
+    // reads the 11th byte as a record and accepts the second stream.
+    const size_t firstOverlong = crafted.size();
+    for (size_t trailing : {size_t(0), size_t(100)}) {
+        RawHeader oh = h;
+        oh.count = 2 + trailing;
+        oh.descCount = 1;
+        oh.mainLen = 11 + trailing;
+        oh.multiLen = 0;
+        std::string obody(size_t(h.descSize), '\0');
+        obody += std::string(10, '\x80');
+        obody += std::string(1 + trailing, '\0');
+        crafted.push_back(craftPayload(oh, obody));
+    }
 
     for (size_t c = 0; c < crafted.size(); ++c) {
         PackedTrace t;
         if (!PackedTrace::parsePayload(
                 reinterpret_cast<const uint8_t *>(crafted[c].data()),
-                crafted[c].size(), &t))
-            continue; // structural reject: nothing reaches the decoders
-
-        bool refOk = false;
-        std::vector<PackedTrace::Decoded> ref;
-        {
-            PackedTrace::Cursor r(t);
-            PackedTrace::Decoded d;
-            while (r.next(d)) {
-                ASSERT_LT(d.desc, t.descCount());
-                ref.push_back(d);
-            }
-            refOk = r.ok();
+                crafted[c].size(), &t)) {
+            // Structural reject: nothing reaches the decoders.
+            ASSERT_LT(c, firstOverlong) << "case " << c;
+            continue;
         }
 
+        bool refOk = false;
+        const auto ref = referenceDecode(crafted[c], &refOk);
         for (size_t bs : {size_t(7), size_t(128)}) {
             bool ok = false;
             const auto got = decodeAll(t, bs, &ok);
             EXPECT_EQ(refOk, ok) << "bs=" << bs << " case " << c;
             expectSameDecoded(ref, got, bs);
+        }
+        if (c >= firstOverlong) {
+            bool ok = true;
+            decodeAll(t, 128, &ok);
+            EXPECT_FALSE(ok) << "case " << c;
+            EXPECT_THROW(sim::simulateTraceMany(t, {sim::primeConfig()}, 0),
+                         std::runtime_error)
+                << "case " << c;
         }
     }
 }

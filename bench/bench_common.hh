@@ -71,6 +71,20 @@ sameSim(const sim::SimResult &a, const sim::SimResult &b)
            a.l1Accesses == b.l1Accesses && a.byClass == b.byClass;
 }
 
+/**
+ * Instruction steps a payload-free simulateTraceMany with one warm-up
+ * pass takes over @p n instructions and @p configs configurations:
+ * each steps the measured pass and the stepped tail of the warm-up
+ * (its last sim::kWarmupStepTail instructions; the rest only walks the
+ * caches), as the Replay span's arg counts them.
+ */
+inline double
+replaySteps(size_t n, size_t configs)
+{
+    return double(n + std::min<size_t>(n, sim::kWarmupStepTail)) *
+           double(configs);
+}
+
 /** A number as a bench's hand-written JSON report prints it. */
 inline std::string
 fmtJson(double v)

@@ -94,8 +94,9 @@ main(int argc, char **argv)
 
     const std::vector<sim::CoreConfig> cfgs = {
         sim::primeConfig(), sim::goldConfig(), sim::silverConfig()};
-    // Each call feeds warmup+measure = 2 passes over every config.
-    const double passInstrs = 2.0 * double(n) * double(cfgs.size());
+    // Each call steps every config through the measured pass and the
+    // stepped tail of its one warm-up pass.
+    const double passInstrs = bench::replaySteps(n, cfgs.size());
 
     // Metrics off: the span sites must compile down to one relaxed
     // load + untaken branch each. Metrics on: each trial's arm starts

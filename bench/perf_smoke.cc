@@ -151,13 +151,12 @@ struct Gate
     {
     }
 
-    /** Simulated instruction steps per wall second of arm @p seconds
-     *  (warm-up plus measured pass, every configuration). */
+    /** Simulated instruction steps per second of arm @p seconds
+     *  (stepped warm-up plus measured pass, every configuration). */
     double
     ips(double seconds) const
     {
-        return 2.0 * double(trace->size()) * double(cfgs->size()) /
-               seconds;
+        return bench::replaySteps(trace->size(), cfgs->size()) / seconds;
     }
 };
 
@@ -261,8 +260,9 @@ main(int argc, char **argv)
     for (int k = 0; k < 3; ++k)
         fullTimes.push_back(bench::cpuSecondsOnce(
             [&] { sim::simulateTraceMany(fullPacked, cfgs9, 1); }));
-    const double ipsFull9 = 2.0 * double(fullPacked.size()) *
-                            double(cfgs9.size()) / bench::median(fullTimes);
+    const double ipsFull9 = bench::replaySteps(fullPacked.size(),
+                                               cfgs9.size()) /
+                            bench::median(fullTimes);
 
     const double aosBytes = double(trace::PackedTrace::aosBytes(n));
     const double packedBytes = double(packed.byteSize());

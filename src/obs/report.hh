@@ -56,7 +56,8 @@ struct RunReport
     uint64_t wallNs = 0; //!< the Sweep envelope's wall time
 
     /** Fused-replay throughput over the whole run, in millions of
-     *  instruction-steps (decoded instruction x config x pass) per
+     *  instruction steps taken (stepped instruction x config; a
+     *  warm-up instruction that only walks the caches is no step) per
      *  second of replay wall time; 0 when nothing replayed. */
     double replayMinstrPerS() const;
 };

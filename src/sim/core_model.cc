@@ -44,6 +44,19 @@ mispredictInterval(double rate)
     return interval < 0x1p64 ? uint64_t(interval) : 0;
 }
 
+/** The branch countdown after @p branches more branches, as the step
+ *  core counts them: the branch that takes it to 0 mispredicts and
+ *  restarts it at @p interval. */
+inline uint64_t
+skipBranches(uint64_t countdown, uint64_t branches, uint64_t interval)
+{
+    if (branches < countdown)
+        return countdown - branches;
+    if (countdown == 0 || interval == 0)
+        return 0;
+    return interval - (branches - countdown) % interval;
+}
+
 /**
  * @p cfg, once its scalars are known to convert: the model turns
  * frequencies, latencies and penalties into unsigned cycle counts, so a
@@ -657,6 +670,14 @@ void
 replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
        ReplayObserver *payload)
 {
+    CoreModel::replayPass(trace, models, payload, 0);
+}
+
+void
+CoreModel::replayPass(const trace::PackedTrace &trace,
+                      std::span<CoreModel *const> models,
+                      ReplayObserver *payload, uint64_t step_from)
+{
     if (models.empty())
         return;
 
@@ -768,9 +789,12 @@ replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
     while (true) {
         // Never step across a requested boundary: cap the batch so the
         // callback fires exactly when pos reaches it (a stale boundary
-        // at or before pos degrades to single stepping).
-        const size_t cap = size_t(std::min<uint64_t>(
-            kBatch, boundary > pos ? boundary - pos : 1));
+        // at or before pos degrades to single stepping). The step
+        // start caps walk-only batches the same way.
+        const uint64_t stop =
+            pos < step_from ? std::min(boundary, step_from) : boundary;
+        const size_t cap =
+            size_t(std::min<uint64_t>(kBatch, stop > pos ? stop - pos : 1));
         size_t nb = 0;
         while (nb < cap) {
             // Batch decode straight into the Decoded span: the SWAR
@@ -826,6 +850,30 @@ replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
             in.elems = uint8_t(clamp);
             in.size = elemBytes * clamp;
         }
+        // Before the step start the lanes only count the walked
+        // branches, so mispredicts land where stepping would put them.
+        // At it, the fresh lanes re-base ids so that the first stepped
+        // instruction is their first (older producers read as ready).
+        const bool step = pos >= step_from;
+        if (!step) {
+            uint64_t branches = 0;
+            for (size_t k = 0; k < nb; ++k)
+                branches += (batch[k].flags & CoreModel::kFlagBranch) != 0;
+            for (size_t i = 0; i < nm; ++i) {
+                CoreModel::LaneBlock &b = blocks[i / kBL];
+                StepState &st = b.st[i % kBL];
+                st.branchCountdown = skipBranches(
+                    st.branchCountdown, branches,
+                    mispredictInterval(
+                        b.model[i % kBL]->cfg_.branchMispredictRate));
+            }
+        } else if (pos == step_from && pos > 0) {
+            for (size_t i = 0; i < nm; ++i) {
+                StepState &st = blocks[i / kBL].st[i % kBL];
+                st.idOffset = 1 - batch[0].id;
+                st.lastSeenId = batch[0].id - 1;
+            }
+        }
         // Walk each distinct hierarchy over the batch, in program and
         // element order, then step every lane against its hierarchy's
         // outcomes — in prefixes that fit the outcome table, which
@@ -835,7 +883,7 @@ replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
             const size_t ns = table.fit(sub, nb - at);
             for (size_t w = 0; w < nw; ++w)
                 CoreModel::walkCaches(*walks[w], sub, ns, table, w);
-            for (size_t i = 0; i < nm; ++i) {
+            for (size_t i = 0; step && i < nm; ++i) {
                 CoreModel::LaneBlock &b = blocks[i / kBL];
                 const size_t s = i % kBL;
                 b.fn[s](*b.model[s], b.st[s], b.frontier[s], sub, ns,
@@ -898,13 +946,19 @@ simulateTraceMany(const trace::PackedTrace &trace,
                   const std::vector<CoreConfig> &cfgs, int warmup_passes,
                   ReplayObserver *payload)
 {
+    // Warm-up warms the caches functionally (see the header): without
+    // a payload, a trace longer than the tail steps only the last
+    // kWarmupStepTail instructions of its last warm-up pass.
+    const uint64_t n = trace.size();
+    const int passes = std::max(warmup_passes, 0);
+    const bool tail = !payload && n > kWarmupStepTail;
+    const uint64_t warmSteps = tail && passes ? kWarmupStepTail
+                                              : n * uint64_t(passes);
     // One telemetry span per fused traversal set; arg = instruction
-    // steps (decoded instructions x configs x passes). A single
-    // relaxed load when no collector is attached — this is the hot
-    // path the obs overhead bench gates (bench/obs_overhead.cc).
-    obs::Span span(obs::Phase::Replay,
-                   uint64_t(trace.size()) * cfgs.size() *
-                       uint64_t(warmup_passes + 1));
+    // steps taken (stepped instructions x configs). A single relaxed
+    // load when no collector is attached — this is the hot path the
+    // obs overhead bench gates (bench/obs_overhead.cc).
+    obs::Span span(obs::Phase::Replay, cfgs.size() * (n + warmSteps));
     // Configurations of equal cache geometry share one functional
     // hierarchy: the fused engine walks it once per batch for all of
     // them, and each times the outcomes on its own MemTiming. A
@@ -935,8 +989,11 @@ simulateTraceMany(const trace::PackedTrace &trace,
     for (size_t i = 0; i < models.size(); ++i)
         base[i] = models[i].get();
     const std::span<CoreModel *const> lanes(base, models.size());
-    for (int p = 0; p < warmup_passes; ++p)
-        replay(trace, lanes, payload);
+    for (int p = 0; p < passes; ++p)
+        CoreModel::replayPass(trace, lanes, payload,
+                              !tail             ? 0
+                              : p + 1 < passes ? n
+                                               : n - kWarmupStepTail);
     for (auto &m : models)
         m->beginMeasurement();
     replay(trace, lanes, payload);

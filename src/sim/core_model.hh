@@ -64,6 +64,14 @@ class CoreModel;
 class ReplayObserver;
 
 /**
+ * Warm-up instructions a payload-free simulateTraceMany steps the
+ * configurations through on a longer trace: the last kWarmupStepTail
+ * of its last warm-up pass. The rest of the warm-up only walks the
+ * cache hierarchies.
+ */
+inline constexpr uint64_t kWarmupStepTail = 4096;
+
+/**
  * Fused replay: decode each packed instruction once — into registers,
  * with no Instr staging buffer — and immediately step every model in
  * @p models from the same decoded fields. Per-descriptor shape lookups
@@ -211,6 +219,20 @@ class CoreModel
                        std::span<CoreModel *const> models,
                        ReplayObserver *payload);
     friend class ReplayObserver;
+
+    /**
+     * replay(), with the models stepping only from instruction
+     * @p step_from of the traversal on: every hierarchy is walked over
+     * the whole trace, and batches are capped at @p step_from as they
+     * are at a payload boundary. Before it, each model's branch
+     * countdown advances past the walked branches; at it, a model
+     * that has never stepped (fresh state) re-bases its instruction
+     * ids to the first stepped instruction, so producers older than
+     * that read as ready. replay() is step_from 0.
+     */
+    static void replayPass(const trace::PackedTrace &trace,
+                           std::span<CoreModel *const> models,
+                           ReplayObserver *payload, uint64_t step_from);
 
     static constexpr uint8_t kFlagLoad = 1;
     static constexpr uint8_t kFlagStore = 2;
@@ -511,11 +533,22 @@ SimResult simulateTrace(const std::vector<trace::Instr> &instrs,
  * The one place that runs the paper's simulation protocol:
  * @p warmup_passes cache-warming replays, then the measured pass (the
  * paper warms caches before each measured iteration), then finish().
- * Every pass is one fused replay() over all of @p cfgs: each
+ * Every pass is one fused traversal over all of @p cfgs: each
  * instruction is decoded once per pass, straight into registers, and
  * every configuration's model steps from the same decoded fields — an
  * N-config sweep point costs one trace traversal per pass, one decode,
  * and zero staging-buffer round-trips.
+ *
+ * Cache contents depend on the address stream alone, so the warm-up
+ * warms them functionally: without @p payload, on a trace longer than
+ * kWarmupStepTail, the warm-up passes walk every distinct hierarchy
+ * over every instruction, and the models step only the last
+ * kWarmupStepTail instructions of the last one, from fresh state, so
+ * the measured pass still starts on a busy pipeline. DRAM, MSHR and
+ * fill-queue state restart at the tail, so a result may differ from a
+ * fully stepped warm-up in its last digits; instruction counts and
+ * cache statistics never do. A shorter trace, or a replay under a
+ * payload, steps every warm-up instruction.
  *
  * Without @p payload, configurations with equal cache geometry
  * (CacheHierarchy::sameGeometry) share one functional hierarchy,

@@ -55,14 +55,15 @@ hashCache(Fnv &f, const sim::CacheConfig &c)
     f.b(c.nextLinePrefetch);
 }
 
-/** On-disk result entry header: kMagicStem + format version. v3 holds
+/** On-disk result entry header: kMagicStem + format version. v4 holds
  *  results simulated from canonical-address traces (trace/canon.hh) on
- *  the exact, dispatch-anchored issue window (sim/core_model.hh); a
- *  point whose reservations wrapped the earlier fixed issue ring
- *  simulates differently. Entries of any other version are plain
+ *  the exact, dispatch-anchored issue window (sim/core_model.hh), after
+ *  a warm-up that steps only its last sim::kWarmupStepTail
+ *  instructions; a v3 point stepped the whole warm-up and may differ
+ *  in its last cycle digits. Entries of any other version are plain
  *  misses. */
 constexpr std::string_view kMagicStem = "swan-sweep-result v";
-constexpr const char *kMagic = "swan-sweep-result v3";
+constexpr const char *kMagic = "swan-sweep-result v4";
 
 std::string
 hex64(uint64_t v)
@@ -698,7 +699,7 @@ ResultCache::loadDisk(const CacheKey &key, core::KernelRun *out)
     ++bodyStart;
     // Self-checksum line, `checksum <16 hex digits>`: FNV-1a over every
     // byte after this line, so any flipped bit or truncation in the
-    // body is detected before a field of it is trusted. Every v3 writer
+    // body is detected before a field of it is trusted. Every v4 writer
     // writes it, so a missing or malformed line is damage too.
     constexpr std::string_view kChecksumTag = "checksum ";
     const size_t sumAt = bodyStart + kChecksumTag.size();

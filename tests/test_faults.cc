@@ -367,7 +367,12 @@ TEST(FaultSim, FirstFaultTruncatesMultiElementAccesses)
 
     // The same spec leaves a no-multi-op stream untouched: nothing to
     // truncate means bit-identical to clean (the paper's Neon kernel
-    // set is in this regime — no hardware gather).
+    // set is in this regime — no hardware gather). A payload replay
+    // steps its whole warm-up, and the clean one does too only while
+    // the trace fits the warm-up's stepped tail; past it the clean
+    // replay restarts DRAM timing at the tail and may differ in its
+    // last digits.
+    static_assert(4000 <= sim::kWarmupStepTail);
     const auto scalarish = PackedTrace::pack(randomTrace(4000, 17));
     const auto sclean = sim::simulateTraceMany(scalarish, cfgs, 2);
     const auto shurt = sim::simulateTraceMany(scalarish, cfgs, spec, 2);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests of swan::obs (obs/telemetry.hh, obs/report.hh): the span
- * registry lifecycle, overflow accounting, report aggregation and the
- * two built-in sinks — plus the properties the rest of the engine
- * depends on, checked end-to-end on pinned traces:
+ * registry lifecycle, overflow accounting, report aggregation, the
+ * replay span's step count and the two built-in sinks — plus the
+ * properties the rest of the engine depends on, checked end-to-end on
+ * pinned traces:
  *
  *  - emitter output is byte-identical with a collector attached or
  *    not, for any job count;
@@ -26,6 +27,7 @@
 
 #include "obs/report.hh"
 #include "obs/telemetry.hh"
+#include "sim/core_model.hh"
 #include "sweep/cache.hh"
 #include "sweep/emit.hh"
 #include "sweep/scheduler.hh"
@@ -178,6 +180,36 @@ TEST(ObsReport, AggregatesPerPhase)
     EXPECT_EQ(report.cache.misses, 4u);
     // replay throughput = argTotal / wall seconds, in M/s.
     EXPECT_NEAR(report.replayMinstrPerS(), 100.0 * 1e3 / 900.0, 1e-9);
+}
+
+TEST_F(ObsFixture, ReplaySpanCountsTheStepsTaken)
+{
+    // A trace longer than the warm-up's stepped tail: the payload-free
+    // driver steps kWarmupStepTail of its two warm-up passes, a
+    // payload replay steps both, and each steps the measured pass, for
+    // every configuration.
+    const uint64_t n = sim::kWarmupStepTail + 1000;
+    std::vector<trace::Instr> instrs(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        instrs[i].id = i + 1;
+        instrs[i].latency = 1;
+    }
+    const auto packed = trace::PackedTrace::pack(instrs);
+    const std::vector<sim::CoreConfig> cfgs = {
+        sim::primeConfig(), sim::goldConfig(), sim::silverConfig()};
+    const auto replayArg = [&](sim::ReplayObserver *payload) {
+        EXPECT_TRUE(obs::Telemetry::start(16));
+        sim::simulateTraceMany(packed, cfgs, 2, payload);
+        obs::Telemetry::stop();
+        const auto report =
+            obs::buildReport(obs::Telemetry::instance()->snapshot(),
+                             obs::RunMeta{}, 0, sweep::CacheStats{});
+        obs::Telemetry::release();
+        return report.phases[size_t(obs::Phase::Replay)].argTotal;
+    };
+    EXPECT_EQ(replayArg(nullptr), 3 * (sim::kWarmupStepTail + n));
+    sim::ReplayObserver passive;
+    EXPECT_EQ(replayArg(&passive), 3 * (2 * n + n));
 }
 
 TEST(ObsReport, JsonAndChromeTraceSerialize)

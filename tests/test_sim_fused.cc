@@ -8,10 +8,16 @@
  * restarts (the concatenated traces the perf smoke replays).
  * Configurations of equal cache geometry share one functional
  * hierarchy under simulateTraceMany and must still match
- * private-hierarchy runs. Pinned integers hold the step core itself
- * where a comparison would only set fused replay against itself.
+ * private-hierarchy runs. simulateTraceMany steps only the last
+ * kWarmupStepTail warm-up instructions: against a fully stepped
+ * warm-up (runFused) it must keep every count, and every cycle where
+ * nothing but the pipeline carries over. Pinned integers hold the
+ * step core itself where a comparison would only set fused replay
+ * against itself.
  */
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <span>
@@ -102,7 +108,27 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b)
     EXPECT_EQ(a.llcAccesses, b.llcAccesses);
 }
 
-/** Warmup + measured pass through the fused engine. */
+/** What a tail warm-up keeps of a fully stepped one: the instruction
+ *  mix and every cache and DRAM count. */
+void
+expectSameCounts(const sim::SimResult &a, const sim::SimResult &b)
+{
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.instrs, b.instrs);
+    EXPECT_EQ(a.byClass, b.byClass);
+    EXPECT_EQ(a.vecBytes, b.vecBytes);
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(a.l1Mpki, b.l1Mpki);
+    EXPECT_EQ(a.l2Mpki, b.l2Mpki);
+    EXPECT_EQ(a.llcMpki, b.llcMpki);
+    EXPECT_EQ(a.dramReads, b.dramReads);
+    EXPECT_EQ(a.dramWrites, b.dramWrites);
+}
+
+/** Warmup + measured pass through the fused engine, every warm-up
+ *  instruction stepped. */
 std::vector<sim::SimResult>
 runFused(const PackedTrace &packed,
          const std::vector<sim::CoreConfig> &cfgs, int warmup)
@@ -168,6 +194,24 @@ fourCores()
 {
     return {sim::primeConfig(), sim::goldConfig(), sim::silverConfig(),
             sim::scalabilityConfig(6, 4)};
+}
+
+/** Prime and gold, 8W-8V and the 512-bit prime (one cache geometry),
+ *  interleaved with silver, prime without L1 prefetch and prime with a
+ *  1 MiB LLC (one geometry each). */
+std::vector<sim::CoreConfig>
+sharedAndPrivateGeometries()
+{
+    auto noPrefetch = sim::primeConfig();
+    noPrefetch.name = "prime-no-prefetch";
+    noPrefetch.l1d.nextLinePrefetch = false;
+    auto smallLlc = sim::primeConfig();
+    smallLlc.name = "prime-1MiB-llc";
+    smallLlc.llc.sizeBytes = 1 << 20;
+    return {sim::silverConfig(),         sim::primeConfig(),
+            noPrefetch,                  sim::goldConfig(),
+            smallLlc,                    sim::scalabilityConfig(8, 8),
+            sim::widerVectorConfig(512)};
 }
 
 } // namespace
@@ -252,10 +296,18 @@ TEST(FusedReplay, MatchesOnARealKernelTrace)
     const auto instrs = core::Runner::capture(*w, core::Impl::Neon, 128);
     ASSERT_FALSE(instrs.empty());
     const auto packed = PackedTrace::pack(instrs);
-    const auto fused =
-        runFused(packed, {sim::primeConfig(), sim::silverConfig()}, 1);
-    expectSameResult(fused[0], replayAlone(packed, sim::primeConfig(), 1));
-    expectSameResult(fused[1], replayAlone(packed, sim::silverConfig(), 1));
+    // The capture is longer than kWarmupStepTail, so runFused steps a
+    // whole warm-up that simulateTraceMany only walks: each is set
+    // against the same protocol replayed alone.
+    ASSERT_GT(packed.size(), sim::kWarmupStepTail);
+    const std::vector<sim::CoreConfig> cfgs = {sim::primeConfig(),
+                                               sim::silverConfig()};
+    const auto fused = runFused(packed, cfgs, 1);
+    const auto many = sim::simulateTraceMany(packed, cfgs, 1);
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        expectSameResult(fused[i], runFused(packed, {cfgs[i]}, 1)[0]);
+        expectSameResult(many[i], replayAlone(packed, cfgs[i], 1));
+    }
 }
 
 TEST(FusedReplay, ConfigGroupsCrossTheLaneBlockBoundary)
@@ -464,7 +516,8 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
     // these integers pin the step core itself (recorded before the
     // ready ring and the issue window were resized to what the model
     // can read back, which must change nothing). No doubles: those
-    // derive from the integers.
+    // derive from the integers. The rows hold the hand-stepped full
+    // warm-up (runFused).
     struct Pin
     {
         uint32_t seed;
@@ -482,6 +535,17 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
         {227, "silver", 430702, 40000, 33372, 38579, 38515, 9468, 3836},
         {227, "8W-8V", 220608, 40000, 33372, 38579, 38579, 8226, 2612},
     };
+    // simulateTraceMany, where the warm-up steps only its last
+    // kWarmupStepTail instructions and prime and 8W-8V share one
+    // hierarchy: the DRAM timing restarts at the tail, so prime and
+    // 8W-8V end a few cycles later (silver does not). Every other
+    // integer is the full warm-up's, above.
+    static const uint64_t kDriverCycles[] = {
+        215416, 410175, 215306, // seed 211
+        215405, 407678, 215164, // seed 223
+        220845, 430702, 220612, // seed 227
+    };
+    static_assert(std::size(kDriverCycles) == std::size(kPins));
     using ByClass = decltype(sim::SimResult::byClass);
     const std::pair<uint32_t, ByClass> kByClass[] = {
         {211, {3685, 3616, 3671, 3644, 3605, 3692, 3671, 3559, 3558, 3600,
@@ -496,19 +560,20 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
     size_t next = 0;
     for (const auto &[seed, byClass] : kByClass) {
         const auto packed = PackedTrace::pack(randomTrace(40000, seed));
-        // Private hierarchies (runFused), then simulateTraceMany, where
-        // prime and 8W-8V share one.
+        // Private hierarchies (runFused), then simulateTraceMany.
         auto got = runFused(packed, cfgs, 1);
         const auto shared = sim::simulateTraceMany(packed, cfgs, 1);
         got.insert(got.end(), shared.begin(), shared.end());
         for (size_t i = 0; i < got.size(); ++i) {
             const sim::SimResult &r = got[i];
-            const Pin &p = kPins[next + i % cfgs.size()];
+            const size_t row = next + i % cfgs.size();
+            const Pin &p = kPins[row];
             SCOPED_TRACE(testing::Message()
                          << "seed " << seed << " on " << p.config
                          << (i < cfgs.size() ? "" : " (shared)"));
             EXPECT_EQ(r.config, p.config);
-            EXPECT_EQ(r.cycles, p.cycles);
+            EXPECT_EQ(r.cycles,
+                      i < cfgs.size() ? p.cycles : kDriverCycles[row]);
             EXPECT_EQ(r.instrs, p.instrs);
             EXPECT_EQ(r.l1Accesses, p.l1);
             EXPECT_EQ(r.l2Accesses, p.l2);
@@ -525,12 +590,10 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
 TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
 {
     // simulateTraceMany walks one functional hierarchy for every
-    // configuration of equal cache geometry (here prime, gold, 8W-8V
-    // and the 512-bit prime) and gives the others their own (silver,
-    // prime without L1 prefetch, prime with a 1 MiB LLC), interleaved
-    // so a shared group is not a contiguous run of lanes. Each result
-    // must equal that configuration replayed alone on a private
-    // hierarchy.
+    // configuration of equal cache geometry and gives the others their
+    // own, interleaved so a shared group is not a contiguous run of
+    // lanes (sharedAndPrivateGeometries). Each result must equal that
+    // configuration replayed alone on a private hierarchy.
     const auto instrs = randomTrace(30000, 233);
     size_t multi = 0, straddling = 0;
     for (const auto &i : instrs) {
@@ -541,16 +604,7 @@ TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
     EXPECT_GT(multi, 100u);
     EXPECT_GT(straddling, 100u);
 
-    auto noPrefetch = sim::primeConfig();
-    noPrefetch.name = "prime-no-prefetch";
-    noPrefetch.l1d.nextLinePrefetch = false;
-    auto smallLlc = sim::primeConfig();
-    smallLlc.name = "prime-1MiB-llc";
-    smallLlc.llc.sizeBytes = 1 << 20;
-    const std::vector<sim::CoreConfig> cfgs = {
-        sim::silverConfig(), sim::primeConfig(), noPrefetch,
-        sim::goldConfig(),   smallLlc,           sim::scalabilityConfig(8, 8),
-        sim::widerVectorConfig(512)};
+    const auto cfgs = sharedAndPrivateGeometries();
     const auto packed = PackedTrace::pack(instrs);
     const auto many = sim::simulateTraceMany(packed, cfgs, 1);
     ASSERT_EQ(many.size(), cfgs.size());
@@ -560,6 +614,100 @@ TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
         EXPECT_GT(many[i].dramReads, 500u);
         EXPECT_GT(many[i].dramWrites, 100u);
         expectSameResult(many[i], replayAlone(packed, cfgs[i], 1));
+    }
+}
+
+TEST(FusedReplay, TailWarmupKeepsEveryCount)
+{
+    // A trace of kWarmupStepTail instructions steps its whole warm-up;
+    // one instruction more walks the first and steps the rest, at any
+    // warm-up count. The walk alone warms the caches, so the counts
+    // stay those of a fully stepped warm-up.
+    const auto cfgs = fourCores();
+    for (const uint64_t n :
+         {sim::kWarmupStepTail, sim::kWarmupStepTail + 1}) {
+        const auto packed = PackedTrace::pack(randomTrace(n, 251));
+        for (const int warmup : {1, 2}) {
+            SCOPED_TRACE(testing::Message() << n << " instructions, "
+                                            << warmup << " warm-up passes");
+            const auto full = runFused(packed, cfgs, warmup);
+            const auto driven = sim::simulateTraceMany(packed, cfgs, warmup);
+            ASSERT_EQ(driven.size(), cfgs.size());
+            for (size_t i = 0; i < cfgs.size(); ++i) {
+                if (n == sim::kWarmupStepTail)
+                    expectSameResult(driven[i], full[i]);
+                else
+                    expectSameCounts(driven[i], full[i]);
+            }
+        }
+    }
+}
+
+TEST(FusedReplay, TailWarmupKeepsMispredictsWhereTheyWere)
+{
+    // Without memory ops nothing restarts at the tail but the pipeline,
+    // which refills well within it. The countdown to the next modeled
+    // mispredict must advance past every walked branch, or the
+    // measured pass would mispredict on other branches.
+    for (const uint32_t seed : {257u, 263u, 269u}) {
+        std::mt19937_64 rng(seed);
+        std::vector<Instr> instrs;
+        for (uint64_t i = 0; i < 3 * sim::kWarmupStepTail + 1000; ++i) {
+            Instr ins;
+            ins.id = i + 1;
+            const bool branch = rng() % 5 == 0;
+            ins.cls = branch ? trace::InstrClass::Branch
+                             : trace::InstrClass::SInt;
+            ins.fu = branch ? trace::Fu::Branch : trace::Fu::SAlu;
+            ins.latency = uint8_t(1 + rng() % 3);
+            ins.dep0 = i > 0 ? i + 1 - (1 + rng() % std::min<uint64_t>(i, 8))
+                             : 0;
+            instrs.push_back(ins);
+        }
+        const auto packed = PackedTrace::pack(instrs);
+        for (auto cfg : {sim::primeConfig(), sim::silverConfig()}) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " on "
+                                            << cfg.name);
+            cfg.branchMispredictRate = 0.03;
+            const auto full = runFused(packed, {cfg}, 1)[0];
+            EXPECT_GT(full.feStallPct, 0.0);
+            expectSameResult(replayAlone(packed, cfg, 1), full);
+        }
+    }
+}
+
+TEST(FusedReplay, TailWarmupIsLaneCountInvariant)
+{
+    // 9 and 12 lanes, prime-geometry configurations sharing one
+    // hierarchy interleaved with private ones, over concatenated
+    // captures whose last id restart falls inside the stepped tail:
+    // each lane must equal its configuration replayed alone.
+    auto instrs = randomTrace(6000, 281);
+    const auto last = randomTrace(3000, 283);
+    instrs.insert(instrs.end(), last.begin(), last.end());
+    ASSERT_LT(last.size(), sim::kWarmupStepTail);
+    const auto packed = PackedTrace::pack(instrs);
+
+    auto all = sharedAndPrivateGeometries();
+    for (const auto &[w, v] : {std::pair{2, 2}, {3, 4}, {4, 6}, {6, 3}, {9, 2}})
+        all.push_back(sim::scalabilityConfig(w, v));
+    ASSERT_EQ(all.size(), 12u);
+    for (const int warmup : {1, 2}) {
+        std::vector<sim::SimResult> singles;
+        for (const auto &cfg : all)
+            singles.push_back(replayAlone(packed, cfg, warmup));
+        for (const size_t n : {size_t(9), size_t(12)}) {
+            const std::vector<sim::CoreConfig> cfgs(all.begin(),
+                                                    all.begin() + long(n));
+            const auto many = sim::simulateTraceMany(packed, cfgs, warmup);
+            ASSERT_EQ(many.size(), n);
+            for (size_t i = 0; i < n; ++i) {
+                SCOPED_TRACE(testing::Message()
+                             << cfgs[i].name << " in " << n << " lanes, "
+                             << warmup << " warm-up passes");
+                expectSameResult(many[i], singles[i]);
+            }
+        }
     }
 }
 
@@ -666,17 +814,19 @@ TEST(FusedReplay, PayloadFlushesOnlyTheModelItTargets)
     const auto flushed = models[0]->finish();
     const auto clean = models[1]->finish();
 
-    expectSameResult(clean, replayAlone(packed, cfgs[1], 1));
-    EXPECT_GT(flushed.l1Mpki,
-              replayAlone(packed, cfgs[0], 1).l1Mpki); // re-missed
+    // The models above step their whole warm-up, and so does
+    // simulateTraceMany under a payload: so does the clean reference.
+    const auto reference = runFused(packed, cfgs, 1);
+    expectSameResult(clean, reference[1]);
+    EXPECT_GT(flushed.l1Mpki, reference[0].l1Mpki); // re-missed
 
     // simulateTraceMany, where payload-free models of equal geometry
     // would share one hierarchy and the flush would reach gold too.
     FlushFirst again;
     const auto many = sim::simulateTraceMany(packed, cfgs, 1, &again);
     ASSERT_EQ(many.size(), 2u);
-    expectSameResult(many[1], replayAlone(packed, cfgs[1], 1));
-    EXPECT_GT(many[0].l1Mpki, replayAlone(packed, cfgs[0], 1).l1Mpki);
+    expectSameResult(many[1], reference[1]);
+    EXPECT_GT(many[0].l1Mpki, reference[0].l1Mpki);
 }
 
 TEST(FusedReplay, IssueWindowNeverDoubleBooksAUnit)

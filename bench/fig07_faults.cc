@@ -45,7 +45,7 @@ resultFor(const Results &results, const std::string &kernel,
 {
     for (const auto &r : results)
         if (r.point.spec->info.qualifiedName() == kernel &&
-            r.point.faultName() == fault)
+            r.point.faultName == fault)
             return &r;
     return nullptr;
 }

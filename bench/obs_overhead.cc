@@ -9,10 +9,10 @@
  * It times simulateTraceMany over the perf_smoke capture mix with
  * metrics on (a live span registry) and off, as the thread-CPU-time
  * ratio of the two arms in kTrials interleaved trials (bench::Ratio).
- * One final pass under a Collector then drains to the real
- * ReportSink + ChromeTraceSink and must reproduce the metrics-off
- * SimResults. It writes BENCH_sweep_obs.json (argv[1] overrides the
- * path; the sink outputs land next to it as <stem>.report.json /
+ * One final pass under a Collector then writes the real run report
+ * and Chrome trace and must reproduce the metrics-off SimResults. It
+ * writes BENCH_sweep_obs.json (argv[1] overrides the path; the
+ * collector's files land next to it as <stem>.report.json /
  * <stem>.trace.jsonl) with every trial, the median, min, max and the
  * gate.
  *
@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "bench_common.hh"
@@ -114,19 +113,15 @@ main(int argc, char **argv)
         },
         [&] { sim::simulateTraceMany(packed, cfgs, 1); }, kTrials);
 
-    // One final pass under a collector with the two shipped sinks.
+    // One final pass under a collector that writes both files.
     obs::Collector collector;
     if (!registryOk || !collector.start()) {
         std::cerr << "obs_overhead: telemetry registry unavailable\n";
         return 1;
     }
     const auto refOn = sim::simulateTraceMany(packed, cfgs, 1);
-    collector.addSink(
-        std::make_unique<obs::ReportSink>(stem + ".report.json"));
-    collector.addSink(
-        std::make_unique<obs::ChromeTraceSink>(stem + ".trace.jsonl"));
     std::string merr;
-    if (!collector.finish(sweep::CacheStats{}, &merr)) {
+    if (!collector.finish(stem, sweep::CacheStats{}, &merr)) {
         std::cerr << "obs_overhead: " << merr << "\n";
         return 1;
     }

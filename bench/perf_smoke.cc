@@ -72,8 +72,8 @@ constexpr int kTrials = 11;
  * is in flight and, the cycle it completes, a 31-op ready burst slams
  * the (2-3 unit) vector pool — per-cycle issue tables run full for
  * long stretches. This is the regime where the issue-slot search
- * leans on the fused engine's pass-persistent per-FU frontiers; the
- * capture-mix corpus barely touches it.
+ * leans on each model's per-FU issue frontier, kept across a
+ * traversal; the capture-mix corpus barely touches it.
  */
 std::vector<trace::Instr>
 buildSaturationTrace(size_t n)

@@ -53,7 +53,7 @@ echo "== tab06_strided =="
 
 # Replay-engine perf gate: one fused N-config replay must beat N
 # separate single-config replays of the same packed trace by >= 1.25x
-# on the capture mix at N=3 and N=4 (half a lane block) and by >= 1.2x
+# on the capture mix at N=3 and N=4 and by >= 1.2x
 # on the saturation corpus at N=3 (medians of interleaved trials).
 # Enforced here on optimized builds; CI runs the smoke report-only by
 # presetting SWAN_PERF_ENFORCE=0 — noisy shared runners.

@@ -1,12 +1,13 @@
 /**
  * @file
  * Public re-export: the swan::obs telemetry subsystem — the
- * phase-structured span registry (obs/telemetry.hh) and the sink
+ * phase-structured span registry (obs/telemetry.hh) and the report
  * layer (obs/report.hh: run-report aggregation, Chrome trace-event
- * output, the Collector scope). Most consumers get telemetry
- * implicitly through SessionOptions::metricsOut / SWAN_METRICS; these
- * types are public for embedders that attach custom sinks or bracket
- * their own code with obs::Span guards.
+ * output, the Collector scope that writes both). Most consumers get
+ * telemetry implicitly through SessionOptions::metricsOut /
+ * SWAN_METRICS; these types are public for embedders that collect
+ * around their own code, bracket it with obs::Span guards, or
+ * serialize a report themselves.
  */
 
 #ifndef SWAN_OBS_HH

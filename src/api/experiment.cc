@@ -1,6 +1,5 @@
 #include "swan/experiment.hh"
 
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -142,8 +141,7 @@ Experiment::run(std::string *err) const
     // results are byte-identical with metrics on or off; if another
     // collector already owns the registry this run simply goes
     // uncollected.
-    // Activation only — sinks are constructed at finish(), where they
-    // are read.
+    // Activation only — the files are named and written at finish().
     const std::string &stem = session_->options().metricsOut;
     obs::Collector collector;
     if (!stem.empty())
@@ -158,17 +156,12 @@ Experiment::run(std::string *err) const
         return Results(); // ~Collector releases without flushing
     }
     if (collector.active()) {
-        collector.addSink(
-            std::make_unique<obs::ReportSink>(stem + ".report.json"));
-        collector.addSink(
-            std::make_unique<obs::ChromeTraceSink>(stem +
-                                                   ".trace.jsonl"));
         // Metrics failures are advisory: the sweep's results are
         // valid either way, so surface the diagnostic without
         // emptying the return.
         std::string merr;
-        if (!collector.finish(session_->cache().stats(), &merr) && err &&
-            err->empty())
+        if (!collector.finish(stem, session_->cache().stats(), &merr) &&
+            err && err->empty())
             *err = merr;
     }
     if (results.empty())

@@ -10,6 +10,28 @@ namespace swan::obs
 namespace
 {
 
+/** Open @p path, write it through @p write, flush and check. @return
+ *  false with a diagnostic naming @p path in @p err. */
+template <class Write>
+bool
+writeFile(const std::string &path, Write write, std::string *err)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out) {
+        if (err)
+            *err = "obs: cannot open " + path;
+        return false;
+    }
+    write(out);
+    out.flush();
+    if (!out) {
+        if (err)
+            *err = "obs: short write to " + path;
+        return false;
+    }
+    return true;
+}
+
 void
 writePhaseArray(std::ostream &os,
                 const std::array<PhaseStats, kPhaseCount> &phases)
@@ -129,49 +151,6 @@ writeChromeTrace(std::ostream &os, const std::vector<SpanRec> &records)
     os << "\n]\n";
 }
 
-bool
-ReportSink::consume(const RunReport &report,
-                    const std::vector<SpanRec> &records, std::string *err)
-{
-    (void)records;
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        if (err)
-            *err = "obs: cannot open report file " + path_;
-        return false;
-    }
-    writeReportJson(out, report);
-    out.flush();
-    if (!out) {
-        if (err)
-            *err = "obs: short write to " + path_;
-        return false;
-    }
-    return true;
-}
-
-bool
-ChromeTraceSink::consume(const RunReport &report,
-                         const std::vector<SpanRec> &records,
-                         std::string *err)
-{
-    (void)report;
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        if (err)
-            *err = "obs: cannot open trace file " + path_;
-        return false;
-    }
-    writeChromeTrace(out, records);
-    out.flush();
-    if (!out) {
-        if (err)
-            *err = "obs: short write to " + path_;
-        return false;
-    }
-    return true;
-}
-
 Collector::~Collector()
 {
     if (owned_)
@@ -187,15 +166,9 @@ Collector::start(size_t capacity)
     return owned_;
 }
 
-void
-Collector::addSink(std::unique_ptr<Sink> sink)
-{
-    if (sink)
-        sinks_.push_back(std::move(sink));
-}
-
 bool
-Collector::finish(const sweep::CacheStats &cache, std::string *err)
+Collector::finish(const std::string &stem, const sweep::CacheStats &cache,
+                  std::string *err)
 {
     if (!owned_)
         return true;
@@ -206,14 +179,13 @@ Collector::finish(const sweep::CacheStats &cache, std::string *err)
         const std::vector<SpanRec> records = t->snapshot();
         const RunReport rep =
             buildReport(records, t->meta(), t->dropped(), cache);
-        for (auto &sink : sinks_) {
-            std::string serr;
-            if (!sink->consume(rep, records, &serr)) {
-                if (ok && err)
-                    *err = serr;
-                ok = false;
-            }
-        }
+        ok = writeFile(
+            stem + ".report.json",
+            [&](std::ostream &os) { writeReportJson(os, rep); }, err);
+        ok &= writeFile(
+            stem + ".trace.jsonl",
+            [&](std::ostream &os) { writeChromeTrace(os, records); },
+            ok ? err : nullptr);
     }
     Telemetry::release();
     owned_ = false;

@@ -1,20 +1,21 @@
 /**
  * @file
- * swan::obs sinks — what happens to recorded spans after a run.
+ * swan::obs reports — what happens to recorded spans after a run.
  *
  * The registry (obs/telemetry.hh) only accumulates fixed-size records;
  * everything with a memory or format opinion lives here, on the cold
  * side of the run: buildReport() folds the records into per-phase
- * aggregates, and Sink implementations serialize them — ReportSink as
- * a run-report JSON (per-phase wall/CPU time, replay throughput, cache
- * traffic) and ChromeTraceSink as Chrome trace-event JSON, one event
- * per line, loadable directly in Perfetto (ui.perfetto.dev) or
- * chrome://tracing with one track per recording thread.
+ * aggregates, writeReportJson() serializes them as a run-report JSON
+ * (per-phase wall/CPU time, replay throughput, cache traffic), and
+ * writeChromeTrace() writes the raw records as Chrome trace-event
+ * JSON, one event per line, loadable directly in Perfetto
+ * (ui.perfetto.dev) or chrome://tracing with one track per recording
+ * thread.
  *
- * The Collector ties it together for the common case: start() before
- * the work, addSink() any number of sinks, finish() after — stop,
- * aggregate, feed every sink, release. Experiment::run() drives one
- * of these when SessionOptions::metricsOut is set.
+ * The Collector ties it together: start() before the work, finish()
+ * after — stop, aggregate, write both files under one stem, release.
+ * Experiment::run() drives one of these when SessionOptions::metricsOut
+ * is set.
  */
 
 #ifndef SWAN_OBS_REPORT_HH
@@ -22,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -75,54 +75,12 @@ void writeReportJson(std::ostream &os, const RunReport &report);
 void writeChromeTrace(std::ostream &os,
                       const std::vector<SpanRec> &records);
 
-/** Consumes one finished run's telemetry. */
-class Sink
-{
-  public:
-    virtual ~Sink() = default;
-
-    /** @return false on failure, with @p err set (never throws). */
-    virtual bool consume(const RunReport &report,
-                         const std::vector<SpanRec> &records,
-                         std::string *err) = 0;
-};
-
-/** Writes the run-report JSON to a file. */
-class ReportSink final : public Sink
-{
-  public:
-    explicit ReportSink(std::string path) : path_(std::move(path)) {}
-
-    bool consume(const RunReport &report,
-                 const std::vector<SpanRec> &records,
-                 std::string *err) override;
-
-  private:
-    std::string path_;
-};
-
-/** Writes the Chrome trace-event JSONL to a file. */
-class ChromeTraceSink final : public Sink
-{
-  public:
-    explicit ChromeTraceSink(std::string path) : path_(std::move(path))
-    {
-    }
-
-    bool consume(const RunReport &report,
-                 const std::vector<SpanRec> &records,
-                 std::string *err) override;
-
-  private:
-    std::string path_;
-};
-
 /**
  * One run's collection scope. start() activates the process-wide
  * registry (false and inert when another collector already owns it),
- * finish() stops it, aggregates, feeds every attached sink and
- * releases the registry. The destructor releases without flushing —
- * an exception between start() and finish() must not leave a dangling
+ * finish() stops it, aggregates, writes the run's files and releases
+ * the registry. The destructor releases without writing — an
+ * exception between start() and finish() must not leave a dangling
  * active registry.
  */
 class Collector
@@ -138,18 +96,18 @@ class Collector
 
     bool active() const { return owned_; }
 
-    void addSink(std::unique_ptr<Sink> sink);
-
     /**
-     * Stop, aggregate with @p cache folded in, run every sink, then
-     * release the registry. @return false when any sink failed (the
-     * first diagnostic lands in @p err); no-op returning true when
-     * start() never owned the registry.
+     * Stop, aggregate with @p cache folded in, write the run-report
+     * JSON to @p stem + ".report.json" and the Chrome trace-event JSONL
+     * to @p stem + ".trace.jsonl", then release the registry.
+     * @return false when a file could not be written (the first
+     * diagnostic, which names the file, lands in @p err); no-op
+     * returning true when start() never owned the registry.
      */
-    bool finish(const sweep::CacheStats &cache, std::string *err = nullptr);
+    bool finish(const std::string &stem, const sweep::CacheStats &cache,
+                std::string *err = nullptr);
 
   private:
-    std::vector<std::unique_ptr<Sink>> sinks_;
     bool owned_ = false;
 };
 

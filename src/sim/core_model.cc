@@ -20,6 +20,9 @@ using trace::InstrClass;
 /** Latencies at or above this occupy their unit (divides, unpipelined). */
 constexpr int kUnpipelinedLat = 10;
 
+/** Models a replay sets up for on the stack (model pointers, walks). */
+constexpr size_t kStackModels = 16;
+
 namespace
 {
 
@@ -147,12 +150,12 @@ CoreModel::growIssueWindow(uint64_t dispatch, uint64_t end)
 
 uint64_t
 CoreModel::findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
-                         int occupancy, uint64_t *fu_frontier)
+                         int occupancy)
 {
     const uint64_t mask = issueMask_;
     IssueSlot *ring = issueSlots_.data() + fu * (mask + 1);
     const uint8_t limit = uint8_t(fuFree_[fu].size());
-    const uint64_t frontier = fu_frontier[fu];
+    const uint64_t frontier = fuFrontier_[fu];
     // Cycles below the frontier are known full: skipping them cannot
     // change the found slot (issue counts never decrease), it only
     // bounds the scan — without it a saturated pool re-walks its whole
@@ -168,7 +171,7 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
         // The scan proved [start, c) full; when it started at the
         // frontier, everything below c is now known full.
         if (ready <= frontier)
-            fu_frontier[fu] = c;
+            fuFrontier_[fu] = c;
     } else {
         while (true) {
             bool fits = true;
@@ -408,10 +411,9 @@ CoreModel::memCompleteMulti(const StepIn &in, uint64_t start,
 
 template <bool OutOfOrder>
 void
-CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
-                     const StepIn *ins, size_t n, Outcomes mem)
+CoreModel::stepBlock(const StepIn *ins, size_t n, Outcomes mem)
 {
-    // The whole batch runs on a local StepState copy: the
+    // The whole batch runs on a local copy of st_: the
     // per-instruction recurrence (dispatch/commit cycles and
     // counters) stays in registers, with only the rings and the
     // memory hierarchy going through memory. The copy cannot escape,
@@ -421,15 +423,15 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
     // hot path of every replay (swan/internal/contracts.hh;
     // docs/lint.md). Issue-window growth is its one cold exception.
     SWAN_NOALLOC_BEGIN("CoreModel::stepBlock");
-    StepState st = io;
-    const uint32_t robSize = uint32_t(m.robRing_.size());
-    const int decodeWidth = m.cfg_.decodeWidth;
-    const int issueWidth = m.cfg_.issueWidth;
-    const int commitWidth = m.cfg_.commitWidth;
-    uint64_t *const robRing = m.robRing_.data();
-    uint64_t *const readyRing = m.readyRing_.data();
-    const uint64_t readyMask = m.readyRing_.size() - 1;
-    const uint64_t l1Latency = m.timing_.l1Latency();
+    StepState st = st_;
+    const uint32_t robSize = uint32_t(robRing_.size());
+    const int decodeWidth = cfg_.decodeWidth;
+    const int issueWidth = cfg_.issueWidth;
+    const int commitWidth = cfg_.commitWidth;
+    uint64_t *const robRing = robRing_.data();
+    uint64_t *const readyRing = readyRing_.data();
+    const uint64_t readyMask = readyRing_.size() - 1;
+    const uint64_t l1Latency = timing_.l1Latency();
     (void)issueWidth; // only the in-order instantiation issues in order
     for (size_t k = 0; k < n; ++k) {
         const StepIn &in = ins[k];
@@ -464,15 +466,15 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
         uint64_t ready = d;
         if constexpr (!OutOfOrder)
             ready = std::max(ready, st.lastIssue);
-        ready = std::max(ready, m.readyOf(st, in.dep0));
-        ready = std::max(ready, m.readyOf(st, in.dep1));
-        ready = std::max(ready, m.readyOf(st, in.dep2));
+        ready = std::max(ready, readyOf(st, in.dep0));
+        ready = std::max(ready, readyOf(st, in.dep1));
+        ready = std::max(ready, readyOf(st, in.dep2));
 
         // Functional unit (divides occupy their unit for the full
         // latency).
         int occ = in.occBase;
         if (in.flags & kFlagMulti) {
-            const int crack = std::max(m.cfg_.lsuCrackPerCycle, 1);
+            const int crack = std::max(cfg_.lsuCrackPerCycle, 1);
             occ = std::max(occ, (int(in.elems) + crack - 1) / crack);
         }
 
@@ -480,9 +482,9 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
         if constexpr (OutOfOrder) {
             // Out-of-order issue: younger ready instructions may take
             // earlier cycles than stalled older ones.
-            start = m.findIssueSlot(in.fu, d, ready, occ, fu_frontier);
+            start = findIssueSlot(in.fu, d, ready, occ);
         } else {
-            start = m.reserveFu(in.fu, ready, occ);
+            start = reserveFu(in.fu, ready, occ);
             // Program-order issue, at most issueWidth per cycle.
             if (start > st.lastIssue) {
                 st.lastIssue = start;
@@ -507,7 +509,7 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
                     complete =
                         start + std::max<uint64_t>(in.latency, l1Latency);
             } else {
-                complete = m.memComplete(in, start, mem);
+                complete = memComplete(in, start, mem);
             }
         }
 
@@ -517,9 +519,9 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
         if (in.flags & kFlagBranch) {
             if (st.branchCountdown && --st.branchCountdown == 0) {
                 st.branchCountdown =
-                    mispredictInterval(m.cfg_.branchMispredictRate);
+                    mispredictInterval(cfg_.branchMispredictRate);
                 const uint64_t redirect =
-                    complete + uint64_t(m.cfg_.branchPenalty);
+                    complete + uint64_t(cfg_.branchPenalty);
                 if (redirect > st.dispCycle) {
                     st.feStallCycles += redirect - st.dispCycle;
                     st.dispCycle = redirect;
@@ -542,10 +544,10 @@ CoreModel::stepBlock(CoreModel &m, StepState &io, uint64_t *fu_frontier,
         robRing[st.robIdx] = st.commitCycle;
         readyRing[st.n & readyMask] = complete;
 
-        ++m.byClass_[in.cls];
-        m.vecBytes_ += in.vecBytes;
+        ++byClass_[in.cls];
+        vecBytes_ += in.vecBytes;
     }
-    io = st;
+    st_ = st;
     SWAN_NOALLOC_END();
 }
 
@@ -683,9 +685,13 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
 
     // Hoist the per-descriptor shape work out of the loop: one StepIn
     // prototype per deduplicated descriptor (class/FU predicates,
-    // unpipelined occupancy, latency), built once per traversal. Both
-    // this table and the lane blocks live on the stack for every
-    // realistic span, so setup rarely touches the heap.
+    // unpipelined occupancy, latency), built once per traversal. This
+    // table, the walk list below and simulateTraceMany's model
+    // pointers live on the stack for every realistic trace and span.
+    // Setup runs once per traversal on every sweep worker, and heap
+    // buffers here cost more than their size: a variant that made the
+    // three per-traversal std::vectors moved the paper grid's peak RSS
+    // median from 60.0 to 75.7 MB (swan sweep --jobs 4, 12 runs).
     constexpr uint32_t kStackDescs = 512;
     const uint32_t dc = trace.descCount();
     CoreModel::StepIn stackProto[kStackDescs];
@@ -701,49 +707,30 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
         proto[i] = CoreModel::stepInFor(shape);
     }
 
-    // Configurations advance as vector lanes: each LaneBlock carries
-    // up to kLanes configurations' step states, issue frontiers and
-    // step functions field-major (sim/core_model.hh), so the per-batch
-    // lane walk touches one contiguous state span, persistent across
-    // the whole pass.
-    constexpr size_t kBL = CoreModel::LaneBlock::kLanes;
-    const size_t nm = models.size();
-    CoreModel::LaneBlock stackBlock;
-    std::vector<CoreModel::LaneBlock> heapBlocks;
-    CoreModel::LaneBlock *blocks = &stackBlock;
-    if (nm > kBL) {
-        heapBlocks.resize((nm + kBL - 1) / kBL);
-        blocks = heapBlocks.data();
-    }
     // The distinct functional hierarchies among the models, in
-    // first-seen order: each is walked once per batch, and every lane
-    // on it times the same outcomes.
-    CacheHierarchy *stackWalks[kBL];
+    // first-seen order: each is walked once per batch, and every model
+    // on it times the same outcomes. Each model starts the traversal
+    // with a zeroed issue frontier.
+    const size_t nm = models.size();
+    CacheHierarchy *stackWalks[kStackModels];
     std::vector<CacheHierarchy *> heapWalks;
     CacheHierarchy **walks = stackWalks;
-    if (nm > kBL) {
+    if (nm > kStackModels) {
         heapWalks.resize(nm);
         walks = heapWalks.data();
     }
     size_t nw = 0;
     unsigned lineShift = 31;
-    for (size_t i = 0; i < nm; ++i) {
-        CoreModel::LaneBlock &b = blocks[i / kBL];
-        const size_t s = i % kBL;
-        CacheHierarchy *h = models[i]->caches_.get();
-        const size_t w = size_t(std::find(walks, walks + nw, h) - walks);
-        b.walk[s] = uint32_t(w);
-        if (w == nw) {
+    for (CoreModel *m : models) {
+        CacheHierarchy *h = m->caches_.get();
+        m->walk_ = uint32_t(std::find(walks, walks + nw, h) - walks);
+        if (m->walk_ == nw) {
             walks[nw++] = h;
             lineShift = std::min(
                 lineShift, unsigned(__builtin_ctz(
                                uint32_t(h->l1().lineBytes()))));
         }
-        b.model[s] = models[i];
-        b.fn[s] = models[i]->cfg_.outOfOrder ? &CoreModel::stepBlock<true>
-                                             : &CoreModel::stepBlock<false>;
-        b.st[s] = models[i]->st_;
-        std::memset(b.frontier[s], 0, sizeof(b.frontier[s]));
+        m->fuFrontier_.fill(0);
     }
     CoreModel::OutcomeTable table(nw, lineShift);
 
@@ -761,7 +748,7 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
 
     // One decode, N models: each record is decoded into registers and
     // merged with its shape prototype exactly once — per *batch*, not
-    // per model — and every lane then consumes the batch model-major.
+    // per model — and every model then consumes the batch in turn.
     // The batch keeps a model's pipeline rings, cache arrays and
     // branch history hot across kBatch consecutive steps; strict
     // per-instruction interleave measures ~10% slower (N models
@@ -770,7 +757,7 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
     // StepIn operands, built once for all configurations.
     //
     // From here to the end of the traversal the engine is heap-free —
-    // the setup above (prototype table, lanes) took any allocations
+    // the setup above (prototype table, walk list) took any allocations
     // it needed; this is the per-instruction hot loop of every
     // replay. Statically checked by swan-lint; dynamically by
     // AllocGuard under -DSWAN_ALLOC_GUARD=ON. Payload callbacks are
@@ -850,32 +837,27 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
             in.elems = uint8_t(clamp);
             in.size = elemBytes * clamp;
         }
-        // Before the step start the lanes only count the walked
+        // Before the step start the models only count the walked
         // branches, so mispredicts land where stepping would put them.
-        // At it, the fresh lanes re-base ids so that the first stepped
+        // At it, the fresh models re-base ids so that the first stepped
         // instruction is their first (older producers read as ready).
         const bool step = pos >= step_from;
         if (!step) {
             uint64_t branches = 0;
             for (size_t k = 0; k < nb; ++k)
                 branches += (batch[k].flags & CoreModel::kFlagBranch) != 0;
-            for (size_t i = 0; i < nm; ++i) {
-                CoreModel::LaneBlock &b = blocks[i / kBL];
-                StepState &st = b.st[i % kBL];
-                st.branchCountdown = skipBranches(
-                    st.branchCountdown, branches,
-                    mispredictInterval(
-                        b.model[i % kBL]->cfg_.branchMispredictRate));
-            }
+            for (CoreModel *m : models)
+                m->st_.branchCountdown = skipBranches(
+                    m->st_.branchCountdown, branches,
+                    mispredictInterval(m->cfg_.branchMispredictRate));
         } else if (pos == step_from && pos > 0) {
-            for (size_t i = 0; i < nm; ++i) {
-                StepState &st = blocks[i / kBL].st[i % kBL];
-                st.idOffset = 1 - batch[0].id;
-                st.lastSeenId = batch[0].id - 1;
+            for (CoreModel *m : models) {
+                m->st_.idOffset = 1 - batch[0].id;
+                m->st_.lastSeenId = batch[0].id - 1;
             }
         }
         // Walk each distinct hierarchy over the batch, in program and
-        // element order, then step every lane against its hierarchy's
+        // element order, then step every model against its hierarchy's
         // outcomes — in prefixes that fit the outcome table, which
         // batches heavy in multi-address ops can outgrow.
         for (size_t at = 0; at < nb;) {
@@ -883,42 +865,27 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
             const size_t ns = table.fit(sub, nb - at);
             for (size_t w = 0; w < nw; ++w)
                 CoreModel::walkCaches(*walks[w], sub, ns, table, w);
-            for (size_t i = 0; step && i < nm; ++i) {
-                CoreModel::LaneBlock &b = blocks[i / kBL];
-                const size_t s = i % kBL;
-                b.fn[s](*b.model[s], b.st[s], b.frontier[s], sub, ns,
-                        table.of(b.walk[s]));
+            if (step) {
+                for (CoreModel *m : models) {
+                    if (m->cfg_.outOfOrder)
+                        m->stepBlock<true>(sub, ns, table.of(m->walk_));
+                    else
+                        m->stepBlock<false>(sub, ns, table.of(m->walk_));
+                }
             }
             at += ns;
         }
         pos += nb;
         if (payload) {
-            if (pos >= boundary) {
-                // Sync the register-resident lane state into the
-                // models so the payload sees (and may perturb)
-                // architectural state, then reload it.
-                for (size_t i = 0; i < nm; ++i)
-                    blocks[i / kBL].model[i % kBL]->st_ =
-                        blocks[i / kBL].st[i % kBL];
-                {
-                    SWAN_NOALLOC_PAUSE();
-                    payload->atBoundary(pos, models);
-                }
-                for (size_t i = 0; i < nm; ++i)
-                    blocks[i / kBL].st[i % kBL] =
-                        blocks[i / kBL].model[i % kBL]->st_;
-                {
-                    SWAN_NOALLOC_PAUSE();
-                    boundary = payload->nextBoundary(pos);
-                }
-            }
             SWAN_NOALLOC_PAUSE();
+            if (pos >= boundary) {
+                payload->atBoundary(pos, models);
+                boundary = payload->nextBoundary(pos);
+            }
             clamp = payload->elemClamp();
         }
     }
     SWAN_NOALLOC_END();
-    for (size_t i = 0; i < nm; ++i)
-        blocks[i / kBL].model[i % kBL]->st_ = blocks[i / kBL].st[i % kBL];
     if (payload)
         payload->end(pos, models);
     if (!cur.ok())
@@ -979,24 +946,24 @@ simulateTraceMany(const trace::PackedTrace &trace,
 
     // Fused replay: decode once per pass, step every model per decoded
     // instruction (see replay()).
-    CoreModel *ptrs[16];
+    CoreModel *ptrs[kStackModels];
     std::vector<CoreModel *> heapPtrs;
     CoreModel **base = ptrs;
-    if (models.size() > 16) {
+    if (models.size() > kStackModels) {
         heapPtrs.resize(models.size());
         base = heapPtrs.data();
     }
     for (size_t i = 0; i < models.size(); ++i)
         base[i] = models[i].get();
-    const std::span<CoreModel *const> lanes(base, models.size());
+    const std::span<CoreModel *const> all(base, models.size());
     for (int p = 0; p < passes; ++p)
-        CoreModel::replayPass(trace, lanes, payload,
+        CoreModel::replayPass(trace, all, payload,
                               !tail             ? 0
                               : p + 1 < passes ? n
                                                : n - kWarmupStepTail);
     for (auto &m : models)
         m->beginMeasurement();
-    replay(trace, lanes, payload);
+    replay(trace, all, payload);
 
     std::vector<SimResult> out;
     out.reserve(models.size());

@@ -103,11 +103,12 @@ void replay(const trace::PackedTrace &trace,
  *    observer wants control, or kNoBoundary for "never". The engine
  *    caps its decode batches so it never steps across a boundary;
  *    boundaries at or before pos are treated as pos + 1.
- *  - atBoundary(pos, models) runs with every model's architectural
- *    state synced (the engine writes its register-resident per-lane
- *    state back to the models first, and reloads it after), so the
+ *  - atBoundary(pos, models) runs between two decode batches, so the
  *    observer may freely inspect or perturb the models;
- *  - end(total, models) once, after the last instruction, state synced.
+ *  - end(total, models) once, after the last instruction.
+ * Every callback reads and changes the models' live state: the engine
+ * keeps no copy of it, so there is nothing to sync, and a change made
+ * in begin() applies from the traversal's first instruction.
  *
  * Observers derive from this class; the protected statics below are
  * the *actuators* — the only sanctioned channel for perturbing a model
@@ -344,27 +345,17 @@ class CoreModel
 
     /**
      * The step core: consume @p n predigested instructions. The
-     * in-order/out-of-order split is a template parameter, resolved
-     * per model into a step-function table entry (the fused loop
-     * tables one per model at replay start). The core operates on a
-     * caller-owned StepState plus a caller-owned per-FU issue frontier
-     * (see findIssueSlot) so the fused loop can keep both hot — and
-     * persistent — across a whole traversal; internally it runs the
-     * batch on a local StepState copy, keeping the per-instruction
-     * recurrence (dispatch/commit cycles, counters) in registers
-     * instead of memory. Every instruction is tested for a
+     * in-order/out-of-order split is a template parameter, chosen per
+     * model and batch by the fused loop. The batch runs on a local
+     * copy of st_, written back at its end, keeping the
+     * per-instruction recurrence (dispatch/commit cycles, counters) in
+     * registers instead of memory. Every instruction is tested for a
      * replayed-pass id restart (a pass start, or concatenated
      * captures). @p mem is the model's hierarchy's walk of exactly
      * ins[0, n).
      */
     template <bool OutOfOrder>
-    static void stepBlock(CoreModel &m, StepState &st,
-                          uint64_t *fu_frontier, const StepIn *ins,
-                          size_t n, Outcomes mem);
-    using StepBlockFn = void (*)(CoreModel &m, StepState &st,
-                                 uint64_t *fu_frontier,
-                                 const StepIn *ins, size_t n,
-                                 Outcomes mem);
+    void stepBlock(const StepIn *ins, size_t n, Outcomes mem);
 
     /** Completion cycle of producer @p dep (0 = long retired). */
     uint64_t readyOf(const StepState &st, uint64_t dep) const;
@@ -389,17 +380,18 @@ class CoreModel
      * right: nothing can have been reserved there. The window is thus
      * exactly an unbounded per-cycle table.
      *
-     * @p fu_frontier[fu] is a caller-owned monotone hint: every cycle
-     * below it is known to be fully issued, so the search may start
-     * there instead of at @p ready. A cycle's issue count never
-     * decreases, so skipping provably-full cycles cannot change which
-     * slot is found — results are bit-identical for any hint history,
-     * the hint only bounds the scan (saturated FU pools otherwise cost
-     * a ROB's worth of re-scanning per instruction). Single-cycle
-     * scans advance the frontier; a zeroed array is always valid.
+     * fuFrontier_[fu] is a monotone hint: every cycle below it is
+     * known to be fully issued, so the search may start there instead
+     * of at @p ready. A cycle's issue count never decreases, so
+     * skipping provably-full cycles cannot change which slot is found —
+     * results are bit-identical for any hint history, the hint only
+     * bounds the scan (saturated FU pools otherwise cost a ROB's worth
+     * of re-scanning per instruction). Single-cycle scans advance the
+     * frontier; a zeroed array is always valid, and each traversal
+     * starts from one.
      */
     uint64_t findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
-                           int occupancy, uint64_t *fu_frontier);
+                           int occupancy);
 
     /** Double the issue window until cycle @p end - 1 fits in it, and
      *  re-home the live slots (stamps >= @p dispatch). Cold path. */
@@ -437,11 +429,7 @@ class CoreModel
 
     /**
      * The step core's per-instruction mutable scalars, one compact
-     * 80-byte SoA block. Between calls it rests here in the model;
-     * during a fused traversal the replay loop owns a dense array of
-     * these (one per configuration, copied in at pass start and back
-     * out at pass end), so stepping N models per decoded instruction
-     * touches N adjacent lanes instead of N scattered member sets.
+     * 80-byte block that stepBlock copies into registers per batch.
      * Two per-instruction recurrences are folded in so the loop never
      * divides: robIdx tracks n % robSize incrementally, and
      * branchCountdown counts branches down to the next modeled
@@ -463,31 +451,9 @@ class CoreModel
         int issueCount = 0;
         uint32_t robIdx = 0;      //!< n % robSize, maintained incrementally
     };
-    // The fused loop's SoA lane arrays copy this per configuration and
-    // its batch sizing is tuned to this footprint.
+    // stepBlock copies this into a local per batch so that the
+    // recurrence stays in registers; it must stay that small.
     static_assert(sizeof(StepState) == 80, "StepState grew");
-
-    /**
-     * One vector of configuration lanes in the fused replay engine:
-     * the per-lane step state, issue frontiers, models and step
-     * functions of up to kLanes configurations, field-major. The
-     * engine advances every lane of a block over the same decoded
-     * batch, so the hot per-lane recurrences (640 bytes of StepState,
-     * 448 bytes of frontier hints) are one contiguous span instead of
-     * N scattered 160-byte records — the lane loop walks adjacent
-     * cache lines regardless of where the models themselves live.
-     */
-    struct LaneBlock
-    {
-        /** Lanes per block; replay() spans this wide on the stack. */
-        static constexpr size_t kLanes = 8;
-
-        StepState st[kLanes];
-        uint64_t frontier[kLanes][size_t(trace::Fu::NumFus)];
-        CoreModel *model[kLanes];
-        StepBlockFn fn[kLanes];  //!< stepBlock<the lane's core type>
-        uint32_t walk[kLanes];   //!< the lane's hierarchy's walk
-    };
 
   private:
     CoreConfig cfg_;
@@ -508,6 +474,11 @@ class CoreModel
      *  findIssueSlot). Empty for in-order models. */
     std::vector<IssueSlot> issueSlots_;
     uint64_t issueMask_ = 0;
+    /** Per-pool issue frontier (see findIssueSlot); zeroed at each
+     *  traversal start. */
+    std::array<uint64_t, size_t(trace::Fu::NumFus)> fuFrontier_{};
+    /** This traversal's walk of caches_ in the outcome table. */
+    uint32_t walk_ = 0;
 
     // Measurement snapshot.
     uint64_t instr0_ = 0;
@@ -559,7 +530,7 @@ SimResult simulateTrace(const std::vector<trace::Instr> &instrs,
  *
  * With @p payload, every pass (warm-ups included) runs under it, and
  * every model keeps a private hierarchy: payloads perturb single
- * models (a cache flush must not reach a neighbour lane). The
+ * models (a cache flush must not reach a neighbouring model). The
  * FaultSpec overload (sim/faults.hh) is this with a FaultObserver.
  */
 std::vector<SimResult>

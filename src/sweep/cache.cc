@@ -210,7 +210,7 @@ keyFor(const SweepPoint &point, int warmup_passes)
     // XOR-fold the 64-bit fingerprint; pin nonzero so an enabled
     // scenario can never alias the clean key even if the fold lands
     // on zero.
-    const uint64_t fp = point.fault().fingerprint();
+    const uint64_t fp = point.fault.fingerprint();
     k.faultFp = uint32_t(fp) ^ uint32_t(fp >> 32);
     if (fp != 0 && k.faultFp == 0)
         k.faultFp = 1;

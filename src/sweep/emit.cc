@@ -47,7 +47,7 @@ cells(const SweepResult &r, bool with_fault)
                                     r.point.configName,
                                     r.point.workingSetName};
     if (with_fault)
-        row.push_back(r.point.faultName());
+        row.push_back(r.point.faultName);
     const std::string rest[] = {std::to_string(r.run.mix.total()),
                                 std::to_string(s.cycles),
                                 core::fmt(s.ipc, 3),
@@ -168,7 +168,7 @@ bool
 anyFaulted(const std::vector<SweepResult> &results)
 {
     for (const auto &r : results)
-        if (r.point.fault().enabled())
+        if (r.point.fault.enabled())
             return true;
     return false;
 }

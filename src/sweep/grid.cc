@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/registry.hh"
@@ -13,41 +11,6 @@ namespace swan::sweep
 
 namespace
 {
-
-/**
- * Process-wide fault-scenario table behind SweepPoint::faultId.
- * Everything is lazily constructed and id 0 (clean) is served from
- * statics that never touch it, so a clean expansion performs zero
- * heap allocation here. A deque gives
- * stable references, so accessors can return a reference that
- * outlives the lock while a concurrent expand() interns new entries.
- */
-struct FaultEntry
-{
-    std::string name;
-    sim::FaultSpec spec;
-};
-
-std::mutex &
-faultTableMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::deque<FaultEntry> &
-faultTable()
-{
-    static std::deque<FaultEntry> t;
-    return t;
-}
-
-const FaultEntry &
-cleanFault()
-{
-    static const FaultEntry e{"none", sim::FaultSpec{}};
-    return e;
-}
 
 /** Parse a Figure 5(b) name like "4W-2V"; false if not of that shape. */
 bool
@@ -82,41 +45,6 @@ parseScalability(const std::string &name, int *ways, int *vunits)
 }
 
 } // namespace
-
-const sim::FaultSpec &
-SweepPoint::fault() const
-{
-    if (faultId == 0)
-        return cleanFault().spec;
-    std::lock_guard<std::mutex> lock(faultTableMutex());
-    return faultTable()[faultId - 1].spec;
-}
-
-const std::string &
-SweepPoint::faultName() const
-{
-    if (faultId == 0)
-        return cleanFault().name;
-    std::lock_guard<std::mutex> lock(faultTableMutex());
-    return faultTable()[faultId - 1].name;
-}
-
-uint16_t
-internFault(const std::string &name, const sim::FaultSpec &spec)
-{
-    if (!spec.enabled() && (name.empty() || name == "none"))
-        return 0;
-    const uint64_t fp = spec.fingerprint();
-    std::lock_guard<std::mutex> lock(faultTableMutex());
-    auto &t = faultTable();
-    for (size_t i = 0; i < t.size(); ++i)
-        if (t[i].name == name && t[i].spec.fingerprint() == fp)
-            return uint16_t(i + 1);
-    if (t.size() >= 0xFFFF)
-        throw std::length_error("fault-scenario table overflow");
-    t.push_back({name, spec});
-    return uint16_t(t.size());
-}
 
 bool
 configForName(const std::string &name, int vec_bits, sim::CoreConfig *out)
@@ -234,22 +162,21 @@ expand(const SweepSpec &spec, std::string *err)
         wsOptions.push_back(o);
     }
 
-    // Fault axis: an empty list is the historic clean grid — note the
-    // clean path neither interns nor allocates (faultIds stays a
-    // never-allocated empty vector), preserving the pre-fault heap
-    // sequence ahead of capture. Otherwise every entry is validated
-    // here so a typo'd scenario fails the whole expand with the
-    // catalog attached (see FaultSpec::parse), before any capture or
-    // simulation runs.
-    std::vector<uint16_t> faultIds;
+    // Fault axis: an empty list is the historic clean grid, one clean
+    // point per combination. Otherwise every entry is validated here
+    // so a typo'd scenario fails the whole expand with the catalog
+    // attached (see FaultSpec::parse), before any capture or
+    // simulation runs. A point is labelled with its entry as written,
+    // and an entry written as "" (a disabled spec) as "none".
+    std::vector<sim::FaultSpec> faults;
     for (const auto &fname : spec.faults) {
         sim::FaultSpec f;
         std::string ferr;
         if (!sim::FaultSpec::parse(fname, &f, &ferr))
             return fail(ferr);
-        faultIds.push_back(internFault(fname, f));
+        faults.push_back(f);
     }
-    const size_t faultCount = faultIds.empty() ? 1 : faultIds.size();
+    const size_t faultCount = faults.empty() ? 1 : faults.size();
 
     std::vector<SweepPoint> points;
     for (const auto *k : kernels) {
@@ -280,8 +207,11 @@ expand(const SweepSpec &spec, std::string *err)
                                             cfgName + "'");
                             p.workingSetName = spec.workingSets[wi];
                             p.options = wsOptions[wi];
-                            p.faultId =
-                                faultIds.empty() ? 0 : faultIds[fi];
+                            if (!faults.empty()) {
+                                p.fault = faults[fi];
+                                if (!spec.faults[fi].empty())
+                                    p.faultName = spec.faults[fi];
+                            }
                             points.push_back(std::move(p));
                         }
                     }

@@ -70,31 +70,13 @@ struct SweepPoint
     const core::KernelSpec *spec = nullptr;
     core::Impl impl = core::Impl::Neon;
     uint16_t vecBits = 128;     //!< 128..1024
-    /**
-     * Interned fault-scenario id (internFault); 0 = clean. An id into
-     * a process-wide table rather than an embedded sim::FaultSpec +
-     * label, so points stay cheap to copy.
-     */
-    uint16_t faultId = 0;
+    sim::FaultSpec fault;       //!< parsed scenario (disabled when clean)
+    std::string faultName = "none"; //!< axis label ("none" when clean)
     std::string configName;
     sim::CoreConfig config;
     std::string workingSetName;
     core::Options options;
-
-    /** Parsed scenario (a disabled spec when clean). */
-    const sim::FaultSpec &fault() const;
-    /** Axis label ("none" when clean). */
-    const std::string &faultName() const;
 };
-
-/**
- * Intern a parsed fault scenario into the process-wide table and
- * return its SweepPoint::faultId. A disabled spec labelled "none" (or
- * unlabelled) interns as 0 — the clean id — without touching the
- * table, so clean expansions allocate nothing. Thread-safe; ids are
- * stable for the life of the process.
- */
-uint16_t internFault(const std::string &name, const sim::FaultSpec &spec);
 
 /**
  * Resolve a core-configuration preset: "prime", "gold", "silver",

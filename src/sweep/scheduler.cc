@@ -210,13 +210,13 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             for (size_t j = 0; j < u.points.size(); ++j) {
                 if (simDone[j])
                     continue;
-                const sim::FaultSpec &fault = points[u.points[j]].fault();
+                const sim::FaultSpec &fault = points[u.points[j]].fault;
                 const uint64_t fp = fault.fingerprint();
                 std::vector<size_t> part;
                 std::vector<sim::CoreConfig> partCfgs;
                 for (size_t k = j; k < u.points.size(); ++k) {
                     if (simDone[k] ||
-                        points[u.points[k]].fault().fingerprint() != fp)
+                        points[u.points[k]].fault.fingerprint() != fp)
                         continue;
                     simDone[k] = 1;
                     part.push_back(k);

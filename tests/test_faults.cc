@@ -311,6 +311,49 @@ TEST(FaultSim, DisabledSpecIsBitIdenticalToCleanSimulation)
         expectSameResult(clean[i], viaFault[i]);
 }
 
+TEST(FaultSim, BurstOpeningAtTheFirstInstructionGovernsIt)
+{
+    // period = duration = the trace length: window 0 opens at
+    // instruction 0, in the payload's begin(), and stays open for the
+    // whole pass. With no warm-up the burst must then replay exactly
+    // like the clean driver at the burst's rate, for one core and for
+    // the nine Figure 4/5(b) cores.
+    std::vector<Instr> prog;
+    for (uint64_t id = 1; id <= 40000; ++id) {
+        Instr i;
+        i.id = id;
+        i.latency = 1;
+        i.cls = id % 2 ? trace::InstrClass::SInt : trace::InstrClass::Branch;
+        i.fu = id % 2 ? trace::Fu::SAlu : trace::Fu::Branch;
+        prog.push_back(i);
+    }
+    const auto packed = PackedTrace::pack(prog);
+    const std::string n = std::to_string(packed.size());
+    const auto burst = mustParse("mispredict-burst:period=" + n +
+                                 ":duration=" + n + ":intensity=0.5");
+    std::vector<sim::CoreConfig> nine = {sim::primeConfig(),
+                                         sim::goldConfig(),
+                                         sim::silverConfig()};
+    const int shapes[][2] = {{4, 2}, {4, 4}, {4, 6}, {6, 6}, {4, 8}, {8, 8}};
+    for (const auto &wv : shapes)
+        nine.push_back(sim::scalabilityConfig(wv[0], wv[1]));
+    for (const auto &cfgs :
+         {std::vector<sim::CoreConfig>{sim::primeConfig()}, nine}) {
+        auto half = cfgs;
+        for (auto &c : half)
+            c.branchMispredictRate = 0.5;
+        const auto got = sim::simulateTraceMany(packed, cfgs, burst, 0);
+        const auto want = sim::simulateTraceMany(packed, half, 0);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(cfgs[i].name);
+            expectSameResult(got[i], want[i]);
+            EXPECT_EQ(got[i].feStallPct, want[i].feStallPct);
+            EXPECT_EQ(got[i].energyJ, want[i].energyJ);
+        }
+    }
+}
+
 TEST(FaultSim, ScenarioPerturbsResultsDeterministically)
 {
     // DRAM-heavy stream: the spike multiplies DRAM latency, so it

@@ -281,12 +281,10 @@ TEST_F(ObsFixture, CollectorFeedsSinksAndReleases)
     ASSERT_TRUE(collector.start(64));
     EXPECT_TRUE(collector.active());
     { obs::Span s(obs::Phase::Replay, 1000); }
-    collector.addSink(std::make_unique<obs::ReportSink>(
-        (dir / "r.report.json").string()));
-    collector.addSink(std::make_unique<obs::ChromeTraceSink>(
-        (dir / "r.trace.jsonl").string()));
     std::string err;
-    EXPECT_TRUE(collector.finish(sweep::CacheStats{}, &err)) << err;
+    EXPECT_TRUE(collector.finish((dir / "r").string(), sweep::CacheStats{},
+                                 &err))
+        << err;
     EXPECT_EQ(obs::Telemetry::instance(), nullptr) << "finish releases";
 
     const std::string report = slurp(dir / "r.report.json");
@@ -300,11 +298,13 @@ TEST_F(ObsFixture, CollectorReportsSinkFailure)
 {
     obs::Collector collector;
     ASSERT_TRUE(collector.start(64));
-    collector.addSink(std::make_unique<obs::ReportSink>(
-        "/nonexistent-dir-for-swan-obs/x.json"));
     std::string err;
-    EXPECT_FALSE(collector.finish(sweep::CacheStats{}, &err));
+    EXPECT_FALSE(collector.finish("/nonexistent-dir-for-swan-obs/x",
+                                  sweep::CacheStats{}, &err));
     EXPECT_FALSE(err.empty());
+    EXPECT_NE(err.find("/nonexistent-dir-for-swan-obs/x.report.json"),
+              std::string::npos)
+        << err;
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fused replay engine equivalence (sim::replay, sim/core_model.cc):
- * every lane of a fused replay must produce the SimResult of its
+ * every model of a fused replay must produce the SimResult of its
  * configuration replayed alone (simulateTrace on a private hierarchy),
  * for in-order and out-of-order configurations, any warm-up pass
  * count, config groups of 1..12, and streams with mid-trace id
@@ -106,6 +106,11 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b)
     EXPECT_EQ(a.l1Accesses, b.l1Accesses);
     EXPECT_EQ(a.l2Accesses, b.l2Accesses);
     EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(a.timeSec, b.timeSec);
+    EXPECT_EQ(a.l1HitRate, b.l1HitRate);
+    EXPECT_EQ(a.dramAccessPerKCycle, b.dramAccessPerKCycle);
+    EXPECT_EQ(a.energyJ, b.energyJ);
+    EXPECT_EQ(a.powerW, b.powerW);
 }
 
 /** What a tail warm-up keeps of a fully stepped one: the instruction
@@ -310,13 +315,12 @@ TEST(FusedReplay, MatchesOnARealKernelTrace)
     }
 }
 
-TEST(FusedReplay, ConfigGroupsCrossTheLaneBlockBoundary)
+TEST(FusedReplay, ConfigGroupsOfOneToTwelveMatch)
 {
-    // The lane-block engine packs up to 8 configurations per SoA block
-    // (CoreModel::LaneBlock) and heap-allocates a block array
-    // beyond that: N = 1..8 exercises every partial-block width, 9 and
-    // 12 the multi-block path. Every width must reproduce the
-    // single-config result bit for bit.
+    // Every model of a fused replay steps its own state against its
+    // hierarchy's walk, whatever the group around it: each group size,
+    // from one model to more than the nine of the paper's fan-out
+    // grid, must reproduce the single-config result bit for bit.
     const auto instrs = randomTrace(2500, 131);
     const auto packed = PackedTrace::pack(instrs);
     std::vector<sim::CoreConfig> all = fourCores();
@@ -494,6 +498,39 @@ TEST(FusedReplay, PassiveObserverChangesNothing)
     EXPECT_GT(w.seen, 0u);
     for (size_t i = 0; i < cfgs.size(); ++i)
         expectSameResult(plain[i], models[i]->finish());
+}
+
+TEST(FusedReplay, PayloadBeginChangesApplyFromTheFirstInstruction)
+{
+    // begin() runs on the models' live state: a mispredict rate a
+    // payload sets there must govern the traversal from its first
+    // instruction, exactly as the same rate set in the configuration.
+    struct HalfRate final : sim::ReplayObserver
+    {
+        void
+        begin(std::span<sim::CoreModel *const> models) override
+        {
+            for (auto *m : models)
+                setBranchMispredictRate(*m, 0.5);
+        }
+    };
+    std::vector<Instr> prog;
+    for (uint64_t id = 1; id <= 40000; ++id) {
+        Instr i;
+        i.id = id;
+        i.latency = 1;
+        i.cls = id % 2 ? trace::InstrClass::SInt : trace::InstrClass::Branch;
+        i.fu = id % 2 ? trace::Fu::SAlu : trace::Fu::Branch;
+        prog.push_back(i);
+    }
+    const auto packed = PackedTrace::pack(prog);
+    HalfRate payload;
+    const auto got =
+        sim::simulateTraceMany(packed, {sim::primeConfig()}, 0, &payload);
+    auto half = sim::primeConfig();
+    half.branchMispredictRate = 0.5;
+    ASSERT_EQ(got.size(), 1u);
+    expectSameResult(got[0], sim::simulateTrace(packed, half, 0));
 }
 
 TEST(FusedReplay, EmptySpanAndEmptyTraceAreNoOps)

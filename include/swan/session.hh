@@ -175,19 +175,13 @@ class Session
     sweep::ResultCache &cache() const { return cache_; }
 
     /**
-     * Single-point legacy path: capture + simulate + apply the power
-     * model for one (kernel, implementation, core, width) using this
-     * session's workload options and warm-up passes — the
-     * Session-aware form of what drivers used to hand-wire with
-     * core::Runner(Options::fromEnv()). Makes a fresh workload from
-     * the spec; use the Workload overload to share one instance
-     * across calls.
+     * Single-point path: capture + simulate + apply the power model
+     * for one (implementation, core, width) of a workload instance,
+     * using this session's warm-up passes — the Session-aware form of
+     * what drivers used to hand-wire with
+     * core::Runner(Options::fromEnv()). Make the workload from
+     * options().workload.
      */
-    core::KernelRun run(const core::KernelSpec &spec, core::Impl impl,
-                        const sim::CoreConfig &cfg,
-                        int vec_bits = 128) const;
-
-    /** run() on an existing workload instance. */
     core::KernelRun run(core::Workload &w, core::Impl impl,
                         const sim::CoreConfig &cfg,
                         int vec_bits = 128) const;

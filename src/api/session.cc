@@ -58,14 +58,6 @@ Session::run(core::Workload &w, core::Impl impl,
     return runner.run(w, impl, cfg, vec_bits, opts_.warmupPasses);
 }
 
-core::KernelRun
-Session::run(const core::KernelSpec &spec, core::Impl impl,
-             const sim::CoreConfig &cfg, int vec_bits) const
-{
-    auto w = spec.make(opts_.workload);
-    return run(*w, impl, cfg, vec_bits);
-}
-
 core::Comparison
 Session::compare(const core::KernelSpec &spec,
                  const sim::CoreConfig &cfg) const

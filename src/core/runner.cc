@@ -79,24 +79,12 @@ KernelRun
 Runner::run(Workload &w, Impl impl, const sim::CoreConfig &cfg,
             int vec_bits, int warmup_passes) const
 {
-    return runMany(w, impl, {cfg}, vec_bits, warmup_passes).front();
-}
-
-std::vector<KernelRun>
-Runner::runMany(Workload &w, Impl impl,
-                const std::vector<sim::CoreConfig> &cfgs, int vec_bits,
-                int warmup_passes) const
-{
-    trace::MixStats mix;
-    const trace::PackedTrace packed = capturePacked(w, impl, vec_bits, &mix);
+    KernelRun out;
+    const trace::PackedTrace packed =
+        capturePacked(w, impl, vec_bits, &out.mix);
     // Results come out of the replay engine power-complete (the power
     // model is fused into CoreModel::finish).
-    auto sims = sim::simulateTraceMany(packed, cfgs, warmup_passes);
-    std::vector<KernelRun> out(cfgs.size());
-    for (size_t i = 0; i < cfgs.size(); ++i) {
-        out[i].mix = mix;
-        out[i].sim = std::move(sims[i]);
-    }
+    out.sim = sim::simulateTrace(packed, cfg, warmup_passes);
     return out;
 }
 

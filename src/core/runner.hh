@@ -120,19 +120,6 @@ class Runner
     KernelRun run(Workload &w, Impl impl, const sim::CoreConfig &cfg,
                   int vec_bits = 128, int warmup_passes = 1) const;
 
-    /**
-     * Capture once (encoded on emit), replay against many core
-     * configurations in a single pass on the fused engine
-     * (sim::replay): each packed instruction is decoded once —
-     * straight into registers — with every configuration's core model
-     * stepped from the same decoded fields. Result i is bit-identical
-     * to run() with cfgs[i].
-     */
-    std::vector<KernelRun> runMany(Workload &w, Impl impl,
-                                   const std::vector<sim::CoreConfig> &cfgs,
-                                   int vec_bits = 128,
-                                   int warmup_passes = 1) const;
-
     /** Run Scalar, Auto and Neon and verify outputs. */
     Comparison compare(const KernelSpec &spec,
                        const sim::CoreConfig &cfg) const;

@@ -4,9 +4,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <concepts>
 #include <fstream>
-#include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "obs/telemetry.hh"
@@ -55,16 +56,6 @@ hashCache(Fnv &f, const sim::CacheConfig &c)
     f.b(c.nextLinePrefetch);
 }
 
-/** On-disk result entry header: kMagicStem + format version. v4 holds
- *  results simulated from canonical-address traces (trace/canon.hh) on
- *  the exact, dispatch-anchored issue window (sim/core_model.hh), after
- *  a warm-up that steps only its last sim::kWarmupStepTail
- *  instructions; a v3 point stepped the whole warm-up and may differ
- *  in its last cycle digits. Entries of any other version are plain
- *  misses. */
-constexpr std::string_view kMagicStem = "swan-sweep-result v";
-constexpr const char *kMagic = "swan-sweep-result v4";
-
 std::string
 hex64(uint64_t v)
 {
@@ -74,19 +65,10 @@ hex64(uint64_t v)
     return buf;
 }
 
-/** Doubles round-trip bit-exactly as hexfloat. */
-std::string
-f64str(double v)
-{
-    std::ostringstream os;
-    os << std::hexfloat << v;
-    return os.str();
-}
-
 /**
  * Parse the 16 lowercase hex digits at @p s (hex64's format): a cache
  * entry's file stem, the join between on-disk entries and the
- * last-use stamps, or a `.swr` checksum. False on any other character.
+ * last-use stamps. False on any other character.
  */
 bool
 parseHex16(const char *s, uint64_t *out)
@@ -105,24 +87,6 @@ parseHex16(const char *s, uint64_t *out)
     }
     *out = h;
     return true;
-}
-
-/**
- * Read the whole entry file @p path in one sized read (a trace blob can
- * be tens of MB, so no stream copies). False when it is absent — the
- * ordinary cold-cache case — or unreadable: nothing can be judged about
- * its bytes, so the caller misses.
- */
-bool
-readEntry(const std::filesystem::path &path, std::string *buf)
-{
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec)
-        return false;
-    buf->assign(size, '\0');
-    std::ifstream in(path, std::ios::binary);
-    return in && in.read(buf->data(), std::streamsize(size));
 }
 
 } // namespace
@@ -183,11 +147,7 @@ CacheKey::hash() const
     f.u64(configFp);
     f.u64(optionsFp);
     f.i32(warmupPasses);
-    // Clean points (faultFp == 0) hash exactly as they did before the
-    // fault axis existed, so pre-fault disk tiers keep their hits;
-    // faulted points get a disjoint hash (and file stem).
-    if (faultFp)
-        f.u64(faultFp);
+    f.u64(faultFp);
     return f.h;
 }
 
@@ -248,6 +208,327 @@ traceKeyFor(const SweepPoint &point)
     return k;
 }
 
+namespace
+{
+
+/*
+ * The one entry frame, shared by `.swr` results and `.swtp` traces:
+ *
+ *     tag[4] | version u32 | head length u64 | FNV-1a(head) u64 | head | tail
+ *
+ * The head is the key echo (every key field) and then the record. A
+ * result's record is its SimResult fields and mix counters; it has no
+ * tail. A trace's record is its mix counters and its PackedTrace
+ * payload header, and the tail is the payload body: the header's own
+ * checksum covers the body (parsePayload verifies it), so each trace
+ * byte is hashed once per store and once per load. Fields are native
+ * endian, a same-host format like the payload.
+ *
+ * An absent or unreadable file, another version or a key-echo mismatch
+ * is a plain miss. A wrong tag, a short header, a head checksum
+ * mismatch or a record that does not fill its head exactly is damage.
+ *
+ * Bump kEntryVersion when the layout changes or a model change makes a
+ * key's result or trace differ. Version 5 is the first frame. Its tags
+ * are the bytes both earlier formats began with, so their entries read
+ * as another version: a text `.swr` ("swan-sweep-result vN") has the
+ * version bytes "-swe", and a `.swtp` v2-v4 its own version number.
+ */
+constexpr uint32_t kEntryVersion = 5;
+
+/** Frame tag and file extension of each key type's entries. */
+struct EntryKind
+{
+    char tag[4];
+    const char *ext;
+};
+
+constexpr EntryKind
+kindOf(const CacheKey &)
+{
+    return {{'s', 'w', 'a', 'n'}, ".swr"};
+}
+
+constexpr EntryKind
+kindOf(const TraceKey &)
+{
+    return {{'S', 'W', 'T', 'P'}, ".swtp"};
+}
+
+template <typename Key>
+std::string
+entryName(const Key &key)
+{
+    return key.hex() + kindOf(key).ext;
+}
+
+/** Fields of variable length: a u64 element count, then the elements.
+ *  Every other field is trivially copyable and stored as its bytes. */
+template <typename T>
+constexpr bool kCounted = std::is_same_v<T, std::string> ||
+                          std::is_same_v<T, std::vector<uint64_t>>;
+
+/** Appends fields to an entry. */
+struct Put
+{
+    std::string *out;
+
+    template <typename T>
+    void
+    operator()(const T &v)
+    {
+        if constexpr (kCounted<T>) {
+            (*this)(uint64_t(v.size()));
+            out->append(reinterpret_cast<const char *>(v.data()),
+                        v.size() * sizeof(typename T::value_type));
+        } else {
+            static_assert(std::is_trivially_copyable_v<T>);
+            out->append(reinterpret_cast<const char *>(&v), sizeof v);
+        }
+    }
+};
+
+/** Reads fields back as Put wrote them from [p, end); ok turns false,
+ *  and stays false, at the first field that would run past end. */
+struct Get
+{
+    const char *p = nullptr;
+    const char *end = nullptr;
+    bool ok = true;
+
+    void
+    take(void *dst, size_t n)
+    {
+        if (!ok || size_t(end - p) < n) {
+            ok = false;
+            return;
+        }
+        if (n)
+            std::memcpy(dst, p, n);
+        p += n;
+    }
+
+    template <typename T>
+    void
+    operator()(T &v)
+    {
+        if constexpr (kCounted<T>) {
+            constexpr size_t kElem = sizeof(typename T::value_type);
+            uint64_t n = 0;
+            (*this)(n);
+            if (!ok || n > size_t(end - p) / kElem) {
+                ok = false;
+                return;
+            }
+            v.resize(n);
+            take(v.data(), n * kElem);
+        } else {
+            take(&v, sizeof v);
+        }
+    }
+};
+
+/** T is U, const or not: each field list below is walked by Put on
+ *  store and by Get on load, so it names every field once. */
+template <typename T, typename U>
+concept Either = std::same_as<std::remove_const_t<T>, U>;
+
+void
+fields(Either<CacheKey> auto &k, auto &f)
+{
+    f(k.kernel);
+    f(k.impl);
+    f(k.vecBits);
+    f(k.configFp);
+    f(k.optionsFp);
+    f(k.warmupPasses);
+    f(k.faultFp);
+}
+
+void
+fields(Either<TraceKey> auto &k, auto &f)
+{
+    f(k.kernel);
+    f(k.impl);
+    f(k.vecBits);
+    f(k.optionsFp);
+}
+
+void
+fields(Either<sim::SimResult> auto &s, auto &f)
+{
+    f(s.config);
+    f(s.instrs);
+    f(s.cycles);
+    f(s.ipc);
+    f(s.timeSec);
+    f(s.l1Mpki);
+    f(s.l2Mpki);
+    f(s.llcMpki);
+    f(s.l1HitRate);
+    f(s.feStallPct);
+    f(s.beStallPct);
+    f(s.dramReads);
+    f(s.dramWrites);
+    f(s.dramAccessPerKCycle);
+    f(s.byClass);
+    f(s.vecBytes);
+    f(s.l1Accesses);
+    f(s.l2Accesses);
+    f(s.llcAccesses);
+    f(s.energyJ);
+    f(s.powerW);
+}
+
+/**
+ * Write @p key's entry into @p dir: the frame over the key echo and
+ * @p record, then @p tail. Write-then-rename, so concurrent readers
+ * never see a torn entry. @return bytes written, 0 on failure.
+ */
+template <typename Key>
+uint64_t
+writeEntry(const std::string &dir, const Key &key, std::string_view record,
+           std::string_view tail = {})
+{
+    std::string head;
+    Put put{&head};
+    fields(key, put);
+    head.append(record);
+    Fnv sum;
+    sum.bytes(head.data(), head.size());
+    std::string frame;
+    Put frameOut{&frame};
+    frameOut(kindOf(key).tag);
+    frameOut(kEntryVersion);
+    frameOut(uint64_t(head.size()));
+    frameOut(sum.h);
+
+    const auto path = std::filesystem::path(dir) / entryName(key);
+    auto tmp = path;
+    tmp += ".tmp";
+    {
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        if (!os)
+            return 0;
+        os.write(frame.data(), std::streamsize(frame.size()));
+        os.write(head.data(), std::streamsize(head.size()));
+        if (!tail.empty())
+            os.write(tail.data(), std::streamsize(tail.size()));
+        if (!os)
+            return 0;
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        std::filesystem::remove(tmp, ec);
+        return 0;
+    }
+    return frame.size() + head.size() + tail.size();
+}
+
+/** Disk lookup outcome: Corrupt means the entry's bytes are damaged
+ *  (not merely foreign), and the caller quarantines it. */
+enum class DiskLoad
+{
+    Miss,
+    Hit,
+    Corrupt,
+};
+
+/**
+ * Read @p key's entry from @p dir into @p buf and verify its frame and
+ * key echo. On Hit, @p record reads the rest of the head, and the tail
+ * runs from record->end to the end of @p buf.
+ */
+template <typename Key>
+DiskLoad
+readEntry(const std::string &dir, const Key &key, std::string *buf,
+          Get *record)
+{
+    // One sized read: a trace entry can be tens of MB.
+    const auto path = std::filesystem::path(dir) / entryName(key);
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    if (ec)
+        return DiskLoad::Miss;
+    buf->assign(size, '\0');
+    std::ifstream in(path, std::ios::binary);
+    if (!in || !in.read(buf->data(), std::streamsize(size)))
+        return DiskLoad::Miss;
+
+    Get frame{buf->data(), buf->data() + buf->size()};
+    char tag[4] = {};
+    uint32_t version = 0;
+    frame(tag);
+    frame(version);
+    if (!frame.ok || std::memcmp(tag, kindOf(key).tag, sizeof tag) != 0)
+        return DiskLoad::Corrupt;
+    if (version != kEntryVersion)
+        return DiskLoad::Miss;
+    uint64_t headLen = 0, headSum = 0;
+    frame(headLen);
+    frame(headSum);
+    if (!frame.ok || headLen > size_t(frame.end - frame.p))
+        return DiskLoad::Corrupt;
+    Fnv sum;
+    sum.bytes(frame.p, headLen);
+    if (sum.h != headSum)
+        return DiskLoad::Corrupt;
+
+    *record = Get{frame.p, frame.p + headLen};
+    Key seen;
+    fields(seen, *record);
+    if (!record->ok)
+        return DiskLoad::Corrupt;
+    // A hash collision or a stale rename: intact, but another key's.
+    return seen == key ? DiskLoad::Hit : DiskLoad::Miss;
+}
+
+DiskLoad
+loadResult(const std::string &dir, const CacheKey &key,
+           core::KernelRun *out)
+{
+    std::string buf;
+    Get get;
+    const DiskLoad verdict = readEntry(dir, key, &buf, &get);
+    if (verdict != DiskLoad::Hit)
+        return verdict;
+    core::KernelRun run;
+    std::vector<uint64_t> mix;
+    fields(run.sim, get);
+    get(mix);
+    // No tail: the record ends the head and the file.
+    if (!get.ok || get.p != buf.data() + buf.size() ||
+        !trace::MixStats::fromCounters(mix, &run.mix))
+        return DiskLoad::Corrupt;
+    *out = std::move(run);
+    return DiskLoad::Hit;
+}
+
+DiskLoad
+loadTrace(const std::string &dir, const TraceKey &key,
+          trace::PackedTrace *out, trace::MixStats *mix)
+{
+    std::string buf;
+    Get get;
+    const DiskLoad verdict = readEntry(dir, key, &buf, &get);
+    if (verdict != DiskLoad::Hit)
+        return verdict;
+    std::vector<uint64_t> counters;
+    trace::MixStats seenMix;
+    get(counters);
+    // The payload header ends the head, and the tail is its body.
+    const auto *payload = reinterpret_cast<const uint8_t *>(get.p);
+    if (!get.ok || !trace::MixStats::fromCounters(counters, &seenMix) ||
+        !trace::PackedTrace::parsePayload(
+            payload, size_t(buf.data() + buf.size() - get.p), out))
+        return DiskLoad::Corrupt;
+    *mix = seenMix;
+    return DiskLoad::Hit;
+}
+
+} // namespace
+
 ResultCache::ResultCache(std::string disk_dir, uint64_t max_disk_bytes)
     : diskDir_(std::move(disk_dir)), maxDiskBytes_(max_disk_bytes)
 {
@@ -306,7 +587,7 @@ ResultCache::lookup(const CacheKey &key, core::KernelRun *out)
         }
     }
     const DiskLoad got =
-        diskDir_.empty() ? DiskLoad::Miss : loadDisk(key, out);
+        diskDir_.empty() ? DiskLoad::Miss : loadResult(diskDir_, key, out);
     std::lock_guard<std::mutex> lock(mu_);
     if (got == DiskLoad::Hit) {
         map_.emplace(key, *out);
@@ -314,7 +595,7 @@ ResultCache::lookup(const CacheKey &key, core::KernelRun *out)
         return true;
     }
     if (got == DiskLoad::Corrupt)
-        quarantineEntry(key.hex() + ".swr");
+        quarantineEntry(entryName(key));
     ++stats_.misses;
     return false;
 }
@@ -328,8 +609,13 @@ ResultCache::store(const CacheKey &key, const core::KernelRun &run)
         map_.insert_or_assign(key, run);
         ++stats_.stores;
     }
-    if (!diskDir_.empty())
-        pruneDisk(storeDisk(key, run));
+    if (diskDir_.empty())
+        return;
+    std::string record;
+    Put put{&record};
+    fields(run.sim, put);
+    put(run.mix.counters());
+    pruneDisk(writeEntry(diskDir_, key, record));
 }
 
 void
@@ -353,98 +639,12 @@ ResultCache::stats() const
     return stats_;
 }
 
-namespace
-{
-
-/** On-disk packed-trace entry: magic, version, whole-blob FNV-1a
- *  checksum, key echo, mix counters, payload. The blob checksum covers
- *  everything after itself — the payload carries its own internal
- *  checksum, but the key echo and mix counters would otherwise be
- *  trusted unverified, and a flipped counter byte must quarantine the
- *  entry, not silently skew a warm run's instruction mix. v4 traces
- *  record canonical addresses (trace/canon.hh) with every workload
- *  table in a registered region (BS/sha256 and BS/aes_encrypt loaded
- *  static tables through the page map up to v3); entries of any other
- *  version are plain misses. */
-constexpr char kTraceMagic[4] = {'S', 'W', 'T', 'P'};
-constexpr uint32_t kTraceTierVersion = 4;
-
-template <typename T>
-void
-appendRaw(std::string *out, T v)
-{
-    out->append(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
-template <typename T>
-bool
-readRaw(const std::string &buf, size_t *at, T *v)
-{
-    if (buf.size() - *at < sizeof(T))
-        return false;
-    std::memcpy(v, buf.data() + *at, sizeof(T));
-    *at += sizeof(T);
-    return true;
-}
-
-/** Serialize one packed-trace entry into `<dir>/<stem>.swtp`
- *  (write-then-rename). @return bytes written, 0 on failure. */
-uint64_t
-writePackedEntry(const std::string &dir_s, const TraceKey &key,
-                 const trace::PackedTrace &t, const trace::MixStats &mix)
-{
-    // Everything after the checksum field except the payload body,
-    // which is hashed and written in place rather than copied.
-    const auto counters = mix.counters();
-    std::string head;
-    appendRaw(&head, uint32_t(key.kernel.size()));
-    head.append(key.kernel);
-    appendRaw(&head, int32_t(key.impl));
-    appendRaw(&head, int32_t(key.vecBits));
-    appendRaw(&head, key.optionsFp);
-    appendRaw(&head, uint32_t(counters.size()));
-    for (uint64_t v : counters)
-        appendRaw(&head, v);
-    t.appendPayloadHeader(&head);
-    Fnv blobSum;
-    blobSum.bytes(head.data(), head.size());
-    blobSum.bytes(t.payloadBody(), t.byteSize());
-    std::string prefix(kTraceMagic, 4);
-    appendRaw(&prefix, kTraceTierVersion);
-    appendRaw(&prefix, blobSum.h);
-
-    const auto dir = std::filesystem::path(dir_s);
-    const auto path = dir / (key.hex() + ".swtp");
-    // Write-then-rename so concurrent readers never see a torn entry.
-    const auto tmp = dir / (key.hex() + ".swtp.tmp");
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return 0;
-        os.write(prefix.data(), std::streamsize(prefix.size()));
-        os.write(head.data(), std::streamsize(head.size()));
-        os.write(reinterpret_cast<const char *>(t.payloadBody()),
-                 std::streamsize(t.byteSize()));
-        if (!os)
-            return 0;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return 0;
-    }
-    return prefix.size() + head.size() + t.byteSize();
-}
-
-} // namespace
-
 bool
 ResultCache::lookupTrace(const TraceKey &key, trace::PackedTrace *out,
                          trace::MixStats *mix)
 {
     const DiskLoad got =
-        diskDir_.empty() ? DiskLoad::Miss : loadTraceDisk(key, out, mix);
+        diskDir_.empty() ? DiskLoad::Miss : loadTrace(diskDir_, key, out, mix);
     std::lock_guard<std::mutex> lock(mu_);
     touchLocked(key.hash());
     if (got == DiskLoad::Hit) {
@@ -452,72 +652,9 @@ ResultCache::lookupTrace(const TraceKey &key, trace::PackedTrace *out,
         return true;
     }
     if (got == DiskLoad::Corrupt)
-        quarantineEntry(key.hex() + ".swtp");
+        quarantineEntry(entryName(key));
     ++stats_.traceMisses;
     return false;
-}
-
-ResultCache::DiskLoad
-ResultCache::loadTraceDisk(const TraceKey &key, trace::PackedTrace *out,
-                           trace::MixStats *mix)
-{
-    std::string buf;
-    if (!readEntry(std::filesystem::path(diskDir_) / (key.hex() + ".swtp"),
-                   &buf))
-        return DiskLoad::Miss;
-
-    size_t at = 0;
-    char magic[4];
-    uint32_t version = 0;
-    if (!readRaw(buf, &at, &magic) ||
-        std::memcmp(magic, kTraceMagic, 4) != 0 ||
-        !readRaw(buf, &at, &version))
-        return DiskLoad::Corrupt;
-    // Another format version (older or newer build) is a foreign entry,
-    // not damage: miss, and let the next store overwrite it.
-    if (version != kTraceTierVersion)
-        return DiskLoad::Miss;
-    // Whole-blob checksum: any damaged byte after this field — key
-    // echo, counters or payload — reads as corruption, never as data.
-    uint64_t want = 0;
-    if (!readRaw(buf, &at, &want))
-        return DiskLoad::Corrupt;
-    Fnv blobSum;
-    blobSum.bytes(buf.data() + at, buf.size() - at);
-    if (blobSum.h != want)
-        return DiskLoad::Corrupt;
-    // Key echo: a hash collision or stale rename must read as a miss.
-    uint32_t kernelLen = 0;
-    if (!readRaw(buf, &at, &kernelLen) || buf.size() - at < kernelLen)
-        return DiskLoad::Corrupt;
-    TraceKey seen;
-    seen.kernel.assign(buf.data() + at, kernelLen);
-    at += kernelLen;
-    int32_t impl = -1;
-    if (!readRaw(buf, &at, &impl) || !readRaw(buf, &at, &seen.vecBits) ||
-        !readRaw(buf, &at, &seen.optionsFp))
-        return DiskLoad::Corrupt;
-    seen.impl = core::Impl(impl);
-    if (!(seen == key))
-        return DiskLoad::Miss;
-    // Mix counter snapshot, so a warm hit skips a full trace decode.
-    uint32_t mixLen = 0;
-    if (!readRaw(buf, &at, &mixLen) ||
-        (buf.size() - at) / sizeof(uint64_t) < mixLen)
-        return DiskLoad::Corrupt;
-    std::vector<uint64_t> counters(mixLen);
-    for (auto &v : counters)
-        if (!readRaw(buf, &at, &v))
-            return DiskLoad::Corrupt;
-    trace::MixStats seenMix;
-    if (!trace::MixStats::fromCounters(counters, &seenMix))
-        return DiskLoad::Corrupt;
-    if (!trace::PackedTrace::parsePayload(
-            reinterpret_cast<const uint8_t *>(buf.data()) + at,
-            buf.size() - at, out))
-        return DiskLoad::Corrupt;
-    *mix = seenMix;
-    return DiskLoad::Hit;
 }
 
 void
@@ -526,7 +663,13 @@ ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
 {
     if (diskDir_.empty())
         return;
-    const uint64_t wrote = writePackedEntry(diskDir_, key, t, mix);
+    std::string record;
+    Put put{&record};
+    put(mix.counters());
+    t.appendPayloadHeader(&record);
+    const uint64_t wrote = writeEntry(
+        diskDir_, key, record,
+        {reinterpret_cast<const char *>(t.payloadBody()), t.byteSize()});
     {
         std::lock_guard<std::mutex> lock(mu_);
         touchLocked(key.hash());
@@ -671,221 +814,6 @@ ResultCache::pruneDisk(uint64_t stored_bytes)
     resync(total);
     std::lock_guard<std::mutex> lock(mu_);
     stats_.evictions += evicted;
-}
-
-ResultCache::DiskLoad
-ResultCache::loadDisk(const CacheKey &key, core::KernelRun *out)
-{
-    std::string buf;
-    if (!readEntry(std::filesystem::path(diskDir_) / (key.hex() + ".swr"),
-                   &buf))
-        return DiskLoad::Miss;
-
-    size_t bodyStart = buf.find('\n');
-    if (bodyStart == std::string::npos)
-        return DiskLoad::Corrupt;
-    if (buf.compare(0, bodyStart, kMagic) != 0) {
-        // A well-formed header of another format version (older or
-        // newer build) is a foreign entry, not damage: miss, and let
-        // the next store overwrite it.
-        const std::string_view head(buf.data(), bodyStart);
-        const bool otherVersion =
-            head.size() > kMagicStem.size() &&
-            head.substr(0, kMagicStem.size()) == kMagicStem &&
-            head.find_first_not_of("0123456789", kMagicStem.size()) ==
-                std::string_view::npos;
-        return otherVersion ? DiskLoad::Miss : DiskLoad::Corrupt;
-    }
-    ++bodyStart;
-    // Self-checksum line, `checksum <16 hex digits>`: FNV-1a over every
-    // byte after this line, so any flipped bit or truncation in the
-    // body is detected before a field of it is trusted. Every v4 writer
-    // writes it, so a missing or malformed line is damage too.
-    constexpr std::string_view kChecksumTag = "checksum ";
-    const size_t sumAt = bodyStart + kChecksumTag.size();
-    const size_t eol = buf.find('\n', bodyStart);
-    uint64_t want = 0;
-    if (eol == std::string::npos || eol != sumAt + 16 ||
-        buf.compare(bodyStart, kChecksumTag.size(), kChecksumTag) != 0 ||
-        !parseHex16(buf.data() + sumAt, &want))
-        return DiskLoad::Corrupt;
-    bodyStart = eol + 1;
-    Fnv f;
-    f.bytes(buf.data() + bodyStart, buf.size() - bodyStart);
-    if (f.h != want)
-        return DiskLoad::Corrupt;
-
-    std::istringstream in(buf.substr(bodyStart));
-    std::string line;
-    core::KernelRun run;
-    CacheKey seen;
-    std::vector<uint64_t> mixFlat;
-    bool haveMix = false;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag))
-            continue;
-        auto &s = run.sim;
-        const auto rd = [&ls](auto &field) { ls >> field; };
-        // istream extraction does not accept hexfloat; go via strtod.
-        const auto rdf = [&ls](double &field) {
-            std::string tok;
-            if (ls >> tok)
-                field = std::strtod(tok.c_str(), nullptr);
-        };
-        if (tag == "kernel")
-            rd(seen.kernel);
-        else if (tag == "impl") {
-            int v = -1;
-            ls >> v;
-            seen.impl = core::Impl(v);
-        } else if (tag == "vec_bits")
-            rd(seen.vecBits);
-        else if (tag == "config_fp")
-            ls >> std::hex >> seen.configFp >> std::dec;
-        else if (tag == "options_fp")
-            ls >> std::hex >> seen.optionsFp >> std::dec;
-        else if (tag == "warmup")
-            rd(seen.warmupPasses);
-        else if (tag == "fault_fp")
-            ls >> std::hex >> seen.faultFp >> std::dec;
-        else if (tag == "sim.config")
-            rd(s.config);
-        else if (tag == "sim.instrs")
-            rd(s.instrs);
-        else if (tag == "sim.cycles")
-            rd(s.cycles);
-        else if (tag == "sim.ipc")
-            rdf(s.ipc);
-        else if (tag == "sim.time_sec")
-            rdf(s.timeSec);
-        else if (tag == "sim.l1_mpki")
-            rdf(s.l1Mpki);
-        else if (tag == "sim.l2_mpki")
-            rdf(s.l2Mpki);
-        else if (tag == "sim.llc_mpki")
-            rdf(s.llcMpki);
-        else if (tag == "sim.l1_hit_rate")
-            rdf(s.l1HitRate);
-        else if (tag == "sim.fe_stall_pct")
-            rdf(s.feStallPct);
-        else if (tag == "sim.be_stall_pct")
-            rdf(s.beStallPct);
-        else if (tag == "sim.dram_reads")
-            rd(s.dramReads);
-        else if (tag == "sim.dram_writes")
-            rd(s.dramWrites);
-        else if (tag == "sim.dram_per_kcycle")
-            rdf(s.dramAccessPerKCycle);
-        else if (tag == "sim.by_class") {
-            for (auto &v : s.byClass)
-                ls >> v;
-        } else if (tag == "sim.vec_bytes")
-            rd(s.vecBytes);
-        else if (tag == "sim.l1_accesses")
-            rd(s.l1Accesses);
-        else if (tag == "sim.l2_accesses")
-            rd(s.l2Accesses);
-        else if (tag == "sim.llc_accesses")
-            rd(s.llcAccesses);
-        else if (tag == "sim.energy_j")
-            rdf(s.energyJ);
-        else if (tag == "sim.power_w")
-            rdf(s.powerW);
-        else if (tag == "mix") {
-            uint64_t v;
-            while (ls >> v)
-                mixFlat.push_back(v);
-            haveMix = true;
-        }
-    }
-    // Structural damage first, then the key echo: a hash collision or
-    // stale rename is a foreign-but-intact entry — a plain miss.
-    if (!haveMix || !trace::MixStats::fromCounters(mixFlat, &run.mix))
-        return DiskLoad::Corrupt;
-    if (!(seen == key))
-        return DiskLoad::Miss;
-    *out = run;
-    return DiskLoad::Hit;
-}
-
-uint64_t
-ResultCache::storeDisk(const CacheKey &key, const core::KernelRun &run)
-{
-    const auto dir = std::filesystem::path(diskDir_);
-    const auto path = dir / (key.hex() + ".swr");
-    // Write-then-rename so concurrent readers never see a torn entry.
-    const auto tmp = dir / (key.hex() + ".tmp");
-    // The body is built in memory first so the header can carry its
-    // FNV-1a self-checksum (what loadDisk verifies before trusting a
-    // single field).
-    std::ostringstream os;
-    {
-        const auto &s = run.sim;
-        os << "kernel " << key.kernel << "\n"
-           << "impl " << int(key.impl) << "\n"
-           << "vec_bits " << key.vecBits << "\n"
-           << "config_fp " << hex64(key.configFp) << "\n"
-           << "options_fp " << hex64(key.optionsFp) << "\n"
-           << "warmup " << key.warmupPasses << "\n";
-        // Written only for faulted keys: clean .swr bodies stay
-        // byte-identical to pre-fault builds (the reader treats a
-        // missing tag as faultFp 0).
-        if (key.faultFp)
-            os << "fault_fp " << hex64(uint64_t(key.faultFp)) << "\n";
-        os << "sim.config " << s.config << "\n"
-           << "sim.instrs " << s.instrs << "\n"
-           << "sim.cycles " << s.cycles << "\n"
-           << "sim.ipc " << f64str(s.ipc) << "\n"
-           << "sim.time_sec " << f64str(s.timeSec) << "\n"
-           << "sim.l1_mpki " << f64str(s.l1Mpki) << "\n"
-           << "sim.l2_mpki " << f64str(s.l2Mpki) << "\n"
-           << "sim.llc_mpki " << f64str(s.llcMpki) << "\n"
-           << "sim.l1_hit_rate " << f64str(s.l1HitRate) << "\n"
-           << "sim.fe_stall_pct " << f64str(s.feStallPct) << "\n"
-           << "sim.be_stall_pct " << f64str(s.beStallPct) << "\n"
-           << "sim.dram_reads " << s.dramReads << "\n"
-           << "sim.dram_writes " << s.dramWrites << "\n"
-           << "sim.dram_per_kcycle " << f64str(s.dramAccessPerKCycle)
-           << "\n";
-        os << "sim.by_class";
-        for (auto v : s.byClass)
-            os << " " << v;
-        os << "\n"
-           << "sim.vec_bytes " << s.vecBytes << "\n"
-           << "sim.l1_accesses " << s.l1Accesses << "\n"
-           << "sim.l2_accesses " << s.l2Accesses << "\n"
-           << "sim.llc_accesses " << s.llcAccesses << "\n"
-           << "sim.energy_j " << f64str(s.energyJ) << "\n"
-           << "sim.power_w " << f64str(s.powerW) << "\n";
-        os << "mix";
-        for (auto v : run.mix.counters())
-            os << " " << v;
-        os << "\n";
-    }
-    const std::string body = os.str();
-    Fnv sum;
-    sum.bytes(body.data(), body.size());
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            return 0;
-        f << kMagic << "\n"
-          << "checksum " << hex64(sum.h) << "\n";
-        f.write(body.data(), std::streamsize(body.size()));
-        if (!f)
-            return 0;
-    }
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(tmp, ec);
-    const uint64_t written = ec ? 0 : uint64_t(size);
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return 0;
-    }
-    return written;
 }
 
 } // namespace swan::sweep

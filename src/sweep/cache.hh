@@ -3,11 +3,16 @@
  * Sweep result cache: an in-process result map plus one optional
  * directory of on-disk entries. An experiment point is keyed by
  * (kernel qualified name, implementation, vector width, core-config
- * fingerprint, working-set fingerprint, warm-up passes), and a finished
- * KernelRun is served to any later point with the same key without
- * re-simulation. The directory holds one `<keyhash>.swr` result file
- * per CacheKey and one `<keyhash>.swtp` packed-trace file per TraceKey
- * (SWAN_SWEEP_CACHE_DIR), shared across processes.
+ * fingerprint, working-set fingerprint, warm-up passes, fault
+ * fingerprint), and a finished KernelRun is served to any later point
+ * with the same key without re-simulation. The directory holds one
+ * `<keyhash>.swr` result file per CacheKey and one `<keyhash>.swtp`
+ * packed-trace file per TraceKey (SWAN_SWEEP_CACHE_DIR), shared across
+ * processes. Both are binary entries in one frame: a tag, a format
+ * version, the head (every key field as an echo, then the record) with
+ * its FNV-1a checksum, and, for a trace, the payload body as the tail,
+ * which the payload's own checksum covers. Each byte is hashed once per
+ * store and once per load.
  *
  * The directory may be size-capped. Over the cap the least recently
  * used entries go first: every lookup and store stamps its key hash
@@ -64,10 +69,9 @@ struct CacheKey
     int warmupPasses = 1;
     /**
      * 32-bit fold of sim::FaultSpec::fingerprint() (keyFor keeps it
-     * nonzero for any enabled scenario); 0 = clean. Nonzero values
-     * join the hash, so faulted and clean points can never collide in
-     * memory or on disk, while clean keys (and their on-disk file
-     * stems and bodies) are unchanged from pre-fault builds.
+     * nonzero for any enabled scenario); 0 = clean. It joins the hash
+     * and the key echo like every other field, so faulted and clean
+     * points can never share an entry, in memory or on disk.
      */
     uint32_t faultFp = 0;
 
@@ -128,7 +132,7 @@ struct CacheStats
      *  removed, least recently used first. */
     uint64_t evictions = 0;
 
-    /** Structurally corrupt on-disk entries (bad magic, truncation,
+    /** Structurally corrupt on-disk entries (wrong tag, truncation,
      *  checksum mismatch) renamed to `<name>.quarantined` and served
      *  as misses. A wrong-but-well-formed entry (key echo mismatch
      *  under a hash collision) stays a plain miss — quarantine is for
@@ -147,7 +151,7 @@ struct CacheStats
  * against the full key (not just its hash) and ignored on any mismatch
  * or parse error, so a stale or corrupt cache directory degrades to a
  * miss, never to a wrong result. Structurally damaged entries
- * (truncation, checksum mismatch, bad magic) are additionally renamed
+ * (truncation, checksum mismatch, wrong tag) are additionally renamed
  * to `<name>.quarantined` — counted in
  * CacheStats::corruptEntriesQuarantined — so a bad sector cannot cost
  * a validation pass on every future lookup of that key.
@@ -201,24 +205,9 @@ class ResultCache
         size_t operator()(const CacheKey &k) const { return k.hash(); }
     };
 
-    /** Disk lookup outcome: Corrupt means the entry's bytes are
-     *  damaged (not merely foreign) — the caller quarantines it. */
-    enum class DiskLoad
-    {
-        Miss,
-        Hit,
-        Corrupt,
-    };
-
     /** Stamp @p key_hash with the next logical-clock value (the
      *  eviction order). Called with mu_ held. */
     void touchLocked(uint64_t key_hash) { lastUse_[key_hash] = ++clock_; }
-
-    DiskLoad loadDisk(const CacheKey &key, core::KernelRun *out);
-    /** @return bytes written (0 on failure), for the pruner's total. */
-    uint64_t storeDisk(const CacheKey &key, const core::KernelRun &run);
-    DiskLoad loadTraceDisk(const TraceKey &key, trace::PackedTrace *out,
-                           trace::MixStats *mix);
 
     /** Rename the damaged entry @p name to `<name>.quarantined` so it
      *  is never re-served (still budget-counted and prunable); counts

@@ -11,7 +11,7 @@ namespace
 {
 
 /**
- * The shared row schema. Every emitter renders exactly these columns,
+ * The shared row schema. Every format renders exactly these columns,
  * so switching --format never changes which data is reported. The
  * fault column appears only when the sweep has a fault axis (some
  * point carries a scenario) — clean sweeps keep the historic schema
@@ -60,80 +60,6 @@ cells(const SweepResult &r, bool with_fault)
     return row;
 }
 
-class TableEmitter : public Emitter
-{
-  public:
-    explicit TableEmitter(bool with_fault)
-        : withFault_(with_fault), table_(columns(with_fault))
-    {
-    }
-
-    void point(std::ostream &, const SweepResult &r) override
-    {
-        table_.addRow(cells(r, withFault_));
-    }
-    void end(std::ostream &os) override { table_.print(os); }
-
-  private:
-    bool withFault_;
-    core::Table table_;
-};
-
-class CsvEmitter : public Emitter
-{
-  public:
-    explicit CsvEmitter(bool with_fault) : withFault_(with_fault) {}
-
-    void
-    begin(std::ostream &os) override
-    {
-        writeRow(os, columns(withFault_));
-    }
-    void
-    point(std::ostream &os, const SweepResult &r) override
-    {
-        writeRow(os, cells(r, withFault_));
-    }
-
-  private:
-    static void
-    writeRow(std::ostream &os, const std::vector<std::string> &row)
-    {
-        for (size_t i = 0; i < row.size(); ++i)
-            os << (i ? "," : "") << row[i];
-        os << "\n";
-    }
-
-    bool withFault_;
-};
-
-class JsonLinesEmitter : public Emitter
-{
-  public:
-    explicit JsonLinesEmitter(bool with_fault) : withFault_(with_fault) {}
-
-    void
-    point(std::ostream &os, const SweepResult &r) override
-    {
-        const auto cols = columns(withFault_);
-        const auto vals = cells(r, withFault_);
-        const size_t nid = idColumns(withFault_);
-        os << "{";
-        for (size_t i = 0; i < cols.size(); ++i) {
-            os << (i ? "," : "") << "\"" << cols[i] << "\":";
-            // Identifier columns are strings; the rest numeric.
-            if (i < nid)
-                os << "\"" << vals[i] << "\"";
-            else
-                os << vals[i];
-        }
-        os << "}\n";
-    }
-
-  private:
-    bool withFault_;
-};
-
 } // namespace
 
 bool
@@ -150,20 +76,6 @@ formatForName(const std::string &name, Format *out)
     return true;
 }
 
-std::unique_ptr<Emitter>
-makeEmitter(Format format, bool fault_column)
-{
-    switch (format) {
-      case Format::Csv:
-        return std::make_unique<CsvEmitter>(fault_column);
-      case Format::JsonLines:
-        return std::make_unique<JsonLinesEmitter>(fault_column);
-      case Format::Table:
-      default:
-        return std::make_unique<TableEmitter>(fault_column);
-    }
-}
-
 bool
 anyFaulted(const std::vector<SweepResult> &results)
 {
@@ -177,11 +89,40 @@ void
 emitResults(std::ostream &os, const std::vector<SweepResult> &results,
             Format format)
 {
-    auto emitter = makeEmitter(format, anyFaulted(results));
-    emitter->begin(os);
+    const bool withFault = anyFaulted(results);
+    const auto cols = columns(withFault);
+    if (format == Format::Csv) {
+        const auto writeRow = [&os](const std::vector<std::string> &row) {
+            for (size_t i = 0; i < row.size(); ++i)
+                os << (i ? "," : "") << row[i];
+            os << "\n";
+        };
+        writeRow(cols);
+        for (const auto &r : results)
+            writeRow(cells(r, withFault));
+        return;
+    }
+    if (format == Format::JsonLines) {
+        const size_t nid = idColumns(withFault);
+        for (const auto &r : results) {
+            const auto vals = cells(r, withFault);
+            os << "{";
+            for (size_t i = 0; i < cols.size(); ++i) {
+                os << (i ? "," : "") << "\"" << cols[i] << "\":";
+                // Identifier columns are strings; the rest numeric.
+                if (i < nid)
+                    os << "\"" << vals[i] << "\"";
+                else
+                    os << vals[i];
+            }
+            os << "}\n";
+        }
+        return;
+    }
+    core::Table table(cols);
     for (const auto &r : results)
-        emitter->point(os, r);
-    emitter->end(os);
+        table.addRow(cells(r, withFault));
+    table.print(os);
 }
 
 std::string

@@ -1,19 +1,18 @@
 /**
  * @file
- * Pluggable sweep-report emitters. One SweepResult stream feeds three
- * formats: the existing core::Table console text, CSV (header + one
- * row per point) and JSON-lines (one object per point). Emitters see
- * results in point-index order, so every format is byte-stable across
- * thread counts. The cache summary goes through a separate call so
- * callers can route it to a diagnostic stream and keep the data stream
- * comparable between cold and warm runs.
+ * Sweep reports. One SweepResult stream renders in three formats: the
+ * core::Table console text, CSV (header + one row per point) and
+ * JSON-lines (one object per point). Results render in point-index
+ * order, so every format is byte-stable across thread counts. The
+ * cache summary goes through a separate call so callers can route it
+ * to a diagnostic stream and keep the data stream comparable between
+ * cold and warm runs.
  */
 
 #ifndef SWAN_SWEEP_EMIT_HH
 #define SWAN_SWEEP_EMIT_HH
 
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,28 +32,12 @@ enum class Format
 /** Parse "table" / "csv" / "jsonl"; false on anything else. */
 bool formatForName(const std::string &name, Format *out);
 
-/** Streaming report sink. */
-class Emitter
-{
-  public:
-    virtual ~Emitter() = default;
-
-    virtual void begin(std::ostream &os) { (void)os; }
-    virtual void point(std::ostream &os, const SweepResult &r) = 0;
-    virtual void end(std::ostream &os) { (void)os; }
-};
-
-/** @param fault_column include the "fault" identifier column (set iff
- *  the sweep had a fault axis — see anyFaulted; clean sweeps keep the
- *  historic schema byte-for-byte). */
-std::unique_ptr<Emitter> makeEmitter(Format format,
-                                     bool fault_column = false);
-
 /** Does any result carry an enabled fault scenario? (Decides the
- *  fault column for a whole report.) */
+ *  "fault" identifier column for a whole report; clean sweeps keep the
+ *  historic schema byte-for-byte.) */
 bool anyFaulted(const std::vector<SweepResult> &results);
 
-/** begin + every point in index order + end. */
+/** Render @p results in @p format, in point-index order. */
 void emitResults(std::ostream &os, const std::vector<SweepResult> &results,
                  Format format);
 

@@ -479,15 +479,17 @@ cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
             << " has no wider-register implementation\n";
         return 2;
     }
-    // One workload instance shared with the optional trace dump below:
-    // a dumped trace must replay to the cycle count reported here.
-    Session session = sessionFor(p);
+    // One capture, simulated here and dumped below: a dumped trace
+    // replays to the cycle count reported here.
+    const Session session = sessionFor(p);
     auto w = spec->make(session.options().workload);
-    auto r = session.run(*w, p.impl, coreFor(p.coreName), p.bits);
+    trace::MixStats mix;
+    const auto packed =
+        core::Runner::capturePacked(*w, p.impl, p.bits, &mix);
+    const sim::SimResult s = sim::simulateTrace(
+        packed, coreFor(p.coreName), session.options().warmupPasses);
 
     if (!p.dumpTrace.empty()) {
-        const auto packed =
-            core::Runner::capturePacked(*w, p.impl, p.bits, nullptr);
         std::string blob(kDumpMagic, sizeof kDumpMagic);
         packed.appendPayload(&blob);
         std::ofstream os(p.dumpTrace, std::ios::binary | std::ios::trunc);
@@ -504,19 +506,17 @@ cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
     out << "kernel:        " << spec->info.qualifiedName() << " ["
         << core::name(p.impl) << ", " << p.coreName << ", " << p.bits
         << "-bit]\n";
-    out << "instructions:  " << r.mix.total() << "\n"
-        << "cycles:        " << r.sim.cycles << "\n"
-        << "IPC:           " << core::fmt(r.sim.ipc, 2) << "\n"
-        << "time:          " << core::fmt(r.sim.timeSec * 1e6, 1)
-        << " us\n"
-        << "L1D MPKI:      " << core::fmt(r.sim.l1Mpki, 1) << "\n"
-        << "L2 MPKI:       " << core::fmt(r.sim.l2Mpki, 1) << "\n"
-        << "LLC MPKI:      " << core::fmt(r.sim.llcMpki, 1) << "\n"
-        << "FE stalls:     " << core::fmtPct(r.sim.feStallPct) << "\n"
-        << "BE stalls:     " << core::fmtPct(r.sim.beStallPct) << "\n"
-        << "power:         " << core::fmt(r.sim.powerW, 2) << " W\n"
-        << "energy:        " << core::fmt(r.sim.energyJ * 1e3, 3)
-        << " mJ\n";
+    out << "instructions:  " << mix.total() << "\n"
+        << "cycles:        " << s.cycles << "\n"
+        << "IPC:           " << core::fmt(s.ipc, 2) << "\n"
+        << "time:          " << core::fmt(s.timeSec * 1e6, 1) << " us\n"
+        << "L1D MPKI:      " << core::fmt(s.l1Mpki, 1) << "\n"
+        << "L2 MPKI:       " << core::fmt(s.l2Mpki, 1) << "\n"
+        << "LLC MPKI:      " << core::fmt(s.llcMpki, 1) << "\n"
+        << "FE stalls:     " << core::fmtPct(s.feStallPct) << "\n"
+        << "BE stalls:     " << core::fmtPct(s.beStallPct) << "\n"
+        << "power:         " << core::fmt(s.powerW, 2) << " W\n"
+        << "energy:        " << core::fmt(s.energyJ * 1e3, 3) << " mJ\n";
     return 0;
 }
 
@@ -552,7 +552,10 @@ cmdCompare(const Parsed &p, std::ostream &out, std::ostream &err)
 
 /** Execute an experiment; shared by both sweep forms. With
  *  --progress, stream one stderr line per finished row (deterministic
- *  point order, Experiment::onRow) tagged with the row's origin. */
+ *  point order, Experiment::onRow) tagged with the row's origin. A
+ *  diagnostic that comes with rows (a metrics file that could not be
+ *  written) is a warning: the rows are valid, so the exit code stays
+ *  0. */
 Results
 runEngine(Experiment &experiment, bool progress, std::ostream &err,
           std::string *engineErr)
@@ -568,8 +571,11 @@ runEngine(Experiment &experiment, bool progress, std::ostream &err,
                 << "\n";
         });
     Results results = experiment.run(engineErr);
-    if (!results.empty())
-        err << "swan: " << results.cacheSummary() << "\n";
+    if (results.empty())
+        return results;
+    err << "swan: " << results.cacheSummary() << "\n";
+    if (!engineErr->empty())
+        err << "swan: warning: " << *engineErr << "\n";
     return results;
 }
 

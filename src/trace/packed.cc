@@ -493,31 +493,6 @@ PackedTrace::expandDesc(uint32_t idx, Instr *out) const
     out->stride = StrideKind(d.stride);
 }
 
-std::vector<Instr>
-PackedTrace::unpack() const
-{
-    std::vector<Instr> shapes(descCount_);
-    for (uint32_t i = 0; i < descCount_; ++i)
-        expandDesc(i, &shapes[i]);
-    std::vector<Instr> out;
-    out.reserve(size());
-    Cursor cur(*this);
-    Decoded batch[kBlockInstrs];
-    while (const size_t n = cur.nextBatch(batch, kBlockInstrs)) {
-        for (size_t k = 0; k < n; ++k) {
-            const Decoded &d = batch[k];
-            Instr &o = out.emplace_back(shapes[d.desc]);
-            o.id = d.id;
-            o.dep0 = d.dep0;
-            o.dep1 = d.dep1;
-            o.dep2 = d.dep2;
-            o.addr = d.addr;
-            o.addr2 = d.addr2;
-        }
-    }
-    return out;
-}
-
 // --- payload (the sweep cache's .swtp entries and trace dumps) ---------
 
 namespace

@@ -22,10 +22,9 @@
  *    address; the rare second address of multi-address records
  *    (Gather/Scatter/LdS/StS) lives in a side stream.
  *
- * The encoding is lossless: unpack() reconstructs the exact Instr
- * sequence (Cursor::nextBatch records over expandDesc shapes), so
- * replaying a packed trace is byte-identical to replaying the AoS
- * buffer it came from.
+ * The encoding is lossless: Cursor::nextBatch records over expandDesc
+ * shapes reconstruct the exact Instr sequence, so replaying a packed
+ * trace is byte-identical to replaying the AoS buffer it came from.
  *
  * Capture encodes on emit: a Recorder streams straight into a Builder
  * (counting the trace's MixStats on the way), so no capture holds the
@@ -158,9 +157,6 @@ class PackedTrace
     /** What the same trace costs as an AoS Instr buffer. */
     static size_t aosBytes(size_t n) { return n * sizeof(Instr); }
 
-    /** Decode the full trace back into an AoS buffer. */
-    std::vector<Instr> unpack() const;
-
     /**
      * One decoded record's identity fields. The shape fields live in
      * the descriptor side table (see descCount()/expandDesc()); the
@@ -188,8 +184,8 @@ class PackedTrace
 
         /**
          * Decode the next up to @p max records into @p out — the one
-         * decoder of the stream format, run by the fused replay engine
-         * and unpack(). Portable SWAR: the decode recurrence stays in
+         * decoder of the stream format, run by the fused replay
+         * engine. Portable SWAR: the decode recurrence stays in
          * registers across the whole batch, so bounds checks amortize.
          * @return the number decoded; 0 at end of trace or on a
          * malformed stream (check ok() to tell the two apart).

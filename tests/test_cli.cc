@@ -261,6 +261,25 @@ TEST(CliSweep, BadAxisRejected)
     EXPECT_EQ(r.code, 2);
 }
 
+TEST(CliSweep, UnwritableMetricsStemIsAWarning)
+{
+    // Metrics are advisory: the rows print and the exit code stays 0,
+    // but the reason the report is missing reaches stderr.
+    const std::string stem =
+        (std::filesystem::temp_directory_path() /
+         ("swan_cli_no_such_dir_" + std::to_string(::getpid())) / "m")
+            .string();
+    auto r = cli({"sweep", "--kernels", "ZL/adler32", "--impls", "neon",
+                  "--cores", "prime", "--ws", "tiny", "--metrics-out",
+                  stem, "--format", "jsonl"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_NE(r.out.find("\"kernel\":\"ZL/adler32\""), std::string::npos);
+    EXPECT_NE(r.err.find("swan: warning: obs: cannot open " + stem +
+                         ".report.json\n"),
+              std::string::npos)
+        << r.err;
+}
+
 namespace
 {
 

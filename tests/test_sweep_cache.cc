@@ -2,12 +2,15 @@
  * @file
  * Tests of the sweep result cache (sweep/cache.hh): fingerprint and key
  * stability, hit/miss accounting, the on-disk tier's round-trip
- * fidelity (cold and warm lookups must be byte-identical through the
- * emitters) and its corruption handling.
+ * fidelity (every stored field comes back bit-exact, and cold and warm
+ * runs report byte-identically) and its corruption handling.
  */
 
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -39,6 +42,87 @@ adlerSpec()
     spec.kernels.names = {"ZL/adler32"};
     spec.workingSets = {"tiny"};
     return spec;
+}
+
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+}
+
+void
+spit(const std::filesystem::path &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/** A run whose SimResult fields each hold their own value (a negative
+ *  zero and a subnormal among them) beside @p mix, so a field stored
+ *  in another's place, or rounded on the way, shows. */
+core::KernelRun
+distinctRun(const trace::MixStats &mix)
+{
+    core::KernelRun run;
+    auto &s = run.sim;
+    s.config = "prime";
+    s.instrs = 1001;
+    s.cycles = 1002;
+    s.ipc = 1.0 / 3.0;
+    s.timeSec = 2.5e-7;
+    s.l1Mpki = 3.25;
+    s.l2Mpki = -0.0;
+    s.llcMpki = std::numeric_limits<double>::denorm_min();
+    s.l1HitRate = 0.9921875;
+    s.feStallPct = 12.5;
+    s.beStallPct = 100.0 / 3.0;
+    s.dramReads = 1003;
+    s.dramWrites = 1004;
+    s.dramAccessPerKCycle = 0.1;
+    for (size_t i = 0; i < s.byClass.size(); ++i)
+        s.byClass[i] = 2000 + i;
+    s.vecBytes = 1005;
+    s.l1Accesses = 1006;
+    s.l2Accesses = 1007;
+    s.llcAccesses = 1008;
+    s.energyJ = 6.02e-5;
+    s.powerW = 1.7;
+    run.mix = mix;
+    return run;
+}
+
+/** Every SimResult field equal, doubles by their bits, and the same
+ *  MixStats counters. */
+void
+expectBitExact(const core::KernelRun &want, const core::KernelRun &got)
+{
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    const auto &a = want.sim;
+    const auto &b = got.sim;
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.instrs, b.instrs);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(bits(a.ipc), bits(b.ipc));
+    EXPECT_EQ(bits(a.timeSec), bits(b.timeSec));
+    EXPECT_EQ(bits(a.l1Mpki), bits(b.l1Mpki));
+    EXPECT_EQ(bits(a.l2Mpki), bits(b.l2Mpki));
+    EXPECT_EQ(bits(a.llcMpki), bits(b.llcMpki));
+    EXPECT_EQ(bits(a.l1HitRate), bits(b.l1HitRate));
+    EXPECT_EQ(bits(a.feStallPct), bits(b.feStallPct));
+    EXPECT_EQ(bits(a.beStallPct), bits(b.beStallPct));
+    EXPECT_EQ(a.dramReads, b.dramReads);
+    EXPECT_EQ(a.dramWrites, b.dramWrites);
+    EXPECT_EQ(bits(a.dramAccessPerKCycle), bits(b.dramAccessPerKCycle));
+    EXPECT_EQ(a.byClass, b.byClass);
+    EXPECT_EQ(a.vecBytes, b.vecBytes);
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(bits(a.energyJ), bits(b.energyJ));
+    EXPECT_EQ(bits(a.powerW), bits(b.powerW));
+    EXPECT_EQ(want.mix.counters(), got.mix.counters());
 }
 
 } // namespace
@@ -146,6 +230,61 @@ TEST(SweepCache, DiskTierColdAndWarmRunsAreByteIdentical)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SweepCache, EveryResultFieldRoundTripsBitExactly)
+{
+    const auto dir = tempDir("fields");
+    sweep::SweepSpec spec = adlerSpec();
+    spec.faults = {"none", "dram-spike:seed=7"};
+    std::string err;
+    auto points = sweep::expand(spec, &err);
+    ASSERT_EQ(points.size(), 2u) << err;
+    const auto clean = sweep::keyFor(points[0], 1);
+    const auto faulted = sweep::keyFor(points[1], 1);
+    ASSERT_EQ(clean.faultFp, 0u);
+    ASSERT_NE(faulted.faultFp, 0u);
+
+    trace::MixStats mix;
+    auto w = points[0].spec->make(points[0].options);
+    core::Runner::capturePacked(*w, points[0].impl, points[0].vecBits,
+                                &mix);
+    ASSERT_GT(mix.vectorInstrs(), 0u);
+    const core::KernelRun cleanRun = distinctRun(mix);
+    core::KernelRun faultedRun = cleanRun;
+    faultedRun.sim.cycles *= 3;
+    faultedRun.sim.energyJ *= 3;
+    {
+        sweep::ResultCache cache(dir);
+        cache.store(clean, cleanRun);
+        cache.store(faulted, faultedRun);
+    }
+    {
+        // A fresh cache reads both entries off disk.
+        sweep::ResultCache cache(dir);
+        core::KernelRun got;
+        ASSERT_TRUE(cache.lookup(clean, &got));
+        expectBitExact(cleanRun, got);
+        ASSERT_TRUE(cache.lookup(faulted, &got));
+        expectBitExact(faultedRun, got);
+        EXPECT_EQ(cache.stats().diskHits, 2u);
+    }
+
+    // The faulted entry under the clean key's stem: intact bytes that
+    // echo another key, so a plain miss, left in place.
+    const auto entry = [&dir](const sweep::CacheKey &k) {
+        return std::filesystem::path(dir) / (k.hex() + ".swr");
+    };
+    std::filesystem::copy_file(
+        entry(faulted), entry(clean),
+        std::filesystem::copy_options::overwrite_existing);
+    sweep::ResultCache cache(dir);
+    core::KernelRun got;
+    EXPECT_FALSE(cache.lookup(clean, &got));
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().corruptEntriesQuarantined, 0u);
+    EXPECT_TRUE(std::filesystem::exists(entry(clean)));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepCache, CorruptDiskEntryDegradesToMiss)
 {
     const auto dir = tempDir("corrupt");
@@ -160,20 +299,13 @@ TEST(SweepCache, CorruptDiskEntryDegradesToMiss)
         sc.cache = &cache;
         sweep::runSweep(points, sc);
     }
-    // Truncate the entry under the current header: the mix line
-    // disappears.
+    // Cut the entry inside its frame header: the tag and version stand,
+    // the head length and checksum are gone.
     const auto path = std::filesystem::path(dir) / (key.hex() + ".swr");
     ASSERT_TRUE(std::filesystem::exists(path));
-    std::string magic;
-    {
-        std::ifstream is(path);
-        std::getline(is, magic);
-    }
-    ASSERT_EQ(magic.rfind("swan-sweep-result v", 0), 0u) << magic;
-    {
-        std::ofstream os(path, std::ios::trunc);
-        os << magic << "\nkernel ZL/adler32\n";
-    }
+    const std::string bytes = slurp(path);
+    ASSERT_EQ(bytes.compare(0, 4, "swan"), 0);
+    spit(path, bytes.substr(0, 12));
     sweep::ResultCache cache(dir);
     core::KernelRun run;
     EXPECT_FALSE(cache.lookup(key, &run));
@@ -259,6 +391,26 @@ TEST(SweepCache, OtherFormatVersionIsAPlainMiss)
     EXPECT_TRUE(warm.lookupTrace(tkey, &t, &mix));
     EXPECT_EQ(mix.total(), run.mix.total());
     EXPECT_EQ(warm.stats().corruptEntriesQuarantined, 0u);
+
+    // A binary entry of another version (the u32 after the tag) is
+    // foreign as well.
+    for (const auto &path : {swr, swtp}) {
+        std::string bytes = slurp(path);
+        ASSERT_GT(bytes.size(), 8u);
+        uint32_t version = 0;
+        std::memcpy(&version, bytes.data() + 4, sizeof version);
+        ++version;
+        std::memcpy(bytes.data() + 4, &version, sizeof version);
+        spit(path, bytes);
+    }
+    sweep::ResultCache other(dir);
+    EXPECT_FALSE(other.lookup(key, &run));
+    EXPECT_FALSE(other.lookupTrace(tkey, &t, &mix));
+    EXPECT_EQ(other.stats().misses, 1u);
+    EXPECT_EQ(other.stats().traceMisses, 1u);
+    EXPECT_EQ(other.stats().corruptEntriesQuarantined, 0u);
+    EXPECT_TRUE(std::filesystem::exists(swr));
+    EXPECT_TRUE(std::filesystem::exists(swtp));
     std::filesystem::remove_all(dir);
 }
 
@@ -268,8 +420,8 @@ TEST(SweepCache, DamagedResultEntryIsQuarantinedAndRecomputedIdentically)
     std::string err;
     auto points = sweep::expand(adlerSpec(), &err);
     ASSERT_EQ(points.size(), 1u) << err;
-    const auto path = std::filesystem::path(dir) /
-                      (sweep::keyFor(points[0], 1).hex() + ".swr");
+    const auto key = sweep::keyFor(points[0], 1);
+    const auto path = std::filesystem::path(dir) / (key.hex() + ".swr");
     // One sweep through a fresh in-process cache on the directory.
     const auto sweepOnce = [&](sweep::CacheStats *stats) {
         sweep::ResultCache cache(dir);
@@ -282,38 +434,38 @@ TEST(SweepCache, DamagedResultEntryIsQuarantinedAndRecomputedIdentically)
         return os.str();
     };
 
-    // Both damages leave an entry that still parses line by line. Leg 0
-    // flips one body byte (a bad sector, not a truncation), so the
-    // checksum no longer matches. Leg 1 misspells the checksum tag and
-    // doubles the cycle count: with no checksum line nothing vouches
-    // for the body, so it must not serve the doubled cycles either.
-    for (int leg = 0; leg < 2; ++leg) {
+    // Leg 0 cuts the entry inside its head, leg 1 flips one head byte
+    // (a bad sector), and leg 2 doubles the cycle count in place with
+    // the checksum left stale: nothing vouches for those bytes, so the
+    // doubled cycles must not be served either.
+    for (int leg = 0; leg < 3; ++leg) {
         std::filesystem::remove_all(dir);
         sweep::CacheStats st;
         const std::string cold = sweepOnce(&st);
-        std::string body;
-        {
-            std::ifstream is(path, std::ios::binary);
-            ASSERT_TRUE(is) << path;
-            std::ostringstream ss;
-            ss << is.rdbuf();
-            body = ss.str();
-        }
+        core::KernelRun run;
+        ASSERT_TRUE(sweep::ResultCache(dir).lookup(key, &run));
+        std::string bytes = slurp(path);
+        // A result entry has no tail: its head is all but the 24-byte
+        // frame header.
+        constexpr size_t kFrame = 24;
+        ASSERT_GT(bytes.size(), kFrame);
         if (leg == 0) {
-            char &c = body[body.size() - 2];
-            c = c == '1' ? '2' : '1';
+            bytes.resize(kFrame + (bytes.size() - kFrame) / 2);
+        } else if (leg == 1) {
+            bytes[bytes.size() - 2] ^= 0x10;
         } else {
-            const size_t tag = body.find("\nchecksum ");
-            const size_t at = body.find("\nsim.cycles ");
-            ASSERT_NE(tag, std::string::npos);
-            ASSERT_NE(at, std::string::npos);
-            body[tag + 8] = 'n';
-            const size_t from = at + 12;
-            const size_t len = body.find('\n', from) - from;
-            const uint64_t cycles = std::stoull(body.substr(from, len));
-            body.replace(from, len, std::to_string(2 * cycles));
+            // cycles follows instrs, as in sim::SimResult.
+            const uint64_t pair[2] = {run.sim.instrs, run.sim.cycles};
+            const std::string at(reinterpret_cast<const char *>(pair),
+                                 sizeof pair);
+            const size_t from = bytes.find(at);
+            ASSERT_NE(from, std::string::npos);
+            ASSERT_EQ(bytes.find(at, from + 1), std::string::npos);
+            const uint64_t doubled = 2 * run.sim.cycles;
+            bytes.replace(from + 8, 8,
+                          reinterpret_cast<const char *>(&doubled), 8);
         }
-        std::ofstream(path, std::ios::binary | std::ios::trunc) << body;
+        spit(path, bytes);
 
         const std::string recompute = sweepOnce(&st);
         EXPECT_EQ(st.misses, 1u) << leg;

@@ -7,10 +7,11 @@
  *
  * BENCH_trace_replay.json (argv[1] overrides the path) — the packed
  * encoding: its bytes/instr against the 64-byte AoS record (>= 2x
- * memory reduction is a hard failure), and replay throughput of a
- * kernel-capture mix over three core configurations, as three
- * single-config replays (multi_nx) and as one fused pass
- * (multi_1pass).
+ * memory reduction is a hard failure), the encoder's throughput
+ * (pack_minstr_per_s, report-only: PackedTrace::pack of the
+ * kernel-capture mix, median of kTrials), and replay throughput of
+ * that mix over three core configurations, as three single-config
+ * replays (multi_nx) and as one fused pass (multi_1pass).
  *
  * BENCH_sim_replay.json (argv[2] overrides the path) — what fusion
  * buys: one decode and one cache walk per hierarchy shared by N
@@ -197,13 +198,19 @@ main(int argc, char **argv)
             targetMb = size_t(std::atoi(v));
     const size_t targetInstrs =
         targetMb * (size_t(1) << 20) / sizeof(trace::Instr);
-    trace::PackedTrace::Builder builder;
-    do {
-        for (const auto &i : seed)
-            builder.add(i);
-    } while (builder.size() + seed.size() <= targetInstrs);
-    const auto packed = builder.finish();
+    const size_t tiles = std::max<size_t>(targetInstrs / seed.size(), 1);
+    std::vector<trace::Instr> tiled;
+    tiled.reserve(tiles * seed.size());
+    for (size_t k = 0; k < tiles; ++k)
+        tiled.insert(tiled.end(), seed.begin(), seed.end());
+    trace::PackedTrace packed;
+    std::vector<double> packTimes;
+    for (int k = 0; k < kTrials; ++k)
+        packTimes.push_back(bench::cpuSecondsOnce(
+            [&] { packed = trace::PackedTrace::pack(tiled); }));
     const size_t n = packed.size();
+    const double packIps = double(n) / bench::median(packTimes);
+    std::vector<trace::Instr>().swap(tiled); // replay runs without it
 
     const std::vector<sim::CoreConfig> cfgs = {
         sim::primeConfig(), sim::goldConfig(), sim::silverConfig()};
@@ -272,7 +279,8 @@ main(int argc, char **argv)
     std::cout << "trace: " << n << " instrs; " << aosBytes / double(n)
               << " B/instr AoS vs " << core::fmt(packedBytes / double(n), 2)
               << " B/instr packed (" << core::fmtX(memReduction, 1)
-              << " smaller)\n";
+              << " smaller); pack " << core::fmt(packIps / 1e6, 1)
+              << " Minstr/s\n";
 
     core::banner(std::cout, "Fused replay over separate single-config "
                             "replays (median of interleaved trials)");
@@ -304,6 +312,7 @@ main(int argc, char **argv)
            << "  \"packed_bytes_per_instr\": "
            << fmtJson(packedBytes / double(n)) << ",\n"
            << "  \"mem_reduction_x\": " << fmtJson(memReduction) << ",\n"
+           << "  \"pack_minstr_per_s\": " << fmtJson(packIps / 1e6) << ",\n"
            << "  \"multi_nx_instrs_per_sec\": "
            << fmtJson(mix3.ips(mix3.ratio.aSeconds)) << ",\n"
            << "  \"multi_1pass_instrs_per_sec\": "

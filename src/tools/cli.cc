@@ -752,18 +752,21 @@ cmdSimulate(const Parsed &p, std::ostream &out, std::ostream &err)
             << ": malformed trace stream (checked decode failed)\n";
         return 2;
     }
-    // The mix reads only shape fields: count each decoded record's
-    // descriptor, with no AoS copy of a dump that may hold millions.
-    std::vector<trace::Instr> shapes(packed.descCount());
-    for (uint32_t d = 0; d < packed.descCount(); ++d)
-        packed.expandDesc(d, &shapes[d]);
-    trace::MixStats mix;
+    // The mix reads only shape fields: count the decoded records per
+    // descriptor, then fold each descriptor's shape in once.
+    std::vector<uint64_t> uses(packed.descCount());
     trace::PackedTrace::Cursor cur(packed);
     std::vector<trace::PackedTrace::Decoded> batch(
         trace::PackedTrace::kBlockInstrs);
     while (const size_t n = cur.nextBatch(batch.data(), batch.size()))
         for (size_t k = 0; k < n; ++k)
-            mix.onInstr(shapes[batch[k].desc]);
+            ++uses[batch[k].desc];
+    trace::MixStats mix;
+    trace::Instr shape;
+    for (uint32_t d = 0; d < packed.descCount(); ++d) {
+        packed.expandDesc(d, &shape);
+        mix.add(shape, uses[d]);
+    }
 
     out << "trace:         " << path << " (" << packed.size()
         << " records, " << mix.vectorInstrs() << " vector)\n"

@@ -1,5 +1,7 @@
 #include "trace/packed.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -27,8 +29,9 @@ constexpr uint64_t kHasDep1 = 16;
 constexpr uint64_t kHasDep2 = 32;
 constexpr int kTagFlagBits = 6;
 
-/** Longest possible main-stream record: 6 varints of up to 10 bytes. */
-constexpr ptrdiff_t kMaxRecordBytes = 60;
+/** Longest possible varint, and main-stream record (6 varints). */
+constexpr size_t kMaxVarintBytes = 10;
+constexpr ptrdiff_t kMaxRecordBytes = 6 * kMaxVarintBytes;
 
 // --- varint / zigzag primitives ---------------------------------------
 
@@ -44,14 +47,16 @@ unzigzag(uint64_t v)
     return int64_t(v >> 1) ^ -int64_t(v & 1);
 }
 
-inline void
-putVarint(std::string &out, uint64_t v)
+/** Write @p v at @p p; @return the byte after it. */
+inline uint8_t *
+putVarint(uint8_t *p, uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(char(uint8_t(v) | 0x80));
+        *p++ = uint8_t(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(char(uint8_t(v)));
+    *p++ = uint8_t(v);
+    return p;
 }
 
 /** Strip each byte's continuation bit and fold the 7-bit groups of a
@@ -138,6 +143,46 @@ getVarint(const uint8_t *&p, const uint8_t *end, bool *bad)
     return v;
 }
 
+// --- descriptor index ---------------------------------------------------
+
+/** The two 64-bit words of a Desc: its index key. */
+struct ShapeKey
+{
+    uint64_t lo, hi;
+
+    bool operator==(const ShapeKey &) const = default;
+};
+
+/**
+ * @p i's shape bytes (size .. stride) as the words of the Desc they
+ * make, pad byte zero. The second word is loaded one byte early and
+ * shifted, so Instr's trailing padding byte, whose value is
+ * indeterminate, is never read.
+ */
+inline ShapeKey
+shapeKey(const Instr &i)
+{
+    const auto *b =
+        reinterpret_cast<const unsigned char *>(&i) + offsetof(Instr, size);
+    ShapeKey k;
+    std::memcpy(&k.lo, b, 8);
+    std::memcpy(&k.hi, b + 7, 8);
+    k.hi = std::endian::native == std::endian::little ? k.hi >> 8
+                                                      : k.hi << 8;
+    return k;
+}
+
+/** Multiplicative hash; the slot is its top bits. */
+inline uint64_t
+slotHash(const ShapeKey &k)
+{
+    return ((k.lo * 0x9e3779b97f4a7c15ull) ^ k.hi) * 0xbf58476d1ce4e5b9ull;
+}
+
+constexpr uint32_t kEmptySlot = ~0u;
+/** 512 slots: the table first grows at its 257th descriptor. */
+constexpr int kInitialSlotBits = 9;
+
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
@@ -190,120 +235,111 @@ PackedTrace::Buf::release()
     n_ = 0;
 }
 
-// --- pack --------------------------------------------------------------
+// --- encode ------------------------------------------------------------
+
+PackedTrace::Builder::Builder(MixStats *mix)
+    : slots_(size_t(1) << kInitialSlotBits, kEmptySlot),
+      slotShift_(64 - kInitialSlotBits), mix_(mix)
+{
+}
 
 void
-PackedTrace::assemble(const Desc *descs, uint32_t desc_count,
-                      const std::string &main, const std::string &multi,
-                      uint64_t count)
+PackedTrace::Builder::Stream::grow(size_t n)
 {
-    const size_t descBytes = size_t(desc_count) * sizeof(Desc);
-    buf_ = Buf(descBytes + main.size() + multi.size());
-    uint8_t *p = buf_.data();
-    if (descBytes)
-        std::memcpy(p, descs, descBytes);
-    if (!main.empty())
-        std::memcpy(p + descBytes, main.data(), main.size());
-    if (!multi.empty())
-        std::memcpy(p + descBytes + main.size(), multi.data(),
-                    multi.size());
-    count_ = count;
-    mainLen_ = main.size();
-    multiLen_ = multi.size();
-    descCount_ = desc_count;
+    const size_t want = std::max({cap * 2, len + n, size_t(4096)});
+    auto bigger = std::make_unique_for_overwrite<uint8_t[]>(want);
+    if (len)
+        std::memcpy(bigger.get(), data.get(), len);
+    data = std::move(bigger);
+    cap = want;
 }
 
-// Inlined into pack()'s loop, so its delta bases live in registers.
-[[gnu::always_inline]] inline void
-PackedTrace::encode(Scratch &s, uint64_t &prevId, uint64_t &prevAddr,
-                    const Instr &i)
+void
+PackedTrace::Builder::growIndex()
 {
-    Desc d;
-    d.size = i.size;
-    d.elemStride = i.elemStride;
-    d.cls = uint8_t(i.cls);
-    d.fu = uint8_t(i.fu);
-    d.latency = i.latency;
-    d.vecBytes = i.vecBytes;
-    d.lanes = i.lanes;
-    d.activeLanes = i.activeLanes;
-    d.stride = uint8_t(i.stride);
-
-    // Find-or-insert via hash with an exact-match chain, so a hash
-    // collision can never alias two different descriptors.
-    const uint64_t h = fnv1a(kFnvOffset, &d, sizeof d);
-    auto it = s.index.find(h);
-    int32_t idx = it == s.index.end() ? -1 : int32_t(it->second);
-    while (idx >= 0 &&
-           std::memcmp(&s.descs[size_t(idx)], &d, sizeof d) != 0)
-        idx = s.chain[size_t(idx)];
-    if (idx < 0) {
-        idx = int32_t(s.descs.size());
-        s.descs.push_back(d);
-        s.chain.push_back(it == s.index.end() ? -1 : int32_t(it->second));
-        s.index[h] = uint32_t(idx);
+    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+    slots_.resize(slots_.size() * 2, kEmptySlot);
+    --slotShift_;
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t idx = 0; idx < descs_.size(); ++idx) {
+        size_t s =
+            size_t(slotHash(std::bit_cast<ShapeKey>(descs_[idx])) >>
+                   slotShift_);
+        while (slots_[s] != kEmptySlot)
+            s = (s + 1) & mask;
+        slots_[s] = idx;
     }
+}
 
-    uint64_t flags = 0;
-    if (i.addr != 0)
-        flags |= kHasAddr;
-    if (i.addr2 != 0)
-        flags |= kHasMulti;
-    if (i.id != prevId + 1)
-        flags |= kHasIdJump;
-    if (i.dep0 != 0)
-        flags |= kHasDep0;
-    if (i.dep1 != 0)
-        flags |= kHasDep1;
-    if (i.dep2 != 0)
-        flags |= kHasDep2;
-    putVarint(s.main, (uint64_t(uint32_t(idx)) << kTagFlagBits) | flags);
-    if (flags & kHasIdJump)
-        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(prevId + 1)));
-    prevId = i.id;
-    if (flags & kHasDep0)
-        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep0)));
-    if (flags & kHasDep1)
-        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep1)));
-    if (flags & kHasDep2)
-        putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep2)));
-    if (flags & kHasAddr) {
-        putVarint(s.main, zigzag(int64_t(i.addr - prevAddr)));
-        prevAddr = i.addr;
+uint32_t
+PackedTrace::Builder::insertDesc(const Desc &d, size_t slot)
+{
+    const uint32_t idx = uint32_t(descs_.size());
+    descs_.push_back(d);
+    uses_.push_back(0);
+    slots_[slot] = idx;
+    if (descs_.size() * 2 > slots_.size())
+        growIndex();
+    return idx;
+}
+
+inline uint32_t
+PackedTrace::Builder::descIndex(const Instr &i)
+{
+    const ShapeKey k = shapeKey(i);
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = size_t(slotHash(k) >> slotShift_);; s = (s + 1) & mask) {
+        const uint32_t idx = slots_[s];
+        if (idx == kEmptySlot)
+            return insertDesc(std::bit_cast<Desc>(k), s);
+        if (std::bit_cast<ShapeKey>(descs_[idx]) == k)
+            return idx;
     }
-    if (flags & kHasMulti)
-        putVarint(s.multi, zigzag(int64_t(i.addr2 - i.addr)));
-}
-
-PackedTrace
-PackedTrace::pack(const std::vector<Instr> &instrs)
-{
-    Scratch scratch;
-    return pack(instrs, &scratch);
-}
-
-PackedTrace
-PackedTrace::pack(const std::vector<Instr> &instrs, Scratch *scratch)
-{
-    Scratch &s = *scratch;
-    s.clear();
-    s.main.reserve(instrs.size() * 8);
-    uint64_t prevId = 0;
-    uint64_t prevAddr = 0;
-    for (const Instr &i : instrs)
-        encode(s, prevId, prevAddr, i);
-    PackedTrace t;
-    t.assemble(s.descs.data(), uint32_t(s.descs.size()), s.main, s.multi,
-               instrs.size());
-    return t;
 }
 
 void
 PackedTrace::Builder::add(const Instr &i)
 {
-    if (mix_)
-        mix_->onInstr(i);
-    encode(s_, prevId_, prevAddr_, i);
+    // Fields into locals first: the byte stores below may alias them.
+    const uint64_t id = i.id, dep0 = i.dep0, dep1 = i.dep1, dep2 = i.dep2,
+                   addr = i.addr, addr2 = i.addr2;
+    const uint32_t idx = descIndex(i);
+    ++uses_[idx];
+
+    uint64_t flags = 0;
+    if (addr != 0)
+        flags |= kHasAddr;
+    if (addr2 != 0)
+        flags |= kHasMulti;
+    if (id != prevId_ + 1)
+        flags |= kHasIdJump;
+    if (dep0 != 0)
+        flags |= kHasDep0;
+    if (dep1 != 0)
+        flags |= kHasDep1;
+    if (dep2 != 0)
+        flags |= kHasDep2;
+    uint8_t *p = main_.room(kMaxRecordBytes);
+    p = putVarint(p, (uint64_t(idx) << kTagFlagBits) | flags);
+    if (flags & kHasIdJump)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(prevId_ + 1)));
+    if (flags & kHasDep0)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(dep0)));
+    if (flags & kHasDep1)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(dep1)));
+    if (flags & kHasDep2)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(dep2)));
+    if (flags & kHasAddr) {
+        p = putVarint(p, zigzag(int64_t(addr - prevAddr_)));
+        prevAddr_ = addr;
+    }
+    main_.len = size_t(p - main_.data.get());
+    if (flags & kHasMulti) {
+        uint8_t *m = multi_.room(kMaxVarintBytes);
+        m = putVarint(m, zigzag(int64_t(addr2 - addr)));
+        multi_.len = size_t(m - multi_.data.get());
+    }
+    prevId_ = id;
     ++count_;
 }
 
@@ -311,13 +347,52 @@ PackedTrace
 PackedTrace::Builder::finish()
 {
     PackedTrace t;
-    t.assemble(s_.descs.data(), uint32_t(s_.descs.size()), s_.main, s_.multi,
-               count_);
-    s_.clear();
+    const size_t descBytes = descs_.size() * sizeof(Desc);
+    t.buf_ = Buf(descBytes + main_.len + multi_.len);
+    uint8_t *p = t.buf_.data();
+    if (descBytes)
+        std::memcpy(p, descs_.data(), descBytes);
+    if (main_.len)
+        std::memcpy(p + descBytes, main_.data.get(), main_.len);
+    if (multi_.len)
+        std::memcpy(p + descBytes + main_.len, multi_.data.get(),
+                    multi_.len);
+    t.count_ = count_;
+    t.mainLen_ = main_.len;
+    t.multiLen_ = multi_.len;
+    t.descCount_ = uint32_t(descs_.size());
+    if (mix_) {
+        Instr shape;
+        for (uint32_t d = 0; d < t.descCount_; ++d) {
+            t.expandDesc(d, &shape);
+            mix_->add(shape, uses_[d]);
+        }
+    }
+
+    main_.len = 0;
+    multi_.len = 0;
+    descs_.clear();
+    uses_.clear();
+    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
     prevId_ = 0;
     prevAddr_ = 0;
     count_ = 0;
     return t;
+}
+
+PackedTrace
+PackedTrace::pack(const std::vector<Instr> &instrs)
+{
+    Builder b;
+    return pack(instrs, &b);
+}
+
+PackedTrace
+PackedTrace::pack(const std::vector<Instr> &instrs, Scratch *scratch)
+{
+    for (const Instr &i : instrs)
+        scratch->add(i);
+    return scratch->finish();
 }
 
 // --- decode ------------------------------------------------------------
@@ -332,15 +407,15 @@ PackedTrace::Cursor::Cursor(const PackedTrace &trace)
 /*
  * The fused replay engine's decode kernel, portable 64-bit SWAR, in
  * three tiers: records whose next 8 bytes are all single-byte varints
- * (the overwhelmingly common case — a record is typically 2-4 bytes)
- * decode with flag-indexed shifts out of one 8-byte load; multi-byte
- * varints take the unchecked word-at-a-time rdFast() while a maximal
- * record fits before the stream end, and the checked byte-wise
- * getVarint() near it. Every tier rejects the same malformations, so
- * the decoded records and the ok() verdict do not depend on a record's
- * distance from the stream end. tests/test_trace_packed.cc compares
- * both with a plain byte-wise decoder's on intact, truncated, fuzzed
- * and over-long-varint streams.
+ * decode with flag-indexed shifts out of one 8-byte load (only 15% of
+ * paper-grid records and 6% of fanout-grid ones: a tag takes two bytes
+ * from descriptor 2 on); multi-byte varints take the unchecked
+ * word-at-a-time rdFast() while a maximal record fits before the
+ * stream end, and the checked byte-wise getVarint() near it. Every
+ * tier rejects the same malformations, so the decoded records and the
+ * ok() verdict do not depend on a record's distance from the stream
+ * end. tests/test_trace_packed.cc compares both with a plain byte-wise
+ * decoder's on intact, truncated, fuzzed and over-long-varint streams.
  */
 size_t
 PackedTrace::Cursor::nextBatch(Decoded *out, size_t max)

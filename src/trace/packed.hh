@@ -11,7 +11,9 @@
  *    vector geometry, stride kind, access size, element stride) is
  *    deduplicated into a small side table of descriptors — a dynamic
  *    trace has few distinct op sites — so each record starts with a
- *    one-byte tag of descriptor index plus field-presence flags;
+ *    varint tag of descriptor index and field-presence flags
+ *    (index << 6 | flags: one byte for descriptors 0 and 1, two from
+ *    descriptor 2 to 255);
  *  - fields at their common value cost nothing: a sequential id
  *    (the recorder's 1,2,3,... numbering) and each absent dependence
  *    contribute zero bytes;
@@ -28,8 +30,8 @@
  *
  * Capture encodes on emit: a Recorder streams straight into a Builder
  * (counting the trace's MixStats on the way), so no capture holds the
- * 64-byte-per-instruction AoS buffer; pack() of an AoS buffer runs the
- * same record encoder and produces the same bytes.
+ * 64-byte-per-instruction AoS buffer; pack() of an AoS buffer is a
+ * loop over a Builder, so both produce the same bytes.
  *
  * Storage lives in anonymous mmap regions, not the C++ heap, so a
  * finished trace's pages go back to the OS the moment it is dropped.
@@ -40,8 +42,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/instr.hh"
@@ -55,7 +57,12 @@ namespace swan::trace
 class PackedTrace
 {
   private:
-    /** Deduplicated per-instruction shape (the descriptor side table). */
+    /**
+     * Deduplicated per-instruction shape (the descriptor side table).
+     * Its first 15 bytes mirror Instr's, from size to stride, so the
+     * encoder copies a shape as bytes and keys its index on the two
+     * 64-bit words of a Desc.
+     */
     struct Desc
     {
         uint32_t size = 0;
@@ -71,6 +78,12 @@ class PackedTrace
     };
     static_assert(sizeof(Desc) == 16, "descriptor layout is part of the "
                                       "payload format");
+    // Fields in Instr's order; the ends pin the offsets.
+    static_assert(offsetof(Desc, cls) ==
+                          offsetof(Instr, cls) - offsetof(Instr, size) &&
+                      offsetof(Desc, stride) ==
+                          offsetof(Instr, stride) - offsetof(Instr, size),
+                  "Desc must mirror Instr's shape bytes");
 
   public:
     /** Decode block: a Cursor::nextBatch batch size whose Decoded
@@ -81,43 +94,22 @@ class PackedTrace
     PackedTrace() = default;
 
     /**
-     * Reusable encoder working memory. Drivers that pack many traces
-     * back to back pass the same Scratch every time: clear() keeps
-     * capacity, so steady-state packing makes no heap allocations.
-     */
-    struct Scratch
-    {
-        std::string main;
-        std::string multi;
-        std::vector<Desc> descs;
-        /** FNV(desc bytes) -> head of the chain into descs. */
-        std::unordered_map<uint64_t, uint32_t> index;
-        /** Per-desc link to the previous desc with the same hash. */
-        std::vector<int32_t> chain;
-
-        void
-        clear()
-        {
-            main.clear();
-            multi.clear();
-            descs.clear();
-            index.clear();
-            chain.clear();
-        }
-    };
-
-    /**
-     * Incremental encoder: the trace grows one instruction at a time,
+     * The record encoder: the trace grows one instruction at a time,
      * and finish() assembles it. A Recorder streaming into a Builder
-     * encodes on emit; it shares pack()'s record encoder, so the bytes
-     * are the same either way.
+     * encodes on emit, and pack() is a loop over one.
+     *
+     * Descriptors are found in an open-addressed table of indices
+     * into the descriptor list (first-seen order), keyed on a Desc's
+     * two 64-bit words and grown at half load. Each record is written
+     * through a raw pointer after one capacity check. The mix is
+     * counted per descriptor and folded into MixStats at finish().
      */
     class Builder final : public Sink
     {
       public:
-        /** @param mix when non-null, counts every added instruction
-         *             (MixStats::addTrace of the same stream) */
-        explicit Builder(MixStats *mix = nullptr) : mix_(mix) {}
+        /** @param mix when non-null, counts every added instruction at
+         *             finish() (MixStats::addTrace of the same stream) */
+        explicit Builder(MixStats *mix = nullptr);
 
         Builder(const Builder &) = delete;
         Builder &operator=(const Builder &) = delete;
@@ -133,17 +125,53 @@ class PackedTrace
         PackedTrace finish();
 
       private:
-        Scratch s_;
+        /** Append-only byte stream written through a raw pointer;
+         *  grown by copy, its spare capacity never touched. */
+        struct Stream
+        {
+            std::unique_ptr<uint8_t[]> data;
+            size_t len = 0;
+            size_t cap = 0;
+
+            /** Where the next @p n bytes go: room for them first. */
+            uint8_t *
+            room(size_t n)
+            {
+                if (cap - len < n)
+                    grow(n);
+                return data.get() + len;
+            }
+            void grow(size_t n);
+        };
+
+        /** Index of @p i's descriptor, inserted if new. */
+        uint32_t descIndex(const Instr &i);
+        /** Append @p d, new, to the list and to the index at @p slot. */
+        uint32_t insertDesc(const Desc &d, size_t slot);
+        /** Double the slot table and re-insert every descriptor. */
+        void growIndex();
+
+        Stream main_;
+        Stream multi_;
+        std::vector<Desc> descs_;     //!< first-seen order
+        std::vector<uint64_t> uses_;  //!< instructions per descriptor
+        std::vector<uint32_t> slots_; //!< descriptor index, or empty
+        int slotShift_ = 0;           //!< 64 - log2(slots_.size())
         MixStats *mix_;
         uint64_t prevId_ = 0;
         uint64_t prevAddr_ = 0;
         uint64_t count_ = 0;
     };
 
+    /** Reusable encoder working memory: a Builder, which finish()
+     *  leaves empty with its capacity kept. */
+    using Scratch = Builder;
+
     /** Encode a buffered (AoS) trace. */
     static PackedTrace pack(const std::vector<Instr> &instrs);
 
-    /** pack() borrowing @p scratch instead of allocating its own. */
+    /** pack() on @p scratch, an empty Builder counting no mix, so a
+     *  driver packing many traces back to back reuses its capacity. */
     static PackedTrace pack(const std::vector<Instr> &instrs,
                             Scratch *scratch);
 
@@ -286,16 +314,6 @@ class PackedTrace
         size_t n_ = 0;
         bool mapped_ = false;
     };
-
-    /** Append @p i's record to @p s, advancing the id and address
-     *  delta bases — the one record encoder pack() and Builder share. */
-    static void encode(Scratch &s, uint64_t &prevId, uint64_t &prevAddr,
-                       const Instr &i);
-
-    /** Assemble buf_ = [descs | main stream | multi stream]. */
-    void assemble(const Desc *descs, uint32_t desc_count,
-                  const std::string &main, const std::string &multi,
-                  uint64_t count);
 
     const Desc *descs() const
     {

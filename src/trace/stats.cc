@@ -4,25 +4,25 @@ namespace swan::trace
 {
 
 void
-MixStats::onInstr(const Instr &instr)
+MixStats::add(const Instr &shape, uint64_t n)
 {
-    ++total_;
-    ++byClass_[size_t(instr.cls)];
-    ++byPaper_[size_t(paperClass(instr.cls))];
-    ++byStride_[size_t(instr.stride)];
-    if (instr.isVector()) {
-        ++vecInstrs_;
-        laneSum_ += instr.lanes;
-        activeLaneSum_ += instr.activeLanes;
-        if (instr.vecBytes && instr.lanes) {
-            activeByteSum_ += uint64_t(instr.activeLanes) *
-                              uint64_t(instr.vecBytes / instr.lanes);
+    total_ += n;
+    byClass_[size_t(shape.cls)] += n;
+    byPaper_[size_t(paperClass(shape.cls))] += n;
+    byStride_[size_t(shape.stride)] += n;
+    if (shape.isVector()) {
+        vecInstrs_ += n;
+        laneSum_ += n * shape.lanes;
+        activeLaneSum_ += n * shape.activeLanes;
+        if (shape.vecBytes && shape.lanes) {
+            activeByteSum_ += n * uint64_t(shape.activeLanes) *
+                              uint64_t(shape.vecBytes / shape.lanes);
         }
     }
-    if (instr.isLoad())
-        loadBytes_ += instr.size;
-    else if (instr.isStore())
-        storeBytes_ += instr.size;
+    if (shape.isLoad())
+        loadBytes_ += n * shape.size;
+    else if (shape.isStore())
+        storeBytes_ += n * shape.size;
 }
 
 double

@@ -22,7 +22,12 @@ namespace swan::trace
 class MixStats final : public Sink
 {
   public:
-    void onInstr(const Instr &instr) override;
+    void onInstr(const Instr &instr) override { add(instr, 1); }
+
+    /** Count @p n instructions of @p shape's class, stride and
+     *  geometry (its identity fields are not read): @p n onInstr()
+     *  calls in one. */
+    void add(const Instr &shape, uint64_t n);
 
     /** Accumulate a whole buffered trace. */
     void

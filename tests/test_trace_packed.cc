@@ -2,8 +2,10 @@
  * @file
  * Tests of the packed trace encoding (trace/packed.hh): lossless
  * pack/decode round-trips on randomized traces (including the
- * multi-address Gather/Scatter/LdS records), the batch decoder against
- * a byte-wise reference decoder on intact and damaged streams, payload
+ * multi-address Gather/Scatter/LdS records), the encoder against a
+ * reference encoder of the documented format, the batch decoder
+ * against a byte-wise reference decoder on intact and damaged streams,
+ * payload
  * (disk-tier) round-trips and corruption handling, compression and
  * encode-on-emit losslessness on real captured traces, and the
  * simulateTraceMany single-pass multi-config replay producing results
@@ -12,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -442,6 +445,150 @@ referenceDecode(const PackedTrace &t, bool *ok)
 }
 
 } // namespace
+
+namespace
+{
+
+/**
+ * The reference the record encoder is tested against, written from the
+ * documented format (docs/trace.md) and sharing no code with it:
+ * descriptors in first-seen order, a tag of index << 6 | flags, zigzag
+ * varints, and the second address of a multi-address record in the
+ * side stream. Returns the whole appendPayload() blob.
+ */
+std::string
+referenceEncode(const std::vector<Instr> &instrs, uint32_t *descCount)
+{
+    const auto varint = [](std::string &out, uint64_t v) {
+        do {
+            const uint8_t low = uint8_t(v & 0x7f);
+            v >>= 7;
+            out.push_back(char(v ? low | 0x80 : low));
+        } while (v);
+    };
+    const auto delta = [&](std::string &out, int64_t d) {
+        varint(out, d < 0 ? (uint64_t(~d) << 1) | 1 : uint64_t(d) << 1);
+    };
+    std::map<std::string, uint32_t> index;
+    std::string descs, main, multi;
+    uint64_t prevId = 0, prevAddr = 0;
+    for (const Instr &i : instrs) {
+        // A descriptor's 16 bytes, field by field, pad byte zero.
+        std::string d(16, '\0');
+        std::memcpy(&d[0], &i.size, 4);
+        std::memcpy(&d[4], &i.elemStride, 4);
+        d[8] = char(i.cls);
+        d[9] = char(i.fu);
+        d[10] = char(i.latency);
+        d[11] = char(i.vecBytes);
+        d[12] = char(i.lanes);
+        d[13] = char(i.activeLanes);
+        d[14] = char(i.stride);
+        const auto [it, fresh] = index.emplace(d, uint32_t(index.size()));
+        if (fresh)
+            descs += d;
+        const bool jump = i.id != prevId + 1;
+        varint(main, uint64_t(it->second) << 6 | (i.dep2 ? 32 : 0) |
+                         (i.dep1 ? 16 : 0) | (i.dep0 ? 8 : 0) |
+                         (jump ? 4 : 0) | (i.addr2 ? 2 : 0) |
+                         (i.addr ? 1 : 0));
+        if (jump)
+            delta(main, int64_t(i.id - (prevId + 1)));
+        for (uint64_t dep : {i.dep0, i.dep1, i.dep2})
+            if (dep)
+                delta(main, int64_t(i.id - dep));
+        if (i.addr) {
+            delta(main, int64_t(i.addr - prevAddr));
+            prevAddr = i.addr;
+        }
+        if (i.addr2)
+            delta(multi, int64_t(i.addr2 - i.addr));
+        prevId = i.id;
+    }
+    *descCount = uint32_t(index.size());
+    RawHeader h{};
+    h.count = instrs.size();
+    h.mainLen = main.size();
+    h.multiLen = multi.size();
+    h.descCount = *descCount;
+    h.descSize = 16;
+    return craftPayload(h, descs + main + multi);
+}
+
+/** @p instrs with every other record's storage filled with 0xff before
+ *  its fields were set, so records of one shape differ in the padding
+ *  byte after `stride`. */
+std::vector<Instr>
+withDirtyPadding(const std::vector<Instr> &instrs)
+{
+    std::vector<Instr> out(instrs.size());
+    for (size_t k = 0; k < out.size(); k += 2)
+        std::memset(static_cast<void *>(&out[k]), 0xff, sizeof(Instr));
+    for (size_t k = 0; k < out.size(); ++k) {
+        const Instr &i = instrs[k];
+        Instr &o = out[k];
+        o.id = i.id;
+        o.dep0 = i.dep0;
+        o.dep1 = i.dep1;
+        o.dep2 = i.dep2;
+        o.addr = i.addr;
+        o.addr2 = i.addr2;
+        o.size = i.size;
+        o.elemStride = i.elemStride;
+        o.cls = i.cls;
+        o.fu = i.fu;
+        o.latency = i.latency;
+        o.vecBytes = i.vecBytes;
+        o.lanes = i.lanes;
+        o.activeLanes = i.activeLanes;
+        o.stride = i.stride;
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(PackedTrace, EncodesTheDocumentedFormat)
+{
+    // Random shapes: thousands of descriptors, so the encoder's index
+    // grows several times and tags take up to three bytes.
+    const auto random = randomTrace(6000, 81);
+    // Two traces back to back: the ids restart mid-stream (an id jump).
+    auto twoTraces = randomTrace(2000, 83);
+    const auto tail = randomTrace(1000, 85);
+    twoTraces.insert(twoTraces.end(), tail.begin(), tail.end());
+    const auto dirty = withDirtyPadding(twoTraces);
+    const unsigned char *dirtyBytes =
+        reinterpret_cast<const unsigned char *>(dirty.data());
+    ASSERT_EQ(dirtyBytes[sizeof(Instr) - 1], 0xff) << "test setup";
+
+    // One Builder for both inputs: finish() must leave it empty,
+    // whatever its index grew to.
+    trace::MixStats mix;
+    PackedTrace::Builder builder(&mix);
+    for (const auto *instrs : {&random, &dirty}) {
+        uint32_t descCount = 0;
+        const std::string want = referenceEncode(*instrs, &descCount);
+        if (instrs == &random) {
+            EXPECT_GT(descCount, 256u);
+        }
+
+        std::string packed;
+        PackedTrace::pack(*instrs).appendPayload(&packed);
+        EXPECT_TRUE(packed == want) << "pack() differs from the reference";
+
+        mix = trace::MixStats();
+        for (const Instr &i : *instrs)
+            builder.onInstr(i);
+        std::string built;
+        builder.finish().appendPayload(&built);
+        EXPECT_TRUE(built == want) << "Builder differs from the reference";
+
+        trace::MixStats aosMix;
+        aosMix.addTrace(*instrs);
+        EXPECT_EQ(mix.counters(), aosMix.counters());
+    }
+}
 
 TEST(PackedTraceChecked, CleanDecodeReportsOk)
 {

@@ -58,8 +58,8 @@ variants()
 int
 main()
 {
-    core::Runner runner;
     const char *kernels[] = {"LP/defilter_up", "LV/sad16x16"};
+    const core::Options opts = core::Options::fromEnv();
 
     for (const char *name : kernels) {
         const auto *spec = core::Registry::instance().find(name);
@@ -70,7 +70,7 @@ main()
         core::banner(std::cout, std::string("Ablation on ") + name);
         // The dynamic trace is configuration-independent: capture the
         // Scalar and Neon streams once and replay them per variant.
-        auto w = spec->make(runner.options());
+        auto w = spec->make(opts);
         const auto scalarTrace =
             core::Runner::capture(*w, core::Impl::Scalar);
         const auto neonTrace = core::Runner::capture(*w, core::Impl::Neon);

@@ -47,6 +47,7 @@ main()
         return 1;
     }
     const auto cfg = sim::primeConfig();
+    const Session session = Session::fromEnv();
 
     core::banner(std::cout,
                  "Ablation: working-set size vs Neon speedup "
@@ -72,17 +73,19 @@ main()
         core::Options opts;
         opts.imageWidth = p.width;
         opts.imageHeight = p.height;
-        core::Runner runner(opts);
-        auto cmp = runner.compareScalarNeon(*kernel, cfg);
-        const double speedup = cmp.neonSpeedup();
+        auto w = kernel->make(opts);
+        const auto scalar = session.run(*w, core::Impl::Scalar, cfg);
+        const auto neon = session.run(*w, core::Impl::Neon, cfg);
+        const double speedup =
+            double(scalar.sim.cycles) / double(neon.sim.cycles);
         if (p.width == sweep[0].width)
             smallSpeedup = speedup;
         largeSpeedup = speedup;
         t.addRow({p.label, core::fmt(imageKiB(p), 0),
-                  core::fmtPct(100.0 * cmp.neon.sim.l1HitRate),
-                  core::fmt(cmp.neon.sim.llcMpki, 1),
-                  core::fmt(cmp.scalar.sim.ipc, 2),
-                  core::fmt(cmp.neon.sim.ipc, 2), core::fmtX(speedup)});
+                  core::fmtPct(100.0 * neon.sim.l1HitRate),
+                  core::fmt(neon.sim.llcMpki, 1),
+                  core::fmt(scalar.sim.ipc, 2),
+                  core::fmt(neon.sim.ipc, 2), core::fmtX(speedup)});
     }
     t.print(std::cout);
 
@@ -97,19 +100,25 @@ main()
     // input size (Section 5.2).
     core::Table c({"Buffer", "KiB", "L1 hit (Neon)", "Neon speedup"});
     double minCtl = 1e9, maxCtl = 0.0;
-    // Capped at 1 MiB (2x LLC): the buffered scalar trace of SHA-256 is
-    // ~40 records/byte, so larger inputs exhaust host memory.
+    // Capped at 1 MiB (2x LLC): scalar SHA-256 runs ~59 instructions
+    // per input byte (62 M at 1 MiB), and each run holds its whole
+    // packed trace while it replays. That point takes this bench to
+    // ~360 MB of peak RSS (x86-64 Release build); every doubling of
+    // the input doubles it and the replay time.
     for (int kib : {4, 64, 256, 1024}) {
         core::Options opts;
         opts.bufferBytes = kib * 1024;
-        core::Runner runner(opts);
-        auto cmp = runner.compareScalarNeon(*control, cfg);
-        minCtl = std::min(minCtl, cmp.neonSpeedup());
-        maxCtl = std::max(maxCtl, cmp.neonSpeedup());
+        auto w = control->make(opts);
+        const auto scalar = session.run(*w, core::Impl::Scalar, cfg);
+        const auto neon = session.run(*w, core::Impl::Neon, cfg);
+        const double speedup =
+            double(scalar.sim.cycles) / double(neon.sim.cycles);
+        minCtl = std::min(minCtl, speedup);
+        maxCtl = std::max(maxCtl, speedup);
         c.addRow({std::string("sha256 ") + std::to_string(kib) + " KiB",
                   std::to_string(kib),
-                  core::fmtPct(100.0 * cmp.neon.sim.l1HitRate),
-                  core::fmtX(cmp.neonSpeedup())});
+                  core::fmtPct(100.0 * neon.sim.l1HitRate),
+                  core::fmtX(speedup)});
     }
     c.print(std::cout);
 

@@ -21,7 +21,7 @@ using workloads::ext::ComplexImpl;
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
     const auto cfg = sim::primeConfig();
 
     struct Variant
@@ -48,9 +48,10 @@ main()
     bool all_ok = true;
     double portableCycles = 0.0;
     for (const auto &v : variants) {
-        auto w = workloads::ext::makeZConvolve(runner.options(), v.impl);
-        auto s = runner.run(*w, core::Impl::Scalar, cfg);
-        auto n = runner.run(*w, core::Impl::Neon, cfg);
+        auto w = workloads::ext::makeZConvolve(session.options().workload,
+                                               v.impl);
+        auto s = session.run(*w, core::Impl::Scalar, cfg);
+        auto n = session.run(*w, core::Impl::Neon, cfg);
         all_ok = all_ok && w->verify();
         if (v.impl == ComplexImpl::Portable)
             portableCycles = double(n.sim.cycles);

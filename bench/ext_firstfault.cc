@@ -21,19 +21,19 @@ using workloads::ext::ScanImpl;
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
     const auto cfg = sim::primeConfig();
 
-    auto neon = workloads::ext::makeStrlenScan(runner.options(),
+    auto neon = workloads::ext::makeStrlenScan(session.options().workload,
                                                ScanImpl::NeonOverread);
-    auto sve = workloads::ext::makeStrlenScan(runner.options(),
+    auto sve = workloads::ext::makeStrlenScan(session.options().workload,
                                               ScanImpl::SveFirstFault);
 
-    auto s = runner.run(*neon, core::Impl::Scalar, cfg);
-    auto n = runner.run(*neon, core::Impl::Neon, cfg);
+    auto s = session.run(*neon, core::Impl::Scalar, cfg);
+    auto n = session.run(*neon, core::Impl::Neon, cfg);
     const bool ok1 = neon->verify();
     sve->runScalar();
-    auto f = runner.run(*sve, core::Impl::Neon, cfg);
+    auto f = session.run(*sve, core::Impl::Neon, cfg);
     const bool ok2 = sve->verify();
 
     core::banner(std::cout,

@@ -30,22 +30,21 @@ struct Row
 };
 
 Row
-measure(const core::Runner &runner, const sim::CoreConfig &cfg,
-        bool des)
+measure(const Session &session, const sim::CoreConfig &cfg, bool des)
 {
+    const core::Options &opts = session.options().workload;
     auto make = [&](LutImpl impl) {
-        return des ? workloads::ext::makeDesGather(runner.options(), impl)
-                   : workloads::ext::makeLutTransform(runner.options(),
-                                                      impl);
+        return des ? workloads::ext::makeDesGather(opts, impl)
+                   : workloads::ext::makeLutTransform(opts, impl);
     };
     Row row;
     auto lane = make(LutImpl::LaneExport);
-    row.scalar = runner.run(*lane, core::Impl::Scalar, cfg);
-    row.lane = runner.run(*lane, core::Impl::Neon, cfg);
+    row.scalar = session.run(*lane, core::Impl::Scalar, cfg);
+    row.lane = session.run(*lane, core::Impl::Neon, cfg);
     const bool ok1 = lane->verify();
     auto gather = make(LutImpl::Gather);
     gather->runScalar();
-    row.gather = runner.run(*gather, core::Impl::Neon, cfg);
+    row.gather = session.run(*gather, core::Impl::Neon, cfg);
     row.ok = ok1 && gather->verify();
     return row;
 }
@@ -64,11 +63,11 @@ lutShare(const core::KernelRun &run)
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
     const auto cfg = sim::primeConfig();
 
-    const Row lut = measure(runner, cfg, /*des=*/false);
-    const Row des = measure(runner, cfg, /*des=*/true);
+    const Row lut = measure(session, cfg, /*des=*/false);
+    const Row des = measure(session, cfg, /*des=*/true);
 
     core::banner(std::cout,
                  "Extension: gather intrinsics for look-up-table kernels "
@@ -111,14 +110,14 @@ main()
     for (int crack : {1, 2, 4, 8}) {
         auto cfgc = sim::primeConfig();
         cfgc.lsuCrackPerCycle = crack;
-        auto lutW = workloads::ext::makeLutTransform(runner.options(),
-                                                     LutImpl::Gather);
-        auto desW = workloads::ext::makeDesGather(runner.options(),
-                                                  LutImpl::Gather);
-        auto ls = runner.run(*lutW, core::Impl::Scalar, cfgc);
-        auto lg = runner.run(*lutW, core::Impl::Neon, cfgc);
-        auto ds = runner.run(*desW, core::Impl::Scalar, cfgc);
-        auto dg = runner.run(*desW, core::Impl::Neon, cfgc);
+        auto lutW = workloads::ext::makeLutTransform(
+            session.options().workload, LutImpl::Gather);
+        auto desW = workloads::ext::makeDesGather(
+            session.options().workload, LutImpl::Gather);
+        auto ls = session.run(*lutW, core::Impl::Scalar, cfgc);
+        auto lg = session.run(*lutW, core::Impl::Neon, cfgc);
+        auto ds = session.run(*desW, core::Impl::Scalar, cfgc);
+        auto dg = session.run(*desW, core::Impl::Neon, cfgc);
         a.addRow({std::to_string(crack) + "/cycle",
                   core::fmtX(double(ls.sim.cycles) /
                              double(lg.sim.cycles)),

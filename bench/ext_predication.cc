@@ -20,7 +20,7 @@ using workloads::ext::TailImpl;
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
 
     core::banner(std::cout,
                  "Extension: loop tails, narrower registers vs WHILELT "
@@ -32,9 +32,10 @@ main()
     for (int bits : {128, 256, 512, 1024}) {
         const auto cfg = sim::widerVectorConfig(bits);
         for (auto impl : {TailImpl::NarrowTail, TailImpl::Predicated}) {
-            auto w = workloads::ext::makeAxpyTail(runner.options(), impl);
-            auto s = runner.run(*w, core::Impl::Scalar, cfg);
-            auto n = runner.run(*w, core::Impl::Neon, cfg, bits);
+            auto w = workloads::ext::makeAxpyTail(
+                session.options().workload, impl);
+            auto s = session.run(*w, core::Impl::Scalar, cfg);
+            auto n = session.run(*w, core::Impl::Neon, cfg, bits);
             all_ok = all_ok && w->verify();
             t.addRow({std::to_string(bits) + "-bit",
                       impl == TailImpl::Predicated ? "SVE predicated"

@@ -29,23 +29,21 @@ struct Meas
 };
 
 Meas
-measure(const core::Runner &runner, const sim::CoreConfig &cfg, bool full)
+measure(const Session &session, const sim::CoreConfig &cfg, bool full)
 {
+    const core::Options &opts = session.options().workload;
     auto make = [&](StrideImpl impl) {
-        return full
-                   ? workloads::ext::makeDeinterleave8(runner.options(),
-                                                       impl)
-                   : workloads::ext::makeChannelExtract(runner.options(),
-                                                        impl);
+        return full ? workloads::ext::makeDeinterleave8(opts, impl)
+                    : workloads::ext::makeChannelExtract(opts, impl);
     };
     Meas m;
     auto neon = make(StrideImpl::NeonUnzip);
-    m.scalar = runner.run(*neon, core::Impl::Scalar, cfg);
-    m.neon = runner.run(*neon, core::Impl::Neon, cfg);
+    m.scalar = session.run(*neon, core::Impl::Scalar, cfg);
+    m.neon = session.run(*neon, core::Impl::Neon, cfg);
     const bool ok1 = neon->verify();
     auto strided = make(StrideImpl::StridedLoad);
     strided->runScalar();
-    m.strided = runner.run(*strided, core::Impl::Neon, cfg);
+    m.strided = session.run(*strided, core::Impl::Neon, cfg);
     m.ok = ok1 && strided->verify();
     return m;
 }
@@ -55,11 +53,11 @@ measure(const core::Runner &runner, const sim::CoreConfig &cfg, bool full)
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
     const auto cfg = sim::primeConfig();
 
-    const Meas full = measure(runner, cfg, /*full=*/true);
-    const Meas extract = measure(runner, cfg, /*full=*/false);
+    const Meas full = measure(session, cfg, /*full=*/true);
+    const Meas extract = measure(session, cfg, /*full=*/false);
 
     core::banner(std::cout,
                  "Extension: stride-8 access, VLD4+UZP vs strided loads "

@@ -55,7 +55,7 @@ const char *kIsaNames[] = {"Neon", "WASM SIMD128", "WASM relaxed"};
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
     const auto cfg = sim::primeConfig();
 
     core::banner(std::cout,
@@ -68,9 +68,9 @@ main()
     bool all_ok = true;
     for (const auto &port : kPorts) {
         for (size_t i = 0; i < 3; ++i) {
-            auto w = port.make(runner.options(), kIsas[i]);
-            auto s = runner.run(*w, core::Impl::Scalar, cfg);
-            auto n = runner.run(*w, core::Impl::Neon, cfg);
+            auto w = port.make(session.options().workload, kIsas[i]);
+            auto s = session.run(*w, core::Impl::Scalar, cfg);
+            auto n = session.run(*w, core::Impl::Neon, cfg);
             all_ok = all_ok && w->verify();
             const double vecShare =
                 n.mix.vectorInstrs() > 0

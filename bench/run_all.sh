@@ -36,6 +36,13 @@ echo "== swan sweep: Figure-5 kernels across core scaling (JSONL) =="
 echo "== fig02_perf_energy =="
 "$BUILD_DIR/fig02_perf_energy"
 
+# Views over slices of fig02's grid: every point is a cache hit.
+for view in fig01_instruction_mix fig03_power tab04_autovec tab07_offload \
+            sec52_intensity; do
+    echo "== $view =="
+    "$BUILD_DIR/$view"
+done
+
 echo "== fig04_core_arch =="
 "$BUILD_DIR/fig04_core_arch"
 

@@ -8,6 +8,10 @@
  * (precision proxy, Figure 1), the L1 hit rate and arithmetic intensity
  * (vector ops per byte loaded), and the achieved speedup, then checks
  * the paper's two claimed rank relations hold over the suite.
+ *
+ * A view over the Scalar and Neon points of the Figure 2 grid
+ * (bench::runExperiment): with SWAN_SWEEP_CACHE_DIR shared with
+ * fig02_perf_energy, every point is served from its cache.
  */
 
 #include <algorithm>
@@ -61,8 +65,15 @@ spearman(std::vector<double> a, std::vector<double> b)
 int
 main()
 {
-    core::Runner runner;
-    const auto cfg = sim::primeConfig();
+    Session session = Session::fromEnv();
+    const Results results = bench::runExperiment(
+        Experiment(session)
+            .impls({core::Impl::Scalar, core::Impl::Neon})
+            .config("prime"),
+        "sec52");
+    // One row per kernel (its Neon point over its Scalar baseline), in
+    // registry order.
+    const auto kernels = results.speedupVs(core::Impl::Scalar);
 
     core::banner(std::cout,
                  "Section 5.2 synthesis: precision, locality and "
@@ -75,19 +86,19 @@ main()
         double logSpeed = 0.0, logRed = 0.0, hit = 0.0, vops = 0.0,
                bytes = 0.0;
         int n = 0;
-        for (const auto *k : core::Registry::instance().bySymbol(sym)) {
-            if (k->info.excluded)
+        for (const auto &k : kernels) {
+            if (k.point->point.spec->info.symbol != sym)
                 continue;
-            auto cmp = runner.compareScalarNeon(*k, cfg);
-            logSpeed += std::log(cmp.neonSpeedup());
-            logRed += std::log(cmp.instrReduction());
-            hit += cmp.neon.sim.l1HitRate;
-            vops += double(cmp.neon.mix.vectorInstrs() -
-                           cmp.neon.mix.count(trace::InstrClass::VLoad) -
-                           cmp.neon.mix.count(trace::InstrClass::VStore));
-            bytes += double(cmp.neon.mix.loadBytes());
+            const core::KernelRun &neon = k.point->run;
+            logSpeed += std::log(k.speedup());
+            logRed += std::log(k.instrReduction());
+            hit += neon.sim.l1HitRate;
+            vops += double(neon.mix.vectorInstrs() -
+                           neon.mix.count(trace::InstrClass::VLoad) -
+                           neon.mix.count(trace::InstrClass::VStore));
+            bytes += double(neon.mix.loadBytes());
             row.crypto = row.crypto ||
-                         cmp.neon.mix.count(trace::InstrClass::VCrypto) > 0;
+                         neon.mix.count(trace::InstrClass::VCrypto) > 0;
             ++n;
         }
         if (n == 0)

@@ -16,8 +16,6 @@ using trace::StrideKind;
 int
 main()
 {
-    core::Runner runner;
-
     struct Row
     {
         const char *label;
@@ -35,8 +33,9 @@ main()
                   {"Loop distribution rewrite (6.1)",
                    Pattern::LoopDistribution, 0, {}}};
 
+    const core::Options opts = core::Options::fromEnv();
     for (const auto *spec : bench::headlineKernels()) {
-        auto w = spec->make(runner.options());
+        auto w = spec->make(opts);
         auto instrs = core::Runner::capture(*w, core::Impl::Neon);
         trace::MixStats mix;
         mix.addTrace(instrs);

@@ -22,14 +22,14 @@ using namespace swan;
 int
 main()
 {
-    core::Runner runner;
+    const Session session = Session::fromEnv();
     const auto cfg = sim::primeConfig();
 
     auto measure = [&](bool use_lut) {
-        auto w = workloads::boringssl::makeDesLut(runner.options(),
-                                                  use_lut);
-        auto s = runner.run(*w, core::Impl::Scalar, cfg);
-        auto n = runner.run(*w, core::Impl::Neon, cfg);
+        auto w = workloads::boringssl::makeDesLut(
+            session.options().workload, use_lut);
+        auto s = session.run(*w, core::Impl::Scalar, cfg);
+        auto n = session.run(*w, core::Impl::Neon, cfg);
         const bool ok = w->verify();
         return std::tuple<core::KernelRun, core::KernelRun, bool>(
             std::move(s), std::move(n), ok);

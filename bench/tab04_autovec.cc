@@ -4,6 +4,10 @@
  * kernel's Auto implementation against Scalar and Neon by measured
  * speedup, and reports the Section 5.2 failure-reason counts from the
  * legality model.
+ *
+ * A view over the Figure 2 grid (bench::runExperiment): with
+ * SWAN_SWEEP_CACHE_DIR shared with fig02_perf_energy, every point is
+ * served from its cache.
  */
 
 #include "bench_common.hh"
@@ -15,15 +19,25 @@ using namespace swan;
 int
 main()
 {
-    core::Runner runner;
-    const auto cfg = sim::primeConfig();
+    Session session = Session::fromEnv();
+    const Results results = bench::runExperiment(
+        Experiment(session)
+            .impls({core::Impl::Scalar, core::Impl::Auto,
+                    core::Impl::Neon})
+            .config("prime"),
+        "tab04");
 
     std::vector<autovec::SpeedupPair> pairs;
     std::array<int, 5> reason_counts{};
     int vectorizes = 0;
     for (const auto *spec : bench::headlineKernels()) {
-        auto c = runner.compare(*spec, cfg);
-        pairs.push_back({c.autoSpeedup(), c.neonSpeedup()});
+        const std::string qn = spec->info.qualifiedName();
+        const auto cycles = [&](core::Impl impl) {
+            return double(results.find(qn, impl, 128)->run.sim.cycles);
+        };
+        const double scalar = cycles(core::Impl::Scalar);
+        pairs.push_back({scalar / cycles(core::Impl::Auto),
+                         scalar / cycles(core::Impl::Neon)});
         const auto &v = spec->info.autovec;
         if (v.vectorizes) {
             ++vectorizes;

@@ -5,6 +5,10 @@
  * (Section 8). Launch overheads are the paper's measured constants
  * (Adreno 640 OpenCL: 230 us; Hexagon 690 fastRPC: 20 us); Neon kernel
  * times come from the timing model at the paper's input scale.
+ *
+ * A view over the Neon points of the Figure 2 grid
+ * (bench::runExperiment): with SWAN_SWEEP_CACHE_DIR shared with
+ * fig02_perf_energy, every point is served from its cache.
  */
 
 #include "bench_common.hh"
@@ -19,27 +23,29 @@ main()
     // The nine libraries of Table 2 that are not offloaded to the GPU.
     const std::vector<std::string> nine = {"LJ", "LP", "LW", "SK", "WA",
                                            "PF", "ZL", "BS", "OR"};
-    core::Runner runner;
-    const auto cfg = sim::primeConfig();
+    std::vector<std::string> kernels;
+    for (const auto *spec : bench::headlineKernels())
+        if (std::find(nine.begin(), nine.end(), spec->info.symbol) !=
+            nine.end())
+            kernels.push_back(spec->info.qualifiedName());
+
+    Session session = Session::fromEnv();
+    const Results results = bench::runExperiment(
+        Experiment(session)
+            .kernels(kernels)
+            .impl(core::Impl::Neon)
+            .config("prime"),
+        "tab07");
     gpu::OffloadParams params;
 
     double min_us = 1e30, max_us = 0, sum_us = 0;
-    int count = 0;
-    for (const auto *spec : bench::headlineKernels()) {
-        bool in_nine = false;
-        for (const auto &s : nine)
-            in_nine = in_nine || spec->info.symbol == s;
-        if (!in_nine)
-            continue;
-        auto w = spec->make(runner.options());
-        auto kr = runner.run(*w, core::Impl::Neon, cfg);
-        const double us = kr.sim.timeSec * 1e6;
+    for (const auto &r : results) {
+        const double us = r.run.sim.timeSec * 1e6;
         min_us = std::min(min_us, us);
         max_us = std::max(max_us, us);
         sum_us += us;
-        ++count;
     }
-    const double avg_us = sum_us / std::max(count, 1);
+    const double avg_us = sum_us / double(results.size());
 
     core::banner(std::cout,
                  "Table 7: accelerator launch overhead vs Neon kernel "

@@ -16,13 +16,23 @@ using namespace swan;
 int
 main()
 {
-    const char *graph[] = {"WA/gain_node", "WA/vadd", "WA/vclip",
-                           "WA/audible", "WA/deinterleave_channels",
-                           "PF/fft_forward", "PF/zconvolve_accumulate",
-                           "PF/fft_inverse"};
+    const std::vector<std::string> graph = {
+        "WA/gain_node", "WA/vadd", "WA/vclip", "WA/audible",
+        "WA/deinterleave_channels", "PF/fft_forward",
+        "PF/zconvolve_accumulate", "PF/fft_inverse"};
 
-    core::Runner runner;
-    const auto cfg = sim::primeConfig();
+    Session session = Session::fromEnv();
+    std::string err;
+    const Results results = Experiment(session)
+                                .kernels(graph)
+                                .impls({core::Impl::Scalar,
+                                        core::Impl::Neon})
+                                .config("prime")
+                                .run(&err);
+    if (results.empty()) {
+        std::cerr << "audio_pipeline: " << err << "\n";
+        return 1;
+    }
 
     core::banner(std::cout,
                  "WebAudio graph: gain -> mix -> clip -> analyze "
@@ -31,20 +41,21 @@ main()
 
     double ldst_total = 0;
     int n = 0;
-    for (const char *name : graph) {
-        const auto *spec = core::Registry::instance().find(name);
-        if (!spec) {
-            std::cerr << "missing kernel " << name << "\n";
-            return 1;
-        }
-        auto c = runner.compareScalarNeon(*spec, cfg);
+    // One row per node, in graph order: Neon over its Scalar baseline.
+    for (const auto &node : results.speedupVs(core::Impl::Scalar)) {
+        const core::KernelSpec &spec = *node.point->point.spec;
+        const trace::MixStats &mix = node.point->run.mix;
         const double ldst =
-            100.0 * (c.neon.mix.fraction(trace::PaperClass::VLoad) +
-                     c.neon.mix.fraction(trace::PaperClass::VStore));
+            100.0 * (mix.fraction(trace::PaperClass::VLoad) +
+                     mix.fraction(trace::PaperClass::VStore));
         ldst_total += ldst;
         ++n;
-        t.addRow({name, core::fmtX(c.neonSpeedup()),
-                  core::fmtPct(ldst, 0), c.verified ? "yes" : "NO"});
+        // The paper's correctness check, untraced (full host speed).
+        auto w = spec.make(session.options().workload);
+        w->runScalar();
+        w->runNeon(128);
+        t.addRow({spec.info.qualifiedName(), core::fmtX(node.speedup()),
+                  core::fmtPct(ldst, 0), w->verify() ? "yes" : "NO"});
     }
     t.print(std::cout);
 

@@ -15,13 +15,23 @@ using namespace swan;
 int
 main()
 {
-    const char *stages[] = {"LP/defilter_paeth", "LP/expand_palette",
-                            "LJ/ycbcr_to_rgb", "LJ/downsample_h2v2",
-                            "SK/rgba_premultiply",
-                            "SK/blit_row_srcover"};
+    const std::vector<std::string> stages = {
+        "LP/defilter_paeth", "LP/expand_palette", "LJ/ycbcr_to_rgb",
+        "LJ/downsample_h2v2", "SK/rgba_premultiply",
+        "SK/blit_row_srcover"};
 
-    core::Runner runner;
-    const auto cfg = sim::primeConfig();
+    Session session = Session::fromEnv();
+    std::string err;
+    const Results results = Experiment(session)
+                                .kernels(stages)
+                                .impls({core::Impl::Scalar,
+                                        core::Impl::Neon})
+                                .config("prime")
+                                .run(&err);
+    if (results.empty()) {
+        std::cerr << "image_pipeline: " << err << "\n";
+        return 1;
+    }
 
     core::banner(std::cout,
                  "Image pipeline: PNG de-filter -> color convert -> "
@@ -30,19 +40,21 @@ main()
                    "Verified"});
 
     double total_scalar = 0, total_neon = 0;
-    for (const char *name : stages) {
-        const auto *spec = core::Registry::instance().find(name);
-        if (!spec) {
-            std::cerr << "missing kernel " << name << "\n";
-            return 1;
-        }
-        auto c = runner.compareScalarNeon(*spec, cfg);
-        total_scalar += c.scalar.sim.timeSec;
-        total_neon += c.neon.sim.timeSec;
-        t.addRow({name, core::fmt(c.scalar.sim.timeSec * 1e6, 1),
-                  core::fmt(c.neon.sim.timeSec * 1e6, 1),
-                  core::fmtX(c.neonSpeedup()),
-                  c.verified ? "yes" : "NO"});
+    // One row per stage, in pipeline order: Neon over its Scalar
+    // baseline.
+    for (const auto &stage : results.speedupVs(core::Impl::Scalar)) {
+        const core::KernelSpec &spec = *stage.point->point.spec;
+        const double scalar = stage.baseline->run.sim.timeSec;
+        const double neon = stage.point->run.sim.timeSec;
+        total_scalar += scalar;
+        total_neon += neon;
+        // The paper's correctness check, untraced (full host speed).
+        auto w = spec.make(session.options().workload);
+        w->runScalar();
+        w->runNeon(128);
+        t.addRow({spec.info.qualifiedName(), core::fmt(scalar * 1e6, 1),
+                  core::fmt(neon * 1e6, 1), core::fmtX(stage.speedup()),
+                  w->verify() ? "yes" : "NO"});
     }
     t.print(std::cout);
 

@@ -25,10 +25,10 @@ namespace
 
 /** Cycles of one implementation on the Prime core. */
 double
-cycles(const core::Runner &runner, core::Workload &w, core::Impl impl,
+cycles(const Session &session, core::Workload &w, core::Impl impl,
        const sim::CoreConfig &cfg, int vec_bits = 128)
 {
-    return double(runner.run(w, impl, cfg, vec_bits).sim.cycles);
+    return double(session.run(w, impl, cfg, vec_bits).sim.cycles);
 }
 
 } // namespace
@@ -39,7 +39,7 @@ main(int argc, char **argv)
     core::Options opts = core::Options::fromEnv();
     if (argc > 1 && std::string(argv[1]) == "--full")
         opts = core::Options::full();
-    core::Runner runner(opts);
+    const Session session = Session::fromEnv();
     const auto prime = sim::primeConfig();
 
     core::banner(std::cout,
@@ -52,12 +52,12 @@ main(int argc, char **argv)
     {
         auto lane = ext::makeDesGather(opts, ext::LutImpl::LaneExport);
         auto gather = ext::makeDesGather(opts, ext::LutImpl::Gather);
-        const double s = cycles(runner, *lane, core::Impl::Scalar, prime);
+        const double s = cycles(session, *lane, core::Impl::Scalar, prime);
         const double neon =
-            s / cycles(runner, *lane, core::Impl::Neon, prime);
+            s / cycles(session, *lane, core::Impl::Neon, prime);
         gather->runScalar();
         const double sve =
-            s / cycles(runner, *gather, core::Impl::Neon, prime);
+            s / cycles(session, *gather, core::Impl::Neon, prime);
         const bool ok = lane->verify() && gather->verify();
         t.addRow({"DES S-box look-ups", core::fmtX(neon) + " vs scalar",
                   core::fmtX(sve) + " vs scalar",
@@ -73,12 +73,12 @@ main(int argc, char **argv)
             ext::makeZConvolve(opts, ext::ComplexImpl::Portable);
         auto fcmla = ext::makeZConvolve(opts, ext::ComplexImpl::Fcmla);
         const double s =
-            cycles(runner, *portable, core::Impl::Scalar, prime);
+            cycles(session, *portable, core::Impl::Scalar, prime);
         const double api =
-            s / cycles(runner, *portable, core::Impl::Neon, prime);
+            s / cycles(session, *portable, core::Impl::Neon, prime);
         fcmla->runScalar();
         const double v83 =
-            s / cycles(runner, *fcmla, core::Impl::Neon, prime);
+            s / cycles(session, *fcmla, core::Impl::Neon, prime);
         const bool ok = portable->verify() && fcmla->verify();
         t.addRow({"FFT complex MAC", core::fmtX(api) + " (portable API)",
                   core::fmtX(v83) + " (FCMLA)",
@@ -114,12 +114,12 @@ main(int argc, char **argv)
         auto narrow = ext::makeAxpyTail(opts, ext::TailImpl::NarrowTail);
         auto pred = ext::makeAxpyTail(opts, ext::TailImpl::Predicated);
         const double s =
-            cycles(runner, *narrow, core::Impl::Scalar, wide);
+            cycles(session, *narrow, core::Impl::Scalar, wide);
         const double ntail =
-            s / cycles(runner, *narrow, core::Impl::Neon, wide, 1024);
+            s / cycles(session, *narrow, core::Impl::Neon, wide, 1024);
         pred->runScalar();
         const double ptail =
-            s / cycles(runner, *pred, core::Impl::Neon, wide, 1024);
+            s / cycles(session, *pred, core::Impl::Neon, wide, 1024);
         const bool ok = narrow->verify() && pred->verify();
         t.addRow({"27-elem rows @ 1024-bit",
                   core::fmtX(ntail) + " (narrow tail)",
@@ -134,12 +134,12 @@ main(int argc, char **argv)
             ext::makeStrlenScan(opts, ext::ScanImpl::NeonOverread);
         auto ff =
             ext::makeStrlenScan(opts, ext::ScanImpl::SveFirstFault);
-        const double s = cycles(runner, *neon, core::Impl::Scalar, prime);
+        const double s = cycles(session, *neon, core::Impl::Scalar, prime);
         const double over =
-            s / cycles(runner, *neon, core::Impl::Neon, prime);
+            s / cycles(session, *neon, core::Impl::Neon, prime);
         ff->runScalar();
         const double ldff =
-            s / cycles(runner, *ff, core::Impl::Neon, prime);
+            s / cycles(session, *ff, core::Impl::Neon, prime);
         const bool ok = neon->verify() && ff->verify();
         t.addRow({"strlen over a string batch",
                   core::fmtX(over) + " (over-read)",

@@ -35,7 +35,7 @@ main()
 
     const auto cfg = sim::primeConfig();
     gpu::OffloadParams params;
-    core::Runner runner;
+    const Session session = Session::fromEnv();
 
     core::banner(std::cout,
                  "ML offload advisor: CPU (Neon) vs GPU per layer");
@@ -48,7 +48,7 @@ main()
         opts.gemmN = l.n;
         opts.gemmK = l.k;
         auto w = workloads::xnnpack::makeGemmF32(opts);
-        auto run = runner.run(*w, core::Impl::Neon, cfg);
+        auto run = session.run(*w, core::Impl::Neon, cfg);
         const uint64_t macs = w->flops() / 2;
         const double neon_us = run.sim.timeSec * 1e6;
         const double gpu_us = gpu::gpuTimeSec(macs, false, params) * 1e6;

@@ -71,7 +71,7 @@ main(int argc, char **argv)
     core::Options opts = core::Options::fromEnv();
     if (argc > 1 && std::string(argv[1]) == "--full")
         opts = core::Options::full();
-    core::Runner runner(opts);
+    const Session session = Session::fromEnv();
     const auto prime = sim::primeConfig();
 
     core::banner(std::cout,
@@ -120,8 +120,8 @@ main(int argc, char **argv)
                                  ext::WasmIsa::Simd128,
                                  ext::WasmIsa::Relaxed}) {
             auto w = port.make(opts, isa);
-            auto s = runner.run(*w, core::Impl::Scalar, prime);
-            auto v = runner.run(*w, core::Impl::Neon, prime);
+            auto s = session.run(*w, core::Impl::Scalar, prime);
+            auto v = session.run(*w, core::Impl::Neon, prime);
             if (!w->verify()) {
                 std::cerr << port.name << ": output mismatch\n";
                 return 1;

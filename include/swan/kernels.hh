@@ -4,8 +4,8 @@
  * the Workload interface, the global Registry that static registration
  * (SWAN_REGISTER_KERNEL) fills before main(), and the workload
  * input-size Options. Consumers enumerate kernels here and feed them
- * to a swan::Experiment or a core::Runner; nothing under src/ needs to
- * be included directly.
+ * to a swan::Experiment, or make a workload for Session::run; nothing
+ * under src/ needs to be included directly.
  */
 
 #ifndef SWAN_KERNELS_HH

@@ -1,8 +1,9 @@
 /**
  * @file
  * Public re-export: report formatting (core::Table, banner, fmt/fmtX/
- * fmtPct) and aggregation helpers (geomean, summarizeByLibrary) used
- * by the per-figure reproductions.
+ * fmtPct) and the geomean/mean helpers used by the per-figure
+ * reproductions (per-group aggregation over Results is swan::geomeanBy,
+ * swan/results.hh).
  */
 
 #ifndef SWAN_REPORT_HH

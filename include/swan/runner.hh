@@ -1,11 +1,12 @@
 /**
  * @file
- * Public re-export: the single-point measurement harness. core::Runner
- * (capture one implementation's dynamic trace, replay it through a
- * core timing model, apply the power model), the Impl axis, KernelRun
- * and the Scalar/Auto/Neon Comparison. For grids of points, prefer
- * swan::Experiment — it adds caching, parallelism and emitters on top
- * of the same harness.
+ * Public re-export: trace capture. core::Runner's static capture
+ * functions (one implementation's dynamic trace, buffered or encoded
+ * on emit), the Impl axis and KernelRun, one point's measured result.
+ * Measurements go through swan::Experiment (grids of registered
+ * kernels: cached, parallel) or Session::run (one custom workload
+ * instance); both replay a capture through a core timing model and
+ * the power model.
  */
 
 #ifndef SWAN_RUNNER_HH

@@ -73,9 +73,9 @@ struct SessionOptions
      */
     std::vector<std::string> faults;
 
-    /** Workload input sizes for single-point runs (Session::run /
-     *  Session::compare) and anywhere else a driver needs a concrete
-     *  problem size. [env: SWAN_FULL / SWAN_FAST via
+    /** Workload input sizes for code that makes its own workload
+     *  instances (Session::run) and anywhere else a concrete problem
+     *  size is needed. [env: SWAN_FULL / SWAN_FAST via
      *  core::Options::fromEnv] */
     core::Options workload = core::Options::defaults();
 
@@ -175,21 +175,16 @@ class Session
     sweep::ResultCache &cache() const { return cache_; }
 
     /**
-     * Single-point path: capture + simulate + apply the power model
-     * for one (implementation, core, width) of a workload instance,
-     * using this session's warm-up passes — the Session-aware form of
-     * what drivers used to hand-wire with
-     * core::Runner(Options::fromEnv()). Make the workload from
-     * options().workload.
+     * Single-point path for workloads a grid cannot name (custom
+     * sizes, unregistered study kernels): capture one implementation
+     * of @p w, replay it on @p cfg with this session's warm-up passes
+     * and apply the power model. Uncached; one workload instance
+     * serves any number of calls. Registered kernels at preset sizes
+     * go through an Experiment, which caches and parallelizes.
      */
     core::KernelRun run(core::Workload &w, core::Impl impl,
                         const sim::CoreConfig &cfg,
                         int vec_bits = 128) const;
-
-    /** Scalar vs Auto vs Neon on one core, outputs verified (the CLI
-     *  'compare' subcommand's path). */
-    core::Comparison compare(const core::KernelSpec &spec,
-                             const sim::CoreConfig &cfg) const;
 
     /**
      * The scheduler configuration this session's options imply, for

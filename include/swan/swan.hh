@@ -7,7 +7,7 @@
  *   swan/experiment.hh  fluent grid builder -> Results
  *   swan/results.hh     iteration / find / where / emit
  *   swan/kernels.hh     kernel metadata, Registry, Options
- *   swan/runner.hh      single-point capture + simulate harness
+ *   swan/runner.hh      trace capture, the Impl axis, KernelRun
  *   swan/sim.hh         core timing + power models, config presets
  *   swan/trace.hh       instruction traces, mix stats, packed encoding
  *   swan/sweep.hh       the engine under Experiment (specs, scheduler,

@@ -54,25 +54,12 @@ core::KernelRun
 Session::run(core::Workload &w, core::Impl impl,
              const sim::CoreConfig &cfg, int vec_bits) const
 {
-    const core::Runner runner(opts_.workload);
-    return runner.run(w, impl, cfg, vec_bits, opts_.warmupPasses);
-}
-
-core::Comparison
-Session::compare(const core::KernelSpec &spec,
-                 const sim::CoreConfig &cfg) const
-{
-    // One workload instance for all three implementations, like
-    // core::Runner::compare, but honoring the session's warm-up
-    // passes and workload policy.
-    core::Comparison c;
-    c.info = spec.info;
-    auto w = spec.make(opts_.workload);
-    c.scalar = run(*w, core::Impl::Scalar, cfg);
-    c.autovec = run(*w, core::Impl::Auto, cfg);
-    c.neon = run(*w, core::Impl::Neon, cfg);
-    c.verified = w->verify();
-    return c;
+    core::KernelRun out;
+    const trace::PackedTrace packed =
+        core::Runner::capturePacked(w, impl, vec_bits, &out.mix);
+    // Power-complete: the power model is fused into CoreModel::finish.
+    out.sim = sim::simulateTrace(packed, cfg, opts_.warmupPasses);
+    return out;
 }
 
 sweep::SchedulerConfig

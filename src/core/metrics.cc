@@ -27,48 +27,4 @@ mean(const std::vector<double> &xs)
     return sum / double(xs.size());
 }
 
-std::vector<LibrarySummary>
-summarizeByLibrary(const std::vector<Comparison> &comparisons)
-{
-    std::vector<std::string> order;
-    for (const auto &c : comparisons) {
-        bool seen = false;
-        for (const auto &s : order)
-            seen = seen || s == c.info.symbol;
-        if (!seen)
-            order.push_back(c.info.symbol);
-    }
-
-    std::vector<LibrarySummary> out;
-    for (const auto &sym : order) {
-        LibrarySummary s;
-        s.symbol = sym;
-        std::vector<double> speed, aspeed, energy, aenergy, reduc;
-        std::vector<double> pw_s, pw_a, pw_n;
-        for (const auto &c : comparisons) {
-            if (c.info.symbol != sym)
-                continue;
-            ++s.kernels;
-            speed.push_back(c.neonSpeedup());
-            aspeed.push_back(c.autoSpeedup());
-            energy.push_back(c.neonEnergyImprovement());
-            aenergy.push_back(c.autoEnergyImprovement());
-            reduc.push_back(c.instrReduction());
-            pw_s.push_back(c.scalar.sim.powerW);
-            pw_a.push_back(c.autovec.sim.powerW);
-            pw_n.push_back(c.neon.sim.powerW);
-        }
-        s.neonSpeedup = geomean(speed);
-        s.autoSpeedup = geomean(aspeed);
-        s.neonEnergyImprovement = geomean(energy);
-        s.autoEnergyImprovement = geomean(aenergy);
-        s.instrReduction = geomean(reduc);
-        s.scalarPowerW = mean(pw_s);
-        s.autoPowerW = mean(pw_a);
-        s.neonPowerW = mean(pw_n);
-        out.push_back(s);
-    }
-    return out;
-}
-
 } // namespace swan::core

@@ -1,16 +1,13 @@
 /**
  * @file
- * Aggregation helpers: geometric means (the paper reports per-library
- * geomeans), library-level summaries over kernel comparisons.
+ * Aggregation helpers: geometric and arithmetic means (the paper
+ * reports per-library geomeans; swan::geomeanBy groups them).
  */
 
 #ifndef SWAN_CORE_METRICS_HH
 #define SWAN_CORE_METRICS_HH
 
-#include <string>
 #include <vector>
-
-#include "core/runner.hh"
 
 namespace swan::core
 {
@@ -20,25 +17,6 @@ double geomean(const std::vector<double> &xs);
 
 /** Arithmetic mean; 0 for an empty set. */
 double mean(const std::vector<double> &xs);
-
-/** Per-library aggregate of kernel comparisons (Figure 2/3 rows). */
-struct LibrarySummary
-{
-    std::string symbol;
-    int kernels = 0;
-    double neonSpeedup = 0.0;
-    double autoSpeedup = 0.0;
-    double neonEnergyImprovement = 0.0;
-    double autoEnergyImprovement = 0.0;
-    double instrReduction = 0.0;
-    double scalarPowerW = 0.0;
-    double autoPowerW = 0.0;
-    double neonPowerW = 0.0;
-};
-
-/** Aggregate comparisons by library symbol (registration order). */
-std::vector<LibrarySummary>
-summarizeByLibrary(const std::vector<Comparison> &comparisons);
 
 } // namespace swan::core
 

@@ -34,22 +34,28 @@ Options::full()
 }
 
 Options
+Options::tiny()
+{
+    Options o;
+    o.imageWidth = 96;
+    o.imageHeight = 48;
+    o.audioSamples = 1024;
+    o.bufferBytes = 4 * 1024;
+    o.gemmM = 32;
+    o.gemmN = 32;
+    o.gemmK = 32;
+    o.videoBlocks = 16;
+    return o;
+}
+
+Options
 Options::fromEnv()
 {
     if (envSet("SWAN_FULL"))
         return full();
-    Options o;
-    if (envSet("SWAN_FAST")) {
-        o.imageWidth = 96;
-        o.imageHeight = 48;
-        o.audioSamples = 1024;
-        o.bufferBytes = 4 * 1024;
-        o.gemmM = 32;
-        o.gemmN = 32;
-        o.gemmK = 32;
-        o.videoBlocks = 16;
-    }
-    return o;
+    if (envSet("SWAN_FAST"))
+        return tiny();
+    return {};
 }
 
 } // namespace swan::core

@@ -52,7 +52,10 @@ struct Options
     /** The paper's input sizes (Section 4.1). */
     static Options full();
 
-    /** defaults(), full() when SWAN_FULL=1, tiny when SWAN_FAST=1. */
+    /** The smallest inputs: CI smoke runs and the "tiny" working set. */
+    static Options tiny();
+
+    /** defaults(), full() when SWAN_FULL=1, tiny() when SWAN_FAST=1. */
     static Options fromEnv();
 };
 

@@ -75,44 +75,4 @@ Runner::capturePacked(Workload &w, Impl impl, int vec_bits,
     return builder.finish();
 }
 
-KernelRun
-Runner::run(Workload &w, Impl impl, const sim::CoreConfig &cfg,
-            int vec_bits, int warmup_passes) const
-{
-    KernelRun out;
-    const trace::PackedTrace packed =
-        capturePacked(w, impl, vec_bits, &out.mix);
-    // Results come out of the replay engine power-complete (the power
-    // model is fused into CoreModel::finish).
-    out.sim = sim::simulateTrace(packed, cfg, warmup_passes);
-    return out;
-}
-
-Comparison
-Runner::compare(const KernelSpec &spec, const sim::CoreConfig &cfg) const
-{
-    Comparison c;
-    c.info = spec.info;
-    auto w = spec.make(opts_);
-    c.scalar = run(*w, Impl::Scalar, cfg);
-    c.autovec = run(*w, Impl::Auto, cfg);
-    c.neon = run(*w, Impl::Neon, cfg);
-    c.verified = w->verify();
-    return c;
-}
-
-Comparison
-Runner::compareScalarNeon(const KernelSpec &spec,
-                          const sim::CoreConfig &cfg, int vec_bits) const
-{
-    Comparison c;
-    c.info = spec.info;
-    auto w = spec.make(opts_);
-    c.scalar = run(*w, Impl::Scalar, cfg);
-    c.neon = run(*w, Impl::Neon, cfg, vec_bits);
-    c.autovec = c.scalar;
-    c.verified = w->verify();
-    return c;
-}
-
 } // namespace swan::core

@@ -1,9 +1,11 @@
 /**
  * @file
- * The measurement harness: captures a kernel implementation's dynamic
- * instruction trace, replays it through a core timing model (with cache
- * warm-up, as the paper does), and applies the power model. This is the
- * software analogue of the paper's measurement flow (Section 4.3):
+ * Trace capture: runs one implementation of a kernel under a recorder
+ * and yields its dynamic instruction trace, buffered or encoded on
+ * emit. Session::run replays one capture through a core timing model
+ * (with cache warm-up, as the paper does) and the power model; an
+ * Experiment does the same for a grid of points. This is the software
+ * analogue of the paper's measurement flow (Section 4.3):
  * cross-compile -> run pinned to a core -> Simpleperf PMU counters ->
  * battery power rails.
  */
@@ -15,9 +17,7 @@
 #include <vector>
 
 #include "core/kernel.hh"
-#include "core/registry.hh"
 #include "sim/core_model.hh"
-#include "sim/power.hh"
 #include "trace/packed.hh"
 #include "trace/stats.hh"
 
@@ -41,50 +41,10 @@ struct KernelRun
     trace::MixStats mix;
 };
 
-/** Scalar/Auto/Neon comparison of one kernel on one core config. */
-struct Comparison
-{
-    KernelInfo info;
-    KernelRun scalar;
-    KernelRun autovec;
-    KernelRun neon;
-    bool verified = false;
-
-    double
-    neonSpeedup() const
-    {
-        return double(scalar.sim.cycles) / double(neon.sim.cycles);
-    }
-    double
-    autoSpeedup() const
-    {
-        return double(scalar.sim.cycles) / double(autovec.sim.cycles);
-    }
-    double
-    neonEnergyImprovement() const
-    {
-        return scalar.sim.energyJ / neon.sim.energyJ;
-    }
-    double
-    autoEnergyImprovement() const
-    {
-        return scalar.sim.energyJ / autovec.sim.energyJ;
-    }
-    double
-    instrReduction() const
-    {
-        return double(scalar.mix.total()) / double(neon.mix.total());
-    }
-};
-
-/** Trace-capture + simulation harness. */
+/** The capture entry points; every capture path runs through them. */
 class Runner
 {
   public:
-    explicit Runner(Options opts = Options::fromEnv()) : opts_(opts) {}
-
-    const Options &options() const { return opts_; }
-
     /** Execute one implementation under a buffering recorder. */
     static std::vector<trace::Instr> capture(Workload &w, Impl impl,
                                              int vec_bits = 128);
@@ -99,8 +59,8 @@ class Runner
 
     /**
      * Capture streaming every instruction into @p sink as it is
-     * emitted — a PackedTrace::Builder (encode on emit) or a
-     * MixStats. Same canonical addresses as the buffered forms.
+     * emitted (a PackedTrace::Builder encodes on emit). Same
+     * canonical addresses as the buffered forms.
      */
     static void captureInto(Workload &w, Impl impl, int vec_bits,
                             trace::Sink *sink);
@@ -115,22 +75,6 @@ class Runner
     static trace::PackedTrace capturePacked(Workload &w, Impl impl,
                                             int vec_bits,
                                             trace::MixStats *mix);
-
-    /** Capture + simulate + power for one implementation. */
-    KernelRun run(Workload &w, Impl impl, const sim::CoreConfig &cfg,
-                  int vec_bits = 128, int warmup_passes = 1) const;
-
-    /** Run Scalar, Auto and Neon and verify outputs. */
-    Comparison compare(const KernelSpec &spec,
-                       const sim::CoreConfig &cfg) const;
-
-    /** Scalar-vs-Neon only (skips the Auto pass; faster sweeps). */
-    Comparison compareScalarNeon(const KernelSpec &spec,
-                                 const sim::CoreConfig &cfg,
-                                 int vec_bits = 128) const;
-
-  private:
-    Options opts_;
 };
 
 } // namespace swan::core

@@ -74,16 +74,7 @@ workingSetForName(const std::string &name, core::Options *out)
     } else if (name == "full") {
         *out = core::Options::full();
     } else if (name == "tiny") {
-        core::Options o;
-        o.imageWidth = 96;
-        o.imageHeight = 48;
-        o.audioSamples = 1024;
-        o.bufferBytes = 4 * 1024;
-        o.gemmM = 32;
-        o.gemmN = 32;
-        o.gemmK = 32;
-        o.videoBlocks = 16;
-        *out = o;
+        *out = core::Options::tiny();
     } else if (name == "scalability") {
         *out = scalabilityOptions(core::Options::fromEnv());
     } else {

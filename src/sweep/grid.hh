@@ -89,8 +89,9 @@ bool configForName(const std::string &name, int vec_bits,
 
 /**
  * Resolve a working-set preset: "default" (Options::fromEnv), "full"
- * (paper Section 4.1 sizes), "tiny" (SWAN_FAST sizes), "scalability"
- * (default clamped LLC-resident, the Figure-5 protocol).
+ * (Options::full, paper Section 4.1 sizes), "tiny" (Options::tiny, the
+ * SWAN_FAST sizes), "scalability" (default clamped LLC-resident, the
+ * Figure-5 protocol).
  * @return false if the name is not a preset.
  */
 bool workingSetForName(const std::string &name, core::Options *out);

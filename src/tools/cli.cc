@@ -359,7 +359,7 @@ coreFor(const std::string &name)
 
 /**
  * Session for every command that executes kernels — the single-point
- * run/compare paths and both sweep forms. The SWAN_* environment
+ * run path, compare and both sweep forms. The SWAN_* environment
  * supplies the defaults, explicit flags override (explicit > env >
  * default); no command reads the environment directly.
  */
@@ -520,37 +520,7 @@ cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
     return 0;
 }
 
-int
-cmdCompare(const Parsed &p, std::ostream &out, std::ostream &err)
-{
-    const auto *spec = core::Registry::instance().find(p.kernel);
-    if (!spec) {
-        err << "swan: unknown kernel '" << p.kernel << "'\n";
-        return 2;
-    }
-    Session session = sessionFor(p);
-    auto cmp = session.compare(*spec, coreFor(p.coreName));
-
-    core::Table t({"Impl", "Instructions", "Cycles", "IPC", "Speedup",
-                   "Energy impr."});
-    const auto row = [&](const char *nm, const core::KernelRun &r) {
-        t.addRow({nm, std::to_string(r.mix.total()),
-                  std::to_string(r.sim.cycles), core::fmt(r.sim.ipc, 2),
-                  core::fmtX(double(cmp.scalar.sim.cycles) /
-                             double(r.sim.cycles)),
-                  core::fmtX(cmp.scalar.sim.energyJ / r.sim.energyJ)});
-    };
-    row("Scalar", cmp.scalar);
-    row("Auto", cmp.autovec);
-    row("Neon", cmp.neon);
-    t.print(out);
-    out << "instruction reduction (Scalar/Neon): "
-        << core::fmtX(cmp.instrReduction()) << "\n"
-        << "outputs verified: " << (cmp.verified ? "yes" : "NO") << "\n";
-    return cmp.verified ? 0 : 1;
-}
-
-/** Execute an experiment; shared by both sweep forms. With
+/** Execute an experiment; shared by compare and both sweep forms. With
  *  --progress, stream one stderr line per finished row (deterministic
  *  point order, Experiment::onRow) tagged with the row's origin. A
  *  diagnostic that comes with rows (a metrics file that could not be
@@ -577,6 +547,60 @@ runEngine(Experiment &experiment, bool progress, std::ostream &err,
     if (!engineErr->empty())
         err << "swan: warning: " << *engineErr << "\n";
     return results;
+}
+
+int
+cmdCompare(const Parsed &p, std::ostream &out, std::ostream &err)
+{
+    const auto *spec = core::Registry::instance().find(p.kernel);
+    if (!spec) {
+        err << "swan: unknown kernel '" << p.kernel << "'\n";
+        return 2;
+    }
+    // A comparison is of clean runs: --faults shapes sweeps only.
+    Parsed clean = p;
+    clean.faultList.clear();
+    Session session = sessionFor(clean);
+    const std::string qn = spec->info.qualifiedName();
+    Experiment experiment(session);
+    experiment.kernel(qn)
+        .impls({core::Impl::Scalar, core::Impl::Auto, core::Impl::Neon})
+        .config(p.coreName)
+        .workingSet(p.full ? "full" : "default");
+    std::string gerr;
+    const Results results = runEngine(experiment, p.progress, err, &gerr);
+    if (results.empty()) {
+        err << "swan: " << gerr << "\n";
+        return 2;
+    }
+    const auto &scalar = results.find(qn, core::Impl::Scalar, 128)->run;
+    const auto &neon = results.find(qn, core::Impl::Neon, 128)->run;
+
+    // The paper's correctness check, untraced (full host speed).
+    auto w = spec->make(session.options().workload);
+    w->runScalar();
+    w->runAuto();
+    w->runNeon(128);
+    const bool verified = w->verify();
+
+    core::Table t({"Impl", "Instructions", "Cycles", "IPC", "Speedup",
+                   "Energy impr."});
+    for (const auto &r : results) {
+        const core::KernelRun &k = r.run;
+        t.addRow({std::string(core::name(r.point.impl)),
+                  std::to_string(k.mix.total()),
+                  std::to_string(k.sim.cycles), core::fmt(k.sim.ipc, 2),
+                  core::fmtX(double(scalar.sim.cycles) /
+                             double(k.sim.cycles)),
+                  core::fmtX(scalar.sim.energyJ / k.sim.energyJ)});
+    }
+    t.print(out);
+    out << "instruction reduction (Scalar/Neon): "
+        << core::fmtX(double(scalar.mix.total()) /
+                      double(neon.mix.total()))
+        << "\n"
+        << "outputs verified: " << (verified ? "yes" : "NO") << "\n";
+    return verified ? 0 : 1;
 }
 
 /** Legacy per-kernel axis sweep: widths (Fig. 5a) or cores (Fig. 4). */

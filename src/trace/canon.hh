@@ -47,8 +47,8 @@ namespace swan::trace
  * calling thread (a no-op for bytes == 0). Regions are per thread: a
  * capture resolves addresses against the table of the thread it runs
  * on, so make the workload on the thread that captures it (the sweep
- * scheduler, the Runner and the CLI all do). An address in another
- * thread's region falls back to the page map.
+ * scheduler, Session::run's callers and the CLI all do). An address in
+ * another thread's region falls back to the page map.
  */
 void registerRegion(const void *base, size_t bytes);
 

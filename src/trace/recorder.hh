@@ -18,8 +18,9 @@ namespace swan::trace
 {
 
 /**
- * Consumer of a streaming Recorder: a PackedTrace::Builder (encode on
- * emit) or a MixStats.
+ * Consumer of a streaming Recorder. The library's one Sink is
+ * PackedTrace::Builder (encode on emit), which also counts the
+ * capture's MixStats; tests implement their own.
  */
 class Sink
 {
@@ -34,8 +35,8 @@ class Sink
  *
  * A Recorder either keeps the full trace in memory as an AoS buffer
  * (benches, tests) or forwards each record to a Sink without
- * buffering: a PackedTrace::Builder encodes on emit (the sweep and
- * Runner capture path).
+ * buffering: a PackedTrace::Builder encodes on emit (the sweep,
+ * Session::run and `swan run` capture path).
  *
  * Every recorded address is translated into the canonical trace
  * address space (trace/canon.hh) on emit, so a trace is a pure

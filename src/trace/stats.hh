@@ -1,8 +1,10 @@
 /**
  * @file
  * Trace statistics: instruction-class mix (Figure 1), stride census
- * (Table 6) and SIMD lane utilization (Section 7.1). Implemented as an
- * accumulating Sink so it works for both buffered and streaming traces.
+ * (Table 6) and SIMD lane utilization (Section 7.1). A streaming
+ * capture counts its mix per descriptor (PackedTrace::Builder folds
+ * each descriptor's count in with add()); a buffered trace is counted
+ * with addTrace().
  */
 
 #ifndef SWAN_TRACE_STATS_HH
@@ -13,20 +15,16 @@
 #include <vector>
 
 #include "trace/instr.hh"
-#include "trace/recorder.hh"
 
 namespace swan::trace
 {
 
 /** Accumulated instruction-mix and pattern statistics of one trace. */
-class MixStats final : public Sink
+class MixStats
 {
   public:
-    void onInstr(const Instr &instr) override { add(instr, 1); }
-
     /** Count @p n instructions of @p shape's class, stride and
-     *  geometry (its identity fields are not read): @p n onInstr()
-     *  calls in one. */
+     *  geometry (its identity fields are not read). */
     void add(const Instr &shape, uint64_t n);
 
     /** Accumulate a whole buffered trace. */
@@ -34,7 +32,7 @@ class MixStats final : public Sink
     addTrace(const std::vector<Instr> &instrs)
     {
         for (const auto &i : instrs)
-            onInstr(i);
+            add(i, 1);
     }
 
     uint64_t total() const { return total_; }

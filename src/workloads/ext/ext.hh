@@ -3,7 +3,7 @@
  * Future-ISA extension studies (DESIGN.md "Extensions"; the paper's
  * Section 9 future work). Each study is a Workload whose runNeon()
  * executes a selected implementation variant, so the standard
- * core::Runner measurement flow applies unchanged:
+ * single-point measurement (Session::run) applies unchanged:
  *
  *  - LutTransform / DesGather: the Section 6.2 look-up-table kernels
  *    re-implemented with SVE/RVV-style vgather instead of Neon's

@@ -17,6 +17,7 @@
 
 #include "core/runner.hh"
 #include "sim/configs.hh"
+#include "swan/session.hh"
 #include "trace/stats.hh"
 #include "workloads/ext/ext.hh"
 
@@ -201,14 +202,14 @@ TEST(WasmStudy, WasmSha256HasNoCryptoInstructions)
 TEST(WasmStudy, PortedKernelsStillBeatScalarOnPrime)
 {
     auto opts = testOptions();
-    core::Runner runner(opts);
+    const Session session;
     const auto cfg = sim::primeConfig();
     for (const auto &pc : kPorts) {
         if (std::string(pc.name) == "sha256")
             continue; // wasm port is scalar by construction
         auto w = pc.make(opts, WasmIsa::Simd128);
-        auto scalar = runner.run(*w, core::Impl::Scalar, cfg);
-        auto vec = runner.run(*w, core::Impl::Neon, cfg);
+        auto scalar = session.run(*w, core::Impl::Scalar, cfg);
+        auto vec = session.run(*w, core::Impl::Neon, cfg);
         EXPECT_LT(vec.sim.cycles, scalar.sim.cycles) << pc.name;
     }
 }
@@ -216,13 +217,13 @@ TEST(WasmStudy, PortedKernelsStillBeatScalarOnPrime)
 TEST(WasmStudy, NeonNativeIsAtLeastAsFastAsWasmPort)
 {
     auto opts = testOptions();
-    core::Runner runner(opts);
+    const Session session;
     const auto cfg = sim::primeConfig();
     for (const auto &pc : kPorts) {
         auto wn = pc.make(opts, WasmIsa::NeonNative);
         auto ww = pc.make(opts, WasmIsa::Simd128);
-        auto neon = runner.run(*wn, core::Impl::Neon, cfg);
-        auto wasm = runner.run(*ww, core::Impl::Neon, cfg);
+        auto neon = session.run(*wn, core::Impl::Neon, cfg);
+        auto wasm = session.run(*ww, core::Impl::Neon, cfg);
         EXPECT_LE(neon.sim.cycles, wasm.sim.cycles) << pc.name;
     }
 }

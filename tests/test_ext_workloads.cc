@@ -12,6 +12,7 @@
 
 #include "core/runner.hh"
 #include "sim/configs.hh"
+#include "swan/session.hh"
 #include "trace/stats.hh"
 #include "workloads/ext/ext.hh"
 
@@ -123,12 +124,11 @@ TEST(LutStudy, GatherBeatsScalarInSimulatedCycles)
 {
     // The paper's point: with gather intrinsics the LUT kernels keep
     // their tables *and* their vector speedup.
-    core::Runner runner(testOptions());
+    const Session session;
     const auto cfg = sim::primeConfig();
-    auto w = workloads::ext::makeLutTransform(runner.options(),
-                                              LutImpl::Gather);
-    auto s = runner.run(*w, core::Impl::Scalar, cfg);
-    auto n = runner.run(*w, core::Impl::Neon, cfg);
+    auto w = workloads::ext::makeLutTransform(testOptions(), LutImpl::Gather);
+    auto s = session.run(*w, core::Impl::Scalar, cfg);
+    auto n = session.run(*w, core::Impl::Neon, cfg);
     EXPECT_TRUE(w->verify());
     EXPECT_GT(double(s.sim.cycles) / double(n.sim.cycles), 1.5);
 }

@@ -1,17 +1,21 @@
 /**
  * @file
  * Integration tests of the measurement harness: trace capture through
- * the Workload interface, end-to-end comparisons, and sanity of the
- * derived metrics (speedups, instruction reduction, energy) on real
- * kernels at tiny input sizes.
+ * the Workload interface, and sanity of the derived metrics (speedups,
+ * instruction reduction, energy) of measured points — Speedup rows of
+ * an Experiment — on real kernels at tiny input sizes.
  */
+
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/metrics.hh"
 #include "core/registry.hh"
 #include "core/runner.hh"
-#include "sim/configs.hh"
+#include "swan/experiment.hh"
 
 using namespace swan;
 
@@ -31,6 +35,33 @@ tinyOptions()
     o.gemmK = 16;
     o.videoBlocks = 2;
     return o;
+}
+
+/** @p kernel's @p impls on @p configs at the tiny working set. */
+Results
+measure(Session &session, const char *kernel,
+        std::vector<core::Impl> impls,
+        std::vector<std::string> configs = {"prime"})
+{
+    return Experiment(session)
+        .kernel(kernel)
+        .impls(std::move(impls))
+        .configs(std::move(configs))
+        .workingSet("tiny")
+        .run();
+}
+
+/** The row of @p rows whose point is @p impl on @p config; null if
+ *  absent. */
+const Speedup *
+rowFor(const std::vector<Speedup> &rows, core::Impl impl,
+       std::string_view config = "prime")
+{
+    for (const auto &r : rows)
+        if (r.point->point.impl == impl &&
+            r.point->point.configName == config)
+            return &r;
+    return nullptr;
 }
 
 } // namespace
@@ -62,39 +93,57 @@ TEST(Runner, TraceIdsAreProgramOrder)
     }
 }
 
-TEST(Runner, ComparisonMetricsSane)
+TEST(Measurement, SpeedupMetricsSane)
 {
-    core::Runner runner(tinyOptions());
-    const auto *spec = core::Registry::instance().find("ZL/crc32");
-    ASSERT_NE(spec, nullptr);
-    auto c = runner.compare(*spec, sim::primeConfig());
-    EXPECT_TRUE(c.verified);
-    EXPECT_GT(c.neonSpeedup(), 1.0);
-    EXPECT_GT(c.instrReduction(), 1.0);
-    EXPECT_GT(c.neonEnergyImprovement(), 1.0);
-    EXPECT_GT(c.scalar.sim.powerW, 0.1);
-    EXPECT_LT(c.scalar.sim.powerW, 10.0);
+    Session session;
+    const Results r =
+        measure(session, "ZL/crc32",
+                {core::Impl::Scalar, core::Impl::Auto, core::Impl::Neon});
+    const auto rows = r.speedupVs(core::Impl::Scalar);
+    const Speedup *neon = rowFor(rows, core::Impl::Neon);
+    ASSERT_NE(neon, nullptr);
+    EXPECT_GT(neon->speedup(), 1.0);
+    EXPECT_GT(neon->instrReduction(), 1.0);
+    EXPECT_GT(neon->energyImprovement(), 1.0);
+    EXPECT_GT(neon->baseline->run.sim.powerW, 0.1);
+    EXPECT_LT(neon->baseline->run.sim.powerW, 10.0);
+
+    // The paper's output check, on one instance running all three.
+    auto w = core::Registry::instance().find("ZL/crc32")->make(
+        core::Options::tiny());
+    w->runScalar();
+    w->runAuto();
+    w->runNeon(128);
+    EXPECT_TRUE(w->verify());
 }
 
-TEST(Runner, AutoDefaultsToScalarWhenVectorizationFails)
+TEST(Measurement, AutoDefaultsToScalarWhenVectorizationFails)
 {
-    core::Runner runner(tinyOptions());
     // adler32's verdict is "does not vectorize" with no dedicated Auto
     // implementation, so Auto == Scalar instruction-for-instruction.
-    const auto *spec = core::Registry::instance().find("ZL/adler32");
-    auto c = runner.compare(*spec, sim::primeConfig());
-    EXPECT_EQ(c.autovec.mix.total(), c.scalar.mix.total());
-    EXPECT_NEAR(c.autoSpeedup(), 1.0, 0.02);
+    Session session;
+    const Results r = measure(session, "ZL/adler32",
+                              {core::Impl::Scalar, core::Impl::Auto});
+    const auto rows = r.speedupVs(core::Impl::Scalar);
+    const Speedup *autovec = rowFor(rows, core::Impl::Auto);
+    ASSERT_NE(autovec, nullptr);
+    EXPECT_EQ(autovec->point->run.mix.total(),
+              autovec->baseline->run.mix.total());
+    EXPECT_NEAR(autovec->speedup(), 1.0, 0.02);
 }
 
-TEST(Runner, VectorizedAutoBeatsScalar)
+TEST(Measurement, VectorizedAutoBeatsScalar)
 {
-    core::Runner runner(tinyOptions());
     const auto *spec = core::Registry::instance().find("LP/defilter_up");
     ASSERT_NE(spec, nullptr);
     ASSERT_TRUE(spec->info.autovec.vectorizes);
-    auto c = runner.compare(*spec, sim::primeConfig());
-    EXPECT_GT(c.autoSpeedup(), 1.05);
+    Session session;
+    const Results r = measure(session, "LP/defilter_up",
+                              {core::Impl::Scalar, core::Impl::Auto});
+    const auto rows = r.speedupVs(core::Impl::Scalar);
+    const Speedup *autovec = rowFor(rows, core::Impl::Auto);
+    ASSERT_NE(autovec, nullptr);
+    EXPECT_GT(autovec->speedup(), 1.05);
 }
 
 TEST(Runner, GeomeanHelpers)
@@ -104,33 +153,24 @@ TEST(Runner, GeomeanHelpers)
     EXPECT_DOUBLE_EQ(core::mean({1.0, 3.0}), 2.0);
 }
 
-TEST(Runner, SummaryGroupsByLibrary)
+TEST(Measurement, SilverVsPrimeEnergy)
 {
-    core::Runner runner(tinyOptions());
-    std::vector<core::Comparison> comps;
-    for (const char *name : {"ZL/adler32", "ZL/crc32", "OR/memcpy"}) {
-        const auto *spec = core::Registry::instance().find(name);
-        ASSERT_NE(spec, nullptr) << name;
-        comps.push_back(runner.compareScalarNeon(*spec,
-                                                 sim::primeConfig()));
-    }
-    auto summary = core::summarizeByLibrary(comps);
-    ASSERT_EQ(summary.size(), 2u);
-    EXPECT_EQ(summary[0].symbol, "ZL");
-    EXPECT_EQ(summary[0].kernels, 2);
-    EXPECT_EQ(summary[1].symbol, "OR");
-    EXPECT_GT(summary[0].neonSpeedup, 1.0);
-}
-
-TEST(Runner, SilverVsPrimeEnergy)
-{
-    core::Runner runner(tinyOptions());
-    const auto *spec = core::Registry::instance().find("WA/gain_node");
-    auto prime = runner.compareScalarNeon(*spec, sim::primeConfig());
-    auto silver = runner.compareScalarNeon(*spec, sim::silverConfig());
+    Session session;
+    const Results r =
+        measure(session, "WA/gain_node",
+                {core::Impl::Scalar, core::Impl::Neon}, {"prime", "silver"});
+    const auto rows = r.speedupVs(core::Impl::Scalar);
+    const Speedup *prime = rowFor(rows, core::Impl::Neon, "prime");
+    const Speedup *silver = rowFor(rows, core::Impl::Neon, "silver");
+    ASSERT_NE(prime, nullptr);
+    ASSERT_NE(silver, nullptr);
+    // Each Neon point pairs with the Scalar point of its own core.
+    EXPECT_EQ(prime->baseline->point.configName, "prime");
+    EXPECT_EQ(silver->baseline->point.configName, "silver");
     // Both cores should show Neon gains; Prime runs are faster in
     // absolute time.
-    EXPECT_GT(prime.neonSpeedup(), 1.2);
-    EXPECT_GT(silver.neonSpeedup(), 1.0);
-    EXPECT_LT(prime.neon.sim.timeSec, silver.neon.sim.timeSec);
+    EXPECT_GT(prime->speedup(), 1.2);
+    EXPECT_GT(silver->speedup(), 1.0);
+    EXPECT_LT(prime->point->run.sim.timeSec,
+              silver->point->run.sim.timeSec);
 }

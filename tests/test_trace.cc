@@ -212,16 +212,8 @@ TEST(Trace, EveryKernelRecordsOnlyRegionAndStackAddresses)
     // layout. The page map hands out kPageBase + k pages and the stack
     // maps to just below kStackTop, so the lower half of the gap
     // between them is page-map territory no capture may reach. Explicit
-    // SWAN_FAST-sized options: no environment decides the inputs.
-    core::Options o;
-    o.imageWidth = 96;
-    o.imageHeight = 48;
-    o.audioSamples = 1024;
-    o.bufferBytes = 4 * 1024;
-    o.gemmM = 32;
-    o.gemmN = 32;
-    o.gemmK = 32;
-    o.videoBlocks = 16;
+    // tiny options: no environment decides the inputs.
+    const core::Options o = core::Options::tiny();
     constexpr uint64_t lo = trace::CanonMap::kPageBase;
     constexpr uint64_t hi =
         (trace::CanonMap::kPageBase + trace::CanonMap::kStackTop) / 2;

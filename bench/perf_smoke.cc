@@ -72,9 +72,9 @@ constexpr int kTrials = 11;
  * depend on that outstanding miss, so the window fills while the load
  * is in flight and, the cycle it completes, a 31-op ready burst slams
  * the (2-3 unit) vector pool — per-cycle issue tables run full for
- * long stretches. This is the regime where the issue-slot search
- * leans on each model's per-FU issue frontier, kept across a
- * traversal; the capture-mix corpus barely touches it.
+ * long stretches. This is where the issue-slot search scans furthest
+ * from the cycle an op is ready; the capture-mix corpus barely
+ * touches it.
  */
 std::vector<trace::Instr>
 buildSaturationTrace(size_t n)

@@ -155,35 +155,16 @@ CoreModel::findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
     const uint64_t mask = issueMask_;
     IssueSlot *ring = issueSlots_.data() + fu * (mask + 1);
     const uint8_t limit = uint8_t(fuFree_[fu].size());
-    const uint64_t frontier = fuFrontier_[fu];
-    // Cycles below the frontier are known full: skipping them cannot
-    // change the found slot (issue counts never decrease), it only
-    // bounds the scan — without it a saturated pool re-walks its whole
-    // backlog (up to a ROB's worth of cycles) per instruction.
-    uint64_t c = std::max(ready, frontier);
-    if (occupancy == 1) {
-        while (true) {
-            const auto &slot = ring[c & mask];
-            if ((slot.cycle == c ? slot.used : 0) < limit)
-                break;
-            ++c;
-        }
-        // The scan proved [start, c) full; when it started at the
-        // frontier, everything below c is now known full.
-        if (ready <= frontier)
-            fuFrontier_[fu] = c;
-    } else {
-        while (true) {
-            bool fits = true;
-            for (int k = 0; k < occupancy && fits; ++k) {
-                const auto &slot = ring[(c + uint64_t(k)) & mask];
-                const uint8_t used =
-                    slot.cycle == c + uint64_t(k) ? slot.used : 0;
-                fits = used < limit;
-            }
-            if (fits)
-                break;
-            ++c;
+    // A full cycle rules out every start up to and including it.
+    uint64_t c = ready;
+    for (int k = 0; k < occupancy;) {
+        const uint64_t at = c + uint64_t(k);
+        const auto &slot = ring[at & mask];
+        if ((slot.cycle == at ? slot.used : 0) < limit) {
+            ++k;
+        } else {
+            c = at + 1;
+            k = 0;
         }
     }
     // The reservation must fit the window anchored at dispatch (see
@@ -709,8 +690,7 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
 
     // The distinct functional hierarchies among the models, in
     // first-seen order: each is walked once per batch, and every model
-    // on it times the same outcomes. Each model starts the traversal
-    // with a zeroed issue frontier.
+    // on it times the same outcomes.
     const size_t nm = models.size();
     CacheHierarchy *stackWalks[kStackModels];
     std::vector<CacheHierarchy *> heapWalks;
@@ -730,7 +710,6 @@ CoreModel::replayPass(const trace::PackedTrace &trace,
                 lineShift, unsigned(__builtin_ctz(
                                uint32_t(h->l1().lineBytes()))));
         }
-        m->fuFrontier_.fill(0);
     }
     CoreModel::OutcomeTable table(nw, lineShift);
 

@@ -380,15 +380,10 @@ class CoreModel
      * right: nothing can have been reserved there. The window is thus
      * exactly an unbounded per-cycle table.
      *
-     * fuFrontier_[fu] is a monotone hint: every cycle below it is
-     * known to be fully issued, so the search may start there instead
-     * of at @p ready. A cycle's issue count never decreases, so
-     * skipping provably-full cycles cannot change which slot is found —
-     * results are bit-identical for any hint history, the hint only
-     * bounds the scan (saturated FU pools otherwise cost a ROB's worth
-     * of re-scanning per instruction). Single-cycle scans advance the
-     * frontier; a zeroed array is always valid, and each traversal
-     * starts from one.
+     * The search is one scan up from @p ready, for any @p occupancy:
+     * the slot is the first cycle c at which each of the cycles
+     * c .. c + occupancy - 1 holds fewer reservations than the pool
+     * has units.
      */
     uint64_t findIssueSlot(uint8_t fu, uint64_t dispatch, uint64_t ready,
                            int occupancy);
@@ -418,7 +413,7 @@ class CoreModel
      * stamped with the full cycle number they describe, so a slot left
      * over from an earlier cycle reads as zero without any clearing
      * sweep — host cost stays O(1) per instruction even when
-     * stall-heavy variants advance the cycle frontier by thousands per
+     * stall-heavy variants advance the dispatch cycle by thousands per
      * instruction.
      */
     struct IssueSlot
@@ -474,9 +469,6 @@ class CoreModel
      *  findIssueSlot). Empty for in-order models. */
     std::vector<IssueSlot> issueSlots_;
     uint64_t issueMask_ = 0;
-    /** Per-pool issue frontier (see findIssueSlot); zeroed at each
-     *  traversal start. */
-    std::array<uint64_t, size_t(trace::Fu::NumFus)> fuFrontier_{};
     /** This traversal's walk of caches_ in the outcome table. */
     uint32_t walk_ = 0;
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
+#include <unordered_map>
 
 #include "core/registry.hh"
 #include "obs/telemetry.hh"
@@ -29,19 +28,16 @@ namespace
  */
 struct Unit
 {
+    TraceKey key;                         //!< the shared capture identity
     std::vector<size_t> points;           //!< point indices, ascending
     std::vector<sim::CoreConfig> configs; //!< parallel to points
 };
 
-/** Capture identity: which points may share one trace. */
-using GroupKey = std::tuple<std::string, int, int, uint64_t>;
-
-GroupKey
-groupKeyFor(const SweepPoint &p)
+/** Units are found by TraceKey; the map is probed, never iterated. */
+struct TraceKeyHash
 {
-    return {p.spec->info.qualifiedName(), int(p.impl), p.vecBits,
-            fingerprint(p.options)};
-}
+    size_t operator()(const TraceKey &k) const { return k.hash(); }
+};
 
 } // namespace
 
@@ -130,13 +126,13 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     // (point-index) order.
     std::vector<Unit> units;
     {
-        std::map<GroupKey, size_t> unitOf;
+        std::unordered_map<TraceKey, size_t, TraceKeyHash> unitOf;
         for (size_t idx : pending) {
             const SweepPoint &p = points[idx];
-            auto [it, inserted] =
-                unitOf.emplace(groupKeyFor(p), units.size());
+            TraceKey key = traceKeyFor(p);
+            auto [it, inserted] = unitOf.try_emplace(key, units.size());
             if (inserted)
-                units.emplace_back();
+                units.push_back(Unit{std::move(key), {}, {}});
             Unit &u = units[it->second];
             u.points.push_back(idx);
             u.configs.push_back(p.config);
@@ -157,9 +153,8 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     // stored for the next run. Addresses are canonical (trace/canon.hh),
     // so the trace is the same whichever thread or process captures
     // it, and whatever ran before.
-    const auto acquireTrace = [&](const SweepPoint &p,
+    const auto acquireTrace = [&](const SweepPoint &p, const TraceKey &key,
                                   trace::MixStats *mix) {
-        const TraceKey key = traceKeyFor(p);
         trace::PackedTrace t;
         {
             // Packed-trace tier probe (and, on a hit, the disk read);
@@ -197,7 +192,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             const Unit &u = units[ui];
             trace::MixStats mix;
             const trace::PackedTrace t =
-                acquireTrace(points[u.points.front()], &mix);
+                acquireTrace(points[u.points.front()], u.key, &mix);
             // Partition the unit's points by fault scenario: a fused
             // traversal perturbs every model it steps, so points with
             // different faults (or none) replay in separate traversals

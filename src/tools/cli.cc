@@ -466,19 +466,31 @@ cmdInfo(const Parsed &p, std::ostream &out, std::ostream &err)
     return 0;
 }
 
-int
-cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
+/** The kernel run and compare measure at --bits, or nullptr once the
+ *  usage error (an unknown kernel, or a width it has no code for) is
+ *  printed. */
+const core::KernelSpec *
+kernelAtWidth(const Parsed &p, std::ostream &err)
 {
     const auto *spec = core::Registry::instance().find(p.kernel);
     if (!spec) {
         err << "swan: unknown kernel '" << p.kernel << "'\n";
-        return 2;
+        return nullptr;
     }
     if (p.bits != 128 && !spec->info.widerWidths) {
         err << "swan: " << p.kernel
             << " has no wider-register implementation\n";
-        return 2;
+        return nullptr;
     }
+    return spec;
+}
+
+int
+cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
+{
+    const auto *spec = kernelAtWidth(p, err);
+    if (!spec)
+        return 2;
     // One capture, simulated here and dumped below: a dumped trace
     // replays to the cycle count reported here.
     const Session session = sessionFor(p);
@@ -552,11 +564,9 @@ runEngine(Experiment &experiment, bool progress, std::ostream &err,
 int
 cmdCompare(const Parsed &p, std::ostream &out, std::ostream &err)
 {
-    const auto *spec = core::Registry::instance().find(p.kernel);
-    if (!spec) {
-        err << "swan: unknown kernel '" << p.kernel << "'\n";
+    const auto *spec = kernelAtWidth(p, err);
+    if (!spec)
         return 2;
-    }
     // A comparison is of clean runs: --faults shapes sweeps only.
     Parsed clean = p;
     clean.faultList.clear();
@@ -565,6 +575,7 @@ cmdCompare(const Parsed &p, std::ostream &out, std::ostream &err)
     Experiment experiment(session);
     experiment.kernel(qn)
         .impls({core::Impl::Scalar, core::Impl::Auto, core::Impl::Neon})
+        .vecBits({p.bits})
         .config(p.coreName)
         .workingSet(p.full ? "full" : "default");
     std::string gerr;
@@ -574,13 +585,13 @@ cmdCompare(const Parsed &p, std::ostream &out, std::ostream &err)
         return 2;
     }
     const auto &scalar = results.find(qn, core::Impl::Scalar, 128)->run;
-    const auto &neon = results.find(qn, core::Impl::Neon, 128)->run;
+    const auto &neon = results.find(qn, core::Impl::Neon, p.bits)->run;
 
     // The paper's correctness check, untraced (full host speed).
     auto w = spec->make(session.options().workload);
     w->runScalar();
     w->runAuto();
-    w->runNeon(128);
+    w->runNeon(p.bits);
     const bool verified = w->verify();
 
     core::Table t({"Impl", "Instructions", "Cycles", "IPC", "Speedup",

@@ -406,16 +406,13 @@ PackedTrace::Cursor::Cursor(const PackedTrace &trace)
 
 /*
  * The fused replay engine's decode kernel, portable 64-bit SWAR, in
- * three tiers: records whose next 8 bytes are all single-byte varints
- * decode with flag-indexed shifts out of one 8-byte load (only 15% of
- * paper-grid records and 6% of fanout-grid ones: a tag takes two bytes
- * from descriptor 2 on); multi-byte varints take the unchecked
- * word-at-a-time rdFast() while a maximal record fits before the
- * stream end, and the checked byte-wise getVarint() near it. Every
- * tier rejects the same malformations, so the decoded records and the
- * ok() verdict do not depend on a record's distance from the stream
- * end. tests/test_trace_packed.cc compares both with a plain byte-wise
- * decoder's on intact, truncated, fuzzed and over-long-varint streams.
+ * two tiers: the unchecked word-at-a-time rdFast() while a maximal
+ * record still fits before the stream end, and the checked byte-wise
+ * getVarint() near it. Both reject the same malformations, so the
+ * decoded records and the ok() verdict do not depend on a record's
+ * distance from the stream end. tests/test_trace_packed.cc compares
+ * both with a plain byte-wise decoder's on intact, truncated, fuzzed
+ * and over-long-varint streams.
  */
 size_t
 PackedTrace::Cursor::nextBatch(Decoded *out, size_t max)
@@ -437,62 +434,7 @@ PackedTrace::Cursor::nextBatch(Decoded *out, size_t max)
     while (n < max && left) {
         uint64_t tag, id, dep0 = 0, dep1 = 0, dep2 = 0, addr = 0,
                           addr2 = 0;
-        if (__builtin_expect(end - p >= 8, 1)) {
-            uint64_t w;
-            std::memcpy(&w, p, 8);
-            if (__builtin_expect(!(w & 0x8080808080808080ull), 1)) {
-                tag = w & 0xff;
-                if (__builtin_expect(!(tag & kHasMulti), 1)) {
-                    // All-single-byte record: flag-indexed shifts, so
-                    // absent fields cost a mask, not a mispredicted
-                    // branch.
-                    const uint64_t fIdJ = (tag >> 2) & 1;
-                    const uint64_t fD0 = (tag >> 3) & 1;
-                    const uint64_t fD1 = (tag >> 4) & 1;
-                    const uint64_t fD2 = (tag >> 5) & 1;
-                    const uint64_t fA = tag & 1;
-                    const uint64_t pIdJ = 1;
-                    const uint64_t pD0 = pIdJ + fIdJ;
-                    const uint64_t pD1 = pD0 + fD0;
-                    const uint64_t pD2 = pD1 + fD1;
-                    const uint64_t pA = pD2 + fD2;
-                    p += pA + fA;
-                    id = uint64_t(
-                        int64_t(prevId + 1) +
-                        (unzigzag((w >> (8 * pIdJ)) & 0xff) &
-                         -int64_t(fIdJ)));
-                    dep0 = uint64_t(int64_t(id) -
-                                    unzigzag((w >> (8 * pD0)) & 0xff)) &
-                           -uint64_t(fD0);
-                    dep1 = uint64_t(int64_t(id) -
-                                    unzigzag((w >> (8 * pD1)) & 0xff)) &
-                           -uint64_t(fD1);
-                    dep2 = uint64_t(int64_t(id) -
-                                    unzigzag((w >> (8 * pD2)) & 0xff)) &
-                           -uint64_t(fD2);
-                    prevAddr += uint64_t(unzigzag((w >> (8 * pA)) & 0xff) &
-                                         -int64_t(fA));
-                    addr = prevAddr & -uint64_t(fA);
-                    prevId = id;
-                    const uint64_t idx = tag >> kTagFlagBits;
-                    if (__builtin_expect(idx >= descCount, 0)) {
-                        bad = true;
-                        break;
-                    }
-                    --left;
-                    Decoded &o = out[n++];
-                    o.id = id;
-                    o.dep0 = dep0;
-                    o.dep1 = dep1;
-                    o.dep2 = dep2;
-                    o.addr = addr;
-                    o.addr2 = 0;
-                    o.desc = uint32_t(idx);
-                    continue;
-                }
-            }
-        }
-        // Multi-byte varints: one field sequence over either read.
+        // One field sequence over either read.
         bool tb = false;
         const auto fields = [&](auto rd) {
             tag = rd();

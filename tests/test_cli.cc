@@ -151,9 +151,12 @@ TEST(CliUsage, WrappingJobsAndJunkBitsRejected)
 TEST(CliUsage, WiderBitsRequireWiderKernel)
 {
     // PF/fft_forward is not one of the eight Figure-5 kernels.
-    auto r = cli({"run", "PF/fft_forward", "--bits", "512"});
-    EXPECT_EQ(r.code, 2);
-    EXPECT_NE(r.err.find("wider-register"), std::string::npos);
+    for (const char *cmd : {"run", "compare"}) {
+        auto r = cli({cmd, "PF/fft_forward", "--bits", "512"});
+        EXPECT_EQ(r.code, 2) << cmd;
+        EXPECT_NE(r.err.find("wider-register"), std::string::npos) << cmd;
+        EXPECT_TRUE(r.out.empty()) << cmd;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -484,5 +487,29 @@ TEST(CliCompare, PrintsThreeImplsAndVerifies)
     EXPECT_NE(r.out.find("Scalar"), std::string::npos);
     EXPECT_NE(r.out.find("Auto"), std::string::npos);
     EXPECT_NE(r.out.find("Neon"), std::string::npos);
+    EXPECT_NE(r.out.find("outputs verified: yes"), std::string::npos);
+}
+
+TEST(CliCompare, BitsRunsTheNeonPointAtThatWidth)
+{
+    // The Neon row is the point `swan run --bits` measures (Scalar and
+    // Auto code has no width), and the outputs are verified at it.
+    const auto value = [](const std::string &text, const std::string &key) {
+        const size_t at = text.find(key);
+        if (at == std::string::npos)
+            return std::string();
+        const size_t from = text.find_first_not_of(' ', at + key.size());
+        return text.substr(from, text.find('\n', from) - from);
+    };
+    const auto run = cli({"run", "ZL/adler32", "--bits", "256"});
+    ASSERT_EQ(run.code, 0) << run.err;
+    const auto r = cli({"compare", "ZL/adler32", "--bits", "256"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    // | Neon | <instructions> | <cycles> | ...
+    std::istringstream row(value(r.out, "| Neon"));
+    std::string sep, instrs, cycles;
+    row >> sep >> instrs >> sep >> cycles;
+    EXPECT_EQ(instrs, value(run.out, "instructions:"));
+    EXPECT_EQ(cycles, value(run.out, "cycles:"));
     EXPECT_NE(r.out.find("outputs verified: yes"), std::string::npos);
 }

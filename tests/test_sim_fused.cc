@@ -219,6 +219,58 @@ sharedAndPrivateGeometries()
             sim::widerVectorConfig(512)};
 }
 
+/**
+ * perf_smoke's saturation corpus (bench/perf_smoke.cc): every 32nd
+ * instruction is a vector load striding a fresh page, so it misses to
+ * DRAM, and the 31 vector ops behind it all wait for it. The ROB fills
+ * behind each miss, and the cycle the load completes the whole burst
+ * turns ready and oversubscribes the vector pool. The misses form a
+ * chain, which bounds the run. With @p poolBound the loads do not
+ * wait for each other, every third op of a burst is a 16-cycle vector
+ * divide that holds its unit for all 16 cycles, and every other op
+ * waits for the op before it, so reservations land ahead of the ops
+ * that are ready and leave gaps too short for a divide. The vector
+ * pool then bounds the run, and every slot the search finds moves the
+ * cycle count.
+ */
+std::vector<Instr>
+saturationTrace(size_t n, bool poolBound)
+{
+    std::vector<Instr> t;
+    uint64_t lastLoad = 0;
+    while (t.size() < n) {
+        Instr ld;
+        ld.id = t.size() + 1;
+        ld.cls = trace::InstrClass::VLoad;
+        ld.fu = trace::Fu::Load;
+        ld.latency = 4;
+        ld.addr = 0x4000'0000 + uint64_t(t.size()) * 4096;
+        ld.size = 16;
+        ld.vecBytes = 16;
+        ld.lanes = 4;
+        ld.activeLanes = 4;
+        ld.dep0 = poolBound ? 0 : lastLoad;
+        lastLoad = ld.id;
+        t.push_back(ld);
+        for (int k = 0; k < 31 && t.size() < n; ++k) {
+            const bool divide = poolBound && k % 3 == 2;
+            Instr v;
+            v.id = t.size() + 1;
+            v.cls = divide ? trace::InstrClass::VFloat
+                           : trace::InstrClass::VInt;
+            v.fu = trace::Fu::VUnit;
+            v.latency = divide ? 16 : 2;
+            v.vecBytes = 16;
+            v.lanes = 4;
+            v.activeLanes = 4;
+            v.dep0 =
+                poolBound && k % 2 == 0 && k > 0 ? t.back().id : lastLoad;
+            t.push_back(v);
+        }
+    }
+    return t;
+}
+
 } // namespace
 
 TEST(FusedReplay, MatchesAcrossWarmupPasses)
@@ -622,6 +674,39 @@ TEST(FusedReplay, PinsAbsoluteModelOutput)
         next += cfgs.size();
     }
     EXPECT_EQ(next, std::size(kPins));
+}
+
+TEST(FusedReplay, PinsSaturatedIssueTables)
+{
+    // The random traces above rarely fill a unit pool; these fill the
+    // out-of-order cores' issue tables for long stretches (the search
+    // for a free slot scans furthest here, and an unpipelined op needs
+    // a run of free cycles), and hold silver's in-order issue behind
+    // each miss. Pinned through simulateTraceMany, as sweeps run it,
+    // while the search still started from a per-pool hint of cycles
+    // known full, which must change nothing.
+    static const Pin kPins[2][3] = {
+        {{"prime", 1, 318178, 32768, 2048, 2048, 2048, 2048, 0},
+         {"gold", 1, 277254, 32768, 2048, 2048, 2048, 2048, 0},
+         {"silver", 1, 246784, 32768, 2048, 2048, 2048, 2048, 0}},
+        {{"prime", 1, 92678, 32768, 2048, 2048, 2048, 2048, 0},
+         {"gold", 1, 92678, 32768, 2048, 2048, 2048, 2048, 0},
+         {"silver", 1, 410624, 32768, 2048, 2048, 2048, 2048, 0}},
+    };
+    const std::vector<sim::CoreConfig> cfgs = {
+        sim::primeConfig(), sim::goldConfig(), sim::silverConfig()};
+    for (const bool poolBound : {false, true}) {
+        SCOPED_TRACE(poolBound ? "vector pool bound" : "miss chain bound");
+        const auto instrs = saturationTrace(1 << 15, poolBound);
+        ByClass byClass{};
+        for (const Instr &i : instrs)
+            ++byClass[size_t(i.cls)];
+        const auto got =
+            sim::simulateTraceMany(PackedTrace::pack(instrs), cfgs, 1);
+        ASSERT_EQ(got.size(), cfgs.size());
+        for (size_t i = 0; i < cfgs.size(); ++i)
+            expectPinned(got[i], kPins[poolBound][i], byClass);
+    }
 }
 
 TEST(FusedReplay, SharedHierarchiesMatchPrivateOnes)
